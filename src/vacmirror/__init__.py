@@ -61,7 +61,6 @@ from .errors import (
 from .numerics import QuadratureSettings
 from .scattering import (
     MirrorModel,
-    UnitSystem,
     load_table,
     lorentzian_mirror,
     perfect_mirror,

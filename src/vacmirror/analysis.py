@@ -64,21 +64,21 @@ __all__ = [
 ]
 
 
-def impedance(model, mech, w, settings=None):
+def impedance(model, mech, w):
     """Mechanical impedance Z[w] = (k - m w^2 - chi[w]) / (-i w), real w."""
     w = float(w)
     if w == 0.0:
         if mech.k > 0:
             raise ImpedancePoleError("Z has a k/w pole at w = 0")
         return 0.0 + 0.0j
-    chi = susceptibility(model, mech, w, settings)
+    chi = susceptibility(model, mech, w)
     return (mech.k - mech.m * w**2 - chi) / (-1j * w)
 
 
-def admittance(model, mech, w, settings=None, min_modulus=None):
-    """Mechanical admittance Y = 1/Z with a near-singularity guard."""
-    z = impedance(model, mech, w, settings)
-    floor = min_modulus if min_modulus is not None else 1e-10 * mech.m * max(abs(w), 1e-30)
+def admittance(model, mech, w):
+    """Mechanical admittance Y = 1/Z, refused where |Z| <= 1e-10 m |w|."""
+    z = impedance(model, mech, w)
+    floor = 1e-10 * mech.m * max(abs(w), 1e-30)
     if abs(z) <= floor:
         raise AdmittanceSingularityError(
             f"|Z| = {abs(z):.3e} below {floor:.3e} at w = {w}", omega=w, z_value=z
@@ -86,10 +86,10 @@ def admittance(model, mech, w, settings=None, min_modulus=None):
     return 1.0 / z
 
 
-def sample_gamma_real(model, omega_max=1.0e3, points=1400, settings=None):
+def sample_gamma_real(model, omega_max=1.0e3, points=1400):
     """Dense Gamma_R curve used by continuation and spectral integrals."""
     grid = np.concatenate([[0.0], np.logspace(-3, np.log10(omega_max), points)])
-    vals = np.array([gamma(model, float(w), settings) for w in grid])
+    vals = np.array([gamma(model, float(w)) for w in grid])
     return ResponseCurve(grid, vals, label="gamma")
 
 
@@ -179,13 +179,13 @@ def _wrap_phase(d):
     return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def count_rhp_zeros(model, mech, contour=None, gamma_curve=None,
-                    n_edge=128, max_rounds=40, modulus_rtol=1e-9):
+def count_rhp_zeros(model, mech, contour=None, gamma_curve=None, n_edge=128):
     """Zeros of Z{p} inside a rectangle in Re p > 0 (argument principle).
 
-    The contour is sampled adaptively until consecutive phase steps stay
-    below pi/2; a minimum-modulus check guards against zeros sitting on
-    the contour, raising ContourError with a suggestion to perturb it.
+    The contour is sampled adaptively, in at most 40 bisection rounds,
+    until consecutive phase steps stay below pi/2; a minimum-modulus check
+    (|Z| below 1e-9 of m|p| + k/|p|) guards against zeros sitting on the
+    contour, raising ContourError with a suggestion to perturb it.
     """
     if contour is None:
         contour = default_contour(mech)
@@ -195,7 +195,7 @@ def count_rhp_zeros(model, mech, contour=None, gamma_curve=None,
 
     pts = _contour_path(contour, n_edge)
     vals = zf(pts)
-    for _ in range(max_rounds):
+    for _ in range(40):
         dph = _wrap_phase(np.diff(np.angle(vals)))
         bad = np.abs(dph) >= 0.5 * np.pi
         if not bad.any():
@@ -208,7 +208,7 @@ def count_rhp_zeros(model, mech, contour=None, gamma_curve=None,
         raise ContourError("could not resolve phase steps below pi/2")
 
     scale = mech.m * np.abs(pts) + mech.k / np.maximum(np.abs(pts), 1e-300)
-    if np.min(np.abs(vals) / scale) < modulus_rtol:
+    if np.min(np.abs(vals) / scale) < 1e-9:
         raise ContourError(
             "impedance modulus nearly vanishes on the contour; "
             "a zero may sit on it -- perturb the rectangle"
@@ -288,7 +288,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None, omega_max=1.0e
     terms.  Models without a finite induced mass raise
     CutoffDivergenceError.
     """
-    from .numerics import QuadratureSettings, adaptive_gauss_legendre, fit_power_law_slope
+    from .numerics import QuadratureSettings, fit_power_law_slope, integrate_decades
 
     if gamma_curve is None:
         gamma_curve = sample_gamma_real(model, omega_max=omega_max)
@@ -314,13 +314,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None, omega_max=1.0e
         return mt * rho**2 * spl(rho) / (p * p + rho * rho)
 
     settings = QuadratureSettings(abs_tol=1e-9 * max(1.0, abs(mu)), max_panels=8000)
-    edges = [0.0, 1.0]
-    while edges[-1] < grid[-1]:
-        edges.append(min(edges[-1] * 10.0, grid[-1]))
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        seg, _ = adaptive_gauss_legendre(integrand, a, b, settings)
-        total += seg
+    total = integrate_decades(integrand, grid[-1], settings)
     c_tail = fit_inverse_square_tail(grid, gvals)
     L = grid[-1]
     total += mt * c_tail * (np.pi / 2.0 - np.arctan(L / p)) / p

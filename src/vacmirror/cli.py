@@ -36,6 +36,7 @@ from .susceptibility import (
     reflection_cutoff,
 )
 from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
+from .numerics import write_csv
 
 _CHOICES = {
     ("model", "kind"): {"perfect", "lorentzian", "tabulated"},
@@ -87,7 +88,6 @@ _SCHEMA = {
     },
     "output": {
         "directory": (str, "out", False),
-        "formats": (str, "csv,json", False),
     },
 }
 
@@ -192,6 +192,17 @@ def _model_omega_cap(model, default=1.0e3):
     return default
 
 
+def _passive_induced_mass(cfg, model, mech, consumer):
+    """Induced mass mu; ConfigError when mu >= m, the non-passive regime."""
+    mu = induced_mass(mech, reflection_cutoff(model, omega_max=_model_omega_cap(model)))
+    if mu >= mech.m:
+        raise ConfigError(
+            f"mu/m = {mu / mech.m:.3f} >= 1: {consumer} refuses the "
+            "non-passive regime", cfg.path,
+        )
+    return mu
+
+
 def _json_num(x):
     if x is None:
         return None
@@ -205,7 +216,7 @@ def _write_json(path, doc):
 
 
 def _meta(args):
-    meta = {"threads": args.threads, "seed": args.seed}
+    meta = {}
     if args.timestamps:
         import datetime
 
@@ -223,20 +234,13 @@ def cmd_analyze(cfg, out, args):
         model, mech, grid, omega_max_cutoff=cap
     )
     result.to_csv(out / "gamma.csv")
-    with open(out / "chi.csv", "w") as fh:
-        fh.write("omega,chi_re,chi_im\n")
-        for w, x in zip(grid, result.chi.values):
-            fh.write(f"{w:.11e},{x.real:.11e},{x.imag:.11e}\n")
-    k, m = mech.k, mech.m
-    z = (k - m * grid**2 - result.chi.values) / (-1j * grid)
+    chi = result.chi.values
+    write_csv(out / "chi.csv", "omega,chi_re,chi_im", [grid, chi.real, chi.imag])
+    z = (mech.k - mech.m * grid**2 - chi) / (-1j * grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = 1.0 / z
-    with open(out / "impedance.csv", "w") as fh:
-        fh.write("omega,z_re,z_im,y_re,y_im\n")
-        for w, zz, yy in zip(grid, z, y):
-            fh.write(
-                f"{w:.11e},{zz.real:.11e},{zz.imag:.11e},{yy.real:.11e},{yy.imag:.11e}\n"
-            )
+    write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
+              [grid, z.real, z.imag, y.real, y.imag])
     gamma0 = complex(result.gamma.values[0]) if grid[0] == 0 else gamma(model, 0.0)
     doc = {
         "model": model.kind,
@@ -310,15 +314,7 @@ def cmd_simulate(cfg, out, args):
             fitted = None
     else:
         dt = sim["dt"]
-        omega_c = reflection_cutoff(
-            model, omega_max=_model_omega_cap(model)
-        )
-        mu = induced_mass(mech, omega_c)
-        if mu >= mech.m:
-            raise ConfigError(
-                f"mu/m = {mu / mech.m:.3f} >= 1: memory integrator refuses the "
-                "non-passive regime", cfg.path,
-            )
+        mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
         band = np.pi / dt
         cap = _model_omega_cap(model, default=np.inf)
         curve_max = min(band, cap)
@@ -387,6 +383,11 @@ def cmd_crosscheck(cfg, out, args):
         return 0
 
     cap = _model_omega_cap(model, default=1.0e3)
+    try:
+        mu = _passive_induced_mass(cfg, model, mech, "spectral representation")
+    except CutoffDivergenceError:
+        mu = None
+
     # Kramers-Kronig: reconstructed Gamma_I vs direct quadrature
     L = min(400.0, cap)
     kk_grid = np.linspace(0.0, L, 4001)
@@ -402,23 +403,22 @@ def cmd_crosscheck(cfg, out, args):
                  "passed": bool(kk_defect < a["kk_threshold"])}
 
     # spectral representation vs direct Laplace impedance
-    gamma_curve = analysis.sample_gamma_real(model, omega_max=cap)
-    try:
-        mu = induced_mass(
-            mech, reflection_cutoff(model, omega_max=cap)
-        )
+    doc["spectral_rep"] = {"status": "divergent", "defect": None}
+    if mu is not None:
+        gamma_curve = analysis.sample_gamma_real(model, omega_max=cap)
         ps = np.geomspace(1e-2, 1e2, a["spectral_points"])
-        rel = 0.0
-        for p in ps:
-            direct = analysis.laplace_impedance(model, mech, complex(p), gamma_curve)
-            spectral = analysis.spectral_impedance(
-                model, mech, complex(p), gamma_curve=gamma_curve, mu=mu
-            )
-            rel = max(rel, abs(spectral - direct) / abs(direct))
-        doc["spectral_rep"] = {"defect": rel, "threshold": a["spectral_threshold"],
-                               "passed": bool(rel < a["spectral_threshold"])}
-    except CutoffDivergenceError:
-        doc["spectral_rep"] = {"status": "divergent", "defect": None}
+        try:
+            rel = 0.0
+            for p in ps:
+                direct = analysis.laplace_impedance(model, mech, complex(p), gamma_curve)
+                spectral = analysis.spectral_impedance(
+                    model, mech, complex(p), gamma_curve=gamma_curve, mu=mu
+                )
+                rel = max(rel, abs(spectral - direct) / abs(direct))
+            doc["spectral_rep"] = {"defect": rel, "threshold": a["spectral_threshold"],
+                                   "passed": bool(rel < a["spectral_threshold"])}
+        except CutoffDivergenceError:
+            pass  # Gamma_R sampled up to cap shows no integrable decay
 
     report = dispersion.consistency_check(model, mech)
     doc["consistency"] = {"defect": report.defect,
@@ -446,10 +446,6 @@ def make_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to run config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint, recorded in metadata")
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved for stochastic extensions, recorded only")
         p.add_argument("--timestamps", action="store_true",
                        help="include a timestamp in metadata sidecars")
     return parser

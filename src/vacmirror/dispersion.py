@@ -16,7 +16,6 @@ Transforms follow the package sign convention (see numerics module); all
 routines are pure.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,9 @@ from .numerics import (
     kernel_to_spectrum,
     pv_hilbert_even,
     spectrum_to_kernel,
+    write_csv,
 )
-from .susceptibility import ResponseCurve, gamma
+from .susceptibility import gamma
 
 
 def _real_samples(curve):
@@ -125,7 +125,6 @@ class TimeKernel:
     causality_residual: float
     causality_residual_raw: float
     guard_samples: int
-    taper_fraction: float
     n_fft: int
     _full: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -137,16 +136,14 @@ class TimeKernel:
         return np.fft.rfftfreq(self.n_fft, d=self.dt) * 2.0 * np.pi
 
     def to_csv(self, path):
-        buf = io.StringIO()
-        buf.write(f"# mu_subtracted = {self.mu_subtracted:.11e}\n")
-        buf.write(f"# dt = {self.dt:.11e}\n")
-        buf.write(f"# T = {self.times[-1] + self.dt:.11e}\n")
-        buf.write(f"# omega_max = {self.omega_max:.11e}\n")
-        buf.write("t,kappa\n")
-        for t, v in zip(self.times, self.values):
-            buf.write(f"{t:.11e},{v:.11e}\n")
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+        header = (
+            f"# mu_subtracted = {self.mu_subtracted:.11e}\n"
+            f"# dt = {self.dt:.11e}\n"
+            f"# T = {self.times[-1] + self.dt:.11e}\n"
+            f"# omega_max = {self.omega_max:.11e}\n"
+            "t,kappa"
+        )
+        write_csv(path, header, [self.times, self.values])
 
 
 def _next_pow2(n):
@@ -156,17 +153,14 @@ def _next_pow2(n):
     return p
 
 
-def build_time_kernel(chi_curve, mu, window, dt, omega_max=None,
-                      taper_fraction=0.0, guard_samples=1024):
+def build_time_kernel(chi_curve, mu, window, dt, omega_max=None, guard_samples=1024):
     """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
 
     ``chi_curve`` must be sampled up to the transform band edge
     ``omega_max`` (default: the lesser of pi/dt and the curve extent).
     The subtraction must leave a decaying remainder: if |chi + mu w^2|/w^2
     fails to fall across the top decade of the band, the requested mass is
-    inconsistent and RegularizationError is raised.  An optional raised-
-    cosine taper over the top ``taper_fraction`` of the band is applied
-    only on request and recorded, never silently.
+    inconsistent and RegularizationError is raised.
     """
     nyquist = np.pi / dt
     if omega_max is None:
@@ -196,11 +190,6 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None,
             raise RegularizationError(
                 "chi + mu w^2 does not decay; mass subtraction inconsistent"
             )
-    if taper_fraction > 0.0:
-        start = omega_max * (1.0 - taper_fraction)
-        ramp = (freqs >= start) & in_band
-        phase = (freqs[ramp] - start) / (omega_max - start)
-        spectrum[ramp] *= 0.5 * (1.0 + np.cos(np.pi * phase))
 
     full = spectrum_to_kernel(spectrum, n_fft, dt)
     peak = float(np.max(np.abs(full)))
@@ -221,7 +210,6 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None,
         causality_residual=guarded,
         causality_residual_raw=raw,
         guard_samples=int(guard_samples),
-        taper_fraction=float(taper_fraction),
         n_fft=n_fft,
         _full=full,
     )

@@ -23,10 +23,10 @@ Each run is sequential in time; distinct runs share no mutable state.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dispersion import acceleration_weights
 from .errors import FitError, GridMismatchError
+from .numerics import running_integral, write_csv
 
 
 @dataclass(frozen=True)
@@ -87,34 +87,19 @@ class Trajectory:
 _BLOWUP = 1e100
 
 
-def _truncate(ts, arrays, i):
-    return [ts[: i + 1]] + [arr[: i + 1] for arr in arrays]
+def _rk4(deriv, y0, force, t_final, dt):
+    """Classical RK4 for y' = deriv(y, F_a) from y(0) = y0 on a uniform grid.
 
-
-def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.0):
-    """Integrate k q + m q'' = F_a + m tau q''' as a system in (q, v, a).
-
-    Default step is tau/50.  The tau = 0 branch integrates the plain
-    oscillator (acceleration slaved to the force balance).  Overflow
-    truncates the trajectory and marks it diverged.
+    The force is sampled at the grid points and the half steps.  A state
+    that overflows (non-finite or above _BLOWUP) is dropped and ends the
+    run.  Returns (times, states, force samples, divergence time or None).
     """
-    if mech.tau == 0.0:
-        return _simulate_bare(mech, force, t_final, dt or 1e-2, q0, v0)
-    dt = dt if dt is not None else mech.tau / 50.0
     n = int(round(t_final / dt))
     ts = np.arange(n + 1) * dt
     fs = np.asarray(force(ts), dtype=float)
-    k, m, tau = mech.k, mech.m, mech.tau
-
-    def deriv(y, f_now):
-        q, v, a = y
-        return np.array([v, a, (k * q + m * a - f_now) / (m * tau)])
-
-    # force at RK4 half steps
     f_half = np.asarray(force(ts[:-1] + 0.5 * dt), dtype=float)
-    out = np.empty((n + 1, 3))
-    out[0] = (q0, v0, a0)
-    diverged, t_div, last = False, None, n
+    out = np.empty((n + 1, len(y0)))
+    out[0] = y0
     y = out[0].copy()
     for i in range(n):
         k1 = deriv(y, fs[i])
@@ -123,44 +108,42 @@ def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.
         k4 = deriv(y + dt * k3, fs[i + 1])
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOWUP:
-            diverged, t_div, last = True, ts[i + 1], i
-            break
+            return ts[: i + 1], out[: i + 1], fs[: i + 1], ts[i + 1]
         out[i + 1] = y
-    ts, q, v, a, fs = _truncate(ts, [out[:, 0], out[:, 1], out[:, 2], fs], last)
-    f_mot = k * q + m * a - fs  # = m tau q''' along the solution
-    return Trajectory(
-        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
-        method="rk4", dt=dt, diverged=diverged, t_diverged=t_div,
-        meta={"tau": tau, "k": k, "m": m},
-    )
+    return ts, out, fs, None
 
 
-def _simulate_bare(mech, force, t_final, dt, q0, v0):
-    """Decoupled oscillator (tau = 0): RK4 on (q, v)."""
-    n = int(round(t_final / dt))
-    ts = np.arange(n + 1) * dt
-    fs = np.asarray(force(ts), dtype=float)
-    f_half = np.asarray(force(ts[:-1] + 0.5 * dt), dtype=float)
-    k, m = mech.k, mech.m
-    q = np.empty(n + 1)
-    v = np.empty(n + 1)
-    q[0], v[0] = q0, v0
-    y = np.array([q0, v0])
-    for i in range(n):
+def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.0):
+    """Integrate k q + m q'' = F_a + m tau q''' as a system in (q, v, a).
+
+    Default step is tau/50.  The tau = 0 branch integrates the plain
+    oscillator in (q, v) with the acceleration slaved to the force balance
+    (default step 1e-2).  Overflow truncates the trajectory and marks it
+    diverged.
+    """
+    k, m, tau = mech.k, mech.m, mech.tau
+    if tau == 0.0:
         def deriv(y, f_now):
             return np.array([y[1], (f_now - k * y[0]) / m])
 
-        k1 = deriv(y, fs[i])
-        k2 = deriv(y + 0.5 * dt * k1, f_half[i])
-        k3 = deriv(y + 0.5 * dt * k2, f_half[i])
-        k4 = deriv(y + dt * k3, fs[i + 1])
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q[i + 1], v[i + 1] = y
-    a = (fs - k * q) / m
+        dt = dt or 1e-2
+        ts, out, fs, t_div = _rk4(deriv, (q0, v0), force, t_final, dt)
+        q, v = out[:, 0], out[:, 1]
+        a = (fs - k * q) / m
+        f_mot = np.zeros(ts.size)
+    else:
+        def deriv(y, f_now):
+            q, v, a = y
+            return np.array([v, a, (k * q + m * a - f_now) / (m * tau)])
+
+        dt = dt if dt is not None else tau / 50.0
+        ts, out, fs, t_div = _rk4(deriv, (q0, v0, a0), force, t_final, dt)
+        q, v, a = out[:, 0], out[:, 1], out[:, 2]
+        f_mot = k * q + m * a - fs  # = m tau q''' along the solution
     return Trajectory(
-        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=np.zeros(n + 1),
-        method="rk4", dt=dt, diverged=False, t_diverged=None,
-        meta={"tau": 0.0, "k": k, "m": m},
+        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
+        method="rk4", dt=dt, diverged=t_div is not None, t_diverged=t_div,
+        meta={"tau": tau, "k": k, "m": m},
     )
 
 
@@ -219,7 +202,6 @@ def simulate_with_memory(mech, kernel, force, t_final, mu=None, q0=0.0,
         meta={
             "mu": mu, "k": k, "m": m,
             "kernel_omega_max": kernel.omega_max,
-            "kernel_taper": kernel.taper_fraction,
         },
     )
 
@@ -263,11 +245,11 @@ def energy_ledger(traj, mech, force=None):
         fs = np.asarray(force(ts), dtype=float)
     else:
         fs = traj.f_applied
-    w_a = np.concatenate([[0.0], cumulative_trapezoid(fs * v, ts)])
+    w_a = running_integral(fs * v, ts)
     energy = 0.5 * mech.k * traj.q**2 + 0.5 * mech.m * v**2
     delta_e = energy - energy[0]
     w_m = w_a - delta_e
-    w_m_check = -np.concatenate([[0.0], cumulative_trapezoid(traj.f_motional * v, ts)])
+    w_m_check = -running_integral(traj.f_motional * v, ts)
     return EnergyLedger(
         times=ts,
         w_applied=w_a,
@@ -326,20 +308,14 @@ def fit_runaway_rate(traj, min_efolds=3.0):
 
 def export_run_csv(path, traj, ledger):
     """Write the combined trajectory/ledger table: t,q,v,a,F_a,W_a,E,W_m."""
-    with open(path, "w") as fh:
-        fh.write("t,q,v,a,F_a,W_a,E,W_m\n")
-        for row in zip(
-            traj.times, traj.q, traj.v, traj.a, traj.f_applied,
-            ledger.w_applied, ledger.energy, ledger.w_radiated,
-        ):
-            fh.write(",".join(f"{x:.11e}" for x in row) + "\n")
+    write_csv(path, "t,q,v,a,F_a,W_a,E,W_m", [
+        traj.times, traj.q, traj.v, traj.a, traj.f_applied,
+        ledger.w_applied, ledger.energy, ledger.w_radiated,
+    ])
 
 
 def export_energy_csv(path, ledger):
-    with open(path, "w") as fh:
-        fh.write("t,W_a,E,delta_E,W_m,residual\n")
-        for row in zip(
-            ledger.times, ledger.w_applied, ledger.energy,
-            ledger.delta_energy, ledger.w_radiated, ledger.residual,
-        ):
-            fh.write(",".join(f"{x:.11e}" for x in row) + "\n")
+    write_csv(path, "t,W_a,E,delta_E,W_m,residual", [
+        ledger.times, ledger.w_applied, ledger.energy,
+        ledger.delta_energy, ledger.w_radiated, ledger.residual,
+    ])

@@ -1,9 +1,9 @@
 """Shared numerical routines.
 
-Everything here is pure and stateless: adaptive Gauss-Legendre quadrature
-for complex integrands, the principal-value Hilbert transform used by the
-dispersion checks, inverse-square tail fitting, and a complex secant root
-finder.  Frequency/time transform helpers fix the package-wide convention
+Everything here is stateless, and pure but for the CSV writer: adaptive
+Gauss-Legendre quadrature, the running trapezoid integral, the PV Hilbert
+transform used by the dispersion checks, inverse-square tail fitting and a
+complex secant root finder.  Transform helpers fix the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -74,6 +74,37 @@ def adaptive_gauss_legendre(f, a, b, settings=None):
     return total, err_total
 
 
+def integrate_decades(f, top, settings):
+    """Integral of f over [0, top], one adaptive panel per decade [0, 1], [1, 10], ...
+
+    Returns the complex sum of the panel values; the error estimates are
+    dropped.
+    """
+    edges = [0.0, 1.0]
+    while edges[-1] < top:
+        edges.append(min(edges[-1] * 10.0, top))
+    total = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        seg, _ = adaptive_gauss_legendre(f, a, b, settings)
+        total += seg
+    return total
+
+
+def running_integral(y, x):
+    """Trapezoid integral of y over x from x[0] to each sample, starting at 0.
+
+    The arithmetic is that of scipy's cumulative_trapezoid(y, x, initial=0),
+    so the results are bitwise equal.
+    """
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
+def write_csv(path, header, columns):
+    """Write equal-length real columns under a header line, every value as %.11e."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.11e", delimiter=",",
+               header=header, comments="")
+
+
 def pv_hilbert_even(grid, values, w, tail_coeff=0.0, spline=None):
     """Principal-value Kramers-Kronig integral for an even real function.
 
@@ -110,11 +141,8 @@ def pv_hilbert_even(grid, values, w, tail_coeff=0.0, spline=None):
     g0 = grid[0]
     if g0 > 0:
         result += (values[0] - fw) * np.log((w - g0) / (w + g0))
-    # analytic tail of c/w'^2 over [L, inf)
     if tail_coeff != 0.0:
-        result += tail_coeff * (2.0 / w) * (
-            -np.log((L - w) / (L + w)) / (2.0 * w) - 1.0 / L
-        )
+        result += _inverse_square_tail(tail_coeff, w, L)
     return -result / np.pi
 
 
@@ -134,10 +162,13 @@ def cauchy_upper_half(grid, values, w, tail_coeff=0.0):
         seg = np.linspace(0.0, g0, 33)
         result += np.trapezoid(values[0] * 2.0 * w / (seg * seg - w * w), seg)
     if tail_coeff != 0.0:
-        result += tail_coeff * (2.0 / w) * (
-            -np.log((L - w) / (L + w)) / (2.0 * w) - 1.0 / L
-        )
+        result += _inverse_square_tail(tail_coeff, w, L)
     return result / (1j * np.pi)
+
+
+def _inverse_square_tail(tail_coeff, w, L):
+    """Analytic int_L^inf (c/w'^2) * 2w/(w'^2 - w^2) dw' for the c/w'^2 tail."""
+    return tail_coeff * (2.0 / w) * (-np.log((L - w) / (L + w)) / (2.0 * w) - 1.0 / L)
 
 
 def fit_inverse_square_tail(grid, values, decades=1.0):

@@ -20,30 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, FrequencyRangeError
+from .errors import ContinuationError, FitError, FrequencyRangeError
 from .numerics import fit_inverse_square_tail, fit_power_law_slope, pv_hilbert_even
 
 PERFECT = "perfect"
 LORENTZIAN = "lorentzian"
 TABULATED = "tabulated"
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Internal working units: the reflectivity scale and mirror mass are 1.
-
-    The single physical knob is the dimensionless coupling tau_omega,
-    the vacuum response time expressed in units of 1/Omega.  Frequencies
-    are reported in Omega, times in 1/Omega, masses in m.
-    """
-
-    tau_omega: float
-    omega_unit: float = 1.0
-    mass_unit: float = 1.0
-
-    def __post_init__(self):
-        if self.tau_omega <= 0:
-            raise ValueError("tau_omega must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,7 +171,7 @@ def validate_model(model, grid):
     tail = float(np.max(np.abs(r[top])))
     try:
         slope = fit_power_law_slope(grid, np.abs(r))
-    except Exception:
+    except FitError:
         slope = 0.0
     # |r| must die at least like 1/w for the cutoff integrals to exist
     has_cutoff = tail < 0.5 and slope < -0.9
@@ -198,7 +180,7 @@ def validate_model(model, grid):
     im_r = np.imag(r)
     try:
         c_tail = fit_inverse_square_tail(grid, re_r)
-    except Exception:
+    except FitError:
         c_tail = 0.0
     interior = grid[(grid > grid[0] * 4) & (grid < grid[-1] / 4)]
     probes = interior[:: max(1, interior.size // 64)]

@@ -20,18 +20,18 @@ All functions are pure; sweeps over frequency grids are embarrassingly
 parallel.
 """
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import scattering
 from .errors import CutoffDivergenceError
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
     fit_inverse_square_tail,
     fit_power_law_slope,
+    integrate_decades,
+    write_csv,
 )
 from .scattering import reflectivity, transmissivity
 
@@ -73,7 +73,6 @@ class ResponseCurve:
     grid: np.ndarray
     values: np.ndarray
     label: str = ""
-    parity: str = "hermitian-real"
     _spline: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,12 +180,12 @@ def lorentzian_gamma(w, omega_scale=1.0):
     return out if out.ndim else complex(out)
 
 
-def susceptibility(model, mech, w, settings=None):
+def susceptibility(model, mech, w):
     """Motional susceptibility chi[w] = i m tau w^3 Gamma[w] for real w."""
     w = float(w)
     if w == 0.0:
         return 0.0 + 0.0j
-    return 1j * mech.m * mech.tau * w**3 * gamma(model, w, settings)
+    return 1j * mech.m * mech.tau * w**3 * gamma(model, w)
 
 
 def induced_mass(mech, omega_c):
@@ -204,7 +203,10 @@ class CutoffDiagnostics:
     decay_slope: float
 
 
-def reflection_cutoff(model, omega_max=1.0e3, settings=None, full_output=False):
+_CUTOFF_QUADRATURE = QuadratureSettings(abs_tol=1e-8)
+
+
+def reflection_cutoff(model, omega_max=1.0e3, full_output=False):
     """Reflection cutoff omega_C = (1/pi) int_-inf^inf Gamma_R dw.
 
     Folded to (2/pi) int_0^inf by parity.  The grid part is integrated by
@@ -213,10 +215,10 @@ def reflection_cutoff(model, omega_max=1.0e3, settings=None, full_output=False):
     CutoffDivergenceError when Gamma_R shows no integrable decay (the
     perfect mirror: Gamma_R == 1).
     """
-    settings = settings or QuadratureSettings(abs_tol=1e-8)
 
     def gamma_r(ws):
-        return np.array([gamma(model, float(x), settings).real for x in np.atleast_1d(ws)])
+        return np.array([gamma(model, float(x), _CUTOFF_QUADRATURE).real
+                         for x in np.atleast_1d(ws)])
 
     probe = np.logspace(np.log10(omega_max) - 1.0, np.log10(omega_max), 48)
     probe_vals = gamma_r(probe)
@@ -226,13 +228,7 @@ def reflection_cutoff(model, omega_max=1.0e3, settings=None, full_output=False):
             f"Gamma_R decays like w^{slope:.2f} on the top decade; "
             "cutoff integral does not converge"
         )
-    edges = [0.0, 1.0]
-    while edges[-1] < omega_max:
-        edges.append(min(edges[-1] * 10.0, omega_max))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        seg, _ = adaptive_gauss_legendre(gamma_r, a, b, settings)
-        total += seg.real
+    total = integrate_decades(gamma_r, omega_max, _CUTOFF_QUADRATURE).real
     c = fit_inverse_square_tail(probe, probe_vals, decades=1.0)
     tail = c / omega_max
     omega_c = (2.0 / np.pi) * (total + tail)
@@ -262,19 +258,12 @@ class SusceptibilityResult:
         return not np.isfinite(self.omega_c)
 
     def to_csv(self, path):
-        buf = io.StringIO()
-        buf.write("omega,gamma_re,gamma_im,chi_re,chi_im,quad_err\n")
-        for w, g, x, e in zip(
-            self.gamma.grid, self.gamma.values, self.chi.values, self.quad_errors
-        ):
-            buf.write(
-                f"{w:.11e},{g.real:.11e},{g.imag:.11e},{x.real:.11e},{x.imag:.11e},{e:.11e}\n"
-            )
-        with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+        g, x = self.gamma.values, self.chi.values
+        write_csv(path, "omega,gamma_re,gamma_im,chi_re,chi_im,quad_err",
+                  [self.gamma.grid, g.real, g.imag, x.real, x.imag, self.quad_errors])
 
 
-def compute_susceptibility(model, mech, grid, settings=None, omega_max_cutoff=1.0e3):
+def compute_susceptibility(model, mech, grid, omega_max_cutoff=1.0e3):
     """Sweep Gamma and chi over a grid and compute the cutoff summary.
 
     The cutoff integral is attempted and, for models without transparency
@@ -285,7 +274,7 @@ def compute_susceptibility(model, mech, grid, settings=None, omega_max_cutoff=1.
     vals = np.empty(grid.size, dtype=complex)
     errs = np.empty(grid.size)
     for i, w in enumerate(grid):
-        vals[i], errs[i] = gamma(model, float(w), settings, full_output=True)
+        vals[i], errs[i] = gamma(model, float(w), full_output=True)
     chi_vals = 1j * mech.m * mech.tau * grid**3 * vals
     diag = None
     try:
@@ -303,9 +292,3 @@ def compute_susceptibility(model, mech, grid, settings=None, omega_max_cutoff=1.
         quad_errors=errs,
         cutoff_diagnostics=diag,
     )
-
-
-def lorentzian_reference_curve(grid, omega_scale=1.0):
-    """Closed-form Gamma curve, the oracle mirror of the quadrature path."""
-    grid = np.asarray(grid, dtype=float)
-    return ResponseCurve(grid, lorentzian_gamma(grid, omega_scale), label="gamma")

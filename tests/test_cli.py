@@ -206,6 +206,13 @@ def test_simulate_memory_refuses_heavy_mass(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_crosscheck_refuses_heavy_vacuum_mass(tmp_path, capsys):
+    body = LORENTZIAN_CFG.replace("tau_omega = 1.0e-3", "tau_omega = 0.5")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["crosscheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_zero_everything_is_null(tmp_path):
     body = SIM_MEMORY_CFG.replace("force = gaussian", "force = none")
     cfg = write_cfg(tmp_path, body)

@@ -183,17 +183,6 @@ def test_time_kernel_csv_header(tmp_path):
     assert lines[4] == "t,kappa"
 
 
-def test_taper_is_recorded_not_silent():
-    mech = vm.MirrorMechanics(tau=0.3, k=2.25)
-    dt = 2e-3
-    curve = _chi_curve(mech, np.pi / dt)
-    plain = vm.build_time_kernel(curve, 0.9, window=10.0, dt=dt)
-    tapered = vm.build_time_kernel(curve, 0.9, window=10.0, dt=dt, taper_fraction=0.5)
-    assert plain.taper_fraction == 0.0
-    assert tapered.taper_fraction == 0.5
-    assert not np.allclose(plain.values, tapered.values)
-
-
 def test_acceleration_weights_sum_rule():
     mech = vm.MirrorMechanics(tau=0.3, k=2.25)
     dt = 2e-3

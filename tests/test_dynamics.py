@@ -37,7 +37,10 @@ def test_runaway_overflow_marks_divergence():
         mech, vm.ForceProfile(kind="none"), t_final=0.3, a0=1.0
     )
     assert traj.diverged
-    assert traj.t_diverged is not None
+    # the overflowing state is dropped: the run ends one step before t_diverged
+    assert traj.t_diverged == pytest.approx(traj.times[-1] + traj.dt, rel=1e-12)
+    for series in (traj.q, traj.v, traj.a, traj.f_applied, traj.f_motional):
+        assert len(series) == len(traj.times)
     fit = vm.fit_runaway_rate(traj)
     assert abs(fit.rate - 1000.0) < 10.0
 

@@ -109,13 +109,6 @@ def test_validate_rejects_bad_grid(lorentzian):
         vm.validate_model(lorentzian, np.array([]))
 
 
-def test_unit_system_invariant():
-    units = vm.UnitSystem(tau_omega=1e-3)
-    assert units.omega_unit == 1.0 and units.mass_unit == 1.0
-    with pytest.raises(ValueError):
-        vm.UnitSystem(tau_omega=0.0)
-
-
 def test_tabulated_gain_detected():
     # a table with |r|^2 + |s|^2 > 1 shows up in the unitarity defect
     ws = np.linspace(0.0, 10.0, 400)
