@@ -52,7 +52,6 @@ from .errors import (
     CutoffDivergenceError,
     FitError,
     FrequencyRangeError,
-    GridMismatchError,
     ImpedancePoleError,
     RegularizationError,
     RootConvergenceError,
@@ -77,6 +76,7 @@ from .susceptibility import (
     beta,
     compute_susceptibility,
     gamma,
+    gamma_samples,
     induced_mass,
     lorentzian_gamma,
     reflection_cutoff,

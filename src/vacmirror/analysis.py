@@ -35,13 +35,13 @@ from .errors import (
     RootConvergenceError,
 )
 from .numerics import fit_inverse_square_tail, secant_root
-from .scattering import LORENTZIAN, PERFECT
+from .scattering import PERFECT, TABULATED
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
     gamma,
+    gamma_samples,
     induced_mass,
-    lorentzian_gamma,
     reflection_cutoff,
     susceptibility,
 )
@@ -86,23 +86,26 @@ def admittance(model, mech, w):
     return 1.0 / z
 
 
-def sample_gamma_real(model, omega_max=1.0e3, points=1400):
-    """Dense Gamma_R curve used by continuation and spectral integrals."""
-    grid = np.concatenate([[0.0], np.logspace(-3, np.log10(omega_max), points)])
-    vals = np.array([gamma(model, float(w)) for w in grid])
-    return ResponseCurve(grid, vals, label="gamma")
+def sample_gamma_real(model, omega_max=None):
+    """Dense Gamma curve for continuation and spectral integrals.
+
+    Gamma[0], then 1400 log points from 1e-3 to ``omega_max`` (default min(1e3, model top)).
+    """
+    if omega_max is None:
+        omega_max = min(1.0e3, model.omega_range[1])
+    grid = np.logspace(-3, np.log10(omega_max), 1400)
+    vals = np.concatenate([[gamma(model, 0.0)], gamma_samples(model, grid)])
+    return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 
 
 def _laplace_gamma(model, p, gamma_curve=None):
-    """Gamma{p} = Gamma[i p] for Re p > 0, dispatched per model kind."""
+    """Gamma{p} = Gamma[i p], Re p > 0: closed form, or a tabulated model's continued curve."""
     p = np.asarray(p, dtype=complex)
     if np.any(np.real(p) <= 0):
         raise ContinuationError("Laplace evaluation requires Re p > 0")
-    if model.kind == PERFECT:
-        out = np.ones(p.shape, dtype=complex)
+    if model.kind != TABULATED:
+        out = gamma_samples(model, 1j * p)
         return out if out.ndim else complex(out)
-    if model.kind == LORENTZIAN:
-        return lorentzian_gamma(1j * p, model.omega_scale)
     if gamma_curve is None:
         raise ContinuationError(
             "tabulated models need a sampled Gamma curve for Laplace evaluation"
@@ -144,7 +147,7 @@ class Rectangle:
             raise ValueError("contour must sit strictly inside Re p > 0")
 
 
-def default_contour(mech, omega_c=None, delta=1e-6):
+def default_contour(mech, omega_c=None):
     """Rectangle wide enough for the runaway pole and the cutoff scale."""
     extent = 10.0
     if mech.tau > 0:
@@ -153,7 +156,7 @@ def default_contour(mech, omega_c=None, delta=1e-6):
         extent = max(extent, 10.0 * omega_c)
     if mech.k > 0:
         extent = max(extent, 10.0 * mech.omega0)
-    return Rectangle(re_min=delta, re_max=extent, im_max=extent)
+    return Rectangle(re_min=1e-6, re_max=extent, im_max=extent)
 
 
 def _signed_log_points(extent, floor, n):
@@ -221,10 +224,10 @@ def count_rhp_zeros(model, mech, contour=None, gamma_curve=None, n_edge=128):
     return count
 
 
-def refine_root(model, mech, seed, gamma_curve=None, rtol=1e-10, max_iter=100):
+def refine_root(model, mech, seed, gamma_curve=None):
     """Polish a zero of Z{p} from a seed in Re p > 0 (secant iteration).
 
-    Returns (root, residual) with |Z{root}| below rtol * m * |root|.
+    Returns (root, residual) with |Z{root}| below 1e-10 * m * |root|.
     Divergence out of the half plane or stagnation raises
     RootConvergenceError.
     """
@@ -236,18 +239,18 @@ def refine_root(model, mech, seed, gamma_curve=None, rtol=1e-10, max_iter=100):
             raise RootConvergenceError(f"iterate left Re p > 0 at {p}")
         return laplace_impedance(model, mech, complex(p), gamma_curve)
 
-    root, resid = secant_root(f, complex(seed), tol=1e-14, max_iter=max_iter)
-    if resid > rtol * mech.m * max(abs(root), 1e-30):
+    root, resid = secant_root(f, complex(seed))
+    if resid > 1e-10 * mech.m * max(abs(root), 1e-30):
         raise RootConvergenceError(
             f"residual {resid:.3e} above tolerance at candidate {root}"
         )
     return root, resid
 
 
-def default_probes(p_min=1e-3, p_max=1e3, n_mag=40, n_arg=25):
-    """Log-polar probe set in Re p > 0: decades x openings of the half plane."""
+def default_probes(p_min=1e-3, p_max=1e3, n_mag=40):
+    """Log-polar probe set in Re p > 0: n_mag magnitudes x 25 openings of the half plane."""
     mags = np.geomspace(p_min, p_max, n_mag)
-    args = np.linspace(-0.999 * np.pi / 2, 0.999 * np.pi / 2, n_arg)
+    args = np.linspace(-0.999 * np.pi / 2, 0.999 * np.pi / 2, 25)
     return (mags[:, None] * np.exp(1j * args[None, :])).ravel()
 
 
@@ -258,11 +261,10 @@ class PassivityScan:
     min_re_scaled: float
     at_p: complex
     n_probes: int
-    tol: float
 
 
-def passivity_check(model, mech, probes=None, gamma_curve=None, tol=1e-9):
-    """Scan Re Z{p} over a probe set; verdict min >= -tol * m|p| pointwise."""
+def passivity_check(model, mech, probes=None, gamma_curve=None):
+    """Scan Re Z{p} over a probe set; verdict min >= -1e-9 * m|p| pointwise."""
     if probes is None:
         probes = default_probes()
     z = np.atleast_1d(laplace_impedance(model, mech, probes, gamma_curve))
@@ -270,16 +272,15 @@ def passivity_check(model, mech, probes=None, gamma_curve=None, tol=1e-9):
     scaled = z.real / scale
     i = int(np.argmin(scaled))
     return PassivityScan(
-        passive=bool(np.all(scaled >= -tol)),
+        passive=bool(np.all(scaled >= -1e-9)),
         min_re=float(z.real[i]),
         min_re_scaled=float(scaled[i]),
         at_p=complex(probes[i]),
         n_probes=int(len(probes)),
-        tol=tol,
     )
 
 
-def spectral_impedance(model, mech, p, gamma_curve=None, mu=None, omega_max=1.0e3):
+def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     """Z{p} from the passive spectral representation.
 
     Folds the nonnegative measure Z_R[rho] drho / (pi (1 + rho^2)) onto
@@ -291,7 +292,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None, omega_max=1.0e
     from .numerics import QuadratureSettings, fit_power_law_slope, integrate_decades
 
     if gamma_curve is None:
-        gamma_curve = sample_gamma_real(model, omega_max=omega_max)
+        gamma_curve = sample_gamma_real(model)
     grid, gvals = gamma_curve.grid, np.real(gamma_curve.values)
     top = grid >= grid[-1] / 10.0
     slope = fit_power_law_slope(grid[top], np.clip(gvals[top], 1e-300, None))
@@ -378,11 +379,10 @@ def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
     return seeds
 
 
-def stability_report(model, mech, contour=None, gamma_curve=None,
-                     probes=None, omega_max_cutoff=1.0e3):
+def stability_report(model, mech, contour=None, gamma_curve=None, probes=None):
     """Full stability/passivity summary for one configuration."""
     try:
-        omega_c = reflection_cutoff(model, omega_max=omega_max_cutoff)
+        omega_c = reflection_cutoff(model)
         mu = induced_mass(mech, omega_c)
     except CutoffDivergenceError:
         omega_c, mu = np.inf, np.inf

@@ -31,8 +31,8 @@ from .susceptibility import (
     ResponseCurve,
     compute_susceptibility,
     gamma,
+    gamma_samples,
     induced_mass,
-    lorentzian_gamma,
     reflection_cutoff,
 )
 from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
@@ -171,7 +171,10 @@ def build_model(cfg):
         return scattering.perfect_mirror()
     if m["kind"] == "lorentzian":
         return scattering.lorentzian_mirror(m["omega"])
-    return scattering.load_table(m["table"])
+    try:
+        return scattering.load_table(m["table"])
+    except ValueError as exc:  # column count, unparsable rows, grid checks
+        raise ConfigError(f"model.table: {exc}", cfg.path) from None
 
 
 def build_mechanics(cfg):
@@ -186,15 +189,9 @@ def build_grid(cfg):
     return np.linspace(g["omega_min"], g["omega_max"], g["points"])
 
 
-def _model_omega_cap(model, default=1.0e3):
-    if model.kind == scattering.TABULATED:
-        return min(default, model.omega_range[1])
-    return default
-
-
 def _passive_induced_mass(cfg, model, mech, consumer):
     """Induced mass mu; ConfigError when mu >= m, the non-passive regime."""
-    mu = induced_mass(mech, reflection_cutoff(model, omega_max=_model_omega_cap(model)))
+    mu = induced_mass(mech, reflection_cutoff(model))
     if mu >= mech.m:
         raise ConfigError(
             f"mu/m = {mu / mech.m:.3f} >= 1: {consumer} refuses the "
@@ -229,10 +226,7 @@ def cmd_analyze(cfg, out, args):
     mech = build_mechanics(cfg)
     grid = build_grid(cfg)
     validation = scattering.validate_model(model, grid)
-    cap = _model_omega_cap(model)
-    result = compute_susceptibility(
-        model, mech, grid, omega_max_cutoff=cap
-    )
+    result = compute_susceptibility(model, mech, grid)
     result.to_csv(out / "gamma.csv")
     chi = result.chi.values
     write_csv(out / "chi.csv", "omega,chi_re,chi_im", [grid, chi.real, chi.imag])
@@ -241,7 +235,7 @@ def cmd_analyze(cfg, out, args):
         y = 1.0 / z
     write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
               [grid, z.real, z.imag, y.real, y.imag])
-    gamma0 = complex(result.gamma.values[0]) if grid[0] == 0 else gamma(model, 0.0)
+    gamma0 = gamma(model, 0.0)
     doc = {
         "model": model.kind,
         "tau_omega": mech.tau,
@@ -270,19 +264,15 @@ def cmd_stability(cfg, out, args):
     a = cfg["analysis"]
     gamma_curve = None
     if model.kind == scattering.TABULATED:
-        gamma_curve = analysis.sample_gamma_real(
-            model, omega_max=_model_omega_cap(model)
-        )
+        gamma_curve = analysis.sample_gamma_real(model)
     contour = None
     if a["contour_max"] > 0:
         contour = analysis.Rectangle(a["contour_delta"], a["contour_max"], a["contour_max"])
     probes = analysis.default_probes(
-        a["probe_min"], a["probe_max"],
-        n_mag=max(4, a["probe_points"] // 25), n_arg=25,
+        a["probe_min"], a["probe_max"], n_mag=max(4, a["probe_points"] // 25)
     )
     report = analysis.stability_report(
-        model, mech, contour=contour, gamma_curve=gamma_curve, probes=probes,
-        omega_max_cutoff=_model_omega_cap(model),
+        model, mech, contour=contour, gamma_curve=gamma_curve, probes=probes
     )
     report.to_json(out / "stability.json")
     return 0
@@ -299,6 +289,14 @@ def cmd_simulate(cfg, out, args):
     regime = sim["regime"]
     if regime == "auto":
         regime = "perfect" if model.kind == scattering.PERFECT else "memory"
+    # the memory integrator releases the mirror from rest; at tau = 0 the
+    # force balance fixes the acceleration
+    fixed = ("v0", "a0") if regime == "memory" else ("a0",) if mech.tau == 0 else ()
+    for key in fixed:
+        if sim[key] != 0.0:
+            where = f"{regime} regime" + (" at tau_omega = 0" if regime == "perfect" else "")
+            raise ConfigError(f"simulation.{key} = {sim[key]:g} would be ignored in the {where}",
+                              cfg.path)
 
     fitted = None
     if regime == "perfect":
@@ -315,16 +313,10 @@ def cmd_simulate(cfg, out, args):
     else:
         dt = sim["dt"]
         mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
-        band = np.pi / dt
-        cap = _model_omega_cap(model, default=np.inf)
-        curve_max = min(band, cap)
+        curve_max = min(np.pi / dt, model.omega_range[1])
         cg = np.concatenate([[0.0], np.geomspace(1e-3, curve_max, 1600)])
-        if model.kind == scattering.LORENTZIAN:
-            gam = lorentzian_gamma(cg, model.omega_scale)
-        else:
-            gam = np.array([gamma(model, float(w)) for w in cg])
         chi_curve = ResponseCurve(
-            cg, 1j * mech.m * mech.tau * cg**3 * gam, label="chi"
+            cg, 1j * mech.m * mech.tau * cg**3 * gamma_samples(model, cg), label="chi"
         )
         kernel = dispersion.build_time_kernel(
             chi_curve, mu, window=sim["t_final"], dt=dt, omega_max=curve_max
@@ -374,6 +366,9 @@ def cmd_crosscheck(cfg, out, args):
             _write_json(out / "crosscheck.json", doc)
             print("validation failed before crosscheck", file=sys.stderr)
             return 3
+        if hi < dispersion.consistency_band():
+            raise ConfigError(f"table ends at omega = {hi:g}, below the consistency "
+                              f"check's band {dispersion.consistency_band():.4g}", cfg.path)
 
     if model.kind == scattering.PERFECT:
         doc["kk"] = {"status": "divergent", "defect": None}
@@ -382,22 +377,18 @@ def cmd_crosscheck(cfg, out, args):
         _write_json(out / "crosscheck.json", doc)
         return 0
 
-    cap = _model_omega_cap(model, default=1.0e3)
     try:
         mu = _passive_induced_mass(cfg, model, mech, "spectral representation")
     except CutoffDivergenceError:
         mu = None
 
-    # Kramers-Kronig: reconstructed Gamma_I vs direct quadrature
-    L = min(400.0, cap)
-    kk_grid = np.linspace(0.0, L, 4001)
-    gam_r = np.array([gamma(model, float(w)).real for w in kk_grid])
-    curve = ResponseCurve(kk_grid, gam_r, label="gamma")
+    # Kramers-Kronig: Gamma_I reconstructed from Gamma_R vs Gamma_I itself
+    kk_grid = np.linspace(0.0, min(400.0, model.omega_range[1]), 4001)
+    curve = ResponseCurve(kk_grid, gamma_samples(model, kk_grid).real, label="gamma")
     probes = np.linspace(0.1, 5.0, 40)
     kk_defect = 0.0
-    for w in probes:
+    for w, direct in zip(probes, gamma_samples(model, probes)):
         rec = dispersion.kk_reconstruct(curve, w)
-        direct = gamma(model, float(w))
         kk_defect = max(kk_defect, abs(rec.imag - direct.imag))
     doc["kk"] = {"defect": kk_defect, "threshold": a["kk_threshold"],
                  "passed": bool(kk_defect < a["kk_threshold"])}
@@ -405,7 +396,7 @@ def cmd_crosscheck(cfg, out, args):
     # spectral representation vs direct Laplace impedance
     doc["spectral_rep"] = {"status": "divergent", "defect": None}
     if mu is not None:
-        gamma_curve = analysis.sample_gamma_real(model, omega_max=cap)
+        gamma_curve = analysis.sample_gamma_real(model)
         ps = np.geomspace(1e-2, 1e2, a["spectral_points"])
         try:
             rel = 0.0

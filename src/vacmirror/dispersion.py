@@ -29,7 +29,7 @@ from .numerics import (
     spectrum_to_kernel,
     write_csv,
 )
-from .susceptibility import gamma
+from .susceptibility import gamma, gamma_samples
 
 
 def _real_samples(curve):
@@ -113,7 +113,8 @@ class TimeKernel:
     integrator can recover the exact band spectrum; ``values`` exposes the
     causal window.  Band limitation smears the t = 0 core over a guard
     window of a few hundred samples; ``causality_residual`` measures the
-    anticausal content beyond that guard relative to the kernel peak,
+    anticausal content beyond a guard of 1024 samples relative to the
+    kernel peak,
     ``causality_residual_raw`` includes the smeared core.
     """
 
@@ -124,7 +125,6 @@ class TimeKernel:
     omega_max: float
     causality_residual: float
     causality_residual_raw: float
-    guard_samples: int
     n_fft: int
     _full: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -153,7 +153,7 @@ def _next_pow2(n):
     return p
 
 
-def build_time_kernel(chi_curve, mu, window, dt, omega_max=None, guard_samples=1024):
+def build_time_kernel(chi_curve, mu, window, dt, omega_max=None):
     """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
 
     ``chi_curve`` must be sampled up to the transform band edge
@@ -195,11 +195,8 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None, guard_samples=1
     peak = float(np.max(np.abs(full)))
     anti = np.abs(full[n_fft // 2:][::-1])  # anti[j] = |kappa(-(j+1) dt)|
     raw = float(anti.max() / peak) if peak > 0 else 0.0
-    guarded = (
-        float(anti[guard_samples:].max() / peak)
-        if peak > 0 and anti.size > guard_samples
-        else 0.0
-    )
+    beyond_guard = anti[1024:]
+    guarded = float(beyond_guard.max() / peak) if peak > 0 and beyond_guard.size else 0.0
     times = np.arange(steps) * dt
     return TimeKernel(
         times=times,
@@ -209,7 +206,6 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None, guard_samples=1
         omega_max=float(omega_max),
         causality_residual=guarded,
         causality_residual_raw=raw,
-        guard_samples=int(guard_samples),
         n_fft=n_fft,
         _full=full,
     )
@@ -240,13 +236,21 @@ class ConsistencyReport:
     omega_band: float
 
 
-def consistency_check(model, mech, n_fft=2048, dt=0.1):
+_CONSISTENCY_N_FFT, _CONSISTENCY_DT = 2048, 0.1
+
+
+def consistency_band():
+    """Top frequency of consistency_check's default grid: pi/dt plus half a bin."""
+    return np.pi / _CONSISTENCY_DT * (1.0 + 1.0 / _CONSISTENCY_N_FFT)
+
+
+def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT):
     """Discrete check of chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
-    The left side antisymmetrizes the inverse transform of the full
-    quadrature chi; the right side spectrally differentiates a Gamma_R
-    curve sampled independently on a half-shifted grid and resampled.
-    The normalized maximum discrepancy measures the joint quadrature,
+    The left side antisymmetrizes the inverse transform of the full chi;
+    the right side spectrally differentiates a Gamma_R curve sampled
+    independently on a half-shifted grid and resampled.  The normalized
+    maximum discrepancy measures the joint Gamma evaluation,
     interpolation and transform consistency; it decreases under grid
     refinement.
     """
@@ -257,21 +261,15 @@ def consistency_check(model, mech, n_fft=2048, dt=0.1):
     if mt == 0.0:
         return ConsistencyReport(defect=0.0, n_fft=n_fft, dt=dt, omega_band=freqs[-1])
 
-    gam = np.empty(freqs.size, dtype=complex)
-    for i, w in enumerate(freqs):
-        gam[i] = gamma(model, float(w))
-    chi_spec = 1j * mt * freqs**3 * gam
+    chi_spec = 1j * mt * freqs**3 * gamma_samples(model, freqs)
     chi_t = spectrum_to_kernel(chi_spec, n_fft, dt)
     j = np.arange(1, n_fft // 2)
     lhs = chi_t[j] - chi_t[n_fft - j]
 
     half = 0.5 * (freqs[1] - freqs[0])
     shifted = freqs + half
-    gam_s = np.empty(shifted.size)
-    for i, w in enumerate(shifted):
-        gam_s[i] = gamma(model, float(w)).real
     nodes = np.concatenate([[freqs[0]], shifted])
-    samples = np.concatenate([[gamma(model, 0.0).real], gam_s])
+    samples = np.concatenate([[gamma(model, 0.0).real], gamma_samples(model, shifted).real])
     gam_r = CubicSpline(nodes, samples)(freqs)
     rhs_spec = 2.0 * mt * 1j * freqs**3 * gam_r
     rhs_t = spectrum_to_kernel(rhs_spec, n_fft, dt)

@@ -25,28 +25,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import acceleration_weights
-from .errors import FitError, GridMismatchError
+from .errors import FitError
 from .numerics import running_integral, write_csv
 
 
 @dataclass(frozen=True)
 class ForceProfile:
-    """Applied force F_a(t): a pulse, step, sinusoid, or tabulated samples."""
+    """Applied force F_a(t): none, a gaussian pulse, a step or a sinusoid."""
 
-    kind: str = "none"  # none | gaussian | step | sine | custom
+    kind: str = "none"  # none | gaussian | step | sine
     amplitude: float = 0.0
     center: float = 0.0
     width: float = 1.0
     frequency: float = 1.0  # angular, for kind="sine"
-    samples: tuple = None  # (t, F) arrays for kind="custom"
 
     def __post_init__(self):
-        if self.kind not in ("none", "gaussian", "step", "sine", "custom"):
+        if self.kind not in ("none", "gaussian", "step", "sine"):
             raise ValueError(f"unknown force kind {self.kind!r}")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValueError("gaussian pulse needs a positive width")
-        if self.kind == "custom" and self.samples is None:
-            raise ValueError("custom profile needs samples")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -56,14 +53,8 @@ class ForceProfile:
             out = self.amplitude * np.exp(-0.5 * ((t - self.center) / self.width) ** 2)
         elif self.kind == "step":
             out = self.amplitude * (t >= self.center).astype(float)
-        elif self.kind == "sine":
-            out = self.amplitude * np.sin(self.frequency * t)
         else:
-            ts, fs = self.samples
-            ts = np.asarray(ts, dtype=float)
-            if t.shape != ts.shape or not np.allclose(t, ts, rtol=0, atol=1e-12):
-                raise GridMismatchError("custom force samples do not share the time grid")
-            out = np.asarray(fs, dtype=float)
+            out = self.amplitude * np.sin(self.frequency * t)
         return out if out.ndim else float(out)
 
 
@@ -147,19 +138,18 @@ def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.
     )
 
 
-def simulate_with_memory(mech, kernel, force, t_final, mu=None, q0=0.0,
-                         history_weights=None):
+def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=None):
     """Causal-mirror run with the vacuum memory force.
 
     The step size is the kernel's; the kernel period must cover the run
     (lags never reach the wrapped anticausal half).  Initial conditions
     model a release from rest: the mirror is held at q0 with zero velocity
     for t < 0, so the static history exerts no force (chi[0] = 0) and the
-    memory closes over the acceleration history alone.  The non-passive
-    regime mu >= m has no bounded-effective-mass formulation and is
-    refused.
+    memory closes over the acceleration history alone.  The induced mass
+    mu is the one the kernel subtracted; the non-passive regime mu >= m
+    has no bounded-effective-mass formulation and is refused.
     """
-    mu = kernel.mu_subtracted if mu is None else float(mu)
+    mu = kernel.mu_subtracted
     if mu >= mech.m:
         raise ValueError(
             f"mu = {mu:.6g} >= m = {mech.m:.6g}: memory integrator requires mu < m"
@@ -233,19 +223,10 @@ class EnergyLedger:
         return float(np.max(np.abs(self.residual)))
 
 
-def energy_ledger(traj, mech, force=None):
-    """Integrate the work identities along a trajectory.
-
-    The applied force is re-evaluated on the trajectory grid when a
-    profile is given (custom profiles enforce grid identity), otherwise
-    the stored samples are used.
-    """
+def energy_ledger(traj, mech):
+    """Integrate the work identities along a trajectory's stored samples."""
     ts, v = traj.times, traj.v
-    if force is not None:
-        fs = np.asarray(force(ts), dtype=float)
-    else:
-        fs = traj.f_applied
-    w_a = running_integral(fs * v, ts)
+    w_a = running_integral(traj.f_applied * v, ts)
     energy = 0.5 * mech.k * traj.q**2 + 0.5 * mech.m * v**2
     delta_e = energy - energy[0]
     w_m = w_a - delta_e
@@ -269,12 +250,11 @@ class RunawayFit:
     window: tuple
 
 
-def fit_runaway_rate(traj, min_efolds=3.0):
+def fit_runaway_rate(traj):
     """Log-linear growth rate of |a(t)| over the final growth window.
 
-    Requires at least ``min_efolds`` of net growth across the usable
-    samples (a diverged run qualifies by construction); otherwise raises
-    FitError.
+    Requires at least 3 e-folds of net growth across the usable samples
+    (a diverged run qualifies by construction); otherwise raises FitError.
     """
     ts, aa = traj.times, np.abs(traj.a)
     good = np.isfinite(aa) & (aa > 0)
@@ -287,11 +267,8 @@ def fit_runaway_rate(traj, min_efolds=3.0):
     head = float(np.max(aa[:quarter]))
     tail_max = float(np.max(aa[-quarter:]))
     growth = np.log(tail_max / head) if head > 0 else np.inf
-    if growth < min_efolds:
-        raise FitError(
-            f"only {growth:.2f} e-folds of envelope growth; "
-            f"need {min_efolds} for a rate fit"
-        )
+    if growth < 3.0:
+        raise FitError(f"only {growth:.2f} e-folds of envelope growth; need 3 for a rate fit")
     start = ts.size // 2
     tw, lw = ts[start:], np.log(aa[start:])
     slope, intercept = np.polyfit(tw, lw, 1)

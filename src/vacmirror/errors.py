@@ -59,10 +59,6 @@ class RootConvergenceError(VacMirrorError):
     """Root refinement failed to converge."""
 
 
-class GridMismatchError(VacMirrorError):
-    """Two sampled quantities do not share a time grid."""
-
-
 class FitError(VacMirrorError):
     """Insufficient or unsuitable data for a requested fit."""
 

@@ -105,7 +105,7 @@ def write_csv(path, header, columns):
                header=header, comments="")
 
 
-def pv_hilbert_even(grid, values, w, tail_coeff=0.0, spline=None):
+def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
     """Principal-value Kramers-Kronig integral for an even real function.
 
     Computes  -(1/pi) PV int_{-inf}^{inf} F(w') / (w' - w) dw'  folded onto
@@ -119,8 +119,7 @@ def pv_hilbert_even(grid, values, w, tail_coeff=0.0, spline=None):
     """
     from scipy.interpolate import CubicSpline
 
-    if spline is None:
-        spline = CubicSpline(grid, values)
+    spline = CubicSpline(grid, values)
     L = grid[-1]
     if not (grid[0] <= w < L):
         from .errors import FrequencyRangeError
@@ -171,14 +170,13 @@ def _inverse_square_tail(tail_coeff, w, L):
     return tail_coeff * (2.0 / w) * (-np.log((L - w) / (L + w)) / (2.0 * w) - 1.0 / L)
 
 
-def fit_inverse_square_tail(grid, values, decades=1.0):
-    """Fit c/w^2 to the top ``decades`` of a sampled decay; returns c.
+def fit_inverse_square_tail(grid, values):
+    """Fit c/w^2 to the top decade of a sampled decay; returns c.
 
     The fit is the mean of values * w^2 over the window, which weights the
     samples the way the subsequent analytic tail integral does.
     """
-    lo = grid[-1] / 10.0**decades
-    mask = grid >= lo
+    mask = grid >= grid[-1] / 10.0
     if mask.sum() < 4:
         from .errors import FitError
 
@@ -186,10 +184,9 @@ def fit_inverse_square_tail(grid, values, decades=1.0):
     return float(np.mean(values[mask] * grid[mask] ** 2))
 
 
-def fit_power_law_slope(grid, values, decades=1.0):
-    """Log-log least-squares slope over the top ``decades`` of the grid."""
-    lo = grid[-1] / 10.0**decades
-    mask = (grid >= lo) & (values > 0)
+def fit_power_law_slope(grid, values):
+    """Log-log least-squares slope over the top decade of the grid."""
+    mask = (grid >= grid[-1] / 10.0) & (values > 0)
     if mask.sum() < 4:
         from .errors import FitError
 
@@ -197,27 +194,27 @@ def fit_power_law_slope(grid, values, decades=1.0):
     return float(np.polyfit(np.log(grid[mask]), np.log(values[mask]), 1)[0])
 
 
-def secant_root(f, z0, z1=None, tol=1e-13, max_iter=100):
-    """Secant iteration for an analytic complex function.
+def secant_root(f, z0):
+    """Secant iteration for an analytic complex function from a seed z0.
 
-    Returns (root, residual).  Raises RootConvergenceError after
-    ``max_iter`` steps or on a degenerate update.
+    Stops once a step is below 1e-14 relative and |f| does not grow.
+    Returns (root, residual).  Raises RootConvergenceError after 100 steps
+    or on a degenerate update.
     """
     from .errors import RootConvergenceError
 
-    if z1 is None:
-        z1 = z0 * (1.0 + 1e-4) + 1e-12
+    z1 = z0 * (1.0 + 1e-4) + 1e-12
     f0, f1 = f(z0), f(z1)
-    for _ in range(max_iter):
+    for _ in range(100):
         if f1 == f0:
             raise RootConvergenceError(f"degenerate secant update near {z1}")
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
         z0, f0, z1 = z1, f1, z2
         f1 = f(z1)
-        if abs(z1 - z0) <= tol * max(1.0, abs(z1)) and abs(f1) <= abs(f0):
+        if abs(z1 - z0) <= 1e-14 * max(1.0, abs(z1)) and abs(f1) <= abs(f0):
             return z1, abs(f1)
     raise RootConvergenceError(
-        f"secant did not converge in {max_iter} iterations (last {z1}, |f|={abs(f1):.3e})"
+        f"secant did not converge in 100 iterations (last {z1}, |f|={abs(f1):.3e})"
     )
 
 

@@ -12,19 +12,22 @@ amplitudes by a finite-band integral over pair frequencies,
     alpha[w, w'] = 1 - s[w] s[w'] + r[w] r[w'].
 
 Gamma == 1 for the perfect mirror, so chi reduces to the local
-third-derivative force.  The integral is evaluated by adaptive
-Gauss-Legendre on the unit interval; the integrand is smooth and the
-endpoint weight (w - w') w' vanishes at both ends.
+third-derivative force, and the single-pole mirror has a closed form.
+``gamma_samples`` is the one place that decides how Gamma is evaluated:
+those closed forms for the perfect and Lorentzian mirrors, the per-point
+integral ``gamma`` for tabulated ones.  ``gamma`` evaluates the integral
+by adaptive Gauss-Legendre on the unit interval (the integrand is smooth
+and the endpoint weight (w - w') w' vanishes at both ends); it is also
+the reference the closed forms are tested against.
 
-All functions are pure; sweeps over frequency grids are embarrassingly
-parallel.
+All functions are pure.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffDivergenceError
+from .errors import ContinuationError, CutoffDivergenceError
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
@@ -33,7 +36,7 @@ from .numerics import (
     integrate_decades,
     write_csv,
 )
-from .scattering import reflectivity, transmissivity
+from .scattering import LORENTZIAN, PERFECT, reflectivity, transmissivity
 
 
 @dataclass(frozen=True)
@@ -180,12 +183,35 @@ def lorentzian_gamma(w, omega_scale=1.0):
     return out if out.ndim else complex(out)
 
 
+def gamma_samples(model, w, full_output=False, settings=None):
+    """Gamma shaped like w (and the error estimates under ``full_output``).
+
+    Perfect and Lorentzian mirrors use their closed forms, 1 and
+    ``lorentzian_gamma``, also at complex w with Im w >= 0, and error 0.
+    Tabulated mirrors use the per-point ``gamma`` quadrature at real w,
+    with ``settings``.
+    """
+    w = np.asarray(w)
+    errs = np.zeros(w.shape)
+    if model.kind == PERFECT:
+        vals = np.ones(w.shape, dtype=complex)
+    elif model.kind == LORENTZIAN:
+        vals = np.asarray(lorentzian_gamma(w, model.omega_scale))
+    else:
+        if np.iscomplexobj(w):
+            raise ContinuationError("tabulated models support only real frequencies")
+        vals = np.empty(w.shape, dtype=complex)
+        for i, x in np.ndenumerate(w):
+            vals[i], errs[i] = gamma(model, float(x), settings, full_output=True)
+    return (vals, errs) if full_output else vals
+
+
 def susceptibility(model, mech, w):
     """Motional susceptibility chi[w] = i m tau w^3 Gamma[w] for real w."""
     w = float(w)
     if w == 0.0:
         return 0.0 + 0.0j
-    return 1j * mech.m * mech.tau * w**3 * gamma(model, w)
+    return 1j * mech.m * mech.tau * w**3 * complex(gamma_samples(model, w))
 
 
 def induced_mass(mech, omega_c):
@@ -206,19 +232,20 @@ class CutoffDiagnostics:
 _CUTOFF_QUADRATURE = QuadratureSettings(abs_tol=1e-8)
 
 
-def reflection_cutoff(model, omega_max=1.0e3, full_output=False):
+def reflection_cutoff(model, omega_max=None, full_output=False):
     """Reflection cutoff omega_C = (1/pi) int_-inf^inf Gamma_R dw.
 
     Folded to (2/pi) int_0^inf by parity.  The grid part is integrated by
-    adaptive quadrature decade by decade up to ``omega_max``; beyond that
-    a fitted c/w^2 tail is added analytically.  Raises
-    CutoffDivergenceError when Gamma_R shows no integrable decay (the
-    perfect mirror: Gamma_R == 1).
+    adaptive quadrature decade by decade up to ``omega_max`` (default: the
+    lesser of 1e3 and the top of the model's range); beyond that a fitted
+    c/w^2 tail is added analytically.  Raises CutoffDivergenceError when
+    Gamma_R shows no integrable decay (the perfect mirror: Gamma_R == 1).
     """
+    if omega_max is None:
+        omega_max = min(1.0e3, model.omega_range[1])
 
     def gamma_r(ws):
-        return np.array([gamma(model, float(x), _CUTOFF_QUADRATURE).real
-                         for x in np.atleast_1d(ws)])
+        return gamma_samples(model, np.atleast_1d(ws), settings=_CUTOFF_QUADRATURE).real
 
     probe = np.logspace(np.log10(omega_max) - 1.0, np.log10(omega_max), 48)
     probe_vals = gamma_r(probe)
@@ -229,7 +256,7 @@ def reflection_cutoff(model, omega_max=1.0e3, full_output=False):
             "cutoff integral does not converge"
         )
     total = integrate_decades(gamma_r, omega_max, _CUTOFF_QUADRATURE).real
-    c = fit_inverse_square_tail(probe, probe_vals, decades=1.0)
+    c = fit_inverse_square_tail(probe, probe_vals)
     tail = c / omega_max
     omega_c = (2.0 / np.pi) * (total + tail)
     if full_output:
@@ -263,7 +290,7 @@ class SusceptibilityResult:
                   [self.gamma.grid, g.real, g.imag, x.real, x.imag, self.quad_errors])
 
 
-def compute_susceptibility(model, mech, grid, omega_max_cutoff=1.0e3):
+def compute_susceptibility(model, mech, grid):
     """Sweep Gamma and chi over a grid and compute the cutoff summary.
 
     The cutoff integral is attempted and, for models without transparency
@@ -271,16 +298,11 @@ def compute_susceptibility(model, mech, grid, omega_max_cutoff=1.0e3):
     than raised, so pipelines can still report the curve.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.empty(grid.size, dtype=complex)
-    errs = np.empty(grid.size)
-    for i, w in enumerate(grid):
-        vals[i], errs[i] = gamma(model, float(w), full_output=True)
+    vals, errs = gamma_samples(model, grid, full_output=True)
     chi_vals = 1j * mech.m * mech.tau * grid**3 * vals
     diag = None
     try:
-        omega_c, diag = reflection_cutoff(
-            model, omega_max=omega_max_cutoff, full_output=True
-        )
+        omega_c, diag = reflection_cutoff(model, full_output=True)
         mu = induced_mass(mech, omega_c)
     except CutoffDivergenceError:
         omega_c, mu = np.inf, np.inf

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import vacmirror as vm
 from vacmirror.cli import main, parse_config
 from vacmirror.errors import ConfigError
+
+from conftest import make_tabulated_copy
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -280,3 +283,57 @@ def test_timestamps_only_under_flag(tmp_path):
     main(["analyze", "--config", str(cfg), "--out", str(out2), "--timestamps"])
     doc2 = json.loads((out2 / "summary.json").read_text())
     assert "generated_at" in doc2["meta"]
+
+
+def _forbid_gamma_quadrature(monkeypatch):
+    """Make the Gamma quadrature integrand raise wherever it is reached."""
+    def alpha(*args):
+        raise AssertionError("Gamma quadrature reached")
+
+    # the package re-exports a function named ``susceptibility``, so the
+    # module has to come from the import system, not from an attribute
+    monkeypatch.setattr(importlib.import_module("vacmirror.susceptibility"), "alpha", alpha)
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "perfect"])
+@pytest.mark.parametrize("command", ["analyze", "stability", "simulate", "crosscheck"])
+def test_closed_form_models_never_integrate_gamma(tmp_path, monkeypatch, kind, command):
+    _forbid_gamma_quadrature(monkeypatch)
+    body = LORENTZIAN_CFG.replace("kind = lorentzian", f"kind = {kind}")
+    cfg = write_cfg(tmp_path, body + "\n[simulation]\nt_final = 5.0\ndt = 1.0e-2\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_table_with_wrong_column_count_is_a_config_error(tmp_path, capsys):
+    table = tmp_path / "four.txt"
+    table.write_text("0.0 -1.0 0.0 0.0\n1.0 -0.5 -0.5 0.5\n")
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table}\n")
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "expected 5 columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,key", [
+    ("v0 = 1.0", "simulation.v0"),
+    ("a0 = 5.0", "simulation.a0"),
+])
+def test_memory_regime_refuses_initial_velocity_and_acceleration(tmp_path, capsys, line, key):
+    cfg = write_cfg(tmp_path, SIM_MEMORY_CFG + line + "\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_decoupled_perfect_mirror_refuses_initial_acceleration(tmp_path, capsys):
+    body = SIM_PERFECT_CFG.replace("tau_omega = 1.0e-3", "tau_omega = 0.0")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "simulation.a0" in capsys.readouterr().err
+
+
+def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, capsys):
+    short = make_tabulated_copy(omega_max=20.0)
+    table = tmp_path / "short.txt"
+    vm.save_table(table, *short.table)
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table}\n")
+    _forbid_gamma_quadrature(monkeypatch)  # refused before any Gamma work
+    assert main(["crosscheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "consistency check" in capsys.readouterr().err

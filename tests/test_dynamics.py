@@ -3,7 +3,7 @@ import pytest
 
 import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights
-from vacmirror.errors import FitError, GridMismatchError
+from vacmirror.errors import FitError
 
 
 def make_kernel(mech, t_final, dt, mu=None):
@@ -177,14 +177,6 @@ def test_fit_runaway_rejects_bounded_runs():
     traj = vm.simulate_perfect_mirror(mech, pulse, t_final=20.0, dt=5e-3)
     with pytest.raises(FitError):
         vm.fit_runaway_rate(traj)
-
-
-def test_custom_force_grid_mismatch():
-    ts = np.linspace(0.0, 1.0, 11)
-    profile = vm.ForceProfile(kind="custom", samples=(ts, np.ones_like(ts)))
-    with pytest.raises(GridMismatchError):
-        profile(np.linspace(0.0, 1.0, 21))
-    np.testing.assert_array_equal(profile(ts), np.ones_like(ts))
 
 
 def test_export_csv_formats(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import vacmirror as vm
 from vacmirror.errors import AccuracyError, CutoffDivergenceError
@@ -127,6 +130,48 @@ def test_oracle_equivalence_band(lorentzian):
     quad = np.array([vm.gamma(lorentzian, float(w)) for w in ws])
     exact = vm.lorentzian_gamma(ws)
     assert np.max(np.abs(quad - exact) / np.abs(exact)) < 1e-6
+
+
+# |w| in [1e-3, 1e3], either sign
+_SIGNED_FREQS = hnp.arrays(
+    np.float64, st.integers(1, 5),
+    elements=st.tuples(st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: t[1] * 10.0 ** t[0]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(w=_SIGNED_FREQS, scale=st.floats(0.5, 2.0))
+def test_sampler_lorentzian_matches_quadrature(w, scale):
+    model = vm.lorentzian_mirror(scale)
+    fast, errs = vm.gamma_samples(model, w, full_output=True)
+    quad = np.array([vm.gamma(model, float(x)) for x in w])
+    assert np.all(np.abs(fast - quad) <= 1e-6 * np.abs(quad))  # criterion 1's bound
+    assert np.all(errs == 0.0)
+    np.testing.assert_array_equal(vm.gamma_samples(model, -w), np.conj(fast))
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=_SIGNED_FREQS)
+def test_sampler_perfect_is_exactly_one(perfect, w):
+    fast, errs = vm.gamma_samples(perfect, w, full_output=True)
+    assert np.all(fast == 1.0) and np.all(errs == 0.0)
+    quad = np.array([vm.gamma(perfect, float(x)) for x in w])
+    assert np.max(np.abs(quad - 1.0)) < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(w=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(-12.0, 12.0)))
+def test_sampler_tabulated_is_the_quadrature_loop(tabulated_copy, w):
+    vals, errs = vm.gamma_samples(tabulated_copy, w, full_output=True)
+    loop = [vm.gamma(tabulated_copy, float(x), full_output=True) for x in w]
+    np.testing.assert_array_equal(vals, [v for v, _ in loop])
+    np.testing.assert_array_equal(errs, [e for _, e in loop])
+
+
+def test_sampler_tabulated_is_real_axis_only(tabulated_copy):
+    with pytest.raises(vm.ContinuationError):
+        vm.gamma_samples(tabulated_copy, np.array([1.0 + 1.0j]))
 
 
 def test_high_frequency_tail_law(lorentzian):
