@@ -289,6 +289,9 @@ def cmd_simulate(cfg, out, args):
     regime = sim["regime"]
     if regime == "auto":
         regime = "perfect" if model.kind == scattering.PERFECT else "memory"
+    if regime == "perfect" and model.kind != scattering.PERFECT:
+        raise ConfigError("simulation.regime = perfect integrates the perfect-mirror "
+                          f"equation and would ignore the {model.kind} mirror", cfg.path)
     # the memory integrator releases the mirror from rest; at tau = 0 the
     # force balance fixes the acceleration
     fixed = ("v0", "a0") if regime == "memory" else ("a0",) if mech.tau == 0 else ()
@@ -345,6 +348,9 @@ def cmd_simulate(cfg, out, args):
         "max_ledger_residual": ledger.max_residual,
         "meta": _meta(args),
     }
+    if regime == "memory":
+        doc["kernel_causality_residual"] = kernel.causality_residual
+        doc["kernel_n_fft"] = kernel.n_fft
     _write_json(out / "run.json", doc)
     return 0
 

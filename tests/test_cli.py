@@ -167,6 +167,7 @@ def test_simulate_perfect_runaway(tmp_path):
     doc = json.loads((out / "run.json").read_text())
     assert doc["diverged"] is True
     assert doc["fitted_runaway"]["rate"] == pytest.approx(1000.0, rel=1e-2)
+    assert "kernel_causality_residual" not in doc and "kernel_n_fft" not in doc
     assert (out / "trajectory.csv").exists()
     assert (out / "energy.csv").exists()
 
@@ -198,9 +199,29 @@ def test_simulate_memory_pulse(tmp_path):
     assert doc["diverged"] is False
     assert doc["W_a_final"] >= 0
     assert doc["W_m_final"] >= 0
+    # the kernel's health numbers
+    assert np.isfinite(doc["kernel_causality_residual"])
+    assert doc["kernel_causality_residual"] >= 0.0
+    assert isinstance(doc["kernel_n_fft"], int) and doc["kernel_n_fft"] > 0
     assert (out / "kernel.csv").exists()
     header = (out / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,q,v,a,F_a,W_a,E,W_m"
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_perfect_regime_refuses_non_perfect_mirror(tmp_path, monkeypatch, capsys, kind):
+    model = "[model]\nkind = lorentzian\n"
+    if kind == "tabulated":
+        table = tmp_path / "table.txt"
+        vm.save_table(table, *make_tabulated_copy().table)
+        model = f"[model]\nkind = tabulated\ntable = {table}\n"
+    body = SIM_MEMORY_CFG.replace("[model]\nkind = lorentzian\n", model) + "regime = perfect\n"
+    cfg = write_cfg(tmp_path, body)
+    _forbid_gamma_quadrature(monkeypatch)  # refused before any Gamma work
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "simulation.regime" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_simulate_memory_refuses_heavy_mass(tmp_path):

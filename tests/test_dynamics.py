@@ -1,9 +1,91 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights
+from vacmirror.dynamics import _BLOWUP, _LEAF
 from vacmirror.errors import FitError
+
+
+def memory_loop(mech, kernel, force, t_final, q0=0.0):
+    """The per-step implicit trapezoid loop that simulate_with_memory replaced.
+
+    Kept as its oracle: O(n^2), one history dot product per step.
+    Returns (times, q, v, a, f_motional).
+    """
+    mu = kernel.mu_subtracted
+    dt = kernel.dt
+    n = int(round(t_final / dt))
+    h = acceleration_weights(kernel)
+    k, m = mech.k, mech.m
+    m_eff = m - mu
+    ts = np.arange(n + 1) * dt
+    fs = np.asarray(force(ts), dtype=float)
+    q = np.empty(n + 1)
+    v = np.empty(n + 1)
+    a = np.empty(n + 1)
+    conv = np.empty(n + 1)  # dt * sum_j h_j a_{i-j}
+    arev = np.zeros(n + 1)  # arev[n - i] = a_i, so history slices are contiguous
+    q[0], v[0] = q0, 0.0
+    a[0] = (fs[0] - k * q0) / (m_eff - dt * h[0])
+    conv[0] = dt * h[0] * a[0]
+    arev[n] = a[0]
+    h0 = h[0]
+    denom = m_eff - dt * h0 + 0.25 * k * dt * dt
+    for i in range(n):
+        j = i + 1
+        s_hist = dt * np.dot(h[1 : j + 1], arev[n - j + 1 : n + 1])
+        rhs = fs[j] + s_hist - k * (q[i] + dt * v[i] + 0.25 * dt * dt * a[i])
+        a1 = rhs / denom
+        v[j] = v[i] + 0.5 * dt * (a[i] + a1)
+        q[j] = q[i] + dt * v[i] + 0.25 * dt * dt * (a[i] + a1)
+        a[j] = a1
+        arev[n - j] = a1
+        conv[j] = s_hist + dt * h0 * a1
+    return ts, q, v, a, mu * a + conv
+
+
+def rk4_arrays(deriv, y0, force, t_final, dt):
+    """The NumPy-array RK4 stepper that the float stepper replaced, kept as its oracle."""
+    n = int(round(t_final / dt))
+    ts = np.arange(n + 1) * dt
+    fs = np.asarray(force(ts), dtype=float)
+    f_half = np.asarray(force(ts[:-1] + 0.5 * dt), dtype=float)
+    out = np.empty((n + 1, len(y0)))
+    out[0] = y0
+    y = out[0].copy()
+    for i in range(n):
+        k1 = deriv(y, fs[i])
+        k2 = deriv(y + 0.5 * dt * k1, f_half[i])
+        k3 = deriv(y + 0.5 * dt * k2, f_half[i])
+        k4 = deriv(y + dt * k3, fs[i + 1])
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOWUP:
+            return ts[: i + 1], out[: i + 1], fs[: i + 1], ts[i + 1]
+        out[i + 1] = y
+    return ts, out, fs, None
+
+
+def perfect_mirror_arrays(mech, force, t_final, dt, q0=0.0, v0=0.0, a0=0.0):
+    """simulate_perfect_mirror on the array stepper: (times, q, v, a, f_motional, t_div)."""
+    k, m, tau = mech.k, mech.m, mech.tau
+    if tau == 0.0:
+        def deriv(y, f_now):
+            return np.array([y[1], (f_now - k * y[0]) / m])
+
+        ts, out, fs, t_div = rk4_arrays(deriv, (q0, v0), force, t_final, dt)
+        q, v = out[:, 0], out[:, 1]
+        return ts, q, v, (fs - k * q) / m, np.zeros(ts.size), t_div
+
+    def deriv(y, f_now):
+        q, v, a = y
+        return np.array([v, a, (k * q + m * a - f_now) / (m * tau)])
+
+    ts, out, fs, t_div = rk4_arrays(deriv, (q0, v0, a0), force, t_final, dt)
+    q, v, a = out[:, 0], out[:, 1], out[:, 2]
+    return ts, q, v, a, k * q + m * a - fs, t_div
 
 
 def make_kernel(mech, t_final, dt, mu=None):
@@ -191,3 +273,117 @@ def test_export_csv_formats(tmp_path):
     assert p1.read_text().splitlines()[0] == "t,q,v,a,F_a,W_a,E,W_m"
     assert p2.read_text().splitlines()[0] == "t,W_a,E,delta_E,W_m,residual"
     assert len(p1.read_text().splitlines()) == len(traj.times) + 1
+
+
+_FORCE_KINDS = ["none", "gaussian", "step", "sine"]
+
+
+def drive(kind, t_final, amplitude=1e-3):
+    return vm.ForceProfile(kind=kind, amplitude=amplitude, center=t_final / 3.0,
+                           width=max(t_final / 10.0, 1e-3), frequency=1.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.floats(min_value=0.0, max_value=4.0),
+    tau=st.floats(min_value=1e-3, max_value=0.3),
+    q0=st.sampled_from([0.0, 1e-3, -1e-3]),
+    kind=st.sampled_from(_FORCE_KINDS),
+    steps=st.sampled_from([1, 2, 17, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 3, 1000, 3001]),
+)
+@example(k=4.0, tau=0.3, q0=1e-3, kind="sine", steps=20000)
+@example(k=0.0, tau=0.3, q0=0.0, kind="gaussian", steps=20000)
+@example(k=2.25, tau=0.1, q0=-1e-3, kind="step", steps=19999)
+@example(k=0.25, tau=1e-3, q0=1e-3, kind="none", steps=12345)
+def test_memory_solve_matches_step_loop(k, tau, q0, kind, steps):
+    dt = 1e-3
+    mech = vm.MirrorMechanics(k=k, tau=tau)
+    t_final = steps * dt
+    kern = make_kernel(mech, max(t_final, 1.0), dt)
+    force = drive(kind, t_final)
+    traj = vm.simulate_with_memory(mech, kern, force, t_final, q0=q0)
+    ts, q, v, a, f_mot = memory_loop(mech, kern, force, t_final, q0=q0)
+    assert not traj.diverged
+    assert traj.times.tobytes() == ts.tobytes()
+    for new, old in ((traj.q, q), (traj.v, v), (traj.a, a), (traj.f_motional, f_mot)):
+        assert np.max(np.abs(new - old)) <= 1e-11 * np.max(np.abs(old))
+    oracle = vm.Trajectory(times=ts, q=q, v=v, a=a, f_applied=traj.f_applied,
+                           f_motional=f_mot, method="loop", dt=dt)
+    ledger, ledger_old = vm.energy_ledger(traj, mech), vm.energy_ledger(oracle, mech)
+    assert abs(ledger.max_residual - ledger_old.max_residual) <= 1e-10 * ledger_old.max_energy
+
+
+def test_memory_overflow_marks_divergence():
+    mech = vm.MirrorMechanics(k=1.0, tau=0.1)
+    dt = 1e-3
+    kern = make_kernel(mech, 2.0, dt)
+    kick = vm.ForceProfile(kind="step", amplitude=1e101, center=1.0)
+    traj = vm.simulate_with_memory(mech, kern, kick, 2.0)
+    assert traj.diverged
+    # the step turns on at t = 1 and the first state above _BLOWUP is dropped
+    assert traj.t_diverged == pytest.approx(1.0, abs=1e-12)
+    assert traj.t_diverged == pytest.approx(traj.times[-1] + dt, rel=1e-12)
+    for series in (traj.q, traj.v, traj.a, traj.f_applied, traj.f_motional):
+        assert len(series) == len(traj.times)
+        assert np.all(np.isfinite(series))
+    ts, q, v, a, f_mot = memory_loop(mech, kern, kick, traj.times[-1])
+    for new, old in ((traj.q, q), (traj.v, v), (traj.a, a)):
+        assert np.array_equal(new, old)  # all zero before the step
+
+
+def test_memory_non_finite_force_ends_the_run_where_it_appears():
+    mech = vm.MirrorMechanics(k=1.0, tau=0.1)
+    dt = 1e-3
+    kern = make_kernel(mech, 2.0, dt)
+
+    def force(t):  # finite up to step 700, mid-leaf
+        return np.where(t < 0.6995, 1e-3 * np.sin(3.0 * t), np.inf)
+
+    traj = vm.simulate_with_memory(mech, kern, force, 2.0)
+    assert traj.diverged
+    assert traj.t_diverged == pytest.approx(0.7, abs=1e-12)
+    assert len(traj.times) == 700
+    ts, q, v, a, f_mot = memory_loop(mech, kern, force, traj.times[-1])
+    for new, old in ((traj.q, q), (traj.v, v), (traj.a, a), (traj.f_motional, f_mot)):
+        assert np.all(np.isfinite(new))
+        assert np.max(np.abs(new - old)) <= 1e-11 * np.max(np.abs(old))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tau=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+    k=st.floats(min_value=0.0, max_value=4.0),
+    kind=st.sampled_from(_FORCE_KINDS),
+    y0=st.tuples(*[st.floats(min_value=-1e-2, max_value=1e-2)] * 3),
+    steps=st.integers(min_value=1, max_value=3000),
+)
+@example(tau=1e-3, k=0.0, kind="none", y0=(0.0, 0.0, 1.0), steps=300)  # overflows
+@example(tau=0.5, k=0.0, kind="gaussian", y0=(0.0, 0.0, 0.0), steps=20000)
+@example(tau=0.0, k=1.0, kind="sine", y0=(1e-3, 0.0, 0.0), steps=20000)
+def test_float_rk4_is_bitwise_the_array_stepper(tau, k, kind, y0, steps):
+    q0, v0, a0 = y0
+    if tau == 0.0:
+        a0 = 0.0  # the force balance fixes the acceleration
+    dt = 1e-3 if tau == 0.0 else tau / 50.0
+    mech = vm.MirrorMechanics(k=k, tau=tau)
+    force = drive(kind, steps * dt)
+    traj = vm.simulate_perfect_mirror(mech, force, steps * dt, dt=dt, q0=q0, v0=v0, a0=a0)
+    ts, q, v, a, f_mot, t_div = perfect_mirror_arrays(
+        mech, force, steps * dt, dt, q0=q0, v0=v0, a0=a0
+    )
+    assert traj.t_diverged == t_div
+    assert traj.diverged == (t_div is not None)
+    for new, old in ((traj.times, ts), (traj.q, q), (traj.v, v), (traj.a, a),
+                     (traj.f_motional, f_mot)):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_float_rk4_overflow_is_bitwise_the_array_stepper():
+    mech = vm.MirrorMechanics(k=0.0, tau=1e-3)
+    none = vm.ForceProfile(kind="none")
+    traj = vm.simulate_perfect_mirror(mech, none, t_final=0.3, a0=1.0)
+    ts, q, v, a, f_mot, t_div = perfect_mirror_arrays(mech, none, 0.3, mech.tau / 50.0, a0=1.0)
+    assert traj.diverged and t_div is not None
+    assert traj.t_diverged == t_div
+    assert len(traj.times) == len(ts)
+    assert traj.a.tobytes() == a.tobytes() and traj.q.tobytes() == q.tobytes()

@@ -4,13 +4,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
 
 import vacmirror
-from vacmirror.numerics import running_integral, write_csv
+from vacmirror.numerics import _CSV_BLOCK, running_integral, write_csv
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _TABLES = hnp.arrays(
@@ -39,6 +40,17 @@ def test_write_csv_matches_row_formatter(tmp_path_factory, table):
     columns = list(table.T)
     write_csv(path, header, columns)
     assert path.read_bytes() == row_formatted_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 7])
+def test_write_csv_matches_row_formatter_across_blocks(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 8)) * 10.0 ** rng.integers(-320, 300, (rows, 8))
+    table[-1] = _EDGE_ROW
+    path = tmp_path / "table.csv"
+    header = "t,q,v,a,F_a,W_a,E,W_m"
+    write_csv(path, header, list(table.T))
+    assert path.read_bytes() == row_formatted_csv(header, list(table.T))
 
 
 def test_write_csv_multiline_header(tmp_path):
@@ -70,12 +82,37 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+_HEAVY = ("scipy.integrate", "scipy.signal")
+_PERFECT_RUN = """
+[model]
+kind = perfect
+
+[mechanics]
+tau_omega = 0.5
+
+[simulation]
+force = gaussian
+t_final = 2.0
+"""
+
+
+def _loaded_after(code, tmp_path):
     src = str(Path(vacmirror.__file__).resolve().parents[1])
-    probe = "import sys, vacmirror; print('scipy.integrate' in sys.modules)"
+    probe = f"import sys\n{code}\nprint(sorted(m for m in {_HEAVY!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
+    assert _loaded_after("import vacmirror", tmp_path) == "[]"
+
+
+def test_perfect_simulate_leaves_heavy_scipy_unloaded(tmp_path):
+    (tmp_path / "run.cfg").write_text(_PERFECT_RUN)
+    run = ("from vacmirror.cli import main\n"
+           "assert main(['simulate', '--config', 'run.cfg', '--out', 'out']) == 0")
+    assert _loaded_after(run, tmp_path) == "[]"
