@@ -17,7 +17,6 @@ from .analysis import (
     default_probes,
     impedance,
     laplace_impedance,
-    motional_impedance,
     passivity_check,
     refine_root,
     sample_gamma_real,
@@ -61,6 +60,7 @@ from .numerics import QuadratureSettings
 from .scattering import (
     MirrorModel,
     load_table,
+    lorentzian_gamma,
     lorentzian_mirror,
     perfect_mirror,
     reflectivity,
@@ -78,7 +78,6 @@ from .susceptibility import (
     gamma,
     gamma_samples,
     induced_mass,
-    lorentzian_gamma,
     reflection_cutoff,
     susceptibility,
 )

@@ -35,7 +35,6 @@ from .errors import (
     RootConvergenceError,
 )
 from .numerics import fit_inverse_square_tail, secant_root
-from .scattering import PERFECT, TABULATED
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
@@ -51,7 +50,6 @@ __all__ = [
     "impedance",
     "admittance",
     "laplace_impedance",
-    "motional_impedance",
     "sample_gamma_real",
     "count_rhp_zeros",
     "refine_root",
@@ -65,14 +63,18 @@ __all__ = [
 
 
 def impedance(model, mech, w):
-    """Mechanical impedance Z[w] = (k - m w^2 - chi[w]) / (-i w), real w."""
-    w = float(w)
-    if w == 0.0:
-        if mech.k > 0:
-            raise ImpedancePoleError("Z has a k/w pole at w = 0")
-        return 0.0 + 0.0j
-    chi = susceptibility(model, mech, w)
-    return (mech.k - mech.m * w**2 - chi) / (-1j * w)
+    """Mechanical impedance Z[w] = (k - m w^2 - chi[w]) / (-i w), real w, scalar or array."""
+    return _impedance(mech, w, susceptibility(model, mech, w))
+
+
+def _impedance(mech, w, chi):
+    """Z[w] from chi sampled at w: 0 at w = 0 for a free mass, a pole there with a spring."""
+    w = np.asarray(w, dtype=float)
+    if mech.k > 0 and np.any(w == 0.0):
+        raise ImpedancePoleError("Z has a k/w pole at w = 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(w == 0.0, 0.0, (mech.k - mech.m * w**2 - chi) / (-1j * w))
+    return z if z.ndim else complex(z)
 
 
 def admittance(model, mech, w):
@@ -99,16 +101,16 @@ def sample_gamma_real(model, omega_max=None):
 
 
 def _laplace_gamma(model, p, gamma_curve=None):
-    """Gamma{p} = Gamma[i p], Re p > 0: closed form, or a tabulated model's continued curve."""
+    """Gamma{p} = Gamma[i p], Re p > 0: the model's continuation, or its continued curve."""
     p = np.asarray(p, dtype=complex)
     if np.any(np.real(p) <= 0):
         raise ContinuationError("Laplace evaluation requires Re p > 0")
-    if model.kind != TABULATED:
+    if model.continues_upper_half:
         out = gamma_samples(model, 1j * p)
         return out if out.ndim else complex(out)
     if gamma_curve is None:
         raise ContinuationError(
-            "tabulated models need a sampled Gamma curve for Laplace evaluation"
+            "a model without a continuation needs a sampled Gamma curve for Laplace evaluation"
         )
     grid, vals = gamma_curve.grid, np.real(gamma_curve.values)
     tail = fit_inverse_square_tail(grid, vals)
@@ -124,13 +126,6 @@ def laplace_impedance(model, mech, p, gamma_curve=None):
     p = np.asarray(p, dtype=complex)
     g = _laplace_gamma(model, p, gamma_curve)
     out = mech.k / p + mech.m * p - mech.m * mech.tau * p**2 * g
-    return out if out.ndim else complex(out)
-
-
-def motional_impedance(model, mech, p, gamma_curve=None):
-    """The vacuum term -chi{p}/p alone; not passive near p = 0."""
-    p = np.asarray(p, dtype=complex)
-    out = -mech.m * mech.tau * p**2 * _laplace_gamma(model, p, gamma_curve)
     return out if out.ndim else complex(out)
 
 
@@ -360,12 +355,13 @@ class StabilityReport:
 
 
 def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
-    """Sign changes of the (real) impedance along the positive real axis."""
+    """Real zeros of Z on the positive real axis, ascending: an exact zero of the
+    scan once, and each strict sign change between scan points bisected."""
     ps = np.geomspace(1e-6, p_max, n)
     z = np.real(np.atleast_1d(laplace_impedance(model, mech, ps, gamma_curve)))
-    idx = np.nonzero(np.diff(np.sign(z)) != 0)[0]
-    seeds = []
-    for i in idx:
+    sign = np.sign(z)
+    seeds = [float(p) for p in ps[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         a, b = ps[i], ps[i + 1]
         fa = z[i]
         for _ in range(60):
@@ -376,11 +372,14 @@ def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
             else:
                 a, fa = m, fm
         seeds.append(0.5 * (a + b))
-    return seeds
+    return sorted(seeds)
 
 
 def stability_report(model, mech, contour=None, gamma_curve=None, probes=None):
-    """Full stability/passivity summary for one configuration."""
+    """Full stability/passivity summary; a model without a continuation is
+    continued from its ``sample_gamma_real`` curve unless one is given."""
+    if gamma_curve is None and not model.continues_upper_half:
+        gamma_curve = sample_gamma_real(model)
     try:
         omega_c = reflection_cutoff(model)
         mu = induced_mass(mech, omega_c)
@@ -391,11 +390,7 @@ def stability_report(model, mech, contour=None, gamma_curve=None, probes=None):
     count = count_rhp_zeros(model, mech, contour, gamma_curve)
     roots = []
     if count > 0:
-        if model.kind == PERFECT and mech.tau > 0:
-            seeds = [0.8 / mech.tau]
-        else:
-            seeds = _real_axis_seeds(model, mech, contour.re_max, gamma_curve)
-        for seed in seeds:
+        for seed in _real_axis_seeds(model, mech, contour.re_max, gamma_curve):
             try:
                 roots.append(refine_root(model, mech, seed, gamma_curve))
             except RootConvergenceError:

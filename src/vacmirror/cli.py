@@ -38,8 +38,15 @@ from .susceptibility import (
 from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
 from .numerics import write_csv
 
+# [model] kind -> the mirror model built from that section
+_MODELS = {
+    "perfect": lambda m: scattering.perfect_mirror(),
+    "lorentzian": lambda m: scattering.lorentzian_mirror(m["omega"]),
+    "tabulated": lambda m: scattering.load_table(m["table"]),
+}
+
 _CHOICES = {
-    ("model", "kind"): {"perfect", "lorentzian", "tabulated"},
+    ("model", "kind"): set(_MODELS),
     ("grid", "spacing"): {"log", "linear"},
     ("simulation", "force"): {"none", "gaussian", "step", "sine"},
     ("simulation", "regime"): {"auto", "perfect", "memory"},
@@ -167,13 +174,9 @@ def parse_config(path):
 
 def build_model(cfg):
     m = cfg["model"]
-    if m["kind"] == "perfect":
-        return scattering.perfect_mirror()
-    if m["kind"] == "lorentzian":
-        return scattering.lorentzian_mirror(m["omega"])
     try:
-        return scattering.load_table(m["table"])
-    except ValueError as exc:  # column count, unparsable rows, grid checks
+        return _MODELS[m["kind"]](m)
+    except ValueError as exc:  # a table's column count, unparsable rows, grid checks
         raise ConfigError(f"model.table: {exc}", cfg.path) from None
 
 
@@ -230,7 +233,7 @@ def cmd_analyze(cfg, out, args):
     result.to_csv(out / "gamma.csv")
     chi = result.chi.values
     write_csv(out / "chi.csv", "omega,chi_re,chi_im", [grid, chi.real, chi.imag])
-    z = (mech.k - mech.m * grid**2 - chi) / (-1j * grid)
+    z = analysis._impedance(mech, grid, chi)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = 1.0 / z
     write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
@@ -262,18 +265,13 @@ def cmd_stability(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
     a = cfg["analysis"]
-    gamma_curve = None
-    if model.kind == scattering.TABULATED:
-        gamma_curve = analysis.sample_gamma_real(model)
     contour = None
     if a["contour_max"] > 0:
         contour = analysis.Rectangle(a["contour_delta"], a["contour_max"], a["contour_max"])
     probes = analysis.default_probes(
         a["probe_min"], a["probe_max"], n_mag=max(4, a["probe_points"] // 25)
     )
-    report = analysis.stability_report(
-        model, mech, contour=contour, gamma_curve=gamma_curve, probes=probes
-    )
+    report = analysis.stability_report(model, mech, contour=contour, probes=probes)
     report.to_json(out / "stability.json")
     return 0
 
@@ -288,10 +286,10 @@ def cmd_simulate(cfg, out, args):
     )
     regime = sim["regime"]
     if regime == "auto":
-        regime = "perfect" if model.kind == scattering.PERFECT else "memory"
-    if regime == "perfect" and model.kind != scattering.PERFECT:
-        raise ConfigError("simulation.regime = perfect integrates the perfect-mirror "
-                          f"equation and would ignore the {model.kind} mirror", cfg.path)
+        regime = "perfect" if model.gamma_is_one else "memory"
+    if (regime == "perfect") != model.gamma_is_one:
+        raise ConfigError(f"simulation.regime = {regime} does not fit this mirror: the perfect "
+                          "regime needs Gamma = 1, the memory regime a reflection cutoff", cfg.path)
     # the memory integrator releases the mirror from rest; at tau = 0 the
     # force balance fixes the acceleration
     fixed = ("v0", "a0") if regime == "memory" else ("a0",) if mech.tau == 0 else ()
@@ -355,31 +353,30 @@ def cmd_simulate(cfg, out, args):
     return 0
 
 
+_CROSSCHECKS = ("kk", "spectral_rep", "consistency")
+
+
 def cmd_crosscheck(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
     a = cfg["analysis"]
     doc = {"model": model.kind, "tau_omega": mech.tau, "meta": _meta(args)}
 
-    if model.kind == scattering.TABULATED:
-        lo, hi = model.omega_range
-        vgrid = np.geomspace(max(1e-2, lo + 1e-12), min(1e2, hi), 800)
-        validation = scattering.validate_model(model, vgrid)
-        if validation.unitarity_defect > 1e-6:
-            doc["validation_failure"] = {
-                "unitarity_defect": validation.unitarity_defect,
-            }
-            _write_json(out / "crosscheck.json", doc)
-            print("validation failed before crosscheck", file=sys.stderr)
-            return 3
-        if hi < dispersion.consistency_band():
-            raise ConfigError(f"table ends at omega = {hi:g}, below the consistency "
-                              f"check's band {dispersion.consistency_band():.4g}", cfg.path)
+    lo, hi = model.omega_range
+    validation = scattering.validate_model(
+        model, np.geomspace(max(1e-2, lo + 1e-12), min(1e2, hi), 800))
+    if validation.unitarity_defect > 1e-6:
+        doc["validation_failure"] = {"unitarity_defect": validation.unitarity_defect}
+        _write_json(out / "crosscheck.json", doc)
+        print("validation failed before crosscheck", file=sys.stderr)
+        return 3
+    if hi < dispersion.consistency_band():
+        raise ConfigError(f"the model ends at omega = {hi:g}, below the consistency "
+                          f"check's band {dispersion.consistency_band():.4g}", cfg.path)
 
-    if model.kind == scattering.PERFECT:
-        doc["kk"] = {"status": "divergent", "defect": None}
-        doc["spectral_rep"] = {"status": "divergent", "defect": None}
-        doc["consistency"] = {"status": "divergent", "defect": None}
+    if model.gamma_is_one:
+        for name in _CROSSCHECKS:
+            doc[name] = {"status": "divergent", "defect": None}
         _write_json(out / "crosscheck.json", doc)
         return 0
 
@@ -422,6 +419,10 @@ def cmd_crosscheck(cfg, out, args):
                           "threshold": a["consistency_threshold"],
                           "passed": bool(report.defect < a["consistency_threshold"])}
     _write_json(out / "crosscheck.json", doc)
+    failed = [name for name in _CROSSCHECKS if doc[name].get("passed") is False]
+    if failed:
+        print(f"crosscheck failed: {', '.join(failed)} at or above threshold", file=sys.stderr)
+        return 3
     return 0
 
 

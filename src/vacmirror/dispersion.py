@@ -24,7 +24,6 @@ from .errors import ContinuationError, FitError, FrequencyRangeError, Regulariza
 from .numerics import (
     cauchy_upper_half,
     fit_inverse_square_tail,
-    kernel_to_spectrum,
     pv_hilbert_even,
     spectrum_to_kernel,
     write_csv,
@@ -108,11 +107,11 @@ def fit_tail_cutoff(curve):
 class TimeKernel:
     """Regularized position-memory kernel kappa(t) on [0, T).
 
-    kappa is the band-limited inverse transform of chi[w] + mu w^2.  The
-    underlying transform is kept for the full period so that the memory
-    integrator can recover the exact band spectrum; ``values`` exposes the
-    causal window.  Band limitation smears the t = 0 core over a guard
-    window of a few hundred samples; ``causality_residual`` measures the
+    kappa is the band-limited inverse transform of chi[w] + mu w^2.  That
+    spectrum, at the rfft bins of the full period, is kept for the memory
+    integrator's weights; ``values`` exposes the causal window.  Band
+    limitation smears the t = 0 core over a guard window of a few hundred
+    samples; ``causality_residual`` measures the
     anticausal content beyond a guard of 1024 samples relative to the
     kernel peak,
     ``causality_residual_raw`` includes the smeared core.
@@ -126,14 +125,7 @@ class TimeKernel:
     causality_residual: float
     causality_residual_raw: float
     n_fft: int
-    _full: np.ndarray = field(repr=False, compare=False, default=None)
-
-    def band_spectrum(self):
-        """Spectrum of the full-period kernel at the rfft bin frequencies."""
-        return kernel_to_spectrum(self._full, self.dt)
-
-    def bin_frequencies(self):
-        return np.fft.rfftfreq(self.n_fft, d=self.dt) * 2.0 * np.pi
+    _spectrum: np.ndarray = field(repr=False, compare=False, default=None)
 
     def to_csv(self, path):
         header = (
@@ -207,7 +199,7 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None):
         causality_residual=guarded,
         causality_residual_raw=raw,
         n_fft=n_fft,
-        _full=full,
+        _spectrum=spectrum,
     )
 
 
@@ -218,10 +210,12 @@ def acceleration_weights(kernel):
     mu * a(t) plus a convolution of the acceleration history with
     h(t), the inverse transform of -(chi + mu w^2)/w^2.  For a mirror
     at rest in the far past both forms are identical; h is the one
-    with an integrable core, so the integrator uses it.
+    with an integrable core, so the integrator uses it.  Its spectrum is
+    taken straight from the kernel's, so no forward transform adds
+    rounding to the division by w^2 at the lowest bins.
     """
-    spectrum = kernel.band_spectrum()
-    freqs = kernel.bin_frequencies()
+    spectrum = kernel._spectrum
+    freqs = np.fft.rfftfreq(kernel.n_fft, d=kernel.dt) * 2.0 * np.pi
     h_spec = np.empty_like(spectrum)
     h_spec[0] = -kernel.mu_subtracted
     h_spec[1:] = -spectrum[1:] / freqs[1:] ** 2

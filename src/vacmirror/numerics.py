@@ -3,16 +3,18 @@
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature, the running trapezoid integral, the PV Hilbert
 transform used by the dispersion checks, inverse-square tail fitting and a
-complex secant root finder.  Transform helpers fix the package convention
+complex secant root finder.  The transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
-which is the opposite sign to numpy's FFT, hence the conjugations below.
+which is the opposite sign to numpy's FFT, hence the conjugation below.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import AccuracyError, FitError, FrequencyRangeError, RootConvergenceError
 
 _GL_LO = np.polynomial.legendre.leggauss(15)
 _GL_HI = np.polynomial.legendre.leggauss(30)
@@ -34,8 +36,6 @@ def adaptive_gauss_legendre(f, a, b, settings=None):
     estimate).  Raises AccuracyError when the panel budget is exhausted
     with the estimate still above tolerance.
     """
-    from .errors import AccuracyError
-
     settings = settings or QuadratureSettings()
     x_lo, w_lo = _GL_LO
     x_hi, w_hi = _GL_HI
@@ -138,8 +138,6 @@ def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
     spline = CubicSpline(grid, values)
     L = grid[-1]
     if not (grid[0] <= w < L):
-        from .errors import FrequencyRangeError
-
         raise FrequencyRangeError(f"probe {w} outside sampled interior [{grid[0]}, {L})")
     fw = float(spline(w))
     dfw = float(spline(w, 1))
@@ -194,8 +192,6 @@ def fit_inverse_square_tail(grid, values):
     """
     mask = grid >= grid[-1] / 10.0
     if mask.sum() < 4:
-        from .errors import FitError
-
         raise FitError("fewer than 4 samples in the tail-fit window")
     return float(np.mean(values[mask] * grid[mask] ** 2))
 
@@ -204,8 +200,6 @@ def fit_power_law_slope(grid, values):
     """Log-log least-squares slope over the top decade of the grid."""
     mask = (grid >= grid[-1] / 10.0) & (values > 0)
     if mask.sum() < 4:
-        from .errors import FitError
-
         raise FitError("fewer than 4 positive samples in the slope-fit window")
     return float(np.polyfit(np.log(grid[mask]), np.log(values[mask]), 1)[0])
 
@@ -217,8 +211,6 @@ def secant_root(f, z0):
     Returns (root, residual).  Raises RootConvergenceError after 100 steps
     or on a degenerate update.
     """
-    from .errors import RootConvergenceError
-
     z1 = z0 * (1.0 + 1e-4) + 1e-12
     f0, f1 = f(z0), f(z1)
     for _ in range(100):
@@ -243,8 +235,3 @@ def spectrum_to_kernel(spectrum, n, dt):
     conjugate.
     """
     return np.fft.irfft(np.conj(spectrum), n=n) / dt
-
-
-def kernel_to_spectrum(kernel, dt):
-    """Exact inverse of spectrum_to_kernel."""
-    return np.conj(np.fft.rfft(kernel)) * dt

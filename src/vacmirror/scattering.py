@@ -1,16 +1,18 @@
 """Mirror scattering models.
 
 A mirror is described by a complex reflectivity r[w] and transmissivity
-s[w] on the real frequency axis.  Three kinds are supported:
+s[w] on the real frequency axis.  Three models are supported:
 
 * ``perfect``    -- r = -1, s = 0 at every frequency (no cutoff),
 * ``lorentzian`` -- r[w] = -1 / (1 - i w / Omega), s = 1 + r,
 * ``tabulated``  -- monotone-cubic interpolation of sampled (w, r, s).
 
-Real-axis evaluations obey r[-w] = conj(r[w]) so the time-domain kernels
-stay real.  The Lorentzian continues analytically into Im w >= 0; the
-perfect mirror is constant everywhere; tabulated models accept only real
-frequencies inside their table range.
+Everything that differs between them answers the ``MirrorModel``
+interface; callers ask the model, and ``kind`` is only the name written
+to output documents.  Real-axis evaluations obey r[-w] = conj(r[w]) so
+the time-domain kernels stay real.  The Lorentzian continues analytically
+into Im w >= 0; the perfect mirror is constant everywhere; tabulated
+models accept only real frequencies inside their table range.
 
 Models are immutable after construction and evaluation is pure, so they
 can be shared freely across workers.
@@ -20,64 +22,122 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, FitError, FrequencyRangeError
+from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
 from .numerics import fit_inverse_square_tail, fit_power_law_slope, pv_hilbert_even
 
-PERFECT = "perfect"
-LORENTZIAN = "lorentzian"
-TABULATED = "tabulated"
+
+class MirrorModel:
+    """What every mirror model answers: ``_r``, ``_s`` (shaped like w),
+    ``_gamma`` (Gamma in closed form, or None: only the ``gamma`` quadrature
+    has it), ``omega_range`` (|w| where r, s exist), ``continues_upper_half``
+    (r, s, Gamma defined at Im w >= 0) and ``gamma_is_one`` (Gamma == 1, the
+    local third-derivative regime).
+    """
+
+    omega_range = (0.0, np.inf)
+    continues_upper_half = True
+    gamma_is_one = False
+
+    def _gamma(self, w):
+        return None
 
 
 @dataclass(frozen=True)
-class MirrorModel:
-    kind: str
+class PerfectMirror(MirrorModel):
+    kind = "perfect"
+    gamma_is_one = True
+
+    def _r(self, w):
+        return np.full(np.shape(w), -1.0 + 0.0j)
+
+    def _s(self, w):
+        return np.zeros(np.shape(w), dtype=complex)
+
+    def _gamma(self, w):
+        return np.ones(np.shape(w), dtype=complex)
+
+
+@dataclass(frozen=True)
+class LorentzianMirror(MirrorModel):
     omega_scale: float = 1.0
-    table: tuple = None  # (w, r, s) arrays for tabulated models
-    _interp: tuple = field(default=None, repr=False, compare=False)
+    kind = "lorentzian"
 
     def __post_init__(self):
-        if self.kind not in (PERFECT, LORENTZIAN, TABULATED):
-            raise ValueError(f"unknown mirror kind {self.kind!r}")
-        if self.kind == LORENTZIAN and self.omega_scale <= 0:
+        if self.omega_scale <= 0:
             raise ValueError("lorentzian scale must be positive")
-        if self.kind == TABULATED:
-            if self.table is None:
-                raise ValueError("tabulated model needs a table")
-            from scipy.interpolate import PchipInterpolator
 
-            w, r, s = self.table
-            w = np.asarray(w, dtype=float)
-            if w.ndim != 1 or w.size < 4:
-                raise ValueError("table needs at least 4 samples")
-            if np.any(np.diff(w) <= 0) or w[0] < 0:
-                raise ValueError("table grid must be nonnegative and strictly increasing")
-            interp = tuple(
-                PchipInterpolator(w, comp, extrapolate=False)
-                for comp in (np.real(r), np.imag(r), np.real(s), np.imag(s))
-            )
-            object.__setattr__(self, "_interp", interp)
+    def _r(self, w):
+        w = np.asarray(w, dtype=complex)
+        if np.any(np.imag(w) < -1e-14 * np.maximum(1.0, np.abs(w))):
+            raise ContinuationError("reflectivity continued only into Im w >= 0")
+        return -1.0 / (1.0 - 1j * w / self.omega_scale)
+
+    def _s(self, w):
+        return 1.0 + self._r(w)
+
+    def _gamma(self, w):
+        return np.asarray(lorentzian_gamma(w, self.omega_scale))
+
+
+@dataclass(frozen=True)
+class TabulatedMirror(MirrorModel):
+    table: tuple  # (w, r, s) arrays
+    _interp: tuple = field(default=None, repr=False, compare=False)
+    kind = "tabulated"
+    continues_upper_half = False
+
+    def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator
+
+        w, r, s = self.table
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 1 or w.size < 4:
+            raise ValueError("table needs at least 4 samples")
+        if np.any(np.diff(w) <= 0) or w[0] < 0:
+            raise ValueError("table grid must be nonnegative and strictly increasing")
+        interp = tuple(
+            PchipInterpolator(w, comp, extrapolate=False)
+            for comp in (np.real(r), np.imag(r), np.real(s), np.imag(s))
+        )
+        object.__setattr__(self, "_interp", interp)
 
     @property
     def omega_range(self):
-        if self.kind == TABULATED:
-            w = self.table[0]
-            return float(w[0]), float(w[-1])
-        return 0.0, np.inf
+        w = self.table[0]
+        return float(w[0]), float(w[-1])
+
+    def _r(self, w):
+        return self._eval(w, self._interp[0:2])
+
+    def _s(self, w):
+        return self._eval(w, self._interp[2:4])
+
+    def _eval(self, w, parts):
+        w = np.asarray(w)
+        if np.iscomplexobj(w) and np.any(np.abs(np.imag(w)) > 0):
+            raise ContinuationError("tabulated models support only real frequencies")
+        wr = np.real(w).astype(float)
+        lo, hi = self.omega_range
+        aw = np.abs(wr)
+        if np.any(aw < lo) or np.any(aw > hi):
+            raise FrequencyRangeError(f"frequency magnitude outside table range [{lo}, {hi}]")
+        re_i, im_i = parts
+        out = re_i(aw) + 1j * im_i(aw)
+        # reality of the time-domain kernel: f(-w) = conj(f(w))
+        return np.where(wr >= 0, out, np.conj(out))
 
 
 def perfect_mirror():
-    return MirrorModel(kind=PERFECT)
+    return PerfectMirror()
 
 
 def lorentzian_mirror(omega_scale=1.0):
-    return MirrorModel(kind=LORENTZIAN, omega_scale=omega_scale)
+    return LorentzianMirror(omega_scale=omega_scale)
 
 
 def tabulated_mirror(w, r, s):
-    w = np.asarray(w, dtype=float)
-    r = np.asarray(r, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    return MirrorModel(kind=TABULATED, table=(w, r, s))
+    table = (np.asarray(w, dtype=float), np.asarray(r, dtype=complex), np.asarray(s, dtype=complex))
+    return TabulatedMirror(table=table)
 
 
 def load_table(path):
@@ -93,52 +153,46 @@ def save_table(path, w, r, s):
     np.savetxt(path, data, fmt="%.15e", header="omega re_r im_r re_s im_s")
 
 
-def _tabulated_eval(model, w, parts):
-    w = np.asarray(w)
-    if np.iscomplexobj(w) and np.any(np.abs(np.imag(w)) > 0):
-        raise ContinuationError("tabulated models support only real frequencies")
-    wr = np.real(w).astype(float)
-    lo, hi = model.omega_range
-    aw = np.abs(wr)
-    if np.any(aw < lo) or np.any(aw > hi):
-        raise FrequencyRangeError(
-            f"frequency magnitude outside table range [{lo}, {hi}]"
-        )
-    re_i, im_i = parts
-    out = re_i(aw) + 1j * im_i(aw)
-    # reality of the time-domain kernel: f(-w) = conj(f(w))
-    out = np.where(wr >= 0, out, np.conj(out))
-    return out if out.ndim else complex(out)
-
-
 def reflectivity(model, w):
-    """Reflection amplitude r[w]; accepts scalars or arrays.
-
-    Perfect and Lorentzian mirrors accept complex w with Im w >= 0 (the
-    causal continuation region); tabulated mirrors are real-axis only.
-    """
-    if model.kind == PERFECT:
-        w = np.asarray(w)
-        out = np.full(w.shape, -1.0 + 0.0j)
-        return out if out.ndim else complex(out)
-    if model.kind == LORENTZIAN:
-        w = np.asarray(w, dtype=complex)
-        if np.any(np.imag(w) < -1e-14 * np.maximum(1.0, np.abs(w))):
-            raise ContinuationError("reflectivity continued only into Im w >= 0")
-        out = -1.0 / (1.0 - 1j * w / model.omega_scale)
-        return out if out.ndim else complex(out)
-    return _tabulated_eval(model, w, model._interp[0:2])
+    """Reflection amplitude r[w], scalar or array, under the model's domain rules."""
+    out = model._r(w)
+    return out if out.ndim else complex(out)
 
 
 def transmissivity(model, w):
     """Transmission amplitude s[w]; same domain rules as reflectivity."""
-    if model.kind == PERFECT:
-        w = np.asarray(w)
-        out = np.zeros(w.shape, dtype=complex)
-        return out if out.ndim else complex(out)
-    if model.kind == LORENTZIAN:
-        return 1.0 + reflectivity(model, w)
-    return _tabulated_eval(model, w, model._interp[2:4])
+    out = model._s(w)
+    return out if out.ndim else complex(out)
+
+
+def lorentzian_gamma(w, omega_scale=1.0):
+    """Closed-form Gamma for the single-pole reflectivity model.
+
+    Valid for real w and for complex w away from the logarithmic cut,
+    which lies on the negative imaginary axis below -i*omega_scale.  Near
+    w = 0 a series with terms 6 x^n / ((n+2)(n+3)), x = i w / Omega, is
+    used; it sums to 1 at w = 0.
+    """
+    w = np.asarray(w, dtype=complex)
+    x = 1j * w / omega_scale
+    arg = 1.0 - x
+    if np.any((np.abs(np.imag(arg)) < 1e-14) & (np.real(arg) < 1e-12)):
+        raise BranchCutError("1 - i w / Omega on the logarithm branch cut")
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.25
+    if small.any():
+        xs = x[small]
+        acc = np.zeros_like(xs)
+        term = np.ones_like(xs)
+        for n in range(40):
+            acc += term / ((n + 2) * (n + 3))
+            term = term * xs
+        out[small] = 6.0 * acc
+    if (~small).any():
+        xl = x[~small]
+        f = -xl + 0.5 * xl * xl - (1.0 - xl) * np.log(1.0 - xl)
+        out[~small] = -6.0 * f / xl**3
+    return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)

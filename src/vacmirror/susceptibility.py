@@ -13,9 +13,9 @@ amplitudes by a finite-band integral over pair frequencies,
 
 Gamma == 1 for the perfect mirror, so chi reduces to the local
 third-derivative force, and the single-pole mirror has a closed form.
-``gamma_samples`` is the one place that decides how Gamma is evaluated:
-those closed forms for the perfect and Lorentzian mirrors, the per-point
-integral ``gamma`` for tabulated ones.  ``gamma`` evaluates the integral
+``gamma_samples`` is the one place that evaluates Gamma: the model's
+closed form where it has one, the per-point integral ``gamma`` where it
+has none (tabulated mirrors).  ``gamma`` evaluates the integral
 by adaptive Gauss-Legendre on the unit interval (the integrand is smooth
 and the endpoint weight (w - w') w' vanishes at both ends); it is also
 the reference the closed forms are tested against.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, CutoffDivergenceError
+from .errors import ContinuationError, CutoffDivergenceError, FrequencyRangeError
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
@@ -36,7 +36,7 @@ from .numerics import (
     integrate_decades,
     write_csv,
 )
-from .scattering import LORENTZIAN, PERFECT, reflectivity, transmissivity
+from .scattering import reflectivity, transmissivity
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,6 @@ class ResponseCurve:
         w = np.asarray(w, dtype=float)
         aw = np.abs(w)
         if np.any(aw < self.grid[0]) or np.any(aw > self.grid[-1]):
-            from .errors import FrequencyRangeError
-
             raise FrequencyRangeError(f"|w| outside sampled range of {self.label or 'curve'}")
         out = re(aw) + 1j * im(aw)
         out = np.where(w >= 0, out, np.conj(out))
@@ -151,55 +149,19 @@ def gamma(model, w, settings=None, full_output=False):
     return (value, err) if full_output else value
 
 
-def lorentzian_gamma(w, omega_scale=1.0):
-    """Closed-form Gamma for the single-pole reflectivity model.
-
-    Valid for real w and for complex w away from the logarithmic cut,
-    which lies on the negative imaginary axis below -i*omega_scale.  Near
-    w = 0 a series with terms 6 x^n / ((n+2)(n+3)), x = i w / Omega, is
-    used; it sums to 1 at w = 0.
-    """
-    from .errors import BranchCutError
-
-    w = np.asarray(w, dtype=complex)
-    x = 1j * w / omega_scale
-    arg = 1.0 - x
-    if np.any((np.abs(np.imag(arg)) < 1e-14) & (np.real(arg) < 1e-12)):
-        raise BranchCutError("1 - i w / Omega on the logarithm branch cut")
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.25
-    if small.any():
-        xs = x[small]
-        acc = np.zeros_like(xs)
-        term = np.ones_like(xs)
-        for n in range(40):
-            acc += term / ((n + 2) * (n + 3))
-            term = term * xs
-        out[small] = 6.0 * acc
-    if (~small).any():
-        xl = x[~small]
-        f = -xl + 0.5 * xl * xl - (1.0 - xl) * np.log(1.0 - xl)
-        out[~small] = -6.0 * f / xl**3
-    return out if out.ndim else complex(out)
-
-
 def gamma_samples(model, w, full_output=False, settings=None):
     """Gamma shaped like w (and the error estimates under ``full_output``).
 
-    Perfect and Lorentzian mirrors use their closed forms, 1 and
-    ``lorentzian_gamma``, also at complex w with Im w >= 0, and error 0.
-    Tabulated mirrors use the per-point ``gamma`` quadrature at real w,
-    with ``settings``.
+    The model's closed form where it has one, with error 0 (complex w only
+    where the model continues); else the ``gamma`` quadrature at real w, with
+    ``settings``.
     """
     w = np.asarray(w)
+    if np.iscomplexobj(w) and not model.continues_upper_half:
+        raise ContinuationError("the model is defined only at real frequencies")
     errs = np.zeros(w.shape)
-    if model.kind == PERFECT:
-        vals = np.ones(w.shape, dtype=complex)
-    elif model.kind == LORENTZIAN:
-        vals = np.asarray(lorentzian_gamma(w, model.omega_scale))
-    else:
-        if np.iscomplexobj(w):
-            raise ContinuationError("tabulated models support only real frequencies")
+    vals = model._gamma(w)
+    if vals is None:
         vals = np.empty(w.shape, dtype=complex)
         for i, x in np.ndenumerate(w):
             vals[i], errs[i] = gamma(model, float(x), settings, full_output=True)
@@ -207,11 +169,10 @@ def gamma_samples(model, w, full_output=False, settings=None):
 
 
 def susceptibility(model, mech, w):
-    """Motional susceptibility chi[w] = i m tau w^3 Gamma[w] for real w."""
-    w = float(w)
-    if w == 0.0:
-        return 0.0 + 0.0j
-    return 1j * mech.m * mech.tau * w**3 * complex(gamma_samples(model, w))
+    """Motional susceptibility chi[w] = i m tau w^3 Gamma[w] at real w, scalar or array."""
+    w = np.asarray(w, dtype=float)
+    out = 1j * mech.m * mech.tau * w**3 * gamma_samples(model, w)
+    return out if out.ndim else complex(out)
 
 
 def induced_mass(mech, omega_c):

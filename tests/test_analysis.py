@@ -7,7 +7,6 @@ import vacmirror as vm
 from vacmirror.analysis import (
     _real_axis_seeds,
     default_probes,
-    motional_impedance,
     sample_gamma_real,
 )
 from vacmirror.errors import (
@@ -52,6 +51,22 @@ def test_impedance_component_decomposition(lorentzian):
         assert abs(z.real - mech.m * mech.tau * w**2 * g.real) < 1e-12 * scale
         zi = mech.k / w - mech.m * w + mech.m * mech.tau * w**2 * g.imag
         assert abs(z.imag - zi) < 1e-12 * scale
+
+
+def test_impedance_on_arrays_is_the_scalar_impedance(lorentzian, tabulated_copy):
+    ws = np.array([0.05, 0.7, 3.0, 11.0])
+    for model in (lorentzian, tabulated_copy):
+        for k in (0.0, 0.5):
+            mech = vm.MirrorMechanics(k=k, tau=1e-3)
+            z = vm.impedance(model, mech, ws)
+            assert z.shape == ws.shape
+            for w, zw in zip(ws, z):
+                assert zw == pytest.approx(vm.impedance(model, mech, float(w)), rel=1e-14)
+    free = vm.MirrorMechanics(k=0.0, tau=1e-3)
+    z = vm.impedance(lorentzian, free, np.array([0.0, 1.0]))
+    assert z[0] == 0.0 and np.isfinite(z[1])
+    with pytest.raises(ImpedancePoleError):
+        vm.impedance(lorentzian, vm.MirrorMechanics(k=1.0), np.array([0.0, 1.0]))
 
 
 def test_impedance_pole_at_zero():
@@ -189,10 +204,11 @@ def test_passivity_perfect_fails_beyond_pole(perfect):
 
 
 def test_motional_term_alone_not_passive(lorentzian):
-    # -chi{p}/p has negative real part near p -> 0+
+    # -chi{p}/p = -m tau p^2 Gamma{p} has negative real part near p -> 0+
     mech = vm.MirrorMechanics(k=0.0, tau=1e-3)
     for p in [1e-3, 1e-2]:
-        assert motional_impedance(lorentzian, mech, p).real < 0
+        motional = -mech.m * mech.tau * p**2 * vm.gamma_samples(lorentzian, 1j * p)
+        assert motional.real < 0
 
 
 def test_spectral_matches_laplace(lorentzian):
@@ -246,3 +262,23 @@ def test_stability_report_serialization(tmp_path, perfect):
     assert not doc["passive"]
     assert doc["roots"][0]["re"] == pytest.approx(1000.0, rel=1e-8)
     assert set(doc["min_ReZ"]) == {"value", "p_re", "p_im"}
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("k", [0.0, 0.5, 4.0])
+def test_perfect_mirror_root_from_the_real_axis_scan(perfect, tau, k):
+    # the scan lands exactly on the root at tau = 1, k = 0 (p = 1) and at
+    # tau = 5, k = 4 (5 p^3 - p^2 - 4 = 0 at p = 1): one seed, not two
+    mech = vm.MirrorMechanics(k=k, tau=tau)
+    report = vm.stability_report(perfect, mech)
+    assert report.rhp_zero_count == 1
+    (root, _), = report.roots
+    expect, _ = vm.refine_root(perfect, mech, 0.8 / tau)
+    assert abs(root - expect) <= 1e-12 * abs(expect)
+
+
+def test_real_axis_seeds_take_an_exact_zero_once(perfect):
+    mech = vm.MirrorMechanics(k=0.0, tau=1.0)
+    ps = np.geomspace(1e-6, 10.0, 400)
+    assert 1.0 in ps  # the scan hits the root p = 1/tau exactly
+    assert _real_axis_seeds(perfect, mech, 10.0) == [1.0]

@@ -224,6 +224,16 @@ def test_perfect_regime_refuses_non_perfect_mirror(tmp_path, monkeypatch, capsys
     assert not (out / "trajectory.csv").exists()
 
 
+def test_memory_regime_refuses_perfect_mirror(tmp_path, monkeypatch, capsys):
+    body = SIM_PERFECT_CFG.replace("a0 = 1.0\n", "regime = memory\n")
+    cfg = write_cfg(tmp_path, body)
+    _forbid_gamma_quadrature(monkeypatch)  # refused before any Gamma work
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "simulation.regime" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_memory_refuses_heavy_mass(tmp_path):
     body = SIM_MEMORY_CFG.replace("tau_omega = 0.3", "tau_omega = 0.5")
     cfg = write_cfg(tmp_path, body)
@@ -261,6 +271,17 @@ def test_crosscheck_lorentzian(tmp_path):
     assert doc["spectral_rep"]["defect"] < 1e-4
     assert doc["consistency"]["passed"]
     assert doc["consistency"]["defect"] < 1e-2
+
+
+def test_failed_crosscheck_exits_3(tmp_path, capsys):
+    body = CROSSCHECK_CFG + "\n[analysis]\nkk_threshold = 1.0e-12\n"
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["crosscheck", "--config", str(cfg), "--out", str(out)]) == 3
+    doc = json.loads((out / "crosscheck.json").read_text())
+    assert doc["kk"]["passed"] is False and doc["kk"]["defect"] >= 1e-12
+    assert doc["spectral_rep"]["passed"] and doc["consistency"]["passed"]
+    assert "kk" in capsys.readouterr().err
 
 
 def test_crosscheck_perfect_reports_divergence(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights, fit_tail_cutoff
+from vacmirror.numerics import spectrum_to_kernel
 from vacmirror.errors import (
     ContinuationError,
     FitError,
@@ -143,7 +144,8 @@ def test_build_time_kernel_basics():
     mu = 0.9
     kernel = vm.build_time_kernel(curve, mu, window=30.0, dt=dt)
     # zero-frequency sum rule: integral of kappa = chi_reg(0) = 0
-    assert abs(np.sum(kernel._full) * dt) < 1e-9
+    full = spectrum_to_kernel(kernel._spectrum, kernel.n_fft, dt)
+    assert abs(np.sum(full) * dt) < 1e-9
     assert kernel.causality_residual < 1e-3
     assert kernel.causality_residual_raw > kernel.causality_residual
     assert kernel.times[0] == 0.0
@@ -198,6 +200,22 @@ def test_acceleration_weights_sum_rule():
     chi1 = 1j * mech.m * mech.tau * w1**3 * vm.lorentzian_gamma(w1)
     expect = -(chi1 + mu * w1**2) / w1**2
     assert abs(transfer - expect) / abs(expect) < 5e-3
+
+
+@pytest.mark.parametrize("tau, dt", [(0.3, 2e-3), (0.25, 1e-3), (1e-3, 1e-3)])
+def test_acceleration_weights_low_bins_are_the_band_spectrum(tau, dt):
+    # h is the inverse transform of -(chi + mu w^2)/w^2 at the rfft bins;
+    # a forward transform of h gives that back to rounding, also at the
+    # lowest bins where the division by w^2 magnifies any error
+    mech = vm.MirrorMechanics(tau=tau, k=0.5)
+    mu = 3.0 * mech.m * tau
+    curve = _chi_curve(mech, np.pi / dt)
+    kernel = vm.build_time_kernel(curve, mu, window=30.0, dt=dt)
+    h = acceleration_weights(kernel)
+    spectrum = np.conj(np.fft.rfft(h)) * dt
+    w = np.fft.rfftfreq(kernel.n_fft, d=dt)[1:6] * 2.0 * np.pi
+    expect = -(curve(w) + mu * w**2) / w**2
+    assert np.max(np.abs(spectrum[1:6] - expect) / np.abs(expect)) < 1e-14
 
 
 def test_consistency_check_lorentzian(lorentzian):

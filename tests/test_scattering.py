@@ -118,3 +118,93 @@ def test_tabulated_gain_detected():
     gained = vm.tabulated_mirror(ws, r, s)
     report = vm.validate_model(gained, np.geomspace(0.05, 9.0, 300))
     assert report.unitarity_defect > 1e-2
+
+
+# r, s and Gamma of the factories' models on a fixed grid, recorded as
+# "re im" hex floats from the last release that dispatched on the kind
+# string; the model interface must reproduce them bitwise
+_GRID = [-3.0, 0.0, 0.25, 1.0, 7.3]
+_UPPER = [0.5 + 2j, 3j]
+_LORENTZIAN_AT_GRID = {
+    "r": [
+        "-0x1.f1ca2c5a6dce9p-3 0x1.b739eae660e37p-2", "-0x1.0000000000000p+0 0x0.0p+0",
+        "-0x1.f52966f6add88p-1 -0x1.26cd0f63edcabp-3", "-0x1.7c61660150f23p-1 -0x1.bf81a52eb9957p-2",
+        "-0x1.a56942fc14c78p-5 -0x1.c465b516255dbp-3", "-0x1.ce0c7ce0c7cdfp-2 -0x1.f3831f3831f35p-5",
+        "-0x1.72620ae4c415dp-2 0x0.0p+0",
+    ],
+    "s": [
+        "0x1.838d74e9648c6p-1 0x1.b739eae660e37p-2", "0x0.0p+0 0x0.0p+0",
+        "0x1.5ad3212a44f00p-6 -0x1.26cd0f63edcabp-3", "0x1.073d33fd5e1bap-2 -0x1.bf81a52eb9957p-2",
+        "0x1.e5a96bd03eb38p-1 -0x1.c465b516255dbp-3", "0x1.18f9c18f9c190p-1 -0x1.f3831f3831f35p-5",
+        "0x1.46cefa8d9df52p-1 0x0.0p+0",
+    ],
+    "gamma": [
+        "0x1.2d0f49fcb7a0dp-1 -0x1.c18de8d8ab2bcp-2", "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.fcb6449287479p-1 0x1.2a99d6005a7a6p-4", "0x1.d229daddb5202p-1 0x1.09de74a19fe1dp-2",
+        "0x1.094895bd3be2ap-2 0x1.7f5e45916a393p-2", "0x1.493aec12dbc19p-1 0x1.b4fcc3f9c286dp-5",
+        "0x1.1d3d2483bc9cdp-1 -0x0.0p+0",
+    ],
+}
+_TABULATED_AT_GRID = {
+    "r": [
+        "-0x1.9999999999999p-4 0x1.3333333333333p-2", "-0x1.0000000000000p+0 0x0.0p+0",
+        "-0x1.e1e1e1e1e1e1ep-1 -0x1.e1e1e1e1e1e1ep-3", "-0x1.0000000000000p-1 -0x1.0000000000000p-1",
+        "-0x1.2dc98af8afc40p-6 -0x1.136160904d608p-3",
+    ],
+    "s": [
+        "0x1.ccccccccccccdp-1 0x1.3333333333333p-2", "0x0.0p+0 0x0.0p+0",
+        "0x1.e1e1e1e1e1e20p-5 -0x1.e1e1e1e1e1e1ep-3", "0x1.0000000000000p-1 -0x1.0000000000000p-1",
+        "0x1.f691b3a83a81ep-1 -0x1.136160904d608p-3",
+    ],
+    "gamma": [
+        "0x1.8395ad2377712p-2 -0x1.b140e5450a673p-2", "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.f44a1ff5cba00p-1 0x1.00ac5803af5a5p-3", "0x1.9576e0bd90253p-1 0x1.7807bb986b001p-2",
+        "0x1.1348de8cbb16ep-3 0x1.1ef2baf5070bcp-2",
+    ],
+}
+
+
+def _from_hex(pairs):
+    return np.array([complex(*(float.fromhex(x) for x in p.split())) for p in pairs])
+
+
+def _interface_table():
+    w = np.linspace(0.0, 10.0, 41)
+    m = vm.lorentzian_mirror()
+    return vm.tabulated_mirror(w, vm.reflectivity(m, w), vm.transmissivity(m, w))
+
+
+@pytest.mark.parametrize("name", ["perfect", "lorentzian", "tabulated"])
+def test_every_factory_answers_the_model_interface(name):
+    if name == "perfect":
+        model, ws, n = vm.perfect_mirror(), np.array(_GRID + _UPPER), len(_GRID) + 2
+        want = {"r": [-1.0] * n, "s": [0.0] * n, "gamma": [1.0] * n}
+    elif name == "lorentzian":
+        model, ws = vm.lorentzian_mirror(1.7), np.array(_GRID + _UPPER)
+        want = {key: _from_hex(v) for key, v in _LORENTZIAN_AT_GRID.items()}
+    else:
+        model, ws = _interface_table(), np.array(_GRID)
+        want = {key: _from_hex(v) for key, v in _TABULATED_AT_GRID.items()}
+    got = {"r": vm.reflectivity(model, ws), "s": vm.transmissivity(model, ws),
+           "gamma": vm.gamma_samples(model, ws)}
+    for key, values in want.items():
+        np.testing.assert_array_equal(got[key], np.array(values, dtype=complex), err_msg=key)
+    # scalars come back as Python complex, equal to the array entries
+    assert vm.reflectivity(model, ws[2]) == got["r"][2]
+    assert type(vm.transmissivity(model, ws[2])) is complex
+    assert isinstance(model, vm.MirrorModel) and model.kind == name
+    assert model.omega_range == ((0.0, 10.0) if name == "tabulated" else (0.0, np.inf))
+    assert model.continues_upper_half == (name != "tabulated")
+    assert model.gamma_is_one == (name == "perfect")
+
+
+def test_loaded_table_is_the_tabulated_model(tmp_path):
+    model = _interface_table()
+    vm.save_table(tmp_path / "t.txt", *model.table)
+    loaded = vm.load_table(tmp_path / "t.txt")
+    same = vm.tabulated_mirror(*loaded.table)
+    ws = np.array(_GRID)
+    for f in (vm.reflectivity, vm.transmissivity, vm.gamma_samples):
+        np.testing.assert_array_equal(f(loaded, ws), f(same, ws))
+    assert (loaded.kind, loaded.omega_range, loaded.continues_upper_half,
+            loaded.gamma_is_one) == ("tabulated", (0.0, 10.0), False, False)

@@ -174,6 +174,43 @@ def test_sampler_tabulated_is_real_axis_only(tabulated_copy):
         vm.gamma_samples(tabulated_copy, np.array([1.0 + 1.0j]))
 
 
+@st.composite
+def _unitary_tables(draw):
+    """A coarse random table with |r|^2 + |s|^2 = 1 and Re(r conj s) = 0 at every node."""
+    n = draw(st.integers(4, 9))
+    steps = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+    w = np.concatenate([[0.0], np.cumsum(steps)])
+    # on a lattice, so that neighbouring values never differ by a subnormal
+    # amount (PCHIP's slope mean overflows there)
+    a = np.array(draw(st.lists(st.integers(0, 64), min_size=n, max_size=n))) / 64.0
+    turns = np.array(draw(st.lists(st.integers(-90, 90), min_size=n, max_size=n))) / 180.0
+    phase = np.exp(1j * np.pi * turns)
+    sign = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    r = a * phase
+    s = 1j * sign * np.sqrt(1.0 - a**2) * phase
+    return vm.tabulated_mirror(w, r, s)
+
+
+@settings(max_examples=8, deadline=None)
+@given(table=_unitary_tables(), frac=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2))
+def test_tabulated_gamma_parity(table, frac):
+    w = np.array(frac) * table.omega_range[1]
+    np.testing.assert_array_equal(vm.gamma_samples(table, -w),
+                                  np.conj(vm.gamma_samples(table, w)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(table=_unitary_tables())
+def test_unitarity_identity_on_random_tables(table):
+    # 2 Re alpha = |alpha|^2 + |beta|^2 wherever both frequencies scatter unitarily
+    nodes = table.table[0]
+    w = np.concatenate([-nodes[::-1], nodes])
+    W1, W2 = np.meshgrid(w, w)
+    a = vm.alpha(table, W1, W2)
+    b = vm.beta(table, W1, W2)
+    assert np.max(np.abs(2 * a.real - np.abs(a) ** 2 - np.abs(b) ** 2)) < 1e-13
+
+
 def test_high_frequency_tail_law(lorentzian):
     # Gamma ~ omega_C / (-i w): the residual decays faster than 1/w, so
     # a decay-rate fit on the top decade must come out well below -1
