@@ -95,7 +95,7 @@ def sample_gamma_real(model, omega_max=None):
     """
     if omega_max is None:
         omega_max = min(1.0e3, model.omega_range[1])
-    grid = np.logspace(-3, np.log10(omega_max), 1400)
+    grid = np.geomspace(1e-3, omega_max, 1400)  # ends on omega_max exactly
     vals = np.concatenate([[gamma(model, 0.0)], gamma_samples(model, grid)])
     return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 

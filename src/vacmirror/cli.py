@@ -239,6 +239,7 @@ def cmd_analyze(cfg, out, args):
     write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
               [grid, z.real, z.imag, y.real, y.imag])
     gamma0 = gamma(model, 0.0)
+    diag = result.cutoff_diagnostics
     doc = {
         "model": model.kind,
         "tau_omega": mech.tau,
@@ -247,6 +248,8 @@ def cmd_analyze(cfg, out, args):
         "mu_over_m": _json_num(result.mu / mech.m if np.isfinite(result.mu) else None),
         "gamma0": {"re": gamma0.real, "im": gamma0.imag},
         "cutoff_divergent": bool(result.cutoff_divergent),
+        "tail_fraction": None if diag is None else _json_num(diag.tail_fraction),
+        "decay_slope": None if diag is None else _json_num(diag.decay_slope),
         "validation": {
             "unitarity_defect": validation.unitarity_defect,
             "transparency_tail": validation.transparency_tail,

@@ -9,7 +9,8 @@ s[w] on the real frequency axis.  Three models are supported:
 
 Everything that differs between them answers the ``MirrorModel``
 interface; callers ask the model, and ``kind`` is only the name written
-to output documents.  Real-axis evaluations obey r[-w] = conj(r[w]) so
+to output documents; that includes each model's exact rule for the
+cutoff factor Gamma.  Real-axis evaluations obey r[-w] = conj(r[w]) so
 the time-domain kernels stay real.  The Lorentzian continues analytically
 into Im w >= 0; the perfect mirror is constant everywhere; tabulated
 models accept only real frequencies inside their table range.
@@ -27,19 +28,15 @@ from .numerics import fit_inverse_square_tail, fit_power_law_slope, pv_hilbert_e
 
 
 class MirrorModel:
-    """What every mirror model answers: ``_r``, ``_s`` (shaped like w),
-    ``_gamma`` (Gamma in closed form, or None: only the ``gamma`` quadrature
-    has it), ``omega_range`` (|w| where r, s exist), ``continues_upper_half``
-    (r, s, Gamma defined at Im w >= 0) and ``gamma_is_one`` (Gamma == 1, the
-    local third-derivative regime).
+    """What every mirror model answers: ``_r``, ``_s`` and ``_gamma`` (r, s and
+    Gamma shaped like w), ``omega_range`` (|w| where r, s exist),
+    ``continues_upper_half`` (r, s, Gamma defined at Im w >= 0) and
+    ``gamma_is_one`` (Gamma == 1, the local third-derivative regime).
     """
 
     omega_range = (0.0, np.inf)
     continues_upper_half = True
     gamma_is_one = False
-
-    def _gamma(self, w):
-        return None
 
 
 @dataclass(frozen=True)
@@ -79,10 +76,16 @@ class LorentzianMirror(MirrorModel):
         return np.asarray(lorentzian_gamma(w, self.omega_scale))
 
 
+# Gauss-Legendre nodes and weights on [-1, 1]: five nodes integrate degree 9
+# exactly, and the tabulated Gamma integrand has degree 8 on each piece
+_GL5 = np.polynomial.legendre.leggauss(5)
+
+
 @dataclass(frozen=True)
 class TabulatedMirror(MirrorModel):
     table: tuple  # (w, r, s) arrays
     _interp: tuple = field(default=None, repr=False, compare=False)
+    _cubics: np.ndarray = field(default=None, repr=False, compare=False)
     kind = "tabulated"
     continues_upper_half = False
 
@@ -100,6 +103,10 @@ class TabulatedMirror(MirrorModel):
             for comp in (np.real(r), np.imag(r), np.real(s), np.imag(s))
         )
         object.__setattr__(self, "_interp", interp)
+        # the cubics of r and of s on each table interval, in powers of
+        # (w - w_i): shape (4, 2, intervals)
+        re_r, im_r, re_s, im_s = (p.c for p in interp)
+        object.__setattr__(self, "_cubics", np.stack([re_r + 1j * im_r, re_s + 1j * im_s], 1))
 
     @property
     def omega_range(self):
@@ -125,6 +132,55 @@ class TabulatedMirror(MirrorModel):
         out = re_i(aw) + 1j * im_i(aw)
         # reality of the time-domain kernel: f(-w) = conj(f(w))
         return np.where(wr >= 0, out, np.conj(out))
+
+    def _gamma(self, w):
+        """Gamma at real w, exact up to rounding, with Gamma[0] = r[0]^2.
+
+        Between consecutive points of {w_i} and {|w| - w_j} the integrand
+        3 x (|w| - x) alpha(|w| - x, x) is a polynomial of degree at most 8
+        in x, so the five-node Gauss-Legendre rule on each such piece is exact.
+        """
+        w = np.asarray(w, dtype=float)
+        aw = np.abs(w)
+        lo, hi = self.omega_range
+        if lo > 0.0 or np.any(aw > hi):
+            raise FrequencyRangeError(f"Gamma needs r, s on [0, |w|]; the table has [{lo}, {hi}]")
+        out = np.empty(w.shape, dtype=complex)
+        for i, x in np.ndenumerate(aw):
+            out[i] = self._gamma_at(float(x))
+        return np.where(w >= 0, out, np.conj(out))
+
+    def _gamma_at(self, w):
+        """Gamma[w] for one w >= 0, in units of w (u = x / w, so that no
+        subnormal w loses precision): alpha(w - x, x) is symmetric in
+        x <-> w - x, so the integral over u in [0, 1/2] is doubled."""
+        if w == 0.0:
+            return complex(self._r(0.0)) ** 2
+        t = self.table[0]
+        tu = t[(t > 0.0) & (t < w)] / w
+        cuts = np.unique(np.concatenate([[0.0, 0.5], tu[tu < 0.5], 1.0 - tu[tu > 0.5]]))
+        mid = 0.5 * (cuts[1:] + cuts[:-1])
+        rad = 0.5 * (cuts[1:] - cuts[:-1])
+        nodes, weights = _GL5
+        u = mid + rad * nodes[:, None]
+        r_x, s_x = self._pieces(w * mid, w * u)
+        r_y, s_y = self._pieces(w * (1.0 - mid), w * (1.0 - u))
+        f = u * (1.0 - u) * (1.0 + r_y * r_x - s_y * s_x)
+        return complex(6.0 * (weights @ f @ rad))
+
+    def _pieces(self, inside, x):
+        """r and s at x (one column of nodes per piece), each column on the
+        table interval that holds its entry of ``inside``."""
+        t = self.table[0]
+        i = np.clip(np.searchsorted(t, inside, side="right") - 1, 0, t.size - 2)
+        c = np.take(self._cubics, i, axis=2)
+        dx = x - t[i]
+        out = c[0][:, None] * dx + c[1][:, None]  # Horner, in place
+        out *= dx
+        out += c[2][:, None]
+        out *= dx
+        out += c[3][:, None]
+        return out
 
 
 def perfect_mirror():

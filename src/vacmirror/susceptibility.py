@@ -12,13 +12,14 @@ amplitudes by a finite-band integral over pair frequencies,
     alpha[w, w'] = 1 - s[w] s[w'] + r[w] r[w'].
 
 Gamma == 1 for the perfect mirror, so chi reduces to the local
-third-derivative force, and the single-pole mirror has a closed form.
-``gamma_samples`` is the one place that evaluates Gamma: the model's
-closed form where it has one, the per-point integral ``gamma`` where it
-has none (tabulated mirrors).  ``gamma`` evaluates the integral
-by adaptive Gauss-Legendre on the unit interval (the integrand is smooth
-and the endpoint weight (w - w') w' vanishes at both ends); it is also
-the reference the closed forms are tested against.
+third-derivative force, the single-pole mirror has a closed form, and a
+tabulated mirror's integrand is a polynomial between merged breakpoints,
+which Gauss-Legendre pieces integrate exactly.  ``gamma_samples`` is the
+one place that evaluates Gamma, and it asks the model.  ``gamma``
+evaluates the integral by adaptive Gauss-Legendre on the unit interval
+(the endpoint weight (w - w') w' vanishes at both ends); it is the
+reference the model rules are tested against, and the Gamma[0] = r[0]^2
+limit.
 
 All functions are pure.
 """
@@ -131,7 +132,7 @@ def beta(model, w1, w2):
 
 
 def gamma(model, w, settings=None, full_output=False):
-    """Cutoff factor Gamma[w] by adaptive quadrature, real w.
+    """Cutoff factor Gamma[w] by adaptive quadrature, real w: the test oracle.
 
     Both signs of w are accepted (the integral itself delivers
     Gamma[-w] = conj Gamma[w]); the regular limit Gamma[0] = r[0]^2 is
@@ -149,23 +150,13 @@ def gamma(model, w, settings=None, full_output=False):
     return (value, err) if full_output else value
 
 
-def gamma_samples(model, w, full_output=False, settings=None):
-    """Gamma shaped like w (and the error estimates under ``full_output``).
-
-    The model's closed form where it has one, with error 0 (complex w only
-    where the model continues); else the ``gamma`` quadrature at real w, with
-    ``settings``.
-    """
+def gamma_samples(model, w):
+    """Gamma shaped like w, by the model's exact rule; complex w only where
+    the model continues into Im w >= 0."""
     w = np.asarray(w)
     if np.iscomplexobj(w) and not model.continues_upper_half:
         raise ContinuationError("the model is defined only at real frequencies")
-    errs = np.zeros(w.shape)
-    vals = model._gamma(w)
-    if vals is None:
-        vals = np.empty(w.shape, dtype=complex)
-        for i, x in np.ndenumerate(w):
-            vals[i], errs[i] = gamma(model, float(x), settings, full_output=True)
-    return (vals, errs) if full_output else vals
+    return model._gamma(w)
 
 
 def susceptibility(model, mech, w):
@@ -206,9 +197,9 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
         omega_max = min(1.0e3, model.omega_range[1])
 
     def gamma_r(ws):
-        return gamma_samples(model, np.atleast_1d(ws), settings=_CUTOFF_QUADRATURE).real
+        return gamma_samples(model, np.atleast_1d(ws)).real
 
-    probe = np.logspace(np.log10(omega_max) - 1.0, np.log10(omega_max), 48)
+    probe = np.geomspace(omega_max / 10.0, omega_max, 48)  # ends on omega_max exactly
     probe_vals = gamma_r(probe)
     slope = fit_power_law_slope(probe, np.clip(probe_vals, 1e-300, None))
     if slope > -1.2:
@@ -238,12 +229,16 @@ class SusceptibilityResult:
     chi: ResponseCurve
     omega_c: float
     mu: float
-    quad_errors: np.ndarray
     cutoff_diagnostics: CutoffDiagnostics = None
 
     @property
     def cutoff_divergent(self):
         return not np.isfinite(self.omega_c)
+
+    @property
+    def quad_errors(self):
+        """Error bounds of the Gamma samples: 0, as every model's rule is exact."""
+        return np.zeros(self.gamma.grid.shape)
 
     def to_csv(self, path):
         g, x = self.gamma.values, self.chi.values
@@ -259,7 +254,7 @@ def compute_susceptibility(model, mech, grid):
     than raised, so pipelines can still report the curve.
     """
     grid = np.asarray(grid, dtype=float)
-    vals, errs = gamma_samples(model, grid, full_output=True)
+    vals = gamma_samples(model, grid)
     chi_vals = 1j * mech.m * mech.tau * grid**3 * vals
     diag = None
     try:
@@ -272,6 +267,5 @@ def compute_susceptibility(model, mech, grid):
         chi=ResponseCurve(grid, chi_vals, label="chi"),
         omega_c=omega_c,
         mu=mu,
-        quad_errors=errs,
         cutoff_diagnostics=diag,
     )

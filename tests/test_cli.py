@@ -96,6 +96,18 @@ def test_analyze_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_analyze_reports_cutoff_health(tmp_path):
+    cfg = write_cfg(tmp_path, LORENTZIAN_CFG)
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "l")]) == 0
+    doc = json.loads((tmp_path / "l" / "summary.json").read_text())
+    _, diag = vm.reflection_cutoff(vm.lorentzian_mirror(), full_output=True)
+    assert (doc["tail_fraction"], doc["decay_slope"]) == (diag.tail_fraction, diag.decay_slope)
+    cfg = write_cfg(tmp_path, LORENTZIAN_CFG.replace("kind = lorentzian", "kind = perfect"))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    doc = json.loads((tmp_path / "p" / "summary.json").read_text())
+    assert doc["tail_fraction"] is None and doc["decay_slope"] is None
+
+
 def test_analyze_perfect_flags_divergence(tmp_path):
     body = LORENTZIAN_CFG.replace("kind = lorentzian", "kind = perfect")
     cfg = write_cfg(tmp_path, body)
@@ -131,6 +143,20 @@ def test_stability_lorentzian_passive(tmp_path):
     assert doc["rhp_zero_count"] == 0
     assert doc["passive"]
     assert doc["mu_over_m"] == pytest.approx(3e-3, rel=1e-2)
+
+
+def test_stability_tabulated_passive(tmp_path):
+    # the benchmark's table to omega = 1100 with a coarser linear head
+    table = tmp_path / "table.txt"
+    vm.save_table(table, *make_tabulated_copy(omega_max=1100.0, step=1e-2,
+                                              log_points=2200).table)
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table}\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "stability.json").read_text())
+    assert doc["passive"] is True
+    assert doc["rhp_zero_count"] == 0
+    assert doc["omega_C"] == pytest.approx(3.0, rel=1e-2)
 
 
 def test_stability_strong_coupling_unstable(tmp_path):
@@ -328,13 +354,16 @@ def test_timestamps_only_under_flag(tmp_path):
 
 
 def _forbid_gamma_quadrature(monkeypatch):
-    """Make the Gamma quadrature integrand raise wherever it is reached."""
-    def alpha(*args):
-        raise AssertionError("Gamma quadrature reached")
+    """Make the Gamma quadrature integrand and the tabulated Gamma rule raise
+    wherever they are reached."""
+    def forbidden(*args):
+        raise AssertionError("Gamma work reached")
 
     # the package re-exports a function named ``susceptibility``, so the
     # module has to come from the import system, not from an attribute
-    monkeypatch.setattr(importlib.import_module("vacmirror.susceptibility"), "alpha", alpha)
+    monkeypatch.setattr(importlib.import_module("vacmirror.susceptibility"), "alpha", forbidden)
+    monkeypatch.setattr(importlib.import_module("vacmirror.scattering").TabulatedMirror,
+                        "_gamma", forbidden)
 
 
 @pytest.mark.parametrize("kind", ["lorentzian", "perfect"])

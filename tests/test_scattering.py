@@ -3,6 +3,7 @@ import pytest
 
 import vacmirror as vm
 from vacmirror.errors import ContinuationError, FrequencyRangeError
+from vacmirror.numerics import QuadratureSettings
 
 from conftest import make_tabulated_copy
 
@@ -156,10 +157,12 @@ _TABULATED_AT_GRID = {
         "0x1.e1e1e1e1e1e20p-5 -0x1.e1e1e1e1e1e1ep-3", "0x1.0000000000000p-1 -0x1.0000000000000p-1",
         "0x1.f691b3a83a81ep-1 -0x1.136160904d608p-3",
     ],
+    # recorded from the exact piecewise Gauss-Legendre rule; the adaptive
+    # quadrature these replaced was off by up to 2.1e-12
     "gamma": [
-        "0x1.8395ad2377712p-2 -0x1.b140e5450a673p-2", "0x1.0000000000000p+0 0x0.0p+0",
-        "0x1.f44a1ff5cba00p-1 0x1.00ac5803af5a5p-3", "0x1.9576e0bd90253p-1 0x1.7807bb986b001p-2",
-        "0x1.1348de8cbb16ep-3 0x1.1ef2baf5070bcp-2",
+        "0x1.8395ad2377574p-2 -0x1.b140e5450ac72p-2", "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.f44a1ff5cba16p-1 0x1.00ac5803af5b0p-3", "0x1.9576e0bd90254p-1 0x1.7807bb986b000p-2",
+        "0x1.1348de8caeea4p-3 0x1.1ef2baf5003c8p-2",
     ],
 }
 
@@ -189,6 +192,10 @@ def test_every_factory_answers_the_model_interface(name):
            "gamma": vm.gamma_samples(model, ws)}
     for key, values in want.items():
         np.testing.assert_array_equal(got[key], np.array(values, dtype=complex), err_msg=key)
+    if name == "tabulated":
+        tight = QuadratureSettings(abs_tol=1e-13, max_panels=40000)
+        quad = np.array([vm.gamma(model, float(w), tight) for w in ws])
+        assert np.max(np.abs(got["gamma"] - quad)) < 1e-11
     # scalars come back as Python complex, equal to the array entries
     assert vm.reflectivity(model, ws[2]) == got["r"][2]
     assert type(vm.transmissivity(model, ws[2])) is complex
