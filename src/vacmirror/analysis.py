@@ -347,7 +347,7 @@ class StabilityReport:
             "passive": bool(self.passive),
             "min_ReZ": self.min_re_z,
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
         if path is not None:
             with open(path, "w") as fh:
                 fh.write(text)

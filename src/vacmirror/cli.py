@@ -144,6 +144,9 @@ def parse_config(path):
                 f"cannot parse '{val}' as {typ.__name__} for {section}.{key}",
                 str(path), lineno,
             ) from None
+        # float() takes nan and +-inf, which the sign checks below let through
+        if typ is float and not np.isfinite(parsed):
+            raise ConfigError(f"{section}.{key} must be finite", str(path), lineno)
         if positive and isinstance(parsed, (int, float)) and parsed <= 0:
             raise ConfigError(f"{section}.{key} must be positive", str(path), lineno)
         choices = _CHOICES.get((section, key))
@@ -212,7 +215,7 @@ def _json_num(x):
 
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _meta(args):

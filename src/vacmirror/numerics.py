@@ -3,7 +3,11 @@
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature, the running trapezoid integral, the PV Hilbert
 transform used by the dispersion checks, inverse-square tail fitting and a
-complex secant root finder.  The transform helper fixes the package convention
+complex secant root finder.  The CSV writer prints every value as %.11e
+with NumPy, byte for byte what Python's formatting prints: 12 digits from a
+double-double product with a tabulated power of ten, rounded exactly unless
+the value lies next to a rounding tie, and Python formats those alone (see
+write_csv).  The transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -11,6 +15,7 @@ which is the opposite sign to numpy's FFT, hence the conjugation below.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -99,26 +104,160 @@ def running_integral(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-# rows formatted per string operation: a block's Python floats then fit in
-# the allocator's reused pools; blocks of 1024 rows left the peak RSS of a
-# 30-run simulate queue 3-5 MB (of about 100 MB) higher
-_CSV_BLOCK = 64
+# rows formatted per block: the block's scratch arrays take about 200 bytes a
+# value; 4096-row blocks ran no faster and raised the peak RSS of a simulate
+# queue by 4 MB (of about 101 MB)
+_CSV_BLOCK = 1024
+# one value's bytes: sign, lead digit, '.', 11 digits, 'e', exponent sign,
+# three exponent digits, separator; the writer drops the sign byte of a
+# value >= 0 and the hundreds byte of an exponent below 100
+_SLOT = 20
+# the fractional part of |x| * 10^(11 - e) is computed to within 2^-52, so a
+# value whose fraction lies farther than this from 1/2 rounds the same way
+# exactly; a nearer one is left to Python's correctly rounded formatting
+_TIE_MARGIN = 2.0**-40
+_K_MIN = -300  # 11 - e spans [-298, 336] for doubles, with an estimate off by one
+_E_MAX = 330
+
+
+def _decimal_scales(k_min, k_max):
+    """10^k = 2^b * (hi + lo) with 1 <= hi < 2, for k_min <= k <= k_max.
+
+    Built from exact integers: hi is the nearest double to 10^k / 2^b and lo
+    the nearest double to the remainder, so hi + lo is 10^k / 2^b to about
+    2^-106.  Returns (b, hi, lo) and hi's Dekker split.
+    """
+    b, hi, lo = [], [], []
+    for k in range(k_min, k_max + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        e2 = num.bit_length() - den.bit_length()
+        if (num << max(-e2, 0)) < (den << max(e2, 0)):
+            e2 -= 1
+        num, den = num << max(-e2, 0), den << max(e2, 0)  # num / den in [1, 2)
+        h = num / den  # int true division rounds correctly
+        p, q = h.as_integer_ratio()
+        b.append(e2)
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    return (np.array(b, dtype=np.int32), hi, np.array(lo)) + _split(hi)
+
+
+def _split(a):
+    """Dekker's split of doubles into two 26-bit halves that sum to a exactly."""
+    c = 134217729.0 * a
+    head = c - (c - a)
+    return head, a - head
+
+
+@cache
+def _csv_tables():
+    """The writer's read-only tables, built on first use so that importing the
+    package does not pay for them: the scales of _decimal_scales, the four
+    ASCII digits of each 0 <= i < 10^4 as one word, and the exponent field
+    (sign and three digits) of each |e| <= _E_MAX as one word."""
+    digits = 48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    exponents = b"".join(b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1))
+    return (_decimal_scales(_K_MIN, 11 + _E_MAX),
+            digits.astype(np.uint8).view("=u4")[:, 0],
+            np.frombuffer(exponents, dtype="=u4"))
+
+
+def _scaled(ax, e):
+    """|x| * 10^(11 - e) as an unevaluated sum p + low, to within 3 * 2^-65 for p < 2^40.
+
+    |x| * 2^b is exact, and Dekker's two-product gives its product with hi
+    exactly as p + err; NumPy has no fused multiply-add to do it instead.
+    """
+    b, hi, lo, hi_head, hi_tail = (t[11 - e - _K_MIN] for t in _csv_tables()[0])
+    xs = np.ldexp(ax, b)
+    p = xs * hi
+    xs_head, xs_tail = _split(xs)
+    err = ((xs_head * hi_head - p) + xs_head * hi_tail + xs_tail * hi_head) + xs_tail * hi_tail
+    return p, err + xs * lo
+
+
+def _format_fallback(values):
+    """The values the fast path leaves, each formatted by Python."""
+    return [b"%.11e" % v for v in values]
+
+
+def _format_block(x, slots):
+    """The %.11e bytes of the values x, each followed by its slot's separator.
+
+    ``slots`` is an (x.size, _SLOT) byte array holding '-' at 0, 'e' at 14
+    and the separator at the end; it is overwritten.
+    """
+    ax = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lg = np.log10(ax)
+        live = np.isfinite(lg)  # finite and nonzero
+        e = np.floor(np.where(live, lg, 0.0)).astype(np.int64)
+        p, low = _scaled(ax, e)
+        # the decade from log10 can be off by one next to a power of ten: redo
+        # those values with the adjacent exponent
+        off = np.flatnonzero(live & ((p < 1e11) | (p > 1e12)))
+        if off.size:
+            e[off] += np.where(p[off] > 1e12, 1, -1)
+            p[off], low[off] = _scaled(ax[off], e[off])
+        whole = np.floor(p)
+        frac = (p - whole) + low
+        # p == 1e12 is a carry whichever side of it the exact product lies
+        fast = (ax == 0) | (live & (p >= 1e11) & (p <= 1e12) & (np.abs(frac - 0.5) > _TIE_MARGIN))
+        digits = np.where(fast, whole + (frac > 0.5), 0.0).astype(np.int64)
+    carry = digits == 10**12
+    digits[carry] = 10**11
+    e = np.where(fast, e + carry, 0)
+
+    _, digits4, exponents = _csv_tables()
+    head = digits // 10**8
+    rest = digits - head * 10**8
+    mid = rest // 10**4
+    slots[:, 2:6].view("=u4")[:, 0] = digits4[head]
+    slots[:, 6:10].view("=u4")[:, 0] = digits4[mid]
+    slots[:, 10:14].view("=u4")[:, 0] = digits4[rest - mid * 10**4]
+    slots[:, 1] = slots[:, 2]
+    slots[:, 2] = ord(".")
+    slots[:, 15:19].view("=u4")[:, 0] = exponents[e + _E_MAX]
+    keep = np.ones(slots.shape, dtype=bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, 16] = np.abs(e) >= 100
+
+    slow = np.flatnonzero(~fast)  # nan, +-inf and exact or near ties
+    if slow.size:
+        text = _format_fallback(x[slow].tolist())
+        width = _SLOT - 1
+        slots[slow, :width] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+        keep[slow, :width] = np.arange(width) < np.array([len(t) for t in text])[:, None]
+    return slots[keep]
 
 
 def write_csv(path, header, columns):
     """Write equal-length real columns under a header line, every value as %.11e.
 
-    The bytes are those of np.savetxt(fmt="%.11e", delimiter=","); each
-    block of rows is one % over a repeated row template, so the memory
-    held stays bounded whatever the row count.
+    The bytes are those of np.savetxt(fmt="%.11e", delimiter=",").  A
+    finite nonzero x with decade e prints the 12 digits D = rint(y), y =
+    |x| * 10^(11 - e), carried into the next decade when D reaches 10^12.
+    y is formed as a double-double: |x| * 2^b exactly, times a tabulated
+    10^(11 - e) / 2^b = hi + lo (to 2^-106) by Dekker's two-product.  Its
+    fractional part is then known to within 2^-52, so rint is exact
+    wherever that part lies more than _TIE_MARGIN (2^-40) from 1/2.  Those
+    near ties, nan and +-inf are the one fallback: each is formatted alone
+    by Python into the same slot layout.  Rows go in blocks of _CSV_BLOCK,
+    so the memory held stays bounded whatever the row count.
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.11e"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="latin-1", newline="") as fh:
-        fh.write(header + "\n")
+    table = np.asarray(np.column_stack(columns), dtype=np.float64)
+    template = np.zeros((_CSV_BLOCK, table.shape[1], _SLOT), dtype=np.uint8)
+    template[..., 0] = ord("-")
+    template[..., 14] = ord("e")
+    template[..., -1] = ord(",")
+    template[:, -1, -1] = ord("\n")
+    template = template.reshape(-1, _SLOT)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("latin-1") + b"\n")
         for start in range(0, table.shape[0], _CSV_BLOCK):
-            block = table[start : start + _CSV_BLOCK]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            x = table[start : start + _CSV_BLOCK].ravel()
+            fh.write(_format_block(x, template[: x.size].copy()))
 
 
 def pv_hilbert_even(grid, values, w, tail_coeff=0.0):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -262,6 +263,10 @@ def test_stability_report_serialization(tmp_path, perfect):
     assert not doc["passive"]
     assert doc["roots"][0]["re"] == pytest.approx(1000.0, rel=1e-8)
     assert set(doc["min_ReZ"]) == {"value", "p_re", "p_im"}
+    # a non-finite number fails loudly instead of becoming invalid JSON
+    broken = dataclasses.replace(report, min_re_z={**report.min_re_z, "value": float("nan")})
+    with pytest.raises(ValueError, match="JSON"):
+        broken.to_json()
 
 
 @pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0, 5.0])

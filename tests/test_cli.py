@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 
@@ -408,3 +409,63 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
     _forbid_gamma_quadrature(monkeypatch)  # refused before any Gamma work
     assert main(["crosscheck", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "consistency check" in capsys.readouterr().err
+
+
+# SHA-256 of every CSV the CLI writes for three small runs, recorded with
+# the row-by-row %.11e writer (numpy 2.4, x86-64): any change in the bytes
+# of a data file, format or numbers, shows here.  A change that moves the
+# numbers on purpose records them again and says so.
+_GOLDEN = {
+    ("analyze", LORENTZIAN_CFG): {
+        "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
+        "gamma.csv": "9e447d084bfd5a6b8253b250c37969b9d3110d29d7f3ae03c4d7fc09f4b908cf",
+        "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
+    },
+    ("simulate", SIM_MEMORY_CFG): {
+        "energy.csv": "ad2377d571a686c48595536f41b72e06835434bcf74645078c9cfbe2a957e64d",
+        "kernel.csv": "8652d7eca312c7779f6458ca003fcc80c5eefabe60d50840d20f4c9e741f19d1",
+        "trajectory.csv": "182ce20e270947cfe2ebaab80d8e48fe3d8792450b148dd33177d037767fcbfc",
+    },
+    ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
+        "energy.csv": "54a419b41854edfd96e4f4ca002f673e0b422a32ad7e4ba50a5f6a4e826b0c39",
+        "trajectory.csv": "9c5fe18d61a8252833c04b4eb1b541e0f1d52ad945d3c3c26a7d5784c86ba78c",
+    },
+}
+
+
+@pytest.mark.parametrize("command,body", list(_GOLDEN), ids=["analyze", "memory", "perfect"])
+def test_data_files_keep_their_bytes(tmp_path, command, body):
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == _GOLDEN[(command, body)]
+
+
+_FINITE_RUN = {
+    "model": {"kind": "lorentzian", "omega": "1.0"},
+    "mechanics": {"tau_omega": "0.1", "k_over_m": "1.0"},
+    "simulation": {"force": "gaussian", "amplitude": "1.0e-3", "t_final": "2.0", "dt": "1.0e-2"},
+}
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("mechanics", "tau_omega", "nan"),
+    ("mechanics", "k_over_m", "inf"),
+    ("model", "omega", "nan"),
+    ("simulation", "t_final", "inf"),
+    ("simulation", "amplitude", "-inf"),
+])
+def test_non_finite_values_are_refused(tmp_path, capsys, section, key, value):
+    # float() takes them; unrefused, they escape as a bare ValueError or
+    # OverflowError or run on into NaN output and invalid JSON
+    run = {s: dict(keys) for s, keys in _FINITE_RUN.items()}
+    run[section][key] = value
+    lines = [line for s, keys in run.items()
+             for line in [f"[{s}]"] + [f"{k} = {v}" for k, v in keys.items()]]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    lineno = lines.index(f"{key} = {value}") + 1
+    assert f"{cfg}:{lineno}: {section}.{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()

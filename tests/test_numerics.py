@@ -11,7 +11,11 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
 
 import vacmirror
+from vacmirror import numerics
+from vacmirror.dynamics import export_energy_csv, export_run_csv
 from vacmirror.numerics import _CSV_BLOCK, running_integral, write_csv
+
+from test_dynamics import make_kernel
 
 _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 _TABLES = hnp.arrays(
@@ -51,6 +55,83 @@ def test_write_csv_matches_row_formatter_across_blocks(tmp_path, rows):
     header = "t,q,v,a,F_a,W_a,E,W_m"
     write_csv(path, header, list(table.T))
     assert path.read_bytes() == row_formatted_csv(header, list(table.T))
+
+
+def _step(x, steps):
+    """x moved by ``steps`` units in the last place."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.copysign(np.inf, steps)))
+    return x
+
+
+_SUBNORMAL_MAX = 2.2250738585072014e-308
+_EXACT_TIES = st.one_of(
+    # 13 significant digits ending in 5: integers, and 1 + odd/4096
+    st.integers(10**11, 10**12 - 1).map(lambda n: float(10 * n + 5)),
+    st.integers(0, 2047).map(lambda j: (4096 + 2 * j + 1) / 4096),
+)
+_CARRIES = st.builds(  # next to 9.999999999995e+-n, which rounds up into the next decade
+    lambda n, steps: _step(float(f"9.999999999995e{n}"), steps),
+    st.integers(-320, 308), st.integers(-3, 3),
+)
+_WIDE_EXPONENTS = st.builds(  # both sides of 1e+-99 and 1e+-100
+    lambda sign, n, lead, steps: sign * _step(float(f"{lead}e{n}"), steps),
+    st.sampled_from([1.0, -1.0]), st.sampled_from([-101, -100, -99, 98, 99, 100]),
+    st.sampled_from(["1", "9.999999999995"]), st.integers(-2, 2),
+)
+_HARD_VALUES = st.one_of(
+    _EXACT_TIES, _CARRIES, _WIDE_EXPONENTS,
+    st.floats(min_value=-_SUBNORMAL_MAX, max_value=_SUBNORMAL_MAX, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_MIXED_BLOCK = [0.125, -3.5, 4097 / 4096, np.nan, 2.0, np.inf, -1e-3, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_HARD_VALUES, min_size=1, max_size=48),
+       rows=st.integers(1, 12), cols=st.integers(1, 8))
+@example(values=[4097 / 4096, 1234567890125.0, 4095 / 4096], rows=1, cols=3)
+@example(values=[_step(9.999999999995e-7, s) for s in (-2, -1, 0, 1, 2)]
+         + [_step(9.999999999995e99, s) for s in (-1, 0, 1)], rows=2, cols=4)
+@example(values=[1e99, _step(1e99, -1), 1e100, _step(1e100, -1),
+                 -1e-99, _step(-1e-99, 1), -1e-100, _step(-1e-100, 1)], rows=1, cols=8)
+@example(values=[-0.0, 5e-324, -5e-324, _SUBNORMAL_MAX, -2.5e-310, 0.0], rows=3, cols=2)
+@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK - 1, cols=8)
+@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK, cols=8)
+@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK + 1, cols=8)
+@example(values=_MIXED_BLOCK, rows=2 * _CSV_BLOCK + 7, cols=7)
+def test_write_csv_matches_row_formatter_on_hard_values(tmp_path_factory, values, rows, cols):
+    # exact ties (rounded half to even), carries into the next decade,
+    # three-digit exponents, subnormals, signed zeros and non-finite values,
+    # tiled cyclically over rows x cols
+    table = np.resize(np.array(values, dtype=np.float64), (rows, cols))
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    header = ",".join(f"c{j}" for j in range(cols))
+    write_csv(path, header, list(table.T))
+    assert path.read_bytes() == row_formatted_csv(header, list(table.T))
+
+
+def test_write_csv_leaves_few_values_of_a_trajectory_to_the_fallback(tmp_path, monkeypatch):
+    # a silent slide back to per-value formatting would keep the bytes and
+    # lose the speed; a 20 k-step memory run must stay on the fast path
+    mech = vacmirror.MirrorMechanics(k=2.25, tau=0.3)
+    pulse = vacmirror.ForceProfile(kind="gaussian", amplitude=1e-3, center=5.0, width=1.5)
+    traj = vacmirror.simulate_with_memory(mech, make_kernel(mech, 20.0, 1e-3), pulse, 20.0)
+    ledger = vacmirror.energy_ledger(traj, mech)
+    fallback = []
+    original = numerics._format_fallback
+
+    def counted(values):
+        fallback.extend(values)
+        return original(values)
+
+    monkeypatch.setattr(numerics, "_format_fallback", counted)
+    export_run_csv(tmp_path / "trajectory.csv", traj, ledger)
+    export_energy_csv(tmp_path / "energy.csv", ledger)
+    n_values = traj.times.size * (8 + 6)
+    assert traj.times.size == 20001
+    assert len(fallback) < 1e-3 * n_values
 
 
 def test_write_csv_multiline_header(tmp_path):
