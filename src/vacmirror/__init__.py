@@ -9,11 +9,9 @@ knob is the dimensionless coupling tau_omega.
 
 from .analysis import (
     MirrorMechanics,
-    Rectangle,
     StabilityReport,
     admittance,
     count_rhp_zeros,
-    default_contour,
     default_probes,
     impedance,
     laplace_impedance,

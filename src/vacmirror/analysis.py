@@ -11,13 +11,18 @@ vacuum.  In the Laplace domain (p = -i w, Re p > 0)
     Z{p} = k/p + m p - m tau p^2 Gamma{p},
 
 real on the positive real axis.  A runaway mode is a zero of Z{p} in
-Re p > 0; the argument principle counts them, a secant iteration refines
-them, and passivity (Re Z{p} >= 0) is probed on a log-polar set and
-cross-checked against the spectral representation
+Re p > 0.  The argument principle counts them on the boundary of the whole
+half plane (Nyquist): a walk up the imaginary axis, where only real-axis
+Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
+Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
+at p = 0 and the arc at infinity close it in closed form.  A scan of the
+real axis seeds a secant iteration that refines them, and passivity
+(Re Z{p} >= 0) is probed on a log-polar set and cross-checked against the
+spectral representation
 
     Z{p} = (2p/pi) int_0^inf Z_R[rho] / (p^2 + rho^2) drho + k/p + p(m - mu).
 
-Evaluations are pure; contour and probe sweeps vectorize over points.
+Evaluations are pure; the walk and the probe sweeps vectorize over points.
 """
 
 import json
@@ -55,8 +60,6 @@ __all__ = [
     "refine_root",
     "passivity_check",
     "spectral_impedance",
-    "Rectangle",
-    "default_contour",
     "StabilityReport",
     "stability_report",
 ]
@@ -100,126 +103,108 @@ def sample_gamma_real(model, omega_max=None):
     return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 
 
-def _laplace_gamma(model, p, gamma_curve=None):
-    """Gamma{p} = Gamma[i p], Re p > 0: the model's continuation, or its continued curve."""
-    p = np.asarray(p, dtype=complex)
-    if np.any(np.real(p) <= 0):
-        raise ContinuationError("Laplace evaluation requires Re p > 0")
+def _laplace_gamma(model, p):
+    """Gamma{p} = Gamma[i p], Re p > 0: the model's continuation, or the Cauchy
+    continuation of its cached curve."""
     if model.continues_upper_half:
         out = gamma_samples(model, 1j * p)
         return out if out.ndim else complex(out)
-    if gamma_curve is None:
-        raise ContinuationError(
-            "a model without a continuation needs a sampled Gamma curve for Laplace evaluation"
-        )
-    grid, vals = gamma_curve.grid, np.real(gamma_curve.values)
-    tail = fit_inverse_square_tail(grid, vals)
-    flat = np.atleast_1d(p)
-    out = np.array(
-        [continue_upper_half(gamma_curve, 1j * pp, tail_coeff=tail) for pp in flat]
-    )
+    curve = model.gamma_curve
+    tail = fit_inverse_square_tail(curve.grid, np.real(curve.values))
+    out = np.array([continue_upper_half(curve, 1j * pp, tail_coeff=tail)
+                    for pp in np.atleast_1d(p)])
     return out.reshape(p.shape) if p.ndim else complex(out[0])
 
 
-def laplace_impedance(model, mech, p, gamma_curve=None):
+def laplace_impedance(model, mech, p):
     """Z{p} = k/p + m p - m tau p^2 Gamma{p}, analytic in Re p > 0."""
     p = np.asarray(p, dtype=complex)
-    g = _laplace_gamma(model, p, gamma_curve)
-    out = mech.k / p + mech.m * p - mech.m * mech.tau * p**2 * g
+    if np.any(np.real(p) <= 0):
+        raise ContinuationError("Laplace evaluation requires Re p > 0")
+    out = mech.k / p + mech.m * p - mech.m * mech.tau * p**2 * _laplace_gamma(model, p)
     return out if out.ndim else complex(out)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Contour bounds in Re p > 0: [re_min, re_max] x [-im_max, im_max]."""
-
-    re_min: float
-    re_max: float
-    im_max: float
-
-    def __post_init__(self):
-        if not (0 < self.re_min < self.re_max) or self.im_max <= 0:
-            raise ValueError("contour must sit strictly inside Re p > 0")
+_WALK_POINTS = 256
+_REFINE_ROUNDS = 30
 
 
-def default_contour(mech, omega_c=None):
-    """Rectangle wide enough for the runaway pole and the cutoff scale."""
-    extent = 10.0
-    if mech.tau > 0:
-        extent = max(extent, 10.0 / mech.tau)
-    if omega_c is not None and np.isfinite(omega_c):
-        extent = max(extent, 10.0 * omega_c)
-    if mech.k > 0:
-        extent = max(extent, 10.0 * mech.omega0)
-    return Rectangle(re_min=1e-6, re_max=extent, im_max=extent)
-
-
-def _signed_log_points(extent, floor, n):
-    mags = np.geomspace(floor, extent, n)
-    return np.concatenate([-mags[::-1], [0.0], mags])
-
-
-def _contour_path(rect, n_edge):
-    lo, hi, p_im = rect.re_min, rect.re_max, rect.im_max
-    res = np.geomspace(lo, hi, n_edge)
-    ims = _signed_log_points(p_im, min(lo, p_im * 1e-9), n_edge // 2)
-    bottom = res + 1j * (-p_im)
-    right = hi + 1j * ims
-    top = res[::-1] + 1j * p_im
-    left = lo + 1j * ims[::-1]
-    path = np.concatenate([bottom, right[1:], top[1:], left[1:]])
-    if path[0] != path[-1]:
-        path = np.concatenate([path, [path[0]]])
-    return path
-
-
-def _wrap_phase(d):
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def count_rhp_zeros(model, mech, contour=None, gamma_curve=None, n_edge=128):
-    """Zeros of Z{p} inside a rectangle in Re p > 0 (argument principle).
-
-    The contour is sampled adaptively, in at most 40 bisection rounds,
-    until consecutive phase steps stay below pi/2; a minimum-modulus check
-    (|Z| below 1e-9 of m|p| + k/|p|) guards against zeros sitting on the
-    contour, raising ContourError with a suggestion to perturb it.
+def _walk_span(model, mech):
+    """The walk's span of y, inside [1e-300, 1e300]: 1e-9 times below the scales
+    of Z (1, omega_0, 1/tau, the model's omega_scale), where Z ~ k/p or m p,
+    and 1e14 times above them, where Z ~ (m - mu) p outruns the logarithms of
+    Gamma down to |mu/m - 1| ~ 1e-6, or Z ~ -m tau p^2 (past 1/tau, Gamma = 1).
     """
-    if contour is None:
-        contour = default_contour(mech)
+    scales = [1.0, model.omega_scale] + ([mech.omega0] if mech.k > 0 else [])
+    runaway = [1.0 / mech.tau] if mech.tau > 0 else []
+    low = 1e-9 * min(scales + runaway)
+    top = 1e14 * max(scales + (runaway if model.gamma_is_one else []))
+    return max(low, 1e-300), min(top, 1e300)
 
-    def zf(pts):
-        return np.atleast_1d(laplace_impedance(model, mech, pts, gamma_curve))
 
-    pts = _contour_path(contour, n_edge)
-    vals = zf(pts)
-    for _ in range(40):
-        dph = _wrap_phase(np.diff(np.angle(vals)))
-        bad = np.abs(dph) >= 0.5 * np.pi
-        if not bad.any():
-            break
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (pts[idx] + pts[idx + 1])
-        pts = np.insert(pts, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, zf(mids))
+def _axis_impedance(model, mech, y):
+    """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0.
+
+    A model without a continuation reads Gamma from its curve and, above the
+    curve's top, from the asymptote Gamma ~ c/y^2 + i omega/y that the
+    curve's Cauchy continuation carries: c its inverse-square tail, omega
+    its cutoff integral (2/pi) (int Gamma_R + c/top).
+    """
+    mt = mech.m * mech.tau
+    if model.continues_upper_half:
+        motional = (mt * y) * (y * np.conj(gamma_samples(model, y)))
     else:
-        raise ContourError("could not resolve phase steps below pi/2")
+        curve = model.gamma_curve
+        grid, g_r = curve.grid, np.real(curve.values)
+        c = fit_inverse_square_tail(grid, g_r)
+        omega = (2.0 / np.pi) * (np.trapezoid(g_r, grid) + c / grid[-1])
+        inside = y <= grid[-1]
+        motional = mt * (c - 1j * omega * y)
+        motional[inside] = (mt * y[inside]) * (y[inside] * np.conj(curve(y[inside])))
+    return -1j * mech.k / y + 1j * mech.m * y + motional
 
-    scale = mech.m * np.abs(pts) + mech.k / np.maximum(np.abs(pts), 1e-300)
-    if np.min(np.abs(vals) / scale) < 1e-9:
-        raise ContourError(
-            "impedance modulus nearly vanishes on the contour; "
-            "a zero may sit on it -- perturb the rectangle"
-        )
-    dph = _wrap_phase(np.diff(np.angle(vals)))
-    turns = dph.sum() / (2.0 * np.pi)
-    count = int(round(turns))
-    if abs(turns - count) > 0.25:
+
+def count_rhp_zeros(model, mech):
+    """Zeros of Z{p} in Re p > 0 by the argument principle on the imaginary axis.
+
+    The closed contour is the imaginary axis, indented into Re p > 0 around
+    p = 0 and closed by the arc at infinity.  The walk samples Z(i y) on
+    log-spaced y over ``_walk_span``; conjugate symmetry gives the lower
+    half, so its phase change counts twice.  The indentation turns Z by +pi where Z ~ k/p and
+    by -pi where Z ~ m p; the arc by 2 pi where Z ~ -m tau p^2 (Gamma = 1,
+    tau > 0), else by pi, where Z grows like p.
+
+    Re Z(i y) = m tau y^2 Gamma_R >= 0 for a passive Gamma, so a step
+    between two samples with Re Z >= 0 is the plain difference of their
+    principal arguments; this also takes a zero on the axis as its +pi
+    indentation.  Steps touching a sample with Re Z < 0 are wrapped and
+    bisected until they stay below pi/2.  A winding more than 1/4 from an
+    integer (mu = m, where Z grows only like log p) raises ContourError.
+    """
+    y = np.geomspace(*_walk_span(model, mech), _WALK_POINTS)
+    z = _axis_impedance(model, mech, y)
+    for _ in range(_REFINE_ROUNDS):
+        step = np.diff(np.angle(z))
+        left = z.real < 0
+        wrap = left[:-1] | left[1:]
+        step[wrap] = (step[wrap] + np.pi) % (2.0 * np.pi) - np.pi
+        idx = np.nonzero(wrap & (np.abs(step) >= 0.5 * np.pi))[0]
+        if idx.size == 0:
+            break
+        mids = np.sqrt(y[idx] * y[idx + 1])
+        y = np.insert(y, idx + 1, mids)
+        z = np.insert(z, idx + 1, _axis_impedance(model, mech, mids))
+    else:
+        raise ContourError(f"phase steps above pi/2 left after {_REFINE_ROUNDS} rounds")
+    indent = np.pi if mech.k > 0 else -np.pi
+    arc = 2.0 * np.pi if model.gamma_is_one and mech.tau > 0 else np.pi
+    turns = (indent + arc - 2.0 * step.sum()) / (2.0 * np.pi)
+    if not abs(turns - round(turns)) <= 0.25:  # also a nan winding
         raise ContourError(f"winding {turns:.3f} is not close to an integer")
-    return count
+    return int(round(turns))
 
 
-def refine_root(model, mech, seed, gamma_curve=None):
+def refine_root(model, mech, seed):
     """Polish a zero of Z{p} from a seed in Re p > 0 (secant iteration).
 
     Returns (root, residual) with |Z{root}| below 1e-10 * m * |root|.
@@ -232,7 +217,7 @@ def refine_root(model, mech, seed, gamma_curve=None):
     def f(p):
         if np.real(p) <= 0:
             raise RootConvergenceError(f"iterate left Re p > 0 at {p}")
-        return laplace_impedance(model, mech, complex(p), gamma_curve)
+        return laplace_impedance(model, mech, complex(p))
 
     root, resid = secant_root(f, complex(seed))
     if resid > 1e-10 * mech.m * max(abs(root), 1e-30):
@@ -258,11 +243,11 @@ class PassivityScan:
     n_probes: int
 
 
-def passivity_check(model, mech, probes=None, gamma_curve=None):
+def passivity_check(model, mech, probes=None):
     """Scan Re Z{p} over a probe set; verdict min >= -1e-9 * m|p| pointwise."""
     if probes is None:
         probes = default_probes()
-    z = np.atleast_1d(laplace_impedance(model, mech, probes, gamma_curve))
+    z = np.atleast_1d(laplace_impedance(model, mech, probes))
     scale = mech.m * np.abs(probes)
     scaled = z.real / scale
     i = int(np.argmin(scaled))
@@ -287,7 +272,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     from .numerics import QuadratureSettings, fit_power_law_slope, integrate_decades
 
     if gamma_curve is None:
-        gamma_curve = sample_gamma_real(model)
+        gamma_curve = model.gamma_curve
     grid, gvals = gamma_curve.grid, np.real(gamma_curve.values)
     top = grid >= grid[-1] / 10.0
     slope = fit_power_law_slope(grid[top], np.clip(gvals[top], 1e-300, None))
@@ -354,11 +339,12 @@ class StabilityReport:
         return text
 
 
-def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
-    """Real zeros of Z on the positive real axis, ascending: an exact zero of the
-    scan once, and each strict sign change between scan points bisected."""
-    ps = np.geomspace(1e-6, p_max, n)
-    z = np.real(np.atleast_1d(laplace_impedance(model, mech, ps, gamma_curve)))
+def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
+    """Real zeros of Z on the positive real axis in [p_min, p_max], ascending:
+    an exact zero of the scan once, and each strict sign change between scan
+    points bisected."""
+    ps = np.geomspace(p_min, p_max, n)
+    z = np.real(np.atleast_1d(laplace_impedance(model, mech, ps)))
     sign = np.sign(z)
     seeds = [float(p) for p in ps[sign == 0]]
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -366,7 +352,7 @@ def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
         fa = z[i]
         for _ in range(60):
             m = 0.5 * (a + b)
-            fm = float(np.real(laplace_impedance(model, mech, m, gamma_curve)))
+            fm = float(np.real(laplace_impedance(model, mech, m)))
             if fa * fm <= 0:
                 b = m
             else:
@@ -375,27 +361,34 @@ def _real_axis_seeds(model, mech, p_max, gamma_curve=None, n=400):
     return sorted(seeds)
 
 
-def stability_report(model, mech, contour=None, gamma_curve=None, probes=None):
-    """Full stability/passivity summary; a model without a continuation is
-    continued from its ``sample_gamma_real`` curve unless one is given."""
-    if gamma_curve is None and not model.continues_upper_half:
-        gamma_curve = sample_gamma_real(model)
+def stability_report(model, mech, probes=None):
+    """Full stability/passivity summary: the zero count, the real roots, the
+    passivity scan and the cutoff."""
     try:
         omega_c = reflection_cutoff(model)
         mu = induced_mass(mech, omega_c)
     except CutoffDivergenceError:
         omega_c, mu = np.inf, np.inf
-    if contour is None:
-        contour = default_contour(mech, omega_c if np.isfinite(omega_c) else None)
-    count = count_rhp_zeros(model, mech, contour, gamma_curve)
+    count = count_rhp_zeros(model, mech)
     roots = []
     if count > 0:
-        for seed in _real_axis_seeds(model, mech, contour.re_max, gamma_curve):
+        # a real zero sits in [1e-6, 10 x the largest scale of Z] (1, omega_0,
+        # 1/tau, omega_C; count > 0 needs tau > 0) unless mu is near m or a
+        # scale is tiny; only then is the rest of the walk's span scanned (a
+        # set: an exact zero at a shared end is found twice)
+        scales = [1.0, mech.omega0, 1.0 / mech.tau, omega_c if np.isfinite(omega_c) else 0.0]
+        p_max = 10.0 * max(scales)
+        seeds = _real_axis_seeds(model, mech, p_max)
+        if len(seeds) < count:
+            low, top = _walk_span(model, mech)
+            seeds = sorted({*_real_axis_seeds(model, mech, 1e-6, p_min=low), *seeds,
+                            *_real_axis_seeds(model, mech, top, p_min=p_max)})
+        for seed in seeds:
             try:
-                roots.append(refine_root(model, mech, seed, gamma_curve))
+                roots.append(refine_root(model, mech, seed))
             except RootConvergenceError:
                 pass
-    scan = passivity_check(model, mech, probes, gamma_curve)
+    scan = passivity_check(model, mech, probes)
     passive = scan.passive and count == 0
     return StabilityReport(
         model_kind=model.kind,

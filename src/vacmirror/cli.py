@@ -70,8 +70,6 @@ _SCHEMA = {
         "spacing": (str, "log", False),
     },
     "analysis": {
-        "contour_delta": (float, 1e-6, True),
-        "contour_max": (float, 0.0, False),  # 0 = auto
         "probe_points": (int, 1000, True),
         "probe_min": (float, 1e-3, True),
         "probe_max": (float, 1e3, True),
@@ -271,13 +269,10 @@ def cmd_stability(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
     a = cfg["analysis"]
-    contour = None
-    if a["contour_max"] > 0:
-        contour = analysis.Rectangle(a["contour_delta"], a["contour_max"], a["contour_max"])
     probes = analysis.default_probes(
         a["probe_min"], a["probe_max"], n_mag=max(4, a["probe_points"] // 25)
     )
-    report = analysis.stability_report(model, mech, contour=contour, probes=probes)
+    report = analysis.stability_report(model, mech, probes=probes)
     report.to_json(out / "stability.json")
     return 0
 
@@ -405,15 +400,12 @@ def cmd_crosscheck(cfg, out, args):
     # spectral representation vs direct Laplace impedance
     doc["spectral_rep"] = {"status": "divergent", "defect": None}
     if mu is not None:
-        gamma_curve = analysis.sample_gamma_real(model)
         ps = np.geomspace(1e-2, 1e2, a["spectral_points"])
         try:
             rel = 0.0
             for p in ps:
-                direct = analysis.laplace_impedance(model, mech, complex(p), gamma_curve)
-                spectral = analysis.spectral_impedance(
-                    model, mech, complex(p), gamma_curve=gamma_curve, mu=mu
-                )
+                direct = analysis.laplace_impedance(model, mech, complex(p))
+                spectral = analysis.spectral_impedance(model, mech, complex(p), mu=mu)
                 rel = max(rel, abs(spectral - direct) / abs(direct))
             doc["spectral_rep"] = {"defect": rel, "threshold": a["spectral_threshold"],
                                    "passed": bool(rel < a["spectral_threshold"])}

@@ -52,7 +52,8 @@ class AdmittanceSingularityError(VacMirrorError):
 
 
 class ContourError(VacMirrorError):
-    """Argument-principle contour unusable (suspected zero on contour)."""
+    """Argument-principle winding unusable: not an integer (the marginal case
+    mu = m, where Z grows only like log p), or phase steps left unresolved."""
 
 
 class RootConvergenceError(VacMirrorError):

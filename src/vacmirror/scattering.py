@@ -20,6 +20,7 @@ can be shared freely across workers.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,13 +31,25 @@ from .numerics import fit_inverse_square_tail, fit_power_law_slope, pv_hilbert_e
 class MirrorModel:
     """What every mirror model answers: ``_r``, ``_s`` and ``_gamma`` (r, s and
     Gamma shaped like w), ``omega_range`` (|w| where r, s exist),
-    ``continues_upper_half`` (r, s, Gamma defined at Im w >= 0) and
-    ``gamma_is_one`` (Gamma == 1, the local third-derivative regime).
+    ``continues_upper_half`` (r, s, Gamma defined at Im w >= 0),
+    ``gamma_is_one`` (Gamma == 1, the local third-derivative regime),
+    ``omega_scale`` (the frequency on which Gamma varies, 1 where it has
+    none of its own) and ``gamma_curve``.
     """
 
     omega_range = (0.0, np.inf)
     continues_upper_half = True
     gamma_is_one = False
+    omega_scale = 1.0
+
+    @cached_property
+    def gamma_curve(self):
+        """The ``sample_gamma_real`` curve, sampled on first use and kept, out
+        of comparisons, with the model: the spectral integrals' Gamma_R, and
+        the Gamma a table is continued from."""
+        from .analysis import sample_gamma_real
+
+        return sample_gamma_real(self)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.analysis import (
@@ -18,7 +20,55 @@ from vacmirror.errors import (
     RootConvergenceError,
 )
 
+from conftest import make_tabulated_copy
+
 GAMMA_AT_OMEGA = 0.7918305220645259 + 0.3670525612951462j
+
+
+@pytest.fixture(scope="module")
+def table_1100():
+    """The benchmark's table of the Lorentzian to omega = 1100, coarser head."""
+    return make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+
+
+def rectangle_count(model, mech, re_max, n_edge=128):
+    """Zeros of Z{p} inside [1e-6, re_max] x [-re_max, re_max] by the argument
+    principle on the rectangle's boundary: the oracle of the imaginary-axis walk
+    wherever the rectangle holds the zero.
+
+    Adaptive sampling, in at most 40 bisection rounds, until every wrapped
+    phase step stays below pi/2; a zero on the boundary or a winding far from
+    an integer raises ContourError.
+    """
+    def wrap(d):
+        return (d + np.pi) % (2.0 * np.pi) - np.pi
+
+    lo = 1e-6
+    res = np.geomspace(lo, re_max, n_edge)
+    mags = np.geomspace(lo, re_max, n_edge // 2)
+    ims = np.concatenate([-mags[::-1], [0.0], mags])
+    pts = np.concatenate([res - 1j * re_max, re_max + 1j * ims[1:],
+                          res[::-1][1:] + 1j * re_max, lo + 1j * ims[::-1][1:]])
+    pts = np.append(pts, pts[0])
+    vals = np.atleast_1d(vm.laplace_impedance(model, mech, pts))
+    for _ in range(40):
+        bad = np.abs(wrap(np.diff(np.angle(vals)))) >= 0.5 * np.pi
+        if not bad.any():
+            break
+        idx = np.nonzero(bad)[0]
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        pts = np.insert(pts, idx + 1, mids)
+        vals = np.insert(vals, idx + 1, vm.laplace_impedance(model, mech, mids))
+    else:
+        raise ContourError("could not resolve phase steps below pi/2")
+    scale = mech.m * np.abs(pts) + mech.k / np.abs(pts)
+    if np.min(np.abs(vals) / scale) < 1e-9:
+        raise ContourError("a zero sits on the rectangle")
+    turns = wrap(np.diff(np.angle(vals))).sum() / (2.0 * np.pi)
+    count = int(round(turns))
+    if abs(turns - count) > 0.25:
+        raise ContourError(f"winding {turns:.3f} is not close to an integer")
+    return count
 
 
 def test_impedance_perfect_free_mass(perfect):
@@ -117,12 +167,13 @@ def test_laplace_rejects_left_half(lorentzian):
         vm.laplace_impedance(lorentzian, mech, -1.0 + 0.5j)
 
 
-def test_laplace_tabulated_needs_curve(tabulated_copy):
+def test_laplace_tabulated_continues_its_cached_curve(tabulated_copy):
     mech = vm.MirrorMechanics(k=0.0, tau=1e-3)
-    with pytest.raises(ContinuationError):
-        vm.laplace_impedance(tabulated_copy, mech, 1.0)
-    curve = sample_gamma_real(tabulated_copy, omega_max=tabulated_copy.omega_range[1])
-    z = vm.laplace_impedance(tabulated_copy, mech, 1.0, gamma_curve=curve)
+    z = vm.laplace_impedance(tabulated_copy, mech, 1.0)
+    curve = tabulated_copy.gamma_curve
+    assert tabulated_copy.gamma_curve is curve  # sampled once
+    top = tabulated_copy.omega_range[1]
+    np.testing.assert_array_equal(curve.values, sample_gamma_real(tabulated_copy, top).values)
     exact = vm.laplace_impedance(vm.lorentzian_mirror(), mech, 1.0)
     assert abs(z - exact) / abs(exact) < 1e-4
 
@@ -135,20 +186,104 @@ def test_count_rhp_zeros_dichotomy(perfect, lorentzian):
     assert vm.count_rhp_zeros(lorentzian, strong) >= 1
 
 
-def test_count_invariant_under_refinement(perfect):
-    free = vm.MirrorMechanics(k=0.0, tau=1e-3)
-    contour = vm.default_contour(free)
-    a = vm.count_rhp_zeros(perfect, free, contour, n_edge=96)
-    b = vm.count_rhp_zeros(perfect, free, contour, n_edge=192)
-    assert a == b == 1
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_count_rhp_zeros_needs_no_curve(lorentzian, table_1100, kind):
+    model = lorentzian if kind == "lorentzian" else table_1100
+    for tau, k, expect in [(1e-3, 0.0, 0), (0.2, 0.0, 0), (0.3, 0.0, 0), (0.2, 4.0, 0),
+                           (0.34, 0.0, 1), (0.35, 0.0, 1), (0.4, 0.0, 1), (1.0, 0.0, 1),
+                           (0.35, 1.0, 1), (0.0, 0.0, 0), (0.0, 1.0, 0),
+                           (1e-3, 1e-20, 0), (0.35, 1e-20, 1)]:
+        assert vm.count_rhp_zeros(model, vm.MirrorMechanics(k=k, tau=tau)) == expect, (tau, k)
 
 
-def test_contour_error_on_zero_on_contour(perfect):
-    free = vm.MirrorMechanics(k=0.0, tau=1e-3)
-    # right edge passes exactly through the zero at p = 1/tau
-    contour = vm.Rectangle(re_min=1e-6, re_max=1.0 / free.tau, im_max=10.0)
-    with pytest.raises(ContourError):
-        vm.count_rhp_zeros(perfect, free, contour)
+@pytest.mark.parametrize("tau", [1e-16, 1e-6, 1e-3, 0.1, 1.0, 50.0, 1e8])
+@pytest.mark.parametrize("k", [0.0, 1e-20, 0.5, 4.0])
+def test_count_perfect_mirror_one_runaway(perfect, tau, k):
+    assert vm.count_rhp_zeros(perfect, vm.MirrorMechanics(k=k, tau=tau)) == 1
+
+
+@pytest.mark.parametrize("omega,k", [(1.0, 1e-20), (1.0, 1e30), (1e-10, 0.0), (1e10, 0.0)])
+@pytest.mark.parametrize("tau_omega", [1e-3, 0.2, 0.4])
+def test_walk_span_follows_the_scales_of_z(omega, k, tau_omega):
+    # omega_0 or Omega far from 1: the walk still starts where Z ~ k/p or m p
+    # and ends where Z ~ (m - mu) p, so the count stays [mu > m]
+    mech = vm.MirrorMechanics(k=k, tau=tau_omega / omega)
+    assert vm.count_rhp_zeros(vm.lorentzian_mirror(omega), mech) == int(tau_omega > 1.0 / 3.0)
+
+
+def test_count_decoupled_is_zero_with_a_zero_on_the_axis(lorentzian, perfect):
+    # tau = 0: Z = k/p + m p, zero at p = i omega_0 on the axis for k > 0; a
+    # transparent table (r = 0, s = 1, Gamma = 0) has the same Z at any tau
+    clear = vm.tabulated_mirror(np.linspace(0.0, 50.0, 60), np.zeros(60), np.ones(60))
+    for k in (0.0, 1.0, 4.0):
+        for model in (lorentzian, perfect, clear):
+            assert vm.count_rhp_zeros(model, vm.MirrorMechanics(k=k, tau=0.0)) == 0
+        assert vm.count_rhp_zeros(clear, vm.MirrorMechanics(k=k, tau=0.01)) == 0
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_contour_error_at_the_marginal_mass(lorentzian, k):
+    # mu = m at tau Omega = 1/3: Z grows like log p, the winding is 1/2
+    with pytest.raises(ContourError, match="not close to an integer"):
+        vm.count_rhp_zeros(lorentzian, vm.MirrorMechanics(k=k, tau=1.0 / 3.0))
+
+
+def test_rectangle_oracle_misses_the_distant_zero(lorentzian):
+    # mu/m = 1.05: the zero at p ~ 176.8 lies outside the rectangle of side
+    # 10 omega_C; the walk over the whole half plane counts it
+    mech = vm.MirrorMechanics(k=0.0, tau=0.35)
+    assert rectangle_count(lorentzian, mech, 10.0 * vm.reflection_cutoff(lorentzian)) == 0
+    assert rectangle_count(lorentzian, mech, 400.0) == 1
+    assert vm.count_rhp_zeros(lorentzian, mech) == 1
+
+
+@dataclasses.dataclass(frozen=True)
+class GainMirror(vm.MirrorModel):
+    """Gamma = -Gamma_lorentzian: Re Z(i y) < 0 at every y, so every phase
+    step of the walk is wrapped and refined."""
+
+    kind = "gain"
+
+    def _gamma(self, w):
+        return -np.asarray(vm.lorentzian_gamma(w))
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.5, 2.0])
+@pytest.mark.parametrize("k,expect", [(0.0, 0), (1.0, 2)])
+def test_walk_wraps_the_steps_where_re_z_is_negative(tau, k, expect):
+    # negative damping pushes the oscillator's pair of zeros into Re p > 0
+    mech = vm.MirrorMechanics(k=k, tau=tau)
+    assert vm.count_rhp_zeros(GainMirror(), mech) == expect
+    assert rectangle_count(GainMirror(), mech, 1e3) == expect
+
+
+_TAU_OMEGA = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)
+_SPRING = st.one_of(st.just(0.0), st.floats(0.25, 4.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau_omega=_TAU_OMEGA, k=_SPRING, perfect_mirror=st.booleans())
+def test_walk_matches_the_rectangle_oracle(lorentzian, perfect, tau_omega, k, perfect_mirror):
+    # the rectangle reaches 10 times the largest scale of Z, and holds the
+    # runaway zero once |mu/m - 1| >= 0.25
+    mech = vm.MirrorMechanics(k=k, tau=tau_omega)
+    if perfect_mirror:
+        model, omega_c = perfect, 0.0
+    else:
+        model, omega_c = lorentzian, vm.reflection_cutoff(lorentzian)
+        assume(abs(3.0 * tau_omega - 1.0) >= 0.25)
+    re_max = 10.0 * max(1.0, 1.0 / tau_omega, omega_c, mech.omega0)
+    assert vm.count_rhp_zeros(model, mech) == rectangle_count(model, mech, re_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_omega=_TAU_OMEGA, k=_SPRING, omega=st.floats(0.5, 4.0))
+def test_walk_counts_a_runaway_exactly_when_mu_exceeds_m(tau_omega, k, omega):
+    # mu/m = omega_C tau = 3 tau Omega for the Lorentzian
+    assume(abs(3.0 * tau_omega - 1.0) >= 1e-6)
+    mech = vm.MirrorMechanics(k=k, tau=tau_omega / omega)
+    count = vm.count_rhp_zeros(vm.lorentzian_mirror(omega), mech)
+    assert count == int(3.0 * tau_omega > 1.0)
 
 
 def test_refine_root_perfect(perfect):
@@ -269,17 +404,33 @@ def test_stability_report_serialization(tmp_path, perfect):
         broken.to_json()
 
 
-@pytest.mark.parametrize("tau", [1e-3, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("tau", [1e-16, 1e-3, 0.1, 1.0, 5.0, 1e8])
 @pytest.mark.parametrize("k", [0.0, 0.5, 4.0])
 def test_perfect_mirror_root_from_the_real_axis_scan(perfect, tau, k):
     # the scan lands exactly on the root at tau = 1, k = 0 (p = 1) and at
-    # tau = 5, k = 4 (5 p^3 - p^2 - 4 = 0 at p = 1): one seed, not two
+    # tau = 5, k = 4 (5 p^3 - p^2 - 4 = 0 at p = 1): one seed, not two; at
+    # tau = 1e8, k = 0 the root p = 1e-8 lies below the first scan
     mech = vm.MirrorMechanics(k=k, tau=tau)
     report = vm.stability_report(perfect, mech)
     assert report.rhp_zero_count == 1
     (root, _), = report.roots
     expect, _ = vm.refine_root(perfect, mech, 0.8 / tau)
     assert abs(root - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+@pytest.mark.parametrize("tau,k", [(0.34, 0.0), (0.35, 0.0), (0.4, 0.0), (0.35, 1.0)])
+def test_runaway_just_above_the_mass_boundary(lorentzian, table_1100, kind, tau, k):
+    # 1 < mu/m < 1.2: the real zero lies far out (p ~ 541 at tau Omega = 0.34)
+    model = lorentzian if kind == "lorentzian" else table_1100
+    mech = vm.MirrorMechanics(k=k, tau=tau)
+    report = vm.stability_report(model, mech)
+    assert 1.0 < report.mu_over_m < 1.2
+    assert report.rhp_zero_count == 1
+    (root, resid), = report.roots
+    assert abs(root.imag) <= 1e-12 * abs(root) and root.real > 10.0
+    assert resid <= 1e-10 * mech.m * abs(root)
+    assert not report.passive
 
 
 def test_real_axis_seeds_take_an_exact_zero_once(perfect):

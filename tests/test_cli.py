@@ -160,6 +160,54 @@ def test_stability_tabulated_passive(tmp_path):
     assert doc["omega_C"] == pytest.approx(3.0, rel=1e-2)
 
 
+@pytest.fixture(scope="module")
+def table_1100_file(tmp_path_factory):
+    table = tmp_path_factory.mktemp("table") / "table.txt"
+    vm.save_table(table, *make_tabulated_copy(omega_max=1100.0, step=1e-2,
+                                              log_points=2200).table)
+    return table
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+@pytest.mark.parametrize("tau,k", [(0.34, 0.0), (0.35, 0.0), (0.4, 0.0), (0.35, 1.0)])
+def test_stability_runaway_just_above_the_mass_boundary(tmp_path, table_1100_file, kind, tau, k):
+    # 1 < mu/m < 1.2: the runaway zero lies far out (p ~ 177 at tau Omega = 0.35)
+    model = f"kind = {kind}\n" + (f"table = {table_1100_file}\n" if kind == "tabulated" else "")
+    cfg = write_cfg(tmp_path, f"[model]\n{model}[mechanics]\ntau_omega = {tau}\nk_over_m = {k}\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "stability.json").read_text())
+    assert 1.0 < doc["mu_over_m"] < 1.2
+    assert doc["rhp_zero_count"] == 1
+    (root,) = doc["roots"]
+    p = abs(complex(root["re"], root["im"]))
+    assert abs(root["im"]) <= 1e-12 * p and root["re"] > 10.0
+    assert root["residual"] <= 1e-10 * p
+    assert doc["passive"] is False
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "perfect", "transparent"])
+def test_stability_decoupled_counts_no_zero(tmp_path, kind):
+    model = f"kind = {kind}\n"
+    if kind == "transparent":
+        table = tmp_path / "clear.txt"
+        vm.save_table(table, np.linspace(0.0, 50.0, 60), np.zeros(60), np.ones(60))
+        model = f"kind = tabulated\ntable = {table}\n"
+    cfg = write_cfg(tmp_path, f"[model]\n{model}[mechanics]\ntau_omega = 0.0\nk_over_m = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "stability.json").read_text())
+    assert doc["rhp_zero_count"] == 0 and doc["roots"] == []
+
+
+@pytest.mark.parametrize("key", ["contour_delta", "contour_max"])
+def test_removed_contour_keys_are_unknown(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, LORENTZIAN_CFG + f"\n[analysis]\n{key} = 50.0\n")
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key '{key}' in [analysis]" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "stability.json").exists()
+
+
 def test_stability_strong_coupling_unstable(tmp_path):
     body = LORENTZIAN_CFG.replace("tau_omega = 1.0e-3", "tau_omega = 1.0")
     cfg = write_cfg(tmp_path, body)
