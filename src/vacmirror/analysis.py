@@ -264,28 +264,24 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     """Z{p} from the passive spectral representation.
 
     Folds the nonnegative measure Z_R[rho] drho / (pi (1 + rho^2)) onto
-    the positive axis, integrates a dense Gamma_R spline decade by decade,
-    and closes with the fitted inverse-square tail and the k/p + p(m - mu)
-    terms.  Models without a finite induced mass raise
-    CutoffDivergenceError.
+    the positive axis, integrates decade by decade the Gamma_R spline that
+    ``gamma_curve`` builds once and keeps, and closes with the fitted
+    inverse-square tail and the k/p + p(m - mu) terms.  Models without a
+    finite induced mass raise CutoffDivergenceError.
     """
-    from .numerics import QuadratureSettings, fit_power_law_slope, integrate_decades
+    from .numerics import QuadratureSettings, decay_slope, integrate_decades
 
     if gamma_curve is None:
         gamma_curve = model.gamma_curve
     grid, gvals = gamma_curve.grid, np.real(gamma_curve.values)
-    top = grid >= grid[-1] / 10.0
-    slope = fit_power_law_slope(grid[top], np.clip(gvals[top], 1e-300, None))
-    if slope > -1.2:
+    if decay_slope(grid, gvals) > -1.2:
         raise CutoffDivergenceError("spectral measure is not finite (no reflection cutoff)")
     if mu is None:
         mu = induced_mass(mech, reflection_cutoff(model, omega_max=grid[-1]))
     if mu > mech.m:
         raise ValueError("spectral representation requires mu <= m")
 
-    from scipy.interpolate import CubicSpline
-
-    spl = CubicSpline(grid, gvals)
+    spl = gamma_curve._splines[0]
     mt = mech.m * mech.tau
     p = complex(p)
     if p.real <= 0:
@@ -297,8 +293,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     settings = QuadratureSettings(abs_tol=1e-9 * max(1.0, abs(mu)), max_panels=8000)
     total = integrate_decades(integrand, grid[-1], settings)
     c_tail = fit_inverse_square_tail(grid, gvals)
-    L = grid[-1]
-    total += mt * c_tail * (np.pi / 2.0 - np.arctan(L / p)) / p
+    total += mt * c_tail * (np.pi / 2.0 - np.arctan(grid[-1] / p)) / p
     return (2.0 * p / np.pi) * total + mech.k / p + p * (mech.m - mu)
 
 

@@ -31,38 +31,36 @@ from .numerics import (
 from .susceptibility import gamma, gamma_samples
 
 
-def _real_samples(curve):
-    return curve.grid, np.real(curve.values)
-
-
 def kk_reconstruct(gamma_r, w, tail_coeff=None):
     """Full Gamma[w] from samples of Gamma_R via the dispersion relation.
 
-    ``gamma_r`` is a ResponseCurve (imaginary parts, if any, are ignored).
-    The real part of the result is the sampled Gamma_R at w; the imaginary
-    part is the principal-value transform with singularity subtraction
-    plus a fitted c/w^2 tail beyond the grid.
+    ``gamma_r`` is a ResponseCurve (imaginary parts, if any, are ignored)
+    and ``w`` a frequency or an array, each |w| inside the grid or 0 on a
+    grid from 0.  The real part of the result is the sampled Gamma_R at w;
+    the imaginary part, odd in w, is the principal-value transform with
+    singularity subtraction, one call for all of w, plus a fitted c/w^2
+    tail beyond the grid.
     """
-    grid, vals = _real_samples(gamma_r)
+    grid, vals = gamma_r.grid, np.real(gamma_r.values)
     if tail_coeff is None:
         tail_coeff = fit_inverse_square_tail(grid, vals)
-    w = float(w)
-    if w == 0.0 and grid[0] == 0.0:
-        return complex(vals[0], 0.0)  # odd part vanishes at the center
-    sign = 1.0 if w >= 0 else -1.0
-    aw = abs(w)
-    if not (grid[0] < aw < grid[-1]):
-        raise FrequencyRangeError(f"|w|={aw} outside grid interior")
-    im = pv_hilbert_even(grid, vals, aw, tail_coeff=tail_coeff)
-    re = float(np.interp(aw, grid, vals))
-    return complex(re, sign * im)
+    w = np.asarray(w, dtype=float)
+    aw = np.abs(w)
+    inside = (grid[0] < aw) & (aw < grid[-1])
+    center = (w == 0.0) & (grid[0] == 0.0)  # the odd part vanishes there
+    if not np.all(inside | center):
+        raise FrequencyRangeError(f"|w|={aw[~(inside | center)].flat[0]} outside grid interior")
+    out = np.asarray(np.interp(aw, grid, vals), dtype=complex)
+    out.imag[inside] = pv_hilbert_even(grid, vals, aw[inside], tail_coeff=tail_coeff)
+    out.imag = np.where(w < 0, -out.imag, out.imag)
+    return out if out.ndim else complex(out)
 
 
 def continue_upper_half(gamma_r, w, tail_coeff=None):
     """Cauchy continuation of Gamma into Im w > 0 from Gamma_R samples."""
     if np.imag(w) <= 0:
         raise ContinuationError("continuation defined for Im w > 0 only")
-    grid, vals = _real_samples(gamma_r)
+    grid, vals = gamma_r.grid, np.real(gamma_r.values)
     if tail_coeff is None:
         tail_coeff = fit_inverse_square_tail(grid, vals)
     return cauchy_upper_half(grid, vals, complex(w), tail_coeff=tail_coeff)

@@ -260,6 +260,9 @@ def write_csv(path, header, columns):
             fh.write(_format_block(x, template[: x.size].copy()))
 
 
+_PV_BLOCK = 1 << 16  # integrand values pv_hilbert_even holds at once
+
+
 def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
     """Principal-value Kramers-Kronig integral for an even real function.
 
@@ -270,27 +273,30 @@ def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
     is the coefficient of an assumed  c/w'^2  decay beyond the grid.
 
     This is the imaginary part that causality pairs with the given real
-    part.  ``w`` must lie strictly inside the grid.
+    part, shaped like ``w``: one probe or an array of them, each strictly
+    inside the grid.  One cubic spline of the samples serves every probe.
     """
     from scipy.interpolate import CubicSpline
 
     spline = CubicSpline(grid, values)
-    L = grid[-1]
-    if not (grid[0] <= w < L):
-        raise FrequencyRangeError(f"probe {w} outside sampled interior [{grid[0]}, {L})")
-    fw = float(spline(w))
-    dfw = float(spline(w, 1))
-    denom = (grid - w) * (grid + w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (values - fw) * 2.0 * w / denom
-    near = np.abs(grid - w) < 1e-12 * max(1.0, w)
-    integrand[near] = dfw
-    result = np.trapezoid(integrand, grid)
+    L, g0 = grid[-1], grid[0]
+    w = np.asarray(w, dtype=float)
+    outside = ~((g0 <= w) & (w < L))
+    if outside.any():
+        raise FrequencyRangeError(f"probe {w[outside].flat[0]} outside the grid [{g0}, {L})")
+    fw, dfw = spline(w), spline(w, 1)
+    result = np.empty(w.shape)
+    step = max(1, _PV_BLOCK // grid.size)
+    for i in range(0, w.size, step):  # a block of probes, one row of grid nodes each
+        wb, fb, dfb = (np.ravel(a)[i : i + step, None] for a in (w, fw, dfw))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = (values - fb) * 2.0 * wb / ((grid - wb) * (grid + wb))
+        near = np.abs(grid - wb) < 1e-12 * np.maximum(1.0, wb)
+        result.flat[i : i + step] = np.trapezoid(np.where(near, dfb, integrand), grid, axis=-1)
     # analytic PV of the subtracted pole over [0, L]
     result += fw * np.log((L - w) / (L + w))
     # below-grid segment, integrand frozen at the edge value (grid may
     # start above 0); the pole sits outside [0, grid[0]]
-    g0 = grid[0]
     if g0 > 0:
         result += (values[0] - fw) * np.log((w - g0) / (w + g0))
     if tail_coeff != 0.0:
@@ -341,6 +347,13 @@ def fit_power_law_slope(grid, values):
     if mask.sum() < 4:
         raise FitError("fewer than 4 positive samples in the slope-fit window")
     return float(np.polyfit(np.log(grid[mask]), np.log(values[mask]), 1)[0])
+
+
+def decay_slope(grid, values):
+    """Top-decade power-law slope of the values floored at 1e-300; -inf if they all vanish there."""
+    if np.any(values[grid >= grid[-1] / 10.0]):
+        return fit_power_law_slope(grid, np.clip(values, 1e-300, None))
+    return -np.inf
 
 
 def secant_root(f, z0):

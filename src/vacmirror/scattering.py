@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
-from .numerics import fit_inverse_square_tail, fit_power_law_slope, pv_hilbert_even
+from .numerics import fit_inverse_square_tail, fit_power_law_slope
 
 
 class MirrorModel:
@@ -280,9 +280,13 @@ def validate_model(model, grid):
 
     Reports the worst | |r|^2 + |s|^2 - 1 |, the largest |r| over the top
     decade of the grid (with a fitted decay slope), and the residual of a
-    Kramers-Kronig reconstruction of Im r from Re r.  Nothing is raised;
-    defects are numbers for the caller to judge.
+    Kramers-Kronig reconstruction of Im r from Re r: one ``kk_reconstruct``
+    call for all interior probes, against Im r interpolated linearly.
+    Nothing is raised; defects are numbers for the caller to judge.
     """
+    from .dispersion import kk_reconstruct
+    from .susceptibility import ResponseCurve
+
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("validation grid must be nonempty, positive, increasing")
@@ -299,19 +303,16 @@ def validate_model(model, grid):
     # |r| must die at least like 1/w for the cutoff integrals to exist
     has_cutoff = tail < 0.5 and slope < -0.9
 
-    re_r = np.real(r)
-    im_r = np.imag(r)
     try:
-        c_tail = fit_inverse_square_tail(grid, re_r)
+        c_tail = fit_inverse_square_tail(grid, np.real(r))
     except FitError:
         c_tail = 0.0
     interior = grid[(grid > grid[0] * 4) & (grid < grid[-1] / 4)]
     probes = interior[:: max(1, interior.size // 64)]
-    defects = [
-        abs(pv_hilbert_even(grid, re_r, w, tail_coeff=c_tail) - np.interp(w, grid, im_r))
-        for w in probes
-    ]
-    causality = float(np.max(defects)) if defects else np.inf
+    causality = np.inf
+    if probes.size:
+        rec = kk_reconstruct(ResponseCurve(grid, r), probes, tail_coeff=c_tail)
+        causality = float(np.max(np.abs(rec.imag - np.interp(probes, grid, np.imag(r)))))
 
     return ModelValidation(
         unitarity_defect=unitarity,

@@ -24,7 +24,8 @@ limit.
 All functions are pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .errors import ContinuationError, CutoffDivergenceError, FrequencyRangeErro
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
+    decay_slope,
     fit_inverse_square_tail,
-    fit_power_law_slope,
     integrate_decades,
     write_csv,
 )
@@ -77,7 +78,6 @@ class ResponseCurve:
     grid: np.ndarray
     values: np.ndarray
     label: str = ""
-    _spline: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -91,20 +91,14 @@ class ResponseCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
+    @cached_property
     def _splines(self):
-        if self._spline is None:
-            from scipy.interpolate import CubicSpline
+        from scipy.interpolate import CubicSpline
 
-            object.__setattr__(
-                self,
-                "_spline",
-                (CubicSpline(self.grid, self.values.real),
-                 CubicSpline(self.grid, self.values.imag)),
-            )
-        return self._spline
+        return CubicSpline(self.grid, self.values.real), CubicSpline(self.grid, self.values.imag)
 
     def __call__(self, w):
-        re, im = self._splines()
+        re, im = self._splines
         w = np.asarray(w, dtype=float)
         aw = np.abs(w)
         if np.any(aw < self.grid[0]) or np.any(aw > self.grid[-1]):
@@ -190,7 +184,8 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
     Folded to (2/pi) int_0^inf by parity.  The grid part is integrated by
     adaptive quadrature decade by decade up to ``omega_max`` (default: the
     lesser of 1e3 and the top of the model's range); beyond that a fitted
-    c/w^2 tail is added analytically.  Raises CutoffDivergenceError when
+    c/w^2 tail is added analytically, none where Gamma_R vanishes over the
+    top decade (a transparent mirror).  Raises CutoffDivergenceError when
     Gamma_R shows no integrable decay (the perfect mirror: Gamma_R == 1).
     """
     if omega_max is None:
@@ -201,7 +196,7 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
 
     probe = np.geomspace(omega_max / 10.0, omega_max, 48)  # ends on omega_max exactly
     probe_vals = gamma_r(probe)
-    slope = fit_power_law_slope(probe, np.clip(probe_vals, 1e-300, None))
+    slope = decay_slope(probe, probe_vals)
     if slope > -1.2:
         raise CutoffDivergenceError(
             f"Gamma_R decays like w^{slope:.2f} on the top decade; "
@@ -214,7 +209,7 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
     if full_output:
         return omega_c, CutoffDiagnostics(
             omega_c=omega_c,
-            tail_fraction=tail / (total + tail),
+            tail_fraction=tail / (total + tail) if tail else 0.0,
             tail_coeff=c,
             decay_slope=slope,
         )

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import vacmirror as vm
 from vacmirror.analysis import (
@@ -356,6 +357,23 @@ def test_spectral_matches_laplace(lorentzian):
         spectral = vm.spectral_impedance(lorentzian, mech, complex(p),
                                          gamma_curve=curve, mu=mu)
         assert abs(spectral - direct) / abs(direct) < 1e-4
+
+
+def test_spectral_reads_the_curves_own_spline_bitwise(lorentzian):
+    # one spline per curve, shared by every p, gives the numbers of a spline
+    # built afresh for each call
+    mech = vm.MirrorMechanics(k=0.5, tau=0.03)
+    curve = sample_gamma_real(lorentzian)
+    mu = vm.induced_mass(mech, vm.reflection_cutoff(lorentzian))
+    ps = np.geomspace(1e-2, 1e2, 9)
+    shared = [vm.spectral_impedance(lorentzian, mech, p, gamma_curve=curve, mu=mu) for p in ps]
+    fresh = [vm.spectral_impedance(lorentzian, mech, p, mu=mu,
+                                   gamma_curve=vm.ResponseCurve(curve.grid, curve.values))
+             for p in ps]
+    assert np.array(shared).tobytes() == np.array(fresh).tobytes()
+    rho = np.geomspace(1e-3, 1e3, 2001)
+    spline = CubicSpline(curve.grid, np.real(curve.values))
+    assert curve._splines[0](rho).tobytes() == spline(rho).tobytes()
 
 
 def test_spectral_bare_mass_limit(lorentzian):

@@ -134,6 +134,7 @@ def test_stability_perfect(tmp_path):
     assert doc["rhp_zero_count"] >= 1
     assert doc["roots"][0]["re"] == pytest.approx(1000.0, rel=1e-6)
     assert not doc["passive"]
+    assert doc["omega_C"] is None and doc["mu_over_m"] is None  # no cutoff
 
 
 def test_stability_lorentzian_passive(tmp_path):
@@ -488,6 +489,65 @@ def test_data_files_keep_their_bytes(tmp_path, command, body):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == _GOLDEN[(command, body)]
+
+
+# SHA-256 of the JSON documents of a Lorentzian analyze and crosscheck,
+# recorded when every Kramers-Kronig probe and spectral point still built its
+# own spline: sharing one spline per curve left the bytes as they were.
+_GOLDEN_JSON = {
+    ("analyze", "summary.json"):
+        "e2d6333f4d07159e86f4040d6cac1d34670fea64524a096ea6ee31115904d337",
+    ("crosscheck", "crosscheck.json"):
+        "0afdae8fe99b1d31c1a004a496cdcd1c54338444b3b76042941fceb17b5cf02b",
+}
+
+
+@pytest.mark.parametrize("command,name", list(_GOLDEN_JSON), ids=["analyze", "crosscheck"])
+def test_json_documents_keep_their_bytes(tmp_path, command, name):
+    cfg = write_cfg(tmp_path, LORENTZIAN_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == _GOLDEN_JSON[(command, name)]
+
+
+@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 5)])
+def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, most):
+    # analyze: the causality probes of validate_model share one spline;
+    # crosscheck: that one, one for the 40 KK probes, the real and imaginary
+    # parts of the Gamma curve for the 100 spectral points, and the
+    # consistency check's
+    import scipy.interpolate
+
+    builds = []
+
+    class Counted(scipy.interpolate.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            builds.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", Counted)
+    cfg = write_cfg(tmp_path, LORENTZIAN_CFG)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert 0 < len(builds) <= most
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.01])
+def test_transparent_table_has_zero_cutoff(tmp_path, tau):
+    # r = 0, s = 1: Gamma == 0, so omega_C = mu = 0 and there is no tail
+    table = tmp_path / "clear.txt"
+    vm.save_table(table, np.linspace(0.0, 50.0, 60), np.zeros(60), np.ones(60))
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table}\n"
+                              f"[mechanics]\ntau_omega = {tau}\nk_over_m = 1.0\n"
+                              "[grid]\nomega_max = 40.0\n")
+    for command, name in (("analyze", "summary.json"), ("stability", "stability.json")):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        assert doc["omega_C"] == 0.0 and doc["mu_over_m"] == 0.0
+    assert doc["rhp_zero_count"] == 0 and doc["passive"]
+    summary = json.loads((tmp_path / "analyze" / "summary.json").read_text())
+    assert summary["cutoff_divergent"] is False
+    assert summary["tail_fraction"] == 0.0
 
 
 _FINITE_RUN = {

@@ -66,6 +66,31 @@ def test_kk_range_error(gamma_r_curve):
         vm.kk_reconstruct(gamma_r_curve, 500.0)
 
 
+def test_kk_reconstruct_array_is_its_scalar_calls(gamma_r_curve):
+    w = np.array([[0.0, -0.0, 1.0, -1.0], [2.5, -3.7, 0.1, 399.9]])
+    rec = vm.kk_reconstruct(gamma_r_curve, w)
+    assert rec.shape == w.shape and rec.dtype == complex
+    each = np.array([vm.kk_reconstruct(gamma_r_curve, float(x)) for x in w.ravel()])
+    assert rec.ravel().tobytes() == each.tobytes()
+    assert vm.kk_reconstruct(gamma_r_curve, np.array([])).shape == (0,)
+
+
+def test_kk_reconstruct_array_on_a_grid_above_zero():
+    grid = np.geomspace(0.05, 60.0, 500)
+    curve = vm.ResponseCurve(grid, np.exp(-grid**2), label="bump")
+    w = np.array([-7.0, 0.3, 1.0, -0.06])
+    each = np.array([vm.kk_reconstruct(curve, x, tail_coeff=0.2) for x in w])
+    assert vm.kk_reconstruct(curve, w, tail_coeff=0.2).tobytes() == each.tobytes()
+    with pytest.raises(FrequencyRangeError):
+        vm.kk_reconstruct(curve, np.array([1.0, 0.0]))  # 0 lies below this grid
+
+
+@pytest.mark.parametrize("bad", [500.0, -400.0, 400.0, np.nan])
+def test_kk_reconstruct_array_refuses_any_element_out_of_range(gamma_r_curve, bad):
+    with pytest.raises(FrequencyRangeError, match="outside grid interior"):
+        vm.kk_reconstruct(gamma_r_curve, np.array([1.0, bad, 2.0]))
+
+
 def test_continue_upper_half_matches_closed_form(gamma_r_curve):
     est = vm.continue_upper_half(gamma_r_curve, 1j)
     assert abs(est - GAMMA_AT_I_OMEGA) / GAMMA_AT_I_OMEGA < 1e-5

@@ -9,11 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import CubicSpline
 
 import vacmirror
 from vacmirror import numerics
 from vacmirror.dynamics import export_energy_csv, export_run_csv
-from vacmirror.numerics import _CSV_BLOCK, running_integral, write_csv
+from vacmirror.numerics import (
+    _CSV_BLOCK,
+    _inverse_square_tail,
+    pv_hilbert_even,
+    running_integral,
+    write_csv,
+)
 
 from test_dynamics import make_kernel
 
@@ -161,6 +168,62 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     power = np.sin(3.0 * ts) * np.exp(-0.1 * ts)
     oracle = cumulative_trapezoid(power, ts, initial=0)
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
+
+
+def pv_hilbert_per_probe(grid, values, w, tail_coeff=0.0):
+    """The one-probe transform that the array form replaced, a spline per probe,
+    kept as its oracle."""
+    spline = CubicSpline(grid, values)
+    L = grid[-1]
+    fw = float(spline(w))
+    dfw = float(spline(w, 1))
+    denom = (grid - w) * (grid + w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = (values - fw) * 2.0 * w / denom
+    near = np.abs(grid - w) < 1e-12 * max(1.0, w)
+    integrand[near] = dfw
+    result = np.trapezoid(integrand, grid)
+    result += fw * np.log((L - w) / (L + w))
+    g0 = grid[0]
+    if g0 > 0:
+        result += (values[0] - fw) * np.log((w - g0) / (w + g0))
+    if tail_coeff != 0.0:
+        result += _inverse_square_tail(tail_coeff, w, L)
+    return -result / np.pi
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=4, max_value=300),
+       g0=st.sampled_from([0.0, 1e-3, 0.5, 3.0]),
+       tail=st.sampled_from([0.0, 1.0, -2.5, 1e-3]),
+       block=st.sampled_from([None, 1, 7, 1000]))
+def test_pv_hilbert_probes_match_the_per_probe_transform_bitwise(data, n, g0, tail, block):
+    steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0)))
+    grid = g0 + np.concatenate([[0.0], np.cumsum(steps)])
+    values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    # probes on interior grid nodes and anywhere strictly inside [g0, L)
+    nodes = data.draw(st.lists(st.integers(1, n - 2), max_size=8))
+    fractions = data.draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=8))
+    probes = np.array([grid[i] for i in nodes] + [g0 + u * (grid[-1] - g0) for u in fractions])
+    probes = probes[(probes > g0) & (probes < grid[-1])]
+    # the block size fixes how many probes share one integrand array
+    size = numerics._PV_BLOCK if block is None else block * grid.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_PV_BLOCK", size)
+        got = pv_hilbert_even(grid, values, probes, tail_coeff=tail)
+    oracle = np.array([pv_hilbert_per_probe(grid, values, float(w), tail) for w in probes])
+    assert got.shape == probes.shape
+    assert got.tobytes() == oracle.tobytes()
+    if probes.size:
+        one = pv_hilbert_even(grid, values, float(probes[0]), tail_coeff=tail)
+        assert np.ndim(one) == 0 and np.float64(one).tobytes() == oracle[:1].tobytes()
+
+
+def test_pv_hilbert_refuses_a_probe_outside_the_grid():
+    grid = np.linspace(0.5, 10.0, 40)
+    for bad in ([1.0, 10.0], [0.4, 2.0], [np.nan]):
+        with pytest.raises(vacmirror.FrequencyRangeError):
+            pv_hilbert_even(grid, np.exp(-grid), np.array(bad))
 
 
 _HEAVY = ("scipy.integrate", "scipy.signal")
