@@ -16,9 +16,10 @@ half plane (Nyquist): a walk up the imaginary axis, where only real-axis
 Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
 Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
 at p = 0 and the arc at infinity close it in closed form.  A scan of the
-real axis seeds a secant iteration that refines them, and passivity
-(Re Z{p} >= 0) is probed on a log-polar set and cross-checked against the
-spectral representation
+real axis seeds a secant iteration that refines them.  Passivity is read
+on the same walk: no zero in Re p > 0 and Re Z(i y) >= 0; its test oracle
+is ``passivity_check``, a log-polar probe scan of Re Z{p}.  The spectral
+representation cross-checks the continuation,
 
     Z{p} = (2p/pi) int_0^inf Z_R[rho] / (p^2 + rho^2) drho + k/p + p(m - mu).
 
@@ -43,7 +44,6 @@ from .numerics import fit_inverse_square_tail, secant_root
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
-    gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
@@ -98,9 +98,8 @@ def sample_gamma_real(model, omega_max=None):
     """
     if omega_max is None:
         omega_max = min(1.0e3, model.omega_range[1])
-    grid = np.geomspace(1e-3, omega_max, 1400)  # ends on omega_max exactly
-    vals = np.concatenate([[gamma(model, 0.0)], gamma_samples(model, grid)])
-    return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, omega_max, 1400)])  # ends on omega_max
+    return ResponseCurve(grid, gamma_samples(model, grid), label="gamma")
 
 
 def _laplace_gamma(model, p):
@@ -165,7 +164,12 @@ def _axis_impedance(model, mech, y):
 
 
 def count_rhp_zeros(model, mech):
-    """Zeros of Z{p} in Re p > 0 by the argument principle on the imaginary axis.
+    """Zeros of Z{p} in Re p > 0 by the argument principle on the imaginary axis."""
+    return _walk(model, mech)[0]
+
+
+def _walk(model, mech):
+    """The zero count of Z{p} in Re p > 0 and the walk's samples (y, Z(i y)).
 
     The closed contour is the imaginary axis, indented into Re p > 0 around
     p = 0 and closed by the arc at infinity.  The walk samples Z(i y) on
@@ -201,7 +205,7 @@ def count_rhp_zeros(model, mech):
     turns = (indent + arc - 2.0 * step.sum()) / (2.0 * np.pi)
     if not abs(turns - round(turns)) <= 0.25:  # also a nan winding
         raise ContourError(f"winding {turns:.3f} is not close to an integer")
-    return int(round(turns))
+    return int(round(turns)), y, z
 
 
 def refine_root(model, mech, seed):
@@ -281,7 +285,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     if mu > mech.m:
         raise ValueError("spectral representation requires mu <= m")
 
-    spl = gamma_curve._splines[0]
+    spl = gamma_curve._real_spline
     mt = mech.m * mech.tau
     p = complex(p)
     if p.real <= 0:
@@ -356,15 +360,16 @@ def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
     return sorted(seeds)
 
 
-def stability_report(model, mech, probes=None):
-    """Full stability/passivity summary: the zero count, the real roots, the
-    passivity scan and the cutoff."""
+def stability_report(model, mech):
+    """The zero count, the real roots, the cutoff and the passivity verdict:
+    no zero in Re p > 0 and Re Z(i y) >= -1e-9 m y on the walk (Brune), whose
+    sample with the least Re Z(i y)/(m y) is ``min_re_z``."""
     try:
         omega_c = reflection_cutoff(model)
         mu = induced_mass(mech, omega_c)
     except CutoffDivergenceError:
         omega_c, mu = np.inf, np.inf
-    count = count_rhp_zeros(model, mech)
+    count, y, z = _walk(model, mech)
     roots = []
     if count > 0:
         # a real zero sits in [1e-6, 10 x the largest scale of Z] (1, omega_0,
@@ -383,8 +388,8 @@ def stability_report(model, mech, probes=None):
                 roots.append(refine_root(model, mech, seed))
             except RootConvergenceError:
                 pass
-    scan = passivity_check(model, mech, probes)
-    passive = scan.passive and count == 0
+    scaled = z.real / (mech.m * y)
+    i = int(np.argmin(scaled))
     return StabilityReport(
         model_kind=model.kind,
         tau_omega=mech.tau,
@@ -393,10 +398,6 @@ def stability_report(model, mech, probes=None):
         mu_over_m=mu / mech.m if np.isfinite(mu) else np.inf,
         rhp_zero_count=count,
         roots=tuple(roots),
-        passive=passive,
-        min_re_z={
-            "value": scan.min_re,
-            "p_re": scan.at_p.real,
-            "p_im": scan.at_p.imag,
-        },
+        passive=count == 0 and bool(scaled[i] >= -1e-9),
+        min_re_z={"value": float(z.real[i]), "p_re": 0.0, "p_im": float(y[i])},
     )

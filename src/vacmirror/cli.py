@@ -30,7 +30,6 @@ from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
     compute_susceptibility,
-    gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
@@ -70,9 +69,6 @@ _SCHEMA = {
         "spacing": (str, "log", False),
     },
     "analysis": {
-        "probe_points": (int, 1000, True),
-        "probe_min": (float, 1e-3, True),
-        "probe_max": (float, 1e3, True),
         "spectral_points": (int, 100, True),
         "kk_threshold": (float, 1e-3, True),
         "spectral_threshold": (float, 1e-4, True),
@@ -239,7 +235,7 @@ def cmd_analyze(cfg, out, args):
         y = 1.0 / z
     write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
               [grid, z.real, z.imag, y.real, y.imag])
-    gamma0 = gamma(model, 0.0)
+    gamma0 = complex(gamma_samples(model, 0.0))
     diag = result.cutoff_diagnostics
     doc = {
         "model": model.kind,
@@ -254,7 +250,7 @@ def cmd_analyze(cfg, out, args):
         "validation": {
             "unitarity_defect": validation.unitarity_defect,
             "transparency_tail": validation.transparency_tail,
-            "transparency_slope": validation.transparency_slope,
+            "transparency_slope": _json_num(validation.transparency_slope),
             "causality_defect": _json_num(validation.causality_defect),
             "has_cutoff": validation.has_cutoff,
         },
@@ -268,11 +264,7 @@ def cmd_analyze(cfg, out, args):
 def cmd_stability(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
-    a = cfg["analysis"]
-    probes = analysis.default_probes(
-        a["probe_min"], a["probe_max"], n_mag=max(4, a["probe_points"] // 25)
-    )
-    report = analysis.stability_report(model, mech, probes=probes)
+    report = analysis.stability_report(model, mech)
     report.to_json(out / "stability.json")
     return 0
 
@@ -320,9 +312,7 @@ def cmd_simulate(cfg, out, args):
         chi_curve = ResponseCurve(
             cg, 1j * mech.m * mech.tau * cg**3 * gamma_samples(model, cg), label="chi"
         )
-        kernel = dispersion.build_time_kernel(
-            chi_curve, mu, window=sim["t_final"], dt=dt, omega_max=curve_max
-        )
+        kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
         kernel.to_csv(out / "kernel.csv")
         traj = dynamics.simulate_with_memory(
             mech, kernel, force, sim["t_final"], q0=sim["q0"]

@@ -28,7 +28,7 @@ from .numerics import (
     spectrum_to_kernel,
     write_csv,
 )
-from .susceptibility import gamma, gamma_samples
+from .susceptibility import ResponseCurve, gamma_samples
 
 
 def kk_reconstruct(gamma_r, w, tail_coeff=None):
@@ -246,8 +246,6 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     interpolation and transform consistency; it decreases under grid
     refinement.
     """
-    from scipy.interpolate import CubicSpline
-
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     mt = mech.m * mech.tau
     if mt == 0.0:
@@ -261,8 +259,7 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     half = 0.5 * (freqs[1] - freqs[0])
     shifted = freqs + half
     nodes = np.concatenate([[freqs[0]], shifted])
-    samples = np.concatenate([[gamma(model, 0.0).real], gamma_samples(model, shifted).real])
-    gam_r = CubicSpline(nodes, samples)(freqs)
+    gam_r = ResponseCurve(nodes, gamma_samples(model, nodes).real)._real_spline(freqs)
     rhs_spec = 2.0 * mt * 1j * freqs**3 * gam_r
     rhs_t = spectrum_to_kernel(rhs_spec, n_fft, dt)
     rhs = rhs_t[j]

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
-from .numerics import fit_inverse_square_tail, fit_power_law_slope
+from .numerics import decay_slope, fit_inverse_square_tail
 
 
 class MirrorModel:
@@ -279,9 +279,10 @@ def validate_model(model, grid):
     """Check unitarity, transparency and causality of a model on a grid.
 
     Reports the worst | |r|^2 + |s|^2 - 1 |, the largest |r| over the top
-    decade of the grid (with a fitted decay slope), and the residual of a
-    Kramers-Kronig reconstruction of Im r from Re r: one ``kk_reconstruct``
-    call for all interior probes, against Im r interpolated linearly.
+    decade of the grid (with its decay slope, -inf where |r| vanishes
+    there), and the residual of a Kramers-Kronig reconstruction of Im r
+    from Re r: one ``kk_reconstruct`` call for all interior probes, against
+    Im r interpolated linearly.
     Nothing is raised; defects are numbers for the caller to judge.
     """
     from .dispersion import kk_reconstruct
@@ -297,8 +298,8 @@ def validate_model(model, grid):
     top = grid >= grid[-1] / 10.0
     tail = float(np.max(np.abs(r[top])))
     try:
-        slope = fit_power_law_slope(grid, np.abs(r))
-    except FitError:
+        slope = decay_slope(grid, np.abs(r))
+    except FitError:  # fewer than 4 samples in the top decade
         slope = 0.0
     # |r| must die at least like 1/w for the cutoff integrals to exist
     has_cutoff = tail < 0.5 and slope < -0.9

@@ -18,8 +18,8 @@ which Gauss-Legendre pieces integrate exactly.  ``gamma_samples`` is the
 one place that evaluates Gamma, and it asks the model.  ``gamma``
 evaluates the integral by adaptive Gauss-Legendre on the unit interval
 (the endpoint weight (w - w') w' vanishes at both ends); it is the
-reference the model rules are tested against, and the Gamma[0] = r[0]^2
-limit.
+reference the model rules, Gamma[0] = r[0]^2 included, are tested
+against.
 
 All functions are pure.
 """
@@ -71,8 +71,9 @@ class ResponseCurve:
     """Complex response samples on a nonnegative frequency grid.
 
     Negative frequencies follow from the Hermitian-real parity
-    f[-w] = conj(f[w]); `__call__` applies it transparently through a
-    cubic-spline interpolant.
+    f[-w] = conj(f[w]); `__call__` applies it transparently through one
+    cubic spline per part, each built on first use: a caller of the real
+    part alone reads `_real_spline` and builds no imaginary one.
     """
 
     grid: np.ndarray
@@ -92,18 +93,23 @@ class ResponseCurve:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def _splines(self):
+    def _real_spline(self):
         from scipy.interpolate import CubicSpline
 
-        return CubicSpline(self.grid, self.values.real), CubicSpline(self.grid, self.values.imag)
+        return CubicSpline(self.grid, self.values.real)
+
+    @cached_property
+    def _imag_spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.grid, self.values.imag)
 
     def __call__(self, w):
-        re, im = self._splines
         w = np.asarray(w, dtype=float)
         aw = np.abs(w)
         if np.any(aw < self.grid[0]) or np.any(aw > self.grid[-1]):
             raise FrequencyRangeError(f"|w| outside sampled range of {self.label or 'curve'}")
-        out = re(aw) + 1j * im(aw)
+        out = self._real_spline(aw) + 1j * self._imag_spline(aw)
         out = np.where(w >= 0, out, np.conj(out))
         return out if out.ndim else complex(out)
 

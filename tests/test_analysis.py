@@ -258,6 +258,20 @@ def test_walk_wraps_the_steps_where_re_z_is_negative(tau, k, expect):
     assert rectangle_count(GainMirror(), mech, 1e3) == expect
 
 
+def test_gain_mirror_without_a_zero_is_not_passive():
+    # no zero in Re p > 0, but Re Z(i y) = m tau y^2 Gamma_R < 0 on the axis:
+    # Re Z(i y)/(m y) reaches -1.1e-3 near y = 3, while the log-polar probes,
+    # which never come that close to the axis, all see Re Z{p} > 0
+    mech = vm.MirrorMechanics(k=0.0, tau=1e-3)
+    report = vm.stability_report(GainMirror(), mech)
+    assert report.rhp_zero_count == 0
+    assert not report.passive
+    low = report.min_re_z
+    assert low["p_re"] == 0.0 and 1.0 < low["p_im"] < 10.0
+    assert low["value"] / (mech.m * low["p_im"]) == pytest.approx(-1.13e-3, rel=1e-2)
+    assert vm.passivity_check(GainMirror(), mech).passive
+
+
 _TAU_OMEGA = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)
 _SPRING = st.one_of(st.just(0.0), st.floats(0.25, 4.0))
 
@@ -285,6 +299,21 @@ def test_walk_counts_a_runaway_exactly_when_mu_exceeds_m(tau_omega, k, omega):
     mech = vm.MirrorMechanics(k=k, tau=tau_omega / omega)
     count = vm.count_rhp_zeros(vm.lorentzian_mirror(omega), mech)
     assert count == int(3.0 * tau_omega > 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(tau_omega=_TAU_OMEGA, k=_SPRING, kind=st.sampled_from(["lorentzian", "perfect", "tabulated"]))
+def test_axis_verdict_matches_the_probe_scan(lorentzian, perfect, table_1100, tau_omega, k, kind):
+    # away from mu = m, where the count is refused: no zero in Re p > 0 and
+    # Re Z(i y) >= 0 on the walk is the verdict of the log-polar probe scan
+    # with no zero counted
+    assume(abs(3.0 * tau_omega - 1.0) >= 1e-2)
+    model = {"lorentzian": lorentzian, "perfect": perfect, "tabulated": table_1100}[kind]
+    mech = vm.MirrorMechanics(k=k, tau=tau_omega)
+    report = vm.stability_report(model, mech)
+    oracle = vm.passivity_check(model, mech).passive and vm.count_rhp_zeros(model, mech) == 0
+    assert report.passive == oracle
+    assert report.min_re_z["p_re"] == 0.0 and report.min_re_z["p_im"] > 0.0
 
 
 def test_refine_root_perfect(perfect):
@@ -373,7 +402,7 @@ def test_spectral_reads_the_curves_own_spline_bitwise(lorentzian):
     assert np.array(shared).tobytes() == np.array(fresh).tobytes()
     rho = np.geomspace(1e-3, 1e3, 2001)
     spline = CubicSpline(curve.grid, np.real(curve.values))
-    assert curve._splines[0](rho).tobytes() == spline(rho).tobytes()
+    assert curve._real_spline(rho).tobytes() == spline(rho).tobytes()
 
 
 def test_spectral_bare_mass_limit(lorentzian):
@@ -416,6 +445,7 @@ def test_stability_report_serialization(tmp_path, perfect):
     assert not doc["passive"]
     assert doc["roots"][0]["re"] == pytest.approx(1000.0, rel=1e-8)
     assert set(doc["min_ReZ"]) == {"value", "p_re", "p_im"}
+    assert doc["min_ReZ"]["p_re"] == 0.0  # a sample of the walk up the imaginary axis
     # a non-finite number fails loudly instead of becoming invalid JSON
     broken = dataclasses.replace(report, min_re_z={**report.min_re_z, "value": float("nan")})
     with pytest.raises(ValueError, match="JSON"):

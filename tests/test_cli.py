@@ -40,7 +40,7 @@ def test_parse_config_defaults(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, LORENTZIAN_CFG))
     assert cfg["model"]["kind"] == "lorentzian"
     assert cfg["grid"]["points"] == 60
-    assert cfg["analysis"]["probe_points"] == 1000  # untouched default
+    assert cfg["analysis"]["spectral_points"] == 100  # untouched default
 
 
 @pytest.mark.parametrize(
@@ -201,8 +201,11 @@ def test_stability_decoupled_counts_no_zero(tmp_path, kind):
     assert doc["rhp_zero_count"] == 0 and doc["roots"] == []
 
 
-@pytest.mark.parametrize("key", ["contour_delta", "contour_max"])
-def test_removed_contour_keys_are_unknown(tmp_path, capsys, key):
+# the bounds of the rectangle contour and of the log-polar probe scan, both
+# replaced by the walk up the imaginary axis
+@pytest.mark.parametrize("key", ["contour_delta", "contour_max",
+                                 "probe_points", "probe_min", "probe_max"])
+def test_removed_analysis_keys_are_unknown(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path, LORENTZIAN_CFG + f"\n[analysis]\n{key} = 50.0\n")
     assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"unknown key '{key}' in [analysis]" in capsys.readouterr().err
@@ -510,12 +513,12 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == _GOLDEN_JSON[(command, name)]
 
 
-@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 5)])
+@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 4)])
 def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, most):
     # analyze: the causality probes of validate_model share one spline;
-    # crosscheck: that one, one for the 40 KK probes, the real and imaginary
-    # parts of the Gamma curve for the 100 spectral points, and the
-    # consistency check's
+    # crosscheck: that one, one for the 40 KK probes, the real part of the
+    # Gamma curve for the 100 spectral points, and the real part of the
+    # consistency check's curve
     import scipy.interpolate
 
     builds = []
@@ -548,6 +551,9 @@ def test_transparent_table_has_zero_cutoff(tmp_path, tau):
     summary = json.loads((tmp_path / "analyze" / "summary.json").read_text())
     assert summary["cutoff_divergent"] is False
     assert summary["tail_fraction"] == 0.0
+    # |r| vanishes on the top decade: a cutoff, with a slope of -inf, written as null
+    assert summary["validation"]["has_cutoff"] is True
+    assert summary["validation"]["transparency_slope"] is None
 
 
 _FINITE_RUN = {
