@@ -44,6 +44,7 @@ from .numerics import fit_inverse_square_tail, secant_root
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
+    gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
@@ -57,6 +58,7 @@ __all__ = [
     "laplace_impedance",
     "sample_gamma_real",
     "count_rhp_zeros",
+    "axis_walk",
     "refine_root",
     "passivity_check",
     "spectral_impedance",
@@ -98,8 +100,9 @@ def sample_gamma_real(model, omega_max=None):
     """
     if omega_max is None:
         omega_max = min(1.0e3, model.omega_range[1])
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, omega_max, 1400)])  # ends on omega_max
-    return ResponseCurve(grid, gamma_samples(model, grid), label="gamma")
+    grid = np.geomspace(1e-3, omega_max, 1400)  # ends on omega_max exactly
+    vals = np.concatenate([[gamma(model, 0.0)], gamma_samples(model, grid)])
+    return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 
 
 def _laplace_gamma(model, p):
@@ -165,10 +168,10 @@ def _axis_impedance(model, mech, y):
 
 def count_rhp_zeros(model, mech):
     """Zeros of Z{p} in Re p > 0 by the argument principle on the imaginary axis."""
-    return _walk(model, mech)[0]
+    return axis_walk(model, mech)[0]
 
 
-def _walk(model, mech):
+def axis_walk(model, mech):
     """The zero count of Z{p} in Re p > 0 and the walk's samples (y, Z(i y)).
 
     The closed contour is the imaginary axis, indented into Re p > 0 around
@@ -311,7 +314,6 @@ class StabilityReport:
     rhp_zero_count: int
     roots: tuple
     passive: bool
-    min_re_z: dict
 
     def to_json(self, path=None):
         def _num(x):
@@ -329,7 +331,6 @@ class StabilityReport:
                 for r, res in self.roots
             ],
             "passive": bool(self.passive),
-            "min_ReZ": self.min_re_z,
         }
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
         if path is not None:
@@ -362,14 +363,13 @@ def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
 
 def stability_report(model, mech):
     """The zero count, the real roots, the cutoff and the passivity verdict:
-    no zero in Re p > 0 and Re Z(i y) >= -1e-9 m y on the walk (Brune), whose
-    sample with the least Re Z(i y)/(m y) is ``min_re_z``."""
+    no zero in Re p > 0 and Re Z(i y) >= -1e-9 m y on the walk (Brune)."""
     try:
         omega_c = reflection_cutoff(model)
         mu = induced_mass(mech, omega_c)
     except CutoffDivergenceError:
         omega_c, mu = np.inf, np.inf
-    count, y, z = _walk(model, mech)
+    count, y, z = axis_walk(model, mech)
     roots = []
     if count > 0:
         # a real zero sits in [1e-6, 10 x the largest scale of Z] (1, omega_0,
@@ -388,8 +388,6 @@ def stability_report(model, mech):
                 roots.append(refine_root(model, mech, seed))
             except RootConvergenceError:
                 pass
-    scaled = z.real / (mech.m * y)
-    i = int(np.argmin(scaled))
     return StabilityReport(
         model_kind=model.kind,
         tau_omega=mech.tau,
@@ -398,6 +396,5 @@ def stability_report(model, mech):
         mu_over_m=mu / mech.m if np.isfinite(mu) else np.inf,
         rhp_zero_count=count,
         roots=tuple(roots),
-        passive=count == 0 and bool(scaled[i] >= -1e-9),
-        min_re_z={"value": float(z.real[i]), "p_re": 0.0, "p_im": float(y[i])},
+        passive=count == 0 and bool(np.min(z.real / (mech.m * y)) >= -1e-9),
     )

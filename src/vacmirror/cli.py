@@ -30,6 +30,7 @@ from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
     compute_susceptibility,
+    gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
@@ -235,7 +236,7 @@ def cmd_analyze(cfg, out, args):
         y = 1.0 / z
     write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
               [grid, z.real, z.imag, y.real, y.imag])
-    gamma0 = complex(gamma_samples(model, 0.0))
+    gamma0 = gamma(model, 0.0)
     diag = result.cutoff_diagnostics
     doc = {
         "model": model.kind,

@@ -28,7 +28,7 @@ from .numerics import (
     spectrum_to_kernel,
     write_csv,
 )
-from .susceptibility import ResponseCurve, gamma_samples
+from .susceptibility import ResponseCurve, gamma, gamma_samples
 
 
 def kk_reconstruct(gamma_r, w, tail_coeff=None):
@@ -259,7 +259,8 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     half = 0.5 * (freqs[1] - freqs[0])
     shifted = freqs + half
     nodes = np.concatenate([[freqs[0]], shifted])
-    gam_r = ResponseCurve(nodes, gamma_samples(model, nodes).real)._real_spline(freqs)
+    samples = np.concatenate([[gamma(model, 0.0).real], gamma_samples(model, shifted).real])
+    gam_r = ResponseCurve(nodes, samples)._real_spline(freqs)
     rhs_spec = 2.0 * mt * 1j * freqs**3 * gam_r
     rhs_t = spectrum_to_kernel(rhs_spec, n_fft, dt)
     rhs = rhs_t[j]

@@ -18,8 +18,8 @@ which Gauss-Legendre pieces integrate exactly.  ``gamma_samples`` is the
 one place that evaluates Gamma, and it asks the model.  ``gamma``
 evaluates the integral by adaptive Gauss-Legendre on the unit interval
 (the endpoint weight (w - w') w' vanishes at both ends); it is the
-reference the model rules, Gamma[0] = r[0]^2 included, are tested
-against.
+reference the model rules are tested against, and the Gamma[0] = r[0]^2
+limit.
 
 All functions are pure.
 """
