@@ -40,7 +40,7 @@ from .errors import (
     ImpedancePoleError,
     RootConvergenceError,
 )
-from .numerics import fit_inverse_square_tail, secant_root
+from .numerics import secant_root
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
@@ -112,9 +112,7 @@ def _laplace_gamma(model, p):
         out = gamma_samples(model, 1j * p)
         return out if out.ndim else complex(out)
     curve = model.gamma_curve
-    tail = fit_inverse_square_tail(curve.grid, np.real(curve.values))
-    out = np.array([continue_upper_half(curve, 1j * pp, tail_coeff=tail)
-                    for pp in np.atleast_1d(p)])
+    out = np.array([continue_upper_half(curve, 1j * pp) for pp in np.atleast_1d(p)])
     return out.reshape(p.shape) if p.ndim else complex(out[0])
 
 
@@ -157,8 +155,7 @@ def _axis_impedance(model, mech, y):
         motional = (mt * y) * (y * np.conj(gamma_samples(model, y)))
     else:
         curve = model.gamma_curve
-        grid, g_r = curve.grid, np.real(curve.values)
-        c = fit_inverse_square_tail(grid, g_r)
+        grid, g_r, c = curve.grid, curve.values.real, curve.tail
         omega = (2.0 / np.pi) * (np.trapezoid(g_r, grid) + c / grid[-1])
         inside = y <= grid[-1]
         motional = mt * (c - 1j * omega * y)
@@ -272,7 +269,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
 
     Folds the nonnegative measure Z_R[rho] drho / (pi (1 + rho^2)) onto
     the positive axis, integrates decade by decade the Gamma_R spline that
-    ``gamma_curve`` builds once and keeps, and closes with the fitted
+    ``gamma_curve`` builds once and keeps, and closes with the curve's
     inverse-square tail and the k/p + p(m - mu) terms.  Models without a
     finite induced mass raise CutoffDivergenceError.
     """
@@ -299,8 +296,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
 
     settings = QuadratureSettings(abs_tol=1e-9 * max(1.0, abs(mu)), max_panels=8000)
     total = integrate_decades(integrand, grid[-1], settings)
-    c_tail = fit_inverse_square_tail(grid, gvals)
-    total += mt * c_tail * (np.pi / 2.0 - np.arctan(grid[-1] / p)) / p
+    total += mt * gamma_curve.tail * (np.pi / 2.0 - np.arctan(grid[-1] / p)) / p
     return (2.0 * p / np.pi) * total + mech.k / p + p * (mech.m - mu)
 
 

@@ -8,12 +8,16 @@ continues it into Im w > 0.  This module provides
 * the off-axis Cauchy continuation,
 * a least-squares estimate of the high-frequency tail  Gamma ~ w_C/(-i w),
 * construction of the regularized time kernel kappa(t), the inverse
-  transform of chi[w] + mu w^2 used by the memory integrator,
+  transform of chi[w] + mu w^2 up to the lesser of pi/dt and the top of
+  the chi curve, used by the memory integrator,
 * a discretization cross-check of the linear-response identity
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
-Transforms follow the package sign convention (see numerics module); all
-routines are pure.
+The reconstruction and the continuation read a ResponseCurve of Gamma_R
+and close it beyond its grid by the curve's own c/w^2 tail, fitted once
+per curve (``ResponseCurve.tail``); the reconstruction also interpolates
+on the curve's spline.  Transforms follow the package sign convention (see
+numerics module); all routines are pure.
 """
 
 from dataclasses import dataclass, field
@@ -21,29 +25,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationError, FitError, FrequencyRangeError, RegularizationError
-from .numerics import (
-    cauchy_upper_half,
-    fit_inverse_square_tail,
-    pv_hilbert_even,
-    spectrum_to_kernel,
-    write_csv,
-)
+from .numerics import _inverse_square_tail, pv_hilbert_even, spectrum_to_kernel, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples
 
 
-def kk_reconstruct(gamma_r, w, tail_coeff=None):
+def kk_reconstruct(gamma_r, w):
     """Full Gamma[w] from samples of Gamma_R via the dispersion relation.
 
     ``gamma_r`` is a ResponseCurve (imaginary parts, if any, are ignored)
     and ``w`` a frequency or an array, each |w| inside the grid or 0 on a
     grid from 0.  The real part of the result is the sampled Gamma_R at w;
     the imaginary part, odd in w, is the principal-value transform with
-    singularity subtraction, one call for all of w, plus a fitted c/w^2
-    tail beyond the grid.
+    singularity subtraction, one call for all of w on the curve's spline of
+    Gamma_R, plus the curve's c/w^2 tail beyond the grid.
     """
-    grid, vals = gamma_r.grid, np.real(gamma_r.values)
-    if tail_coeff is None:
-        tail_coeff = fit_inverse_square_tail(grid, vals)
+    grid, vals = gamma_r.grid, gamma_r.values.real
     w = np.asarray(w, dtype=float)
     aw = np.abs(w)
     inside = (grid[0] < aw) & (aw < grid[-1])
@@ -51,19 +47,32 @@ def kk_reconstruct(gamma_r, w, tail_coeff=None):
     if not np.all(inside | center):
         raise FrequencyRangeError(f"|w|={aw[~(inside | center)].flat[0]} outside grid interior")
     out = np.asarray(np.interp(aw, grid, vals), dtype=complex)
-    out.imag[inside] = pv_hilbert_even(grid, vals, aw[inside], tail_coeff=tail_coeff)
+    out.imag[inside] = pv_hilbert_even(grid, vals, gamma_r._real_spline, aw[inside],
+                                       tail_coeff=gamma_r.tail)
     out.imag = np.where(w < 0, -out.imag, out.imag)
     return out if out.ndim else complex(out)
 
 
-def continue_upper_half(gamma_r, w, tail_coeff=None):
-    """Cauchy continuation of Gamma into Im w > 0 from Gamma_R samples."""
+def continue_upper_half(gamma_r, w):
+    """Cauchy continuation of Gamma into Im w > 0 from Gamma_R samples.
+
+    Returns (1/(i pi)) int Gamma_R(w') * 2w/(w'^2 - w^2) dw' over the
+    positive half grid, plus the curve's c/w'^2 tail in closed form.  The
+    denominator never vanishes for Im w > 0, so plain quadrature suffices.
+    """
     if np.imag(w) <= 0:
         raise ContinuationError("continuation defined for Im w > 0 only")
-    grid, vals = gamma_r.grid, np.real(gamma_r.values)
-    if tail_coeff is None:
-        tail_coeff = fit_inverse_square_tail(grid, vals)
-    return cauchy_upper_half(grid, vals, complex(w), tail_coeff=tail_coeff)
+    grid, vals = gamma_r.grid, gamma_r.values.real
+    w = complex(w)
+    result = np.trapezoid(vals * 2.0 * w / (grid * grid - w * w), grid)
+    g0 = grid[0]
+    if g0 > 0:
+        # below-grid segment with the edge value; smooth for Im w > 0
+        seg = np.linspace(0.0, g0, 33)
+        result += np.trapezoid(vals[0] * 2.0 * w / (seg * seg - w * w), seg)
+    if gamma_r.tail != 0.0:
+        result += _inverse_square_tail(gamma_r.tail, w, grid[-1])
+    return result / (1j * np.pi)
 
 
 @dataclass(frozen=True)
@@ -143,22 +152,15 @@ def _next_pow2(n):
     return p
 
 
-def build_time_kernel(chi_curve, mu, window, dt, omega_max=None):
+def build_time_kernel(chi_curve, mu, window, dt):
     """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
 
-    ``chi_curve`` must be sampled up to the transform band edge
-    ``omega_max`` (default: the lesser of pi/dt and the curve extent).
-    The subtraction must leave a decaying remainder: if |chi + mu w^2|/w^2
-    fails to fall across the top decade of the band, the requested mass is
-    inconsistent and RegularizationError is raised.
+    The transform band ends at omega_max, the lesser of pi/dt and the top
+    of ``chi_curve``.  The subtraction must leave a decaying remainder: if
+    |chi + mu w^2|/w^2 fails to fall across the top decade of the band, the
+    requested mass is inconsistent and RegularizationError is raised.
     """
-    nyquist = np.pi / dt
-    if omega_max is None:
-        omega_max = min(nyquist, chi_curve.grid[-1])
-    if omega_max > nyquist + 1e-12:
-        raise ValueError("omega_max beyond the Nyquist band of dt")
-    if omega_max > chi_curve.grid[-1] + 1e-12:
-        raise FrequencyRangeError("chi curve does not reach the requested band edge")
+    omega_max = min(np.pi / dt, chi_curve.grid[-1])
     steps = int(round(window / dt))
     if steps < 2:
         raise ValueError("kernel window shorter than two steps")
@@ -168,7 +170,7 @@ def build_time_kernel(chi_curve, mu, window, dt, omega_max=None):
     in_band = freqs <= omega_max
     spectrum = np.zeros(freqs.size, dtype=complex)
     wb = freqs[in_band]
-    spectrum[in_band] = chi_curve(np.minimum(wb, chi_curve.grid[-1])) + mu * wb**2
+    spectrum[in_band] = chi_curve(wb) + mu * wb**2
 
     # mass consistency: the regularized spectrum must decay relative to w^2
     band = wb[wb > 0]

@@ -26,7 +26,7 @@ Distinct runs share no mutable state.
 """
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class ForceProfile:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled run: kinematics, forces, scheme metadata, divergence flag."""
+    """Sampled run: kinematics, forces, scheme, step and divergence flag."""
 
     times: np.ndarray
     q: np.ndarray
@@ -78,7 +78,6 @@ class Trajectory:
     dt: float
     diverged: bool = False
     t_diverged: float = None
-    meta: dict = field(default_factory=dict)
 
 
 _BLOWUP = 1e100
@@ -147,7 +146,6 @@ def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.
     return Trajectory(
         times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
         method="rk4", dt=dt, diverged=t_div is not None, t_diverged=t_div,
-        meta={"tau": tau, "k": k, "m": m},
     )
 
 
@@ -259,10 +257,6 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     return Trajectory(
         times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
         method="trapezoid-implicit", dt=dt, diverged=t_div is not None, t_diverged=t_div,
-        meta={
-            "mu": mu, "k": k, "m": m,
-            "kernel_omega_max": kernel.omega_max,
-        },
     )
 
 

@@ -2,12 +2,14 @@
 
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature, the running trapezoid integral, the PV Hilbert
-transform used by the dispersion checks, inverse-square tail fitting and a
-complex secant root finder.  The CSV writer prints every value as %.11e
-with NumPy, byte for byte what Python's formatting prints: 12 digits from a
-double-double product with a tabulated power of ten, rounded exactly unless
-the value lies next to a rounding tie, and Python formats those alone (see
-write_csv).  The transform helper fixes the package convention
+transform used by the dispersion checks (on the caller's spline of the
+samples), inverse-square tail fitting and its analytic closure, and a
+complex secant root finder; only NumPy is imported.  The CSV writer prints
+every value as %.11e with NumPy, byte for byte what Python's formatting
+prints: 12 digits from a double-double product with a tabulated power of
+ten, rounded exactly unless the value lies next to a rounding tie, and
+Python formats those alone (see write_csv).  The transform helper fixes
+the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -263,22 +265,21 @@ def write_csv(path, header, columns):
 _PV_BLOCK = 1 << 16  # integrand values pv_hilbert_even holds at once
 
 
-def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
+def pv_hilbert_even(grid, values, spline, w, tail_coeff=0.0):
     """Principal-value Kramers-Kronig integral for an even real function.
 
     Computes  -(1/pi) PV int_{-inf}^{inf} F(w') / (w' - w) dw'  folded onto
     the positive half grid, i.e.  -(2w/pi) PV int_0^inf F(w')/(w'^2-w^2) dw',
     by subtracting the singular value analytically.  ``values`` are samples
-    of F on ``grid`` (ascending, starting at or near 0) and ``tail_coeff``
-    is the coefficient of an assumed  c/w'^2  decay beyond the grid.
+    of F on ``grid`` (ascending, starting at or near 0), ``spline`` their
+    interpolant, called as spline(w) and, for its slope, spline(w, 1) (a
+    scipy CubicSpline is one), and ``tail_coeff`` is the coefficient of an
+    assumed  c/w'^2  decay beyond the grid.
 
     This is the imaginary part that causality pairs with the given real
     part, shaped like ``w``: one probe or an array of them, each strictly
-    inside the grid.  One cubic spline of the samples serves every probe.
+    inside the grid.
     """
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(grid, values)
     L, g0 = grid[-1], grid[0]
     w = np.asarray(w, dtype=float)
     outside = ~((g0 <= w) & (w < L))
@@ -302,26 +303,6 @@ def pv_hilbert_even(grid, values, w, tail_coeff=0.0):
     if tail_coeff != 0.0:
         result += _inverse_square_tail(tail_coeff, w, L)
     return -result / np.pi
-
-
-def cauchy_upper_half(grid, values, w, tail_coeff=0.0):
-    """Cauchy integral of an even real function into Im w > 0.
-
-    Returns (1/(i pi)) int F(w') * 2w/(w'^2 - w^2) dw' over the positive
-    half grid plus the analytic c/w'^2 tail.  The denominator never
-    vanishes for Im w > 0, so plain quadrature suffices.
-    """
-    L = grid[-1]
-    integrand = values * 2.0 * w / (grid * grid - w * w)
-    result = np.trapezoid(integrand, grid)
-    g0 = grid[0]
-    if g0 > 0:
-        # below-grid segment with the edge value; smooth for Im w > 0
-        seg = np.linspace(0.0, g0, 33)
-        result += np.trapezoid(values[0] * 2.0 * w / (seg * seg - w * w), seg)
-    if tail_coeff != 0.0:
-        result += _inverse_square_tail(tail_coeff, w, L)
-    return result / (1j * np.pi)
 
 
 def _inverse_square_tail(tail_coeff, w, L):

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
-from .numerics import decay_slope, fit_inverse_square_tail
+from .numerics import decay_slope
 
 
 class MirrorModel:
@@ -304,15 +304,11 @@ def validate_model(model, grid):
     # |r| must die at least like 1/w for the cutoff integrals to exist
     has_cutoff = tail < 0.5 and slope < -0.9
 
-    try:
-        c_tail = fit_inverse_square_tail(grid, np.real(r))
-    except FitError:
-        c_tail = 0.0
     interior = grid[(grid > grid[0] * 4) & (grid < grid[-1] / 4)]
     probes = interior[:: max(1, interior.size // 64)]
     causality = np.inf
     if probes.size:
-        rec = kk_reconstruct(ResponseCurve(grid, r), probes, tail_coeff=c_tail)
+        rec = kk_reconstruct(ResponseCurve(grid, r), probes)
         causality = float(np.max(np.abs(rec.imag - np.interp(probes, grid, np.imag(r)))))
 
     return ModelValidation(

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContinuationError, CutoffDivergenceError, FrequencyRangeError
+from .errors import ContinuationError, CutoffDivergenceError, FitError, FrequencyRangeError
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
@@ -73,7 +73,9 @@ class ResponseCurve:
     Negative frequencies follow from the Hermitian-real parity
     f[-w] = conj(f[w]); `__call__` applies it transparently through one
     cubic spline per part, each built on first use: a caller of the real
-    part alone reads `_real_spline` and builds no imaginary one.
+    part alone reads `_real_spline` and builds no imaginary one.  Beyond
+    the grid the real part is closed by a c/w^2 decay, `tail`, also fitted
+    on first use and kept.
     """
 
     grid: np.ndarray
@@ -103,6 +105,15 @@ class ResponseCurve:
         from scipy.interpolate import CubicSpline
 
         return CubicSpline(self.grid, self.values.imag)
+
+    @cached_property
+    def tail(self):
+        """c of the real part's c/w^2 decay beyond the grid: the fit over the
+        top decade, or 0.0 where that decade holds fewer than 4 samples."""
+        try:
+            return fit_inverse_square_tail(self.grid, self.values.real)
+        except FitError:
+            return 0.0
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)

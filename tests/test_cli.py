@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -513,6 +514,36 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == _GOLDEN_JSON[(command, name)]
 
 
+# SHA-256 of the JSON documents of four runs on the 1100-top table, recorded
+# while every reader of a Gamma curve still fitted its c/w^2 tail itself.  At
+# tau Omega = 0.4 the seed scan, the bisection and the secant find the root
+# p ~ 30.89 through the Cauchy continuation; at 0.35 the root p ~ 176.84 comes
+# from the scan over the rest of the walk's span.  The analyze grids hold 12
+# and 3 samples in their top decade: the second closes the Kramers-Kronig
+# check of r with no tail.
+_GOLDEN_TABLE = {
+    "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
+                      "20d163e2f182ba5c640db6b0927d8014aaffd63422daa4dd6df6f3c9e93ba727"),
+    "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
+                       "a13a77ac7f1a1d771f335a7f77305691a6c52cc4009078783bf6d72642858b43"),
+    "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
+                     "c53bc9f574c479f0d56febe801eef4f01ecf91238211c80394cc13d187945b44"),
+    "analyze-no-tail": ("analyze",
+                        "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e2\npoints = 10\n",
+                        "1ef6324cd273d5ae0b3579e33dc171c77cf597446838c03fa9ce42efb8bbe50d"),
+}
+
+
+@pytest.mark.parametrize("run", list(_GOLDEN_TABLE))
+def test_table_documents_keep_their_bytes(tmp_path, table_1100_file, run):
+    command, extra, digest = _GOLDEN_TABLE[run]
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table_1100_file}\n" + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    name = "stability.json" if command == "stability" else "summary.json"
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 4)])
 def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, most):
     # analyze: the causality probes of validate_model share one spline;
@@ -532,6 +563,33 @@ def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, m
     cfg = write_cfg(tmp_path, LORENTZIAN_CFG)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert 0 < len(builds) <= most
+
+
+@pytest.mark.parametrize("command,kind,most", [("stability", "tabulated", 2),
+                                               ("crosscheck", "lorentzian", 4)])
+def test_each_curve_fits_its_tail_once(tmp_path, monkeypatch, table_1100_file,
+                                       command, kind, most):
+    # stability at tau Omega = 0.4 on the table: reflection_cutoff and the
+    # table's Gamma curve, read by the walk, the real-axis scan and the secant;
+    # crosscheck: reflection_cutoff, the validation curve of r, the 4001-point
+    # Kramers-Kronig curve and the Gamma curve of the spectral points
+    original = sys.modules["vacmirror.numerics"].fit_inverse_square_tail
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "vacmirror" and \
+                getattr(module, "fit_inverse_square_tail", None) is original:
+            monkeypatch.setattr(module, "fit_inverse_square_tail", counted)
+    model = "kind = lorentzian\n" if kind == "lorentzian" else \
+        f"kind = tabulated\ntable = {table_1100_file}\n"
+    cfg = write_cfg(tmp_path, f"[model]\n{model}[mechanics]\n"
+                              f"tau_omega = {0.4 if command == 'stability' else 1e-3}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert 0 < len(fits) <= most
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.01])

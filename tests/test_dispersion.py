@@ -76,11 +76,13 @@ def test_kk_reconstruct_array_is_its_scalar_calls(gamma_r_curve):
 
 
 def test_kk_reconstruct_array_on_a_grid_above_zero():
+    # a bump on a 0.2/w^2 decay: the curve's tail closes the transform
     grid = np.geomspace(0.05, 60.0, 500)
-    curve = vm.ResponseCurve(grid, np.exp(-grid**2), label="bump")
+    curve = vm.ResponseCurve(grid, np.exp(-grid**2) + 0.2 / (1.0 + grid**2), label="bump")
+    assert curve.tail == pytest.approx(0.2, rel=1e-2)
     w = np.array([-7.0, 0.3, 1.0, -0.06])
-    each = np.array([vm.kk_reconstruct(curve, x, tail_coeff=0.2) for x in w])
-    assert vm.kk_reconstruct(curve, w, tail_coeff=0.2).tobytes() == each.tobytes()
+    each = np.array([vm.kk_reconstruct(curve, x) for x in w])
+    assert vm.kk_reconstruct(curve, w).tobytes() == each.tobytes()
     with pytest.raises(FrequencyRangeError):
         vm.kk_reconstruct(curve, np.array([1.0, 0.0]))  # 0 lies below this grid
 

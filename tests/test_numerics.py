@@ -210,12 +210,13 @@ def test_pv_hilbert_probes_match_the_per_probe_transform_bitwise(data, n, g0, ta
     size = numerics._PV_BLOCK if block is None else block * grid.size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_PV_BLOCK", size)
-        got = pv_hilbert_even(grid, values, probes, tail_coeff=tail)
+        got = pv_hilbert_even(grid, values, CubicSpline(grid, values), probes, tail_coeff=tail)
     oracle = np.array([pv_hilbert_per_probe(grid, values, float(w), tail) for w in probes])
     assert got.shape == probes.shape
     assert got.tobytes() == oracle.tobytes()
     if probes.size:
-        one = pv_hilbert_even(grid, values, float(probes[0]), tail_coeff=tail)
+        one = pv_hilbert_even(grid, values, CubicSpline(grid, values), float(probes[0]),
+                              tail_coeff=tail)
         assert np.ndim(one) == 0 and np.float64(one).tobytes() == oracle[:1].tobytes()
 
 
@@ -223,7 +224,7 @@ def test_pv_hilbert_refuses_a_probe_outside_the_grid():
     grid = np.linspace(0.5, 10.0, 40)
     for bad in ([1.0, 10.0], [0.4, 2.0], [np.nan]):
         with pytest.raises(vacmirror.FrequencyRangeError):
-            pv_hilbert_even(grid, np.exp(-grid), np.array(bad))
+            pv_hilbert_even(grid, np.exp(-grid), CubicSpline(grid, np.exp(-grid)), np.array(bad))
 
 
 _HEAVY = ("scipy.integrate", "scipy.signal")
@@ -240,9 +241,9 @@ t_final = 2.0
 """
 
 
-def _loaded_after(code, tmp_path):
+def _loaded_after(code, tmp_path, heavy=_HEAVY):
     src = str(Path(vacmirror.__file__).resolve().parents[1])
-    probe = f"import sys\n{code}\nprint(sorted(m for m in {_HEAVY!r} if m in sys.modules))"
+    probe = f"import sys\n{code}\nprint(sorted(m for m in {heavy!r} if m in sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
@@ -253,6 +254,19 @@ def _loaded_after(code, tmp_path):
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert _loaded_after("import vacmirror", tmp_path) == "[]"
+
+
+def test_pv_hilbert_on_a_numpy_spline_loads_no_scipy(tmp_path):
+    # F = 1/(1 + w^2), whose transform is w/(1 + w^2), with its exact slope
+    run = ("import numpy as np\n"
+           "from vacmirror.numerics import pv_hilbert_even\n"
+           "grid = np.linspace(0.0, 200.0, 20001)\n"
+           "def spline(x, nu=0):\n"
+           "    return 1.0 / (1.0 + x * x) if nu == 0 else -2.0 * x / (1.0 + x * x) ** 2\n"
+           "w = np.array([0.5, 1.0, 3.0])\n"
+           "got = pv_hilbert_even(grid, spline(grid), spline, w, tail_coeff=1.0)\n"
+           "assert np.max(np.abs(got - w / (1.0 + w * w))) < 1e-6, got")
+    assert _loaded_after(run, tmp_path, heavy=("scipy",)) == "[]"
 
 
 def test_perfect_simulate_leaves_heavy_scipy_unloaded(tmp_path):

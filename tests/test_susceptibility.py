@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import vacmirror as vm
-from vacmirror.errors import AccuracyError, CutoffDivergenceError
-from vacmirror.numerics import QuadratureSettings, adaptive_gauss_legendre
+from vacmirror.errors import AccuracyError, CutoffDivergenceError, FitError
+from vacmirror.numerics import (
+    QuadratureSettings,
+    adaptive_gauss_legendre,
+    fit_inverse_square_tail,
+)
 
 from conftest import make_tabulated_copy
 
@@ -316,6 +320,24 @@ def test_response_curve_parity_and_range():
         curve(7.0)
     with pytest.raises(ValueError):
         vm.ResponseCurve(grid[::-1], vals)
+
+
+@pytest.mark.parametrize("points,fitted", [(40, True), (10, False)])
+def test_response_curve_tail_is_the_fit_or_zero(points, fitted):
+    # log grids to 100 with 12 and 3 samples in the top decade [10, 100]
+    grid = np.geomspace(1e-2, 1e2, points)
+    values = 1.0 / (1.0 + grid**2) + 1j * grid / (1.0 + grid**2)
+    curve = vm.ResponseCurve(grid, values)
+    if fitted:
+        expected = fit_inverse_square_tail(grid, values.real)
+        assert np.float64(curve.tail).tobytes() == np.float64(expected).tobytes()
+    else:
+        with pytest.raises(FitError):
+            fit_inverse_square_tail(grid, values.real)
+        assert curve.tail == 0.0
+        # the transform closes with no tail instead of refusing the curve
+        rec = vm.kk_reconstruct(curve, 1.0)
+        assert np.isfinite(rec) and rec.real == np.interp(1.0, grid, values.real)
 
 
 def test_compute_susceptibility_and_csv(tmp_path, lorentzian):
