@@ -27,7 +27,6 @@ from .dispersion import (
     build_time_kernel,
     consistency_check,
     continue_upper_half,
-    fit_tail_cutoff,
     kk_reconstruct,
 )
 from .dynamics import (

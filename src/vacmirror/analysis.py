@@ -10,9 +10,10 @@ vacuum.  In the Laplace domain (p = -i w, Re p > 0)
 
     Z{p} = k/p + m p - m tau p^2 Gamma{p},
 
-real on the positive real axis.  A runaway mode is a zero of Z{p} in
-Re p > 0.  The argument principle counts them on the boundary of the whole
-half plane (Nyquist): a walk up the imaginary axis, where only real-axis
+real on the positive real axis, with Gamma{p} = Gamma[i p] the model's own
+continuation (a table's is the Cauchy integral of its sampled curve).  A
+runaway mode is a zero of Z{p} in Re p > 0.  The argument principle counts
+them on the boundary of the whole half plane (Nyquist): a walk up the imaginary axis, where only real-axis
 Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
 Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
 at p = 0 and the arc at infinity close it in closed form.  A scan of the
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import continue_upper_half
 from .errors import (
     AdmittanceSingularityError,
     ContinuationError,
@@ -105,23 +105,13 @@ def sample_gamma_real(model, omega_max=None):
     return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 
 
-def _laplace_gamma(model, p):
-    """Gamma{p} = Gamma[i p], Re p > 0: the model's continuation, or the Cauchy
-    continuation of its cached curve."""
-    if model.continues_upper_half:
-        out = gamma_samples(model, 1j * p)
-        return out if out.ndim else complex(out)
-    curve = model.gamma_curve
-    out = np.array([continue_upper_half(curve, 1j * pp) for pp in np.atleast_1d(p)])
-    return out.reshape(p.shape) if p.ndim else complex(out[0])
-
-
 def laplace_impedance(model, mech, p):
-    """Z{p} = k/p + m p - m tau p^2 Gamma{p}, analytic in Re p > 0."""
+    """Z{p} = k/p + m p - m tau p^2 Gamma{p}, analytic in Re p > 0, scalar or
+    array; Gamma{p} = Gamma[i p] is the model's continuation."""
     p = np.asarray(p, dtype=complex)
     if np.any(np.real(p) <= 0):
         raise ContinuationError("Laplace evaluation requires Re p > 0")
-    out = mech.k / p + mech.m * p - mech.m * mech.tau * p**2 * _laplace_gamma(model, p)
+    out = mech.k / p + mech.m * p - mech.m * mech.tau * p**2 * gamma_samples(model, 1j * p)
     return out if out.ndim else complex(out)
 
 
@@ -145,13 +135,14 @@ def _walk_span(model, mech):
 def _axis_impedance(model, mech, y):
     """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0.
 
-    A model without a continuation reads Gamma from its curve and, above the
-    curve's top, from the asymptote Gamma ~ c/y^2 + i omega/y that the
+    A model defined up to a finite top (a table, whose exact rule costs
+    about a millisecond a frequency) reads Gamma from its curve and, above
+    the curve's top, from the asymptote Gamma ~ c/y^2 + i omega/y that the
     curve's Cauchy continuation carries: c its inverse-square tail, omega
     its cutoff integral (2/pi) (int Gamma_R + c/top).
     """
     mt = mech.m * mech.tau
-    if model.continues_upper_half:
+    if np.isinf(model.omega_range[1]):
         motional = (mt * y) * (y * np.conj(gamma_samples(model, y)))
     else:
         curve = model.gamma_curve

@@ -392,8 +392,7 @@ def cmd_crosscheck(cfg, out, args):
         ps = np.geomspace(1e-2, 1e2, a["spectral_points"])
         try:
             rel = 0.0
-            for p in ps:
-                direct = analysis.laplace_impedance(model, mech, complex(p))
+            for p, direct in zip(ps, analysis.laplace_impedance(model, mech, ps)):
                 spectral = analysis.spectral_impedance(model, mech, complex(p), mu=mu)
                 rel = max(rel, abs(spectral - direct) / abs(direct))
             doc["spectral_rep"] = {"defect": rel, "threshold": a["spectral_threshold"],

@@ -5,8 +5,8 @@ real axis are a Kramers-Kronig pair, and the same Cauchy integral
 continues it into Im w > 0.  This module provides
 
 * the principal-value reconstruction of Gamma_I from sampled Gamma_R,
-* the off-axis Cauchy continuation,
-* a least-squares estimate of the high-frequency tail  Gamma ~ w_C/(-i w),
+* the off-axis Cauchy continuation, at one w or an array of them (a
+  table's Gamma in Im w > 0),
 * construction of the regularized time kernel kappa(t), the inverse
   transform of chi[w] + mu w^2 up to the lesser of pi/dt and the top of
   the chi curve, used by the memory integrator,
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, FitError, FrequencyRangeError, RegularizationError
-from .numerics import _inverse_square_tail, pv_hilbert_even, spectrum_to_kernel, write_csv
+from .errors import ContinuationError, FrequencyRangeError, RegularizationError
+from .numerics import (_PV_BLOCK, _inverse_square_tail, pv_hilbert_even, spectrum_to_kernel,
+                       write_csv)
 from .susceptibility import ResponseCurve, gamma, gamma_samples
 
 
@@ -57,57 +58,32 @@ def continue_upper_half(gamma_r, w):
     """Cauchy continuation of Gamma into Im w > 0 from Gamma_R samples.
 
     Returns (1/(i pi)) int Gamma_R(w') * 2w/(w'^2 - w^2) dw' over the
-    positive half grid, plus the curve's c/w'^2 tail in closed form.  The
-    denominator never vanishes for Im w > 0, so plain quadrature suffices.
+    positive half grid, plus the curve's c/w'^2 tail in closed form, shaped
+    like ``w``: one frequency or an array, each with Im w > 0.  The
+    denominator never vanishes there, so plain quadrature suffices; it runs
+    on one row of grid nodes per frequency, a block of rows at a time.
     """
-    if np.imag(w) <= 0:
+    w = np.asarray(w, dtype=complex)
+    if np.any(np.imag(w) <= 0):
         raise ContinuationError("continuation defined for Im w > 0 only")
     grid, vals = gamma_r.grid, gamma_r.values.real
-    w = complex(w)
-    result = np.trapezoid(vals * 2.0 * w / (grid * grid - w * w), grid)
     g0 = grid[0]
-    if g0 > 0:
-        # below-grid segment with the edge value; smooth for Im w > 0
-        seg = np.linspace(0.0, g0, 33)
-        result += np.trapezoid(vals[0] * 2.0 * w / (seg * seg - w * w), seg)
+    seg = np.linspace(0.0, g0, 33)  # below the grid, with the edge value
+    # at least 1-d throughout: NumPy's scalar arithmetic rounds some complex
+    # quotients differently from its array loops
+    flat = w.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    step = max(1, _PV_BLOCK // grid.size)
+    for i in range(0, flat.size, step):  # a block of frequencies, one row of nodes each
+        wb = flat[i : i + step, None]
+        out[i : i + step] = np.trapezoid(vals * 2.0 * wb / (grid * grid - wb * wb), grid, axis=-1)
+        if g0 > 0:
+            out[i : i + step] += np.trapezoid(vals[0] * 2.0 * wb / (seg * seg - wb * wb), seg,
+                                              axis=-1)
     if gamma_r.tail != 0.0:
-        result += _inverse_square_tail(gamma_r.tail, w, grid[-1])
-    return result / (1j * np.pi)
-
-
-@dataclass(frozen=True)
-class TailFit:
-    omega_c: float
-    residual: float
-    has_cutoff: bool
-
-
-def fit_tail_cutoff(curve):
-    """Least-squares w_C/(-i w) fit to the top decade of a Gamma curve.
-
-    Requires the curve to extend at least one decade beyond the knee
-    |Gamma| = 1/2; a curve with no knee at all (perfect mirror) is fitted
-    anyway and flagged has_cutoff=False with its O(1) residual.
-    """
-    grid, vals = curve.grid, curve.values
-    absg = np.abs(vals)
-    below = np.nonzero(absg < 0.5)[0]
-    has_knee = below.size > 0
-    if has_knee:
-        knee = grid[below[0]]
-        if grid[-1] < 10.0 * knee:
-            raise FitError(
-                f"curve ends at {grid[-1]:.3g}, less than a decade past the knee {knee:.3g}"
-            )
-    window = grid >= grid[-1] / 10.0
-    wg = grid[window]
-    gv = vals[window]
-    # model i c / w with real c: LSQ over the window
-    c = float(np.sum(np.imag(gv) / wg) / np.sum(1.0 / wg**2))
-    resid = float(
-        np.sqrt(np.sum(np.abs(gv - 1j * c / wg) ** 2) / np.sum(np.abs(gv) ** 2))
-    )
-    return TailFit(omega_c=c, residual=resid, has_cutoff=has_knee and resid < 0.5)
+        out += _inverse_square_tail(gamma_r.tail, flat, grid[-1])
+    out = (out / (1j * np.pi)).reshape(w.shape)
+    return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def write_csv(path, header, columns):
             fh.write(_format_block(x, template[: x.size].copy()))
 
 
-_PV_BLOCK = 1 << 16  # integrand values pv_hilbert_even holds at once
+_PV_BLOCK = 1 << 16  # integrand values a row-wise transform holds at once
 
 
 def pv_hilbert_even(grid, values, spline, w, tail_coeff=0.0):

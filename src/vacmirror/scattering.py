@@ -11,9 +11,11 @@ Everything that differs between them answers the ``MirrorModel``
 interface; callers ask the model, and ``kind`` is only the name written
 to output documents; that includes each model's exact rule for the
 cutoff factor Gamma.  Real-axis evaluations obey r[-w] = conj(r[w]) so
-the time-domain kernels stay real.  The Lorentzian continues analytically
-into Im w >= 0; the perfect mirror is constant everywhere; tabulated
-models accept only real frequencies inside their table range.
+the time-domain kernels stay real.  Every model gives Gamma in Im w > 0 as
+well: the Lorentzian continues analytically into Im w >= 0, the perfect
+mirror is constant everywhere, and a table continues its sampled Gamma
+curve by the Cauchy integral.  A table's r and s exist only at real
+frequencies inside its range.
 
 Models are immutable after construction and evaluation is pure, so they
 can be shared freely across workers.
@@ -30,15 +32,13 @@ from .numerics import decay_slope
 
 class MirrorModel:
     """What every mirror model answers: ``_r``, ``_s`` and ``_gamma`` (r, s and
-    Gamma shaped like w), ``omega_range`` (|w| where r, s exist),
-    ``continues_upper_half`` (r, s, Gamma defined at Im w >= 0),
-    ``gamma_is_one`` (Gamma == 1, the local third-derivative regime),
-    ``omega_scale`` (the frequency on which Gamma varies, 1 where it has
+    Gamma shaped like w, Gamma at real w and at Im w > 0), ``omega_range``
+    (|w| where r, s exist), ``gamma_is_one`` (Gamma == 1, the local
+    third-derivative regime), ``omega_scale`` (the frequency on which Gamma varies, 1 where it has
     none of its own) and ``gamma_curve``.
     """
 
     omega_range = (0.0, np.inf)
-    continues_upper_half = True
     gamma_is_one = False
     omega_scale = 1.0
 
@@ -100,7 +100,6 @@ class TabulatedMirror(MirrorModel):
     _interp: tuple = field(default=None, repr=False, compare=False)
     _cubics: np.ndarray = field(default=None, repr=False, compare=False)
     kind = "tabulated"
-    continues_upper_half = False
 
     def __post_init__(self):
         from scipy.interpolate import PchipInterpolator
@@ -147,12 +146,18 @@ class TabulatedMirror(MirrorModel):
         return np.where(wr >= 0, out, np.conj(out))
 
     def _gamma(self, w):
-        """Gamma at real w, exact up to rounding, with Gamma[0] = r[0]^2.
+        """Gamma at real w, exact up to rounding, with Gamma[0] = r[0]^2; at
+        complex w (each with Im w > 0) the Cauchy continuation of
+        ``gamma_curve``.
 
         Between consecutive points of {w_i} and {|w| - w_j} the integrand
         3 x (|w| - x) alpha(|w| - x, x) is a polynomial of degree at most 8
         in x, so the five-node Gauss-Legendre rule on each such piece is exact.
         """
+        if np.iscomplexobj(w):
+            from .dispersion import continue_upper_half
+
+            return np.asarray(continue_upper_half(self.gamma_curve, w))
         w = np.asarray(w, dtype=float)
         aw = np.abs(w)
         lo, hi = self.omega_range
@@ -266,13 +271,14 @@ def lorentzian_gamma(w, omega_scale=1.0):
 
 @dataclass(frozen=True)
 class ModelValidation:
-    """Defect report from validate_model; thresholds are the caller's."""
+    """Defect report from validate_model; thresholds are the caller's.  The
+    slope and the cutoff verdict are None where the slope is unknown."""
 
     unitarity_defect: float
     transparency_tail: float
-    transparency_slope: float
+    transparency_slope: float | None
     causality_defect: float
-    has_cutoff: bool
+    has_cutoff: bool | None
 
 
 def validate_model(model, grid):
@@ -280,9 +286,10 @@ def validate_model(model, grid):
 
     Reports the worst | |r|^2 + |s|^2 - 1 |, the largest |r| over the top
     decade of the grid (with its decay slope, -inf where |r| vanishes
-    there), and the residual of a Kramers-Kronig reconstruction of Im r
-    from Re r: one ``kk_reconstruct`` call for all interior probes, against
-    Im r interpolated linearly.
+    there, None where that decade holds fewer than 4 samples), and the
+    residual of a Kramers-Kronig reconstruction of Im r from Re r: one
+    ``kk_reconstruct`` call for all interior probes, against Im r
+    interpolated linearly.
     Nothing is raised; defects are numbers for the caller to judge.
     """
     from .dispersion import kk_reconstruct
@@ -299,10 +306,10 @@ def validate_model(model, grid):
     tail = float(np.max(np.abs(r[top])))
     try:
         slope = decay_slope(grid, np.abs(r))
-    except FitError:  # fewer than 4 samples in the top decade
-        slope = 0.0
+    except FitError:  # fewer than 4 samples in the top decade: no slope to judge by
+        slope = None
     # |r| must die at least like 1/w for the cutoff integrals to exist
-    has_cutoff = tail < 0.5 and slope < -0.9
+    has_cutoff = None if slope is None else tail < 0.5 and slope < -0.9
 
     interior = grid[(grid > grid[0] * 4) & (grid < grid[-1] / 4)]
     probes = interior[:: max(1, interior.size // 64)]

@@ -15,11 +15,11 @@ Gamma == 1 for the perfect mirror, so chi reduces to the local
 third-derivative force, the single-pole mirror has a closed form, and a
 tabulated mirror's integrand is a polynomial between merged breakpoints,
 which Gauss-Legendre pieces integrate exactly.  ``gamma_samples`` is the
-one place that evaluates Gamma, and it asks the model.  ``gamma``
-evaluates the integral by adaptive Gauss-Legendre on the unit interval
-(the endpoint weight (w - w') w' vanishes at both ends); it is the
-reference the model rules are tested against, and the Gamma[0] = r[0]^2
-limit.
+one place that evaluates Gamma, at real w and in Im w > 0, and it asks
+the model.  ``gamma`` evaluates the integral by adaptive Gauss-Legendre
+on the unit interval (the endpoint weight (w - w') w' vanishes at both
+ends); it is the reference the model rules are tested against, and the
+Gamma[0] = r[0]^2 limit.
 
 All functions are pure.
 """
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContinuationError, CutoffDivergenceError, FitError, FrequencyRangeError
+from .errors import CutoffDivergenceError, FitError, FrequencyRangeError
 from .numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
@@ -162,12 +162,10 @@ def gamma(model, w, settings=None, full_output=False):
 
 
 def gamma_samples(model, w):
-    """Gamma shaped like w, by the model's exact rule; complex w only where
-    the model continues into Im w >= 0."""
-    w = np.asarray(w)
-    if np.iscomplexobj(w) and not model.continues_upper_half:
-        raise ContinuationError("the model is defined only at real frequencies")
-    return model._gamma(w)
+    """Gamma shaped like w, as the model gives it: by its exact rule at real
+    w, and by its continuation at complex w in Im w > 0 (a table's is the
+    Cauchy integral of its ``gamma_curve``)."""
+    return model._gamma(np.asarray(w))
 
 
 def susceptibility(model, mech, w):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import vacmirror as vm
-from vacmirror.dispersion import acceleration_weights, fit_tail_cutoff
-from vacmirror.numerics import spectrum_to_kernel
+from vacmirror.dispersion import acceleration_weights
+from vacmirror.numerics import _inverse_square_tail, spectrum_to_kernel
 from vacmirror.errors import (
     ContinuationError,
-    FitError,
     FrequencyRangeError,
     RegularizationError,
 )
@@ -19,12 +18,6 @@ GAMMA_AT_I_OMEGA = 6 * (1.5 - 2 * np.log(2.0))
 def gamma_r_curve():
     grid = np.linspace(0.0, 400.0, 4001)
     return vm.ResponseCurve(grid, vm.lorentzian_gamma(grid).real, label="gamma_R")
-
-
-@pytest.fixture(scope="module")
-def gamma_full_curve():
-    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 1400)])
-    return vm.ResponseCurve(grid, vm.lorentzian_gamma(grid), label="gamma")
 
 
 def test_kk_reconstruct_at_omega(gamma_r_curve):
@@ -128,34 +121,41 @@ def test_maximum_principle_spot_check(gamma_r_curve):
     assert max(np.abs(seg)) <= boundary.max() + 1e-9
 
 
-def test_fit_tail_cutoff_lorentzian(gamma_full_curve):
-    fit = fit_tail_cutoff(gamma_full_curve)
-    assert fit.has_cutoff
-    assert fit.omega_c == pytest.approx(3.0, rel=5e-2)
+@pytest.mark.parametrize("omega", [1.0, 4.0])
+def test_high_frequency_sum_rule_gives_three_omega(omega):
+    # Kramers-Kronig: Im Gamma(w) -> omega_C / w at large w, and the
+    # single-pole mirror has omega_C = 3 Omega exactly
+    w = 1e6
+    assert w * vm.gamma_samples(vm.lorentzian_mirror(omega), w).imag == pytest.approx(
+        3.0 * omega, rel=1e-4)
 
 
-def test_fit_tail_cutoff_synthetic_exact():
-    grid = np.geomspace(0.1, 1e3, 300)
-    c = 2.2
-    curve = vm.ResponseCurve(grid, 1j * c / grid, label="synthetic")
-    fit = fit_tail_cutoff(curve)
-    assert fit.omega_c == pytest.approx(c, rel=1e-12)
-    assert fit.residual < 1e-12
+def _cauchy_at(curve, w):
+    """The continuation at one w in plain per-point arithmetic: the oracle."""
+    grid, vals = curve.grid, curve.values.real
+    w = complex(w)
+    out = np.trapezoid(vals * 2.0 * w / (grid * grid - w * w), grid)
+    if grid[0] > 0:
+        seg = np.linspace(0.0, grid[0], 33)
+        out += np.trapezoid(vals[0] * 2.0 * w / (seg * seg - w * w), seg)
+    if curve.tail != 0.0:
+        out += _inverse_square_tail(curve.tail, w, grid[-1])
+    return out / (1j * np.pi)
 
 
-def test_fit_tail_cutoff_perfect_flagged(perfect):
-    grid = np.geomspace(0.1, 1e3, 200)
-    curve = vm.ResponseCurve(grid, np.ones_like(grid) + 0j, label="gamma")
-    fit = fit_tail_cutoff(curve)
-    assert not fit.has_cutoff
-    assert fit.residual > 0.5
-
-
-def test_fit_tail_cutoff_insufficient_range():
-    grid = np.geomspace(0.1, 4.0, 100)
-    curve = vm.ResponseCurve(grid, vm.lorentzian_gamma(grid), label="gamma")
-    with pytest.raises(FitError):
-        fit_tail_cutoff(curve)
+@pytest.mark.parametrize("bottom", [0.0, 0.1])
+def test_continue_upper_half_array_is_the_per_point_rule(bottom):
+    # on the imaginary axis, where Z{p} reads it, bit for bit; off the axis
+    # NumPy's complex products differ from Python's in the last bits
+    grid = np.concatenate([[bottom], np.geomspace(max(bottom, 1e-3) * 1.01, 1e3, 1400)])
+    curve = vm.ResponseCurve(grid, vm.lorentzian_gamma(grid).real, label="gamma_R")
+    assert curve.tail != 0.0
+    y = np.geomspace(1e-6, 1e5, 120)
+    each = np.array([_cauchy_at(curve, 1j * x) for x in y])
+    assert vm.continue_upper_half(curve, 1j * y).tobytes() == each.tobytes()
+    w = y * np.exp(1j * np.linspace(0.1, np.pi - 0.1, y.size))
+    each = np.array([_cauchy_at(curve, x) for x in w])
+    np.testing.assert_allclose(vm.continue_upper_half(curve, w), each, rtol=1e-14, atol=0)
 
 
 def _chi_curve(mech, omega_max, points=1600):

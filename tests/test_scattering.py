@@ -96,6 +96,13 @@ def test_validate_perfect_flags_no_cutoff(perfect):
     assert not report.has_cutoff
 
 
+def test_validate_leaves_an_unfitted_slope_unknown(lorentzian):
+    # 3 samples in the top decade [10, 100]: no slope, so no cutoff verdict
+    report = vm.validate_model(lorentzian, np.geomspace(1e-2, 1e2, 10))
+    assert report.transparency_slope is None and report.has_cutoff is None
+    assert report.transparency_tail < 0.5
+
+
 def test_validate_tabulated_copy(tabulated_copy):
     grid = np.geomspace(1e-2, 10.0, 600)
     report = vm.validate_model(tabulated_copy, grid)
@@ -201,7 +208,6 @@ def test_every_factory_answers_the_model_interface(name):
     assert type(vm.transmissivity(model, ws[2])) is complex
     assert isinstance(model, vm.MirrorModel) and model.kind == name
     assert model.omega_range == ((0.0, 10.0) if name == "tabulated" else (0.0, np.inf))
-    assert model.continues_upper_half == (name != "tabulated")
     assert model.gamma_is_one == (name == "perfect")
 
 
@@ -213,5 +219,5 @@ def test_loaded_table_is_the_tabulated_model(tmp_path):
     ws = np.array(_GRID)
     for f in (vm.reflectivity, vm.transmissivity, vm.gamma_samples):
         np.testing.assert_array_equal(f(loaded, ws), f(same, ws))
-    assert (loaded.kind, loaded.omega_range, loaded.continues_upper_half,
-            loaded.gamma_is_one) == ("tabulated", (0.0, 10.0), False, False)
+    assert (loaded.kind, loaded.omega_range, loaded.gamma_is_one) == (
+        "tabulated", (0.0, 10.0), False)

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 import vacmirror as vm
 from vacmirror.errors import AccuracyError, CutoffDivergenceError, FitError
 from vacmirror.numerics import (
+    _PV_BLOCK,
     QuadratureSettings,
     adaptive_gauss_legendre,
     fit_inverse_square_tail,
@@ -192,9 +193,21 @@ def test_tabulated_gamma_at_zero_is_r0_squared(tabulated_copy):
     assert vm.gamma_samples(tabulated_copy, 0.0) == vm.gamma(tabulated_copy, 0.0)
 
 
-def test_sampler_tabulated_is_real_axis_only(tabulated_copy):
-    with pytest.raises(vm.ContinuationError):
-        vm.gamma_samples(tabulated_copy, np.array([1.0 + 1.0j]))
+def test_sampler_tabulated_continues_its_curve_in_one_call(tabulated_copy):
+    # Im w > 0: the Cauchy continuation of the cached curve, over more than
+    # one block of rows, bitwise what the per-point loop gives
+    curve = tabulated_copy.gamma_curve
+    n = 2 * (_PV_BLOCK // curve.grid.size) + 3
+    w = np.geomspace(1e-3, 1e4, n) * np.exp(1j * np.linspace(0.05, np.pi - 0.05, n))
+    each = np.array([vm.continue_upper_half(curve, x) for x in w])
+    assert vm.gamma_samples(tabulated_copy, w).tobytes() == each.tobytes()
+    assert vm.gamma_samples(tabulated_copy, w[3]) == each[3]
+
+
+def test_sampler_tabulated_refuses_im_w_at_or_below_zero(tabulated_copy):
+    for bad in (1.0 + 0.0j, 1.0 - 1e-3j, -2.0j):
+        with pytest.raises(vm.ContinuationError):
+            vm.gamma_samples(tabulated_copy, np.array([2.0j, bad]))
 
 
 @st.composite
