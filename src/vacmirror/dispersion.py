@@ -14,10 +14,12 @@ continues it into Im w > 0.  This module provides
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
 The reconstruction and the continuation read a ResponseCurve of Gamma_R
-and close it beyond its grid by the curve's own c/w^2 tail, fitted once
-per curve (``ResponseCurve.tail``); the reconstruction also interpolates
-on the curve's spline.  Transforms follow the package sign convention (see
-numerics module); all routines are pure.
+and close it beyond its grid by the curve's own (a + b ln w)/w^2 + c/w^3 tail,
+fitted once per curve (``ResponseCurve.tail``), in closed form.  The
+reconstruction interpolates on the curve's spline; the continuation
+integrates the Cauchy kernel exactly on the spline's cubic pieces.
+Transforms follow the package sign convention (see numerics module); all
+routines are pure.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationError, FrequencyRangeError, RegularizationError
-from .numerics import (_PV_BLOCK, _inverse_square_tail, pv_hilbert_even, spectrum_to_kernel,
-                       write_csv)
+from .numerics import cubic_cauchy, pv_hilbert_even, spectrum_to_kernel, tail_cauchy, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples
 
 
@@ -38,7 +39,7 @@ def kk_reconstruct(gamma_r, w):
     grid from 0.  The real part of the result is the sampled Gamma_R at w;
     the imaginary part, odd in w, is the principal-value transform with
     singularity subtraction, one call for all of w on the curve's spline of
-    Gamma_R, plus the curve's c/w^2 tail beyond the grid.
+    Gamma_R, plus the curve's (a + b ln w)/w^2 + c/w^3 tail beyond the grid.
     """
     grid, vals = gamma_r.grid, gamma_r.values.real
     w = np.asarray(w, dtype=float)
@@ -49,7 +50,7 @@ def kk_reconstruct(gamma_r, w):
         raise FrequencyRangeError(f"|w|={aw[~(inside | center)].flat[0]} outside grid interior")
     out = np.asarray(np.interp(aw, grid, vals), dtype=complex)
     out.imag[inside] = pv_hilbert_even(grid, vals, gamma_r._real_spline, aw[inside],
-                                       tail_coeff=gamma_r.tail)
+                                       tail=gamma_r.tail)
     out.imag = np.where(w < 0, -out.imag, out.imag)
     return out if out.ndim else complex(out)
 
@@ -57,31 +58,20 @@ def kk_reconstruct(gamma_r, w):
 def continue_upper_half(gamma_r, w):
     """Cauchy continuation of Gamma into Im w > 0 from Gamma_R samples.
 
-    Returns (1/(i pi)) int Gamma_R(w') * 2w/(w'^2 - w^2) dw' over the
-    positive half grid, plus the curve's c/w'^2 tail in closed form, shaped
-    like ``w``: one frequency or an array, each with Im w > 0.  The
-    denominator never vanishes there, so plain quadrature suffices; it runs
-    on one row of grid nodes per frequency, a block of rows at a time.
+    Returns (1/(i pi)) int Gamma_R(w') * 2w/(w'^2 - w^2) dw' from the grid's
+    first node (0 for a Gamma curve) to infinity, shaped like ``w``: one
+    frequency or an array, each with Im w > 0.  As 2w/(w'^2 - w^2) =
+    1/(w' - w) - 1/(w' + w), the grid part is two ``cubic_cauchy`` sums over
+    the cubic pieces of the curve's spline, exact however narrow the kernel;
+    the curve's tail adds its closed form.
     """
     w = np.asarray(w, dtype=complex)
     if np.any(np.imag(w) <= 0):
         raise ContinuationError("continuation defined for Im w > 0 only")
-    grid, vals = gamma_r.grid, gamma_r.values.real
-    g0 = grid[0]
-    seg = np.linspace(0.0, g0, 33)  # below the grid, with the edge value
-    # at least 1-d throughout: NumPy's scalar arithmetic rounds some complex
-    # quotients differently from its array loops
+    x, c = gamma_r._real_spline.x, gamma_r._real_spline.c
     flat = w.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    step = max(1, _PV_BLOCK // grid.size)
-    for i in range(0, flat.size, step):  # a block of frequencies, one row of nodes each
-        wb = flat[i : i + step, None]
-        out[i : i + step] = np.trapezoid(vals * 2.0 * wb / (grid * grid - wb * wb), grid, axis=-1)
-        if g0 > 0:
-            out[i : i + step] += np.trapezoid(vals[0] * 2.0 * wb / (seg * seg - wb * wb), seg,
-                                              axis=-1)
-    if gamma_r.tail != 0.0:
-        out += _inverse_square_tail(gamma_r.tail, flat, grid[-1])
+    out = cubic_cauchy(x, c, flat) - cubic_cauchy(x, c, -flat)
+    out += tail_cauchy(gamma_r.tail, x[-1], flat)
     out = (out / (1j * np.pi)).reshape(w.shape)
     return out if out.ndim else complex(out)
 

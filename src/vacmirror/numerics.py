@@ -1,9 +1,10 @@
 """Shared numerical routines.
 
 Everything here is stateless, and pure but for the CSV writer: adaptive
-Gauss-Legendre quadrature, the running trapezoid integral, the PV Hilbert
-transform used by the dispersion checks (on the caller's spline of the
-samples), inverse-square tail fitting and its analytic closure, and a
+Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
+the PV Hilbert transform used by the dispersion checks (on the caller's
+spline of the samples), the exact Cauchy integral of piecewise cubics, the
+(a + b ln w)/w^2 + c/w^3 tail fit with its integrals in closed form, and a
 complex secant root finder; only NumPy is imported.  The CSV writer prints
 every value as %.11e with NumPy, byte for byte what Python's formatting
 prints: 12 digits from a double-double product with a tabulated power of
@@ -79,22 +80,6 @@ def adaptive_gauss_legendre(f, a, b, settings=None):
                 error_bound=err_total,
             )
     return total, err_total
-
-
-def integrate_decades(f, top, settings):
-    """Integral of f over [0, top], one adaptive panel per decade [0, 1], [1, 10], ...
-
-    Returns the complex sum of the panel values; the error estimates are
-    dropped.
-    """
-    edges = [0.0, 1.0]
-    while edges[-1] < top:
-        edges.append(min(edges[-1] * 10.0, top))
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        seg, _ = adaptive_gauss_legendre(f, a, b, settings)
-        total += seg
-    return total
 
 
 def running_integral(y, x):
@@ -265,7 +250,7 @@ def write_csv(path, header, columns):
 _PV_BLOCK = 1 << 16  # integrand values a row-wise transform holds at once
 
 
-def pv_hilbert_even(grid, values, spline, w, tail_coeff=0.0):
+def pv_hilbert_even(grid, values, spline, w, tail=(0.0, 0.0, 0.0)):
     """Principal-value Kramers-Kronig integral for an even real function.
 
     Computes  -(1/pi) PV int_{-inf}^{inf} F(w') / (w' - w) dw'  folded onto
@@ -273,8 +258,8 @@ def pv_hilbert_even(grid, values, spline, w, tail_coeff=0.0):
     by subtracting the singular value analytically.  ``values`` are samples
     of F on ``grid`` (ascending, starting at or near 0), ``spline`` their
     interpolant, called as spline(w) and, for its slope, spline(w, 1) (a
-    scipy CubicSpline is one), and ``tail_coeff`` is the coefficient of an
-    assumed  c/w'^2  decay beyond the grid.
+    scipy CubicSpline is one), and ``tail`` the (a, b, c) of an assumed
+    (a + b ln w')/w'^2 + c/w'^3 decay beyond the grid, closed by ``tail_cauchy``.
 
     This is the imaginary part that causality pairs with the given real
     part, shaped like ``w``: one probe or an array of them, each strictly
@@ -300,41 +285,124 @@ def pv_hilbert_even(grid, values, spline, w, tail_coeff=0.0):
     # start above 0); the pole sits outside [0, grid[0]]
     if g0 > 0:
         result += (values[0] - fw) * np.log((w - g0) / (w + g0))
-    if tail_coeff != 0.0:
-        result += _inverse_square_tail(tail_coeff, w, L)
+    if any(tail):
+        result += tail_cauchy(tail, L, w).real
     return -result / np.pi
 
 
-def _inverse_square_tail(tail_coeff, w, L):
-    """Analytic int_L^inf (c/w'^2) * 2w/(w'^2 - w^2) dw' for the c/w'^2 tail."""
-    return tail_coeff * (2.0 / w) * (-np.log((L - w) / (L + w)) / (2.0 * w) - 1.0 / L)
-
-
-def fit_inverse_square_tail(grid, values):
-    """Fit c/w^2 to the top decade of a sampled decay; returns c.
-
-    The fit is the mean of values * w^2 over the window, which weights the
-    samples the way the subsequent analytic tail integral does.
-    """
+def fit_log_tail(grid, values):
+    """(a, b, c) of (a + b ln w)/w^2 + c/w^3 fitted to the top decade of a sampled
+    decay, by least squares of values * w^2 against 1, ln w and 1/w; zeros on
+    fewer than 4 samples.  The c/w^3 term, Gamma_R's next order, cuts the
+    error of a Lorentzian curve's integral a hundredfold."""
     mask = grid >= grid[-1] / 10.0
     if mask.sum() < 4:
-        raise FitError("fewer than 4 samples in the tail-fit window")
-    return float(np.mean(values[mask] * grid[mask] ** 2))
+        return 0.0, 0.0, 0.0
+    w = grid[mask]
+    basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
+    return tuple(float(x) for x in np.linalg.lstsq(basis, values[mask] * w**2, rcond=None)[0])
 
 
-def fit_power_law_slope(grid, values):
-    """Log-log least-squares slope over the top decade of the grid."""
-    mask = (grid >= grid[-1] / 10.0) & (values > 0)
-    if mask.sum() < 4:
-        raise FitError("fewer than 4 positive samples in the slope-fit window")
-    return float(np.polyfit(np.log(grid[mask]), np.log(values[mask]), 1)[0])
+def tail_integral(tail, top):
+    """int_top^inf ((a + b ln t)/t^2 + c/t^3) dt of the tail (a, b, c)."""
+    a, b, c = tail
+    return (a + b * (np.log(top) + 1.0) + 0.5 * c / top) / top
+
+
+_TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 at |z| = 1/2
+
+
+def tail_cauchy(tail, top, w):
+    """int_top^inf ((a + b ln t)/t^2 + c/t^3) 2w/(t^2 - w^2) dt of the tail (a, b, c), like w.
+
+    Each w lies off the real axis or inside (-top, top).  With z = w/top it is
+    (2w/top^3) [(a + b ln top) S1 + b S2 + (c/top) S3], S1 = sum_k z^2k/(2k + 3)
+    = (atanh z - z)/z^3, S2 = sum_k z^2k/(2k + 3)^2 = (chi_2(z) - z)/z^3, with
+    Legendre's chi_2(z) = (Li_2(z) - Li_2(-z))/2, and S3 = sum_k z^2k/(2k + 4)
+    = -(z^2 + log(1 - z^2))/(2 z^4): the sums for |z| <= 1/2, where the closed
+    forms cancel, and the closed forms above.  Complex.
+    """
+    a, b, c = tail
+    z = np.atleast_1d(np.asarray(w) / top).astype(complex)
+    near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
+    for k, terms in enumerate((_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0)):
+        s[k, near] = np.polynomial.polynomial.polyval(z[near] ** 2, 1.0 / terms)
+    far = z[~near]
+    s[0, ~near] = (np.arctanh(far) - far) / far**3
+    s[1, ~near] = (0.5 * (_dilog(far) - _dilog(-far)) - far) / far**3
+    s[2, ~near] = -(far**2 + np.log(1.0 - far**2)) / (2.0 * far**4)
+    out = (2.0 * z / top**2) * ((a + b * np.log(top)) * s[0] + b * s[1] + (c / top) * s[2])
+    return out.reshape(np.shape(w))
+
+
+# B_2k/(2k + 1)! for k = 0..12, k = 0 aside: the odd terms of Li_2's Bernoulli series
+_DILOG_SERIES = (0.0, 0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+                 -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+                 8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+                 -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21)
+
+
+def _dilog(z):
+    """Li_2(z) off the cut [1, inf): |z| > 1 goes to 1/z, by Li_2(z) = -Li_2(1/z)
+    - pi^2/6 - log(-z)^2/2, then Re z > 1/2 to 1 - z, by Li_2(z) = -Li_2(1 - z)
+    + pi^2/6 - log z log(1 - z), which leaves |u| < 1.3 for the series
+    Li_2 = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k + 1)!, u = -log(1 - z)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.abs(z) > 1.0
+        add_inv = np.where(inv, -np.pi**2 / 6.0 - 0.5 * np.log(-z) ** 2, 0.0)
+        z = np.where(inv, 1.0 / z, z)
+        ref = z.real > 0.5
+        add_ref = np.where(ref, np.pi**2 / 6.0 - np.log(z) * np.log(1.0 - z), 0.0)
+        u = -np.log(1.0 - np.where(ref, 1.0 - z, z))
+    li = u * (1.0 - 0.25 * u + np.polynomial.polynomial.polyval(u * u, _DILOG_SERIES))
+    li = add_ref + np.where(ref, -li, li)
+    return add_inv + np.where(inv, -li, li)
+
+
+_GL8 = np.polynomial.legendre.leggauss(8)
+
+
+def cubic_cauchy(x, c, w):
+    """sum_i int_{x_i}^{x_(i+1)} p_i(t)/(t - w) dt over cubic pieces, for a 1-d array of w.
+
+    ``c[:, i]`` holds p_i in powers of t - x_i, highest first (a scipy
+    PPoly's layout), and no w lies on a piece.  On a piece of width h, with
+    b = w - x_i, it is exact where |b| < 4h: the quadratic
+    q = (p(t) - p(b))/(t - b) of synthetic division plus p(b) log((h - b)/(-b));
+    elsewhere, with the pole at least 3h away, 8-point Gauss-Legendre is at
+    rounding.  The w go in blocks of _PV_BLOCK node values.
+    """
+    h = np.diff(x)
+    nodes, weights = _GL8
+    t = 0.5 * h[:, None] * (1.0 + nodes)
+    p_t = ((c[0, :, None] * t + c[1, :, None]) * t + c[2, :, None]) * t + c[3, :, None]
+    at_nodes = 0.5 * h[:, None] * weights * p_t
+    t += x[:-1, None]
+    out = np.empty(w.shape, dtype=complex)
+    step = max(1, _PV_BLOCK // t.size)
+    for i in range(0, w.size, step):  # a block of w, one row of pieces each
+        wb = w[i : i + step, None]
+        b = wb - x[:-1]
+        gauss = np.sum(at_nodes / (t - wb[..., None]), axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):  # far pieces take the Gauss rule
+            q1 = c[1] + b * c[0]
+            q0 = c[2] + b * q1
+            exact = ((c[0] * h / 3.0 + q1 / 2.0) * h + q0) * h \
+                + (c[3] + b * q0) * np.log((h - b) / -b)
+        out[i : i + step] = np.sum(np.where(np.abs(b) < 4.0 * h, exact, gauss), axis=-1)
+    return out
 
 
 def decay_slope(grid, values):
-    """Top-decade power-law slope of the values floored at 1e-300; -inf if they all vanish there."""
-    if np.any(values[grid >= grid[-1] / 10.0]):
-        return fit_power_law_slope(grid, np.clip(values, 1e-300, None))
-    return -np.inf
+    """Log-log least-squares slope of the values, floored at 1e-300, over the top
+    decade of the grid: -inf if they all vanish there, else FitError on fewer
+    than 4 samples there."""
+    top = grid >= grid[-1] / 10.0
+    if not np.any(values[top]):
+        return -np.inf
+    if top.sum() < 4:
+        raise FitError("fewer than 4 samples in the slope-fit window")
+    return float(np.polyfit(np.log(grid[top]), np.log(np.clip(values[top], 1e-300, None)), 1)[0])
 
 
 def secant_root(f, z0):

@@ -35,12 +35,17 @@ class MirrorModel:
     Gamma shaped like w, Gamma at real w and at Im w > 0), ``omega_range``
     (|w| where r, s exist), ``gamma_is_one`` (Gamma == 1, the local
     third-derivative regime), ``omega_scale`` (the frequency on which Gamma varies, 1 where it has
-    none of its own) and ``gamma_curve``.
+    none of its own), ``gamma_curve`` and ``_cutoff``.
     """
 
     omega_range = (0.0, np.inf)
     gamma_is_one = False
     omega_scale = 1.0
+
+    def _cutoff(self, top):
+        """(omega_C, its share above ``top``, the top-decade slope of Gamma_R) in
+        closed form, or None: the integral of ``gamma_curve`` then gives them."""
+        return None
 
     @cached_property
     def gamma_curve(self):
@@ -87,6 +92,19 @@ class LorentzianMirror(MirrorModel):
 
     def _gamma(self, w):
         return np.asarray(lorentzian_gamma(w, self.omega_scale))
+
+    def _cutoff(self, top):
+        """omega_C = 3 Omega, and its share above ``top`` exactly: in x = i w/Omega
+        Gamma has the primitive G = -3/x - 3 (1 - x)^2 log(1 - x)/x^2, with
+        G(0) = -9/2, so int_0^top Gamma_R dw = Omega Im G(i top/Omega).  At
+        top >> Omega the share tends to 4 Omega ln(top/Omega)/(pi top), the
+        integral of the asymptote Gamma_R ~ 6 Omega^2 (ln(w/Omega) - 1)/w^2.
+        The slope is fitted to the closed form on the top decade."""
+        inv = self.omega_scale / (1j * top)  # 1/x
+        primitive = -3.0 * inv - 3.0 * (1.0 - inv) ** 2 * np.log(1.0 - 1.0 / inv)
+        probe = np.geomspace(top / 10.0, top, 48)
+        return (3.0 * self.omega_scale, 1.0 - 2.0 * primitive.imag / (3.0 * np.pi),
+                decay_slope(probe, lorentzian_gamma(probe, self.omega_scale).real))
 
 
 # Gauss-Legendre nodes and weights on [-1, 1]: five nodes integrate degree 9
@@ -263,9 +281,11 @@ def lorentzian_gamma(w, omega_scale=1.0):
             term = term * xs
         out[small] = 6.0 * acc
     if (~small).any():
+        # -6 (-x + x^2/2 - (1 - x) log(1 - x)) / x^3, with no power of x
+        # beyond its square, which could overflow
         xl = x[~small]
-        f = -xl + 0.5 * xl * xl - (1.0 - xl) * np.log(1.0 - xl)
-        out[~small] = -6.0 * f / xl**3
+        inv = 1.0 / xl
+        out[~small] = -6.0 * (inv * (0.5 - inv) - (inv - 1.0) * inv * inv * np.log(1.0 - xl))
     return out if out.ndim else complex(out)
 
 

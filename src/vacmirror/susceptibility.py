@@ -19,7 +19,10 @@ one place that evaluates Gamma, at real w and in Im w > 0, and it asks
 the model.  ``gamma`` evaluates the integral by adaptive Gauss-Legendre
 on the unit interval (the endpoint weight (w - w') w' vanishes at both
 ends); it is the reference the model rules are tested against, and the
-Gamma[0] = r[0]^2 limit.
+Gamma[0] = r[0]^2 limit.  The reflection cutoff omega_C is each model's
+own: 3 Omega in closed form for the Lorentzian, else (2/pi) times the
+exact integral of the model's Gamma curve, cubic piece by piece, closed by
+the curve's (a + b ln w)/w^2 + c/w^3 tail.
 
 All functions are pure.
 """
@@ -29,13 +32,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CutoffDivergenceError, FitError, FrequencyRangeError
+from .errors import CutoffDivergenceError, FrequencyRangeError
 from .numerics import (
-    QuadratureSettings,
     adaptive_gauss_legendre,
     decay_slope,
-    fit_inverse_square_tail,
-    integrate_decades,
+    fit_log_tail,
+    tail_integral,
     write_csv,
 )
 from .scattering import reflectivity, transmissivity
@@ -74,8 +76,9 @@ class ResponseCurve:
     f[-w] = conj(f[w]); `__call__` applies it transparently through one
     cubic spline per part, each built on first use: a caller of the real
     part alone reads `_real_spline` and builds no imaginary one.  Beyond
-    the grid the real part is closed by a c/w^2 decay, `tail`, also fitted
-    on first use and kept.
+    the grid the real part is closed by an (a + b ln w)/w^2 + c/w^3 decay, `tail`,
+    also fitted on first use and kept; `real_integral` integrates the real
+    part exactly on the spline's cubic pieces and the tail.
     """
 
     grid: np.ndarray
@@ -108,12 +111,16 @@ class ResponseCurve:
 
     @cached_property
     def tail(self):
-        """c of the real part's c/w^2 decay beyond the grid: the fit over the
-        top decade, or 0.0 where that decade holds fewer than 4 samples."""
-        try:
-            return fit_inverse_square_tail(self.grid, self.values.real)
-        except FitError:
-            return 0.0
+        """(a, b, c) of the real part's (a + b ln w)/w^2 + c/w^3 decay beyond the
+        grid, fitted over its top decade: ``fit_log_tail``."""
+        return fit_log_tail(self.grid, self.values.real)
+
+    @cached_property
+    def real_integral(self):
+        """int of the real part from grid[0] to infinity: the spline's cubic
+        pieces exactly, plus the tail."""
+        return float(self._real_spline.integrate(self.grid[0], self.grid[-1])
+                     + tail_integral(self.tail, self.grid[-1]))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
@@ -186,48 +193,39 @@ def induced_mass(mech, omega_c):
 class CutoffDiagnostics:
     omega_c: float
     tail_fraction: float
-    tail_coeff: float
     decay_slope: float
-
-
-_CUTOFF_QUADRATURE = QuadratureSettings(abs_tol=1e-8)
 
 
 def reflection_cutoff(model, omega_max=None, full_output=False):
     """Reflection cutoff omega_C = (1/pi) int_-inf^inf Gamma_R dw.
 
-    Folded to (2/pi) int_0^inf by parity.  The grid part is integrated by
-    adaptive quadrature decade by decade up to ``omega_max`` (default: the
-    lesser of 1e3 and the top of the model's range); beyond that a fitted
-    c/w^2 tail is added analytically, none where Gamma_R vanishes over the
-    top decade (a transparent mirror).  Raises CutoffDivergenceError when
-    Gamma_R shows no integrable decay (the perfect mirror: Gamma_R == 1).
+    Folded to (2/pi) int_0^inf by parity, with a tail above ``omega_max``
+    (default: the lesser of 1e3 and the top of the model's range).  The
+    Lorentzian gives its own, 3 Omega; any other model the ``real_integral``
+    of its Gamma curve to ``omega_max`` (``gamma_curve`` where that ends
+    there).  Raises CutoffDivergenceError when Gamma_R shows no integrable
+    decay over the top decade (the perfect mirror: Gamma_R == 1).
     """
     if omega_max is None:
         omega_max = min(1.0e3, model.omega_range[1])
+    exact = model._cutoff(omega_max)
+    if exact is None:
+        curve = model.gamma_curve
+        if curve.grid[-1] != omega_max:
+            from .analysis import sample_gamma_real
 
-    def gamma_r(ws):
-        return gamma_samples(model, np.atleast_1d(ws)).real
-
-    probe = np.geomspace(omega_max / 10.0, omega_max, 48)  # ends on omega_max exactly
-    probe_vals = gamma_r(probe)
-    slope = decay_slope(probe, probe_vals)
-    if slope > -1.2:
-        raise CutoffDivergenceError(
-            f"Gamma_R decays like w^{slope:.2f} on the top decade; "
-            "cutoff integral does not converge"
-        )
-    total = integrate_decades(gamma_r, omega_max, _CUTOFF_QUADRATURE).real
-    c = fit_inverse_square_tail(probe, probe_vals)
-    tail = c / omega_max
-    omega_c = (2.0 / np.pi) * (total + tail)
+            curve = sample_gamma_real(model, omega_max)
+        slope = decay_slope(curve.grid, curve.values.real)
+        if slope > -1.2:
+            raise CutoffDivergenceError(
+                f"Gamma_R decays like w^{slope:.2f} on the top decade; "
+                "cutoff integral does not converge"
+            )
+        total, tail = curve.real_integral, tail_integral(curve.tail, omega_max)
+        exact = (2.0 / np.pi) * total, tail / total if tail else 0.0, slope
+    omega_c, tail_fraction, slope = exact
     if full_output:
-        return omega_c, CutoffDiagnostics(
-            omega_c=omega_c,
-            tail_fraction=tail / (total + tail) if tail else 0.0,
-            tail_coeff=c,
-            decay_slope=slope,
-        )
+        return omega_c, CutoffDiagnostics(omega_c, tail_fraction, slope)
     return omega_c
 
 

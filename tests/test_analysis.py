@@ -187,6 +187,11 @@ def test_count_rhp_zeros_dichotomy(perfect, lorentzian):
     assert vm.count_rhp_zeros(lorentzian, strong) >= 1
 
 
+def test_lorentzian_counts_its_zero_at_a_huge_spring(lorentzian):
+    # mu/m = 1.2: the walk reaches y ~ 1e109, where Gamma must still read 3 i/y
+    assert vm.count_rhp_zeros(lorentzian, vm.MirrorMechanics(k=1e190, tau=0.4)) == 1
+
+
 @pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
 def test_count_rhp_zeros_needs_no_curve(lorentzian, table_1100, kind):
     model = lorentzian if kind == "lorentzian" else table_1100
@@ -244,6 +249,9 @@ class GainMirror(vm.MirrorModel):
     step of the walk is wrapped and refined."""
 
     kind = "gain"
+
+    def _r(self, w):  # Gamma[0] = r[0]^2 = -1, read by the Gamma curve
+        return np.full(np.shape(w), 1j)
 
     def _gamma(self, w):
         return -np.asarray(vm.lorentzian_gamma(w))
@@ -468,16 +476,33 @@ def test_perfect_mirror_root_from_the_real_axis_scan(perfect, tau, k):
 @pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
 @pytest.mark.parametrize("tau,k", [(0.34, 0.0), (0.35, 0.0), (0.4, 0.0), (0.35, 1.0)])
 def test_runaway_just_above_the_mass_boundary(lorentzian, table_1100, kind, tau, k):
-    # 1 < mu/m < 1.2: the real zero lies far out (p ~ 541 at tau Omega = 0.34)
+    # 1 < mu/m <= 1.2: the real zero lies far out (p ~ 541 at tau Omega = 0.34);
+    # mu/m = 3 tau Omega is 1.2 at tau Omega = 0.4, up to the rounding of 3 * 0.4
     model = lorentzian if kind == "lorentzian" else table_1100
     mech = vm.MirrorMechanics(k=k, tau=tau)
     report = vm.stability_report(model, mech)
-    assert 1.0 < report.mu_over_m < 1.2
+    assert 1.0 < report.mu_over_m < 1.2 + 1e-12
     assert report.rhp_zero_count == 1
     (root, resid), = report.roots
     assert abs(root.imag) <= 1e-12 * abs(root) and root.real > 10.0
     assert resid <= 1e-10 * mech.m * abs(root)
     assert not report.passive
+
+
+@pytest.mark.parametrize("tau,root", [(0.34, 541.374), (300.0, 3.33890e-3),
+                                      (3000.0, 3.33389e-4), (1e4, 1.00005e-4)])
+def test_table_finds_the_lorentzian_runaway_root(lorentzian, table_1100, tau, root):
+    # the root near the table's top (tau Omega = 0.34) and the slow ones at
+    # p ~ 1/(3 tau), where Gamma{p} is read at p far below the curve's first
+    # piece; the trapezoid continuation put the first at 546.37 and found no
+    # root at 3000 and 1e4
+    mech = vm.MirrorMechanics(k=0.0, tau=tau)
+    (exact, _), = vm.stability_report(lorentzian, mech).roots
+    assert exact.real == pytest.approx(root, rel=1e-5)
+    report = vm.stability_report(table_1100, mech)
+    assert report.rhp_zero_count == 1
+    (found, _), = report.roots
+    assert abs(found - exact) <= 1e-4 * abs(exact)
 
 
 def test_real_axis_seeds_take_an_exact_zero_once(perfect):

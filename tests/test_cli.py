@@ -179,7 +179,7 @@ def test_stability_runaway_just_above_the_mass_boundary(tmp_path, table_1100_fil
     out = tmp_path / "out"
     assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "stability.json").read_text())
-    assert 1.0 < doc["mu_over_m"] < 1.2
+    assert 1.0 < doc["mu_over_m"] < 1.2 + 1e-12  # 3 * 0.4 rounds above 1.2
     assert doc["rhp_zero_count"] == 1
     (root,) = doc["roots"]
     p = abs(complex(root["re"], root["im"]))
@@ -467,7 +467,9 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # SHA-256 of every CSV the CLI writes for three small runs, recorded with
 # the row-by-row %.11e writer (numpy 2.4, x86-64): any change in the bytes
 # of a data file, format or numbers, shows here.  A change that moves the
-# numbers on purpose records them again and says so.
+# numbers on purpose records them again and says so: the memory run's were
+# recorded again when omega_C became 3 Omega exactly (mu = 0.9, was 0.8975; the
+# trajectory moved by at most 7e-12 of each column's largest value).
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -475,9 +477,9 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "ad2377d571a686c48595536f41b72e06835434bcf74645078c9cfbe2a957e64d",
-        "kernel.csv": "8652d7eca312c7779f6458ca003fcc80c5eefabe60d50840d20f4c9e741f19d1",
-        "trajectory.csv": "182ce20e270947cfe2ebaab80d8e48fe3d8792450b148dd33177d037767fcbfc",
+        "energy.csv": "de90cd9e9ba621f1e09cffb94356c6a70f5c4a542786cdb2e68e3732b330fe84",
+        "kernel.csv": "61365ee2fa303584da8e1e52df3866bcd95fee1076d03235e8a2ac508c04ab2a",
+        "trajectory.csv": "c96d53e9d332f35cf156562a4f8a6e800280f684da835dd6cb4bb46f54a1e3b8",
     },
     ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
         "energy.csv": "54a419b41854edfd96e4f4ca002f673e0b422a32ad7e4ba50a5f6a4e826b0c39",
@@ -498,11 +500,17 @@ def test_data_files_keep_their_bytes(tmp_path, command, body):
 # SHA-256 of the JSON documents of a Lorentzian analyze and crosscheck,
 # recorded when every Kramers-Kronig probe and spectral point still built its
 # own spline: sharing one spline per curve left the bytes as they were.
+# Recorded again for omega_C = 3 (was 2.99180), mu/m = 3e-3, tail_fraction
+# 8.796e-3 (was 6.081e-3), now the exact share above 1e3 from the closed
+# form's primitive, a Kramers-Kronig causality defect of r that moved by
+# 1.2e-7 relative (the log tail of Re r), a Kramers-Kronig defect of Gamma
+# of 4.7006e-6 (was 4.7027e-6) and a spectral defect of 2.8e-10 (was
+# 2.2e-8); decay_slope kept its bytes.
 _GOLDEN_JSON = {
     ("analyze", "summary.json"):
-        "e2d6333f4d07159e86f4040d6cac1d34670fea64524a096ea6ee31115904d337",
+        "b64986074b7e9b9da49eb41f4463a09af8d68100bf530a105386402c518408b4",
     ("crosscheck", "crosscheck.json"):
-        "0afdae8fe99b1d31c1a004a496cdcd1c54338444b3b76042941fceb17b5cf02b",
+        "dbc56c49ff64e5e698df07d4988490ea95ae0918686185115ec673f9cec7e7a2",
 }
 
 
@@ -515,23 +523,28 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
 
 
 # SHA-256 of the JSON documents of four runs on the 1100-top table, recorded
-# while every reader of a Gamma curve still fitted its c/w^2 tail itself.  At
-# tau Omega = 0.4 the seed scan, the bisection and the secant find the root
-# p ~ 30.89 through the Cauchy continuation; at 0.35 the root p ~ 176.84 comes
-# from the scan over the rest of the walk's span.  The analyze grids hold 12
+# again when the table's omega_C and continuation became exact on its Gamma
+# curve's cubic pieces, closed by an (a + b ln w)/w^2 + c/w^3 tail: omega_C
+# 2.9999997 (was 2.9918033), tail_fraction 8.796e-3 (was 6.081e-3),
+# decay_slope -1.78887 (was -1.78869, now read from the curve's top
+# decade).  At tau Omega = 0.4 the seed scan, the bisection and the secant
+# find the root p = 30.893866 (was 30.890191; the Lorentzian's is
+# 30.893854) through the Cauchy continuation; at 0.35 the root p = 176.8242
+# (was 176.8424; 176.8239) comes from the scan over the rest of the walk's
+# span.  The analyze-tail causality defect of r moved by 8e-13 relative.  The analyze grids hold 12
 # and 3 samples in their top decade: the second closes the Kramers-Kronig
 # check of r with no tail, and writes its transparency slope and cutoff
 # verdict as null, unknown from 3 samples (re-recorded for that alone).
 _GOLDEN_TABLE = {
     "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
-                      "20d163e2f182ba5c640db6b0927d8014aaffd63422daa4dd6df6f3c9e93ba727"),
+                      "c9da61b9d83a3cc8376c28d399395a6c75ceae83f97497ca8fa91feca2c56f80"),
     "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
-                       "a13a77ac7f1a1d771f335a7f77305691a6c52cc4009078783bf6d72642858b43"),
+                       "27ae0217a4e30137009e58d41ba99227d952235072756ca22247f1336fba2539"),
     "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
-                     "c53bc9f574c479f0d56febe801eef4f01ecf91238211c80394cc13d187945b44"),
+                     "d87959ed47e6d8cc07856d2cd4cef45988c23ff20eec8bf7ef144734f7892f47"),
     "analyze-no-tail": ("analyze",
                         "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e2\npoints = 10\n",
-                        "38c304c54a480bc4dc77594a9171872b0a800c9a2fc30925a6a20bebf4d126f6"),
+                        "67e358d74837ee2268e9b1abd5000d49dcfcd352e3119b327383edca13dc9745"),
 }
 
 
@@ -566,15 +579,15 @@ def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, m
     assert 0 < len(builds) <= most
 
 
-@pytest.mark.parametrize("command,kind,most", [("stability", "tabulated", 2),
+@pytest.mark.parametrize("command,kind,most", [("stability", "tabulated", 1),
                                                ("crosscheck", "lorentzian", 4)])
 def test_each_curve_fits_its_tail_once(tmp_path, monkeypatch, table_1100_file,
                                        command, kind, most):
-    # stability at tau Omega = 0.4 on the table: reflection_cutoff and the
-    # table's Gamma curve, read by the walk, the real-axis scan and the secant;
-    # crosscheck: reflection_cutoff, the validation curve of r, the 4001-point
-    # Kramers-Kronig curve and the Gamma curve of the spectral points
-    original = sys.modules["vacmirror.numerics"].fit_inverse_square_tail
+    # stability at tau Omega = 0.4 on the table: its Gamma curve, read by
+    # reflection_cutoff, the walk, the real-axis scan and the secant;
+    # crosscheck: the validation curve of r, the 4001-point Kramers-Kronig
+    # curve and the Gamma curve of the spectral points
+    original = sys.modules["vacmirror.numerics"].fit_log_tail
     fits = []
 
     def counted(*args, **kwargs):
@@ -583,8 +596,8 @@ def test_each_curve_fits_its_tail_once(tmp_path, monkeypatch, table_1100_file,
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "vacmirror" and \
-                getattr(module, "fit_inverse_square_tail", None) is original:
-            monkeypatch.setattr(module, "fit_inverse_square_tail", counted)
+                getattr(module, "fit_log_tail", None) is original:
+            monkeypatch.setattr(module, "fit_log_tail", counted)
     model = "kind = lorentzian\n" if kind == "lorentzian" else \
         f"kind = tabulated\ntable = {table_1100_file}\n"
     cfg = write_cfg(tmp_path, f"[model]\n{model}[mechanics]\n"

@@ -16,9 +16,13 @@ from vacmirror import numerics
 from vacmirror.dynamics import export_energy_csv, export_run_csv
 from vacmirror.numerics import (
     _CSV_BLOCK,
-    _inverse_square_tail,
+    QuadratureSettings,
+    adaptive_gauss_legendre,
+    cubic_cauchy,
     pv_hilbert_even,
     running_integral,
+    tail_cauchy,
+    tail_integral,
     write_csv,
 )
 
@@ -170,7 +174,7 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
 
 
-def pv_hilbert_per_probe(grid, values, w, tail_coeff=0.0):
+def pv_hilbert_per_probe(grid, values, w, tail=(0.0, 0.0, 0.0)):
     """The one-probe transform that the array form replaced, a spline per probe,
     kept as its oracle."""
     spline = CubicSpline(grid, values)
@@ -187,15 +191,16 @@ def pv_hilbert_per_probe(grid, values, w, tail_coeff=0.0):
     g0 = grid[0]
     if g0 > 0:
         result += (values[0] - fw) * np.log((w - g0) / (w + g0))
-    if tail_coeff != 0.0:
-        result += _inverse_square_tail(tail_coeff, w, L)
+    if any(tail):
+        result += tail_cauchy(tail, L, w).real
     return -result / np.pi
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=4, max_value=300),
        g0=st.sampled_from([0.0, 1e-3, 0.5, 3.0]),
-       tail=st.sampled_from([0.0, 1.0, -2.5, 1e-3]),
+       tail=st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-2.5, 0.7, 3.0),
+                             (1e-3, -1e-3, 0.0)]),
        block=st.sampled_from([None, 1, 7, 1000]))
 def test_pv_hilbert_probes_match_the_per_probe_transform_bitwise(data, n, g0, tail, block):
     steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0)))
@@ -210,13 +215,13 @@ def test_pv_hilbert_probes_match_the_per_probe_transform_bitwise(data, n, g0, ta
     size = numerics._PV_BLOCK if block is None else block * grid.size
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_PV_BLOCK", size)
-        got = pv_hilbert_even(grid, values, CubicSpline(grid, values), probes, tail_coeff=tail)
+        got = pv_hilbert_even(grid, values, CubicSpline(grid, values), probes, tail=tail)
     oracle = np.array([pv_hilbert_per_probe(grid, values, float(w), tail) for w in probes])
     assert got.shape == probes.shape
     assert got.tobytes() == oracle.tobytes()
     if probes.size:
         one = pv_hilbert_even(grid, values, CubicSpline(grid, values), float(probes[0]),
-                              tail_coeff=tail)
+                              tail=tail)
         assert np.ndim(one) == 0 and np.float64(one).tobytes() == oracle[:1].tobytes()
 
 
@@ -225,6 +230,52 @@ def test_pv_hilbert_refuses_a_probe_outside_the_grid():
     for bad in ([1.0, 10.0], [0.4, 2.0], [np.nan]):
         with pytest.raises(vacmirror.FrequencyRangeError):
             pv_hilbert_even(grid, np.exp(-grid), CubicSpline(grid, np.exp(-grid)), np.array(bad))
+
+
+_TAIL_PROBES = [1e-9j, 1j, 10j, 499j, 501j, 1e3j, 1e4j, 1e9j,  # w = i y, |z| across 1/2 and 1
+                1e-3, 100.0, 499.0, 501.0, 999.0,  # real, inside (0, L)
+                300.0 + 400.0j, -700.0 + 2.0j, 5.0 + 1e-3j, 2000.0 + 1.0j, 1e5 + 1e5j]
+
+
+# the Lorentzian's Gamma_R ~ 6 (ln w - 1)/w^2 + 3 pi/w^3 at Omega = 1, and the
+# c/w^3 term alone
+@pytest.mark.parametrize("tail", [(-6.0, 6.0, 3.0 * np.pi), (0.0, 0.0, 1.0)])
+def test_tail_closed_forms_match_mpmath(tail):
+    # int_L^inf ((a + b ln t)/t^2 + c/t^3) [2w/(t^2 - w^2)] dt at 30 digits: the
+    # series below |w/L| = 1/2, atanh, Legendre's chi_2 and log above; 1e-13 relative
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a, b, c = tail
+    L = 1e3
+
+    def decay(t):
+        return (a + b * mp.log(t)) / t**2 + c / t**3
+
+    cuts = [L, 2 * L, mp.inf]
+    assert tail_integral(tail, L) == pytest.approx(float(mp.quad(decay, cuts)), rel=1e-14)
+    got = tail_cauchy(tail, L, np.array(_TAIL_PROBES))
+    for w, value in zip(_TAIL_PROBES, got):
+        z = mp.mpc(w)
+        exact = complex(mp.quad(lambda t: decay(t) * 2 * z / (t**2 - z**2), cuts))
+        assert abs(value - exact) <= 1e-13 * abs(exact), w
+    assert np.ndim(tail_cauchy(tail, L, 3j)) == 0
+
+
+def test_cubic_cauchy_matches_adaptive_quadrature_on_the_spline():
+    # the piece primitive against the adaptive oracle on the same spline, split
+    # at the nodes and around Re w; near the axis and far from it
+    x = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 350)])
+    spline = CubicSpline(x, vacmirror.lorentzian_gamma(x).real)
+    w = np.array([1e-6j, 1e-3j, 0.5j, 3.0 + 2.0j, -2.0 + 1e-4j, 500j, 1e6j, 2.5e-3 + 1e-5j])
+    got = cubic_cauchy(spline.x, spline.c, w)
+    tight = QuadratureSettings(abs_tol=1e-13, max_panels=100000)
+    rays = np.geomspace(1.0, 1e12, 25)
+    for value, pole in zip(got, w):
+        near = pole.real + abs(pole.imag) * np.concatenate([[0.0], rays, -rays])
+        cuts = np.unique(np.concatenate([x, near[(near > 0.0) & (near < x[-1])]]))
+        oracle = sum(adaptive_gauss_legendre(lambda t: spline(t) / (t - pole), lo, hi, tight)[0]
+                     for lo, hi in zip(cuts[:-1], cuts[1:]))
+        assert abs(value - oracle) < 1e-11, pole
 
 
 _HEAVY = ("scipy.integrate", "scipy.signal")
@@ -264,7 +315,7 @@ def test_pv_hilbert_on_a_numpy_spline_loads_no_scipy(tmp_path):
            "def spline(x, nu=0):\n"
            "    return 1.0 / (1.0 + x * x) if nu == 0 else -2.0 * x / (1.0 + x * x) ** 2\n"
            "w = np.array([0.5, 1.0, 3.0])\n"
-           "got = pv_hilbert_even(grid, spline(grid), spline, w, tail_coeff=1.0)\n"
+           "got = pv_hilbert_even(grid, spline(grid), spline, w, tail=(1.0, 0.0, 0.0))\n"
            "assert np.max(np.abs(got - w / (1.0 + w * w))) < 1e-6, got")
     assert _loaded_after(run, tmp_path, heavy=("scipy",)) == "[]"
 

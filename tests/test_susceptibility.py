@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import vacmirror as vm
-from vacmirror.errors import AccuracyError, CutoffDivergenceError, FitError
+from vacmirror.errors import AccuracyError, CutoffDivergenceError
 from vacmirror.numerics import (
     _PV_BLOCK,
     QuadratureSettings,
     adaptive_gauss_legendre,
-    fit_inverse_square_tail,
+    fit_log_tail,
 )
 
 from conftest import make_tabulated_copy
@@ -204,6 +204,24 @@ def test_sampler_tabulated_continues_its_curve_in_one_call(tabulated_copy):
     assert vm.gamma_samples(tabulated_copy, w[3]) == each[3]
 
 
+@settings(max_examples=12, deadline=None)
+@given(omega=st.floats(0.5, 2.0), step=st.sampled_from([0.02, 0.05]),
+       log_points=st.integers(200, 400), top=st.floats(300.0, 1000.0))
+def test_tabulated_continuation_is_the_closed_form_on_the_imaginary_axis(omega, step,
+                                                                         log_points, top):
+    # a coarse table of the Lorentzian, continued from its Gamma curve, against
+    # the closed form from y = 1e-9 to the curve's top: the table's own
+    # interpolation error, 4.7e-5 near y = 0.03 Omega at step 0.05, sets the
+    # 1e-4 (the trapezoid rule it replaced read 318 for 1 at y = 1e-6)
+    model = vm.lorentzian_mirror(omega)
+    w = omega * np.unique(np.concatenate([np.arange(0.0, 2.0, step),
+                                          np.geomspace(2.0, top, log_points)]))
+    table = vm.tabulated_mirror(w, vm.reflectivity(model, w), vm.transmissivity(model, w))
+    y = np.geomspace(1e-9, table.gamma_curve.grid[-1], 60)
+    exact = vm.lorentzian_gamma(1j * y, omega)
+    assert np.max(np.abs(vm.gamma_samples(table, 1j * y) - exact) / np.abs(exact)) < 1e-4
+
+
 def test_sampler_tabulated_refuses_im_w_at_or_below_zero(tabulated_copy):
     for bad in (1.0 + 0.0j, 1.0 - 1e-3j, -2.0j):
         with pytest.raises(vm.ContinuationError):
@@ -309,6 +327,36 @@ def test_reflection_cutoff_lorentzian(lorentzian):
     assert diag.decay_slope < -1.2
 
 
+@pytest.mark.parametrize("omega", [0.5, 1.0, 4.0, 1e4])
+def test_lorentzian_cutoff_is_three_omega_with_its_exact_tail_share(omega):
+    omega_c, diag = vm.reflection_cutoff(vm.lorentzian_mirror(omega), full_output=True)
+    assert omega_c == 3.0 * omega
+    # the share of omega_C above 1e3 from the primitive, against the adaptive
+    # oracle on the closed form over [0, 1e3]
+    cuts = np.unique(np.concatenate([[0.0, min(omega, 1e3)], np.geomspace(1e-2, 1e3, 6)]))
+    settings = QuadratureSettings(abs_tol=1e-10, max_panels=40000)
+    below = sum(adaptive_gauss_legendre(lambda w: vm.lorentzian_gamma(w, omega).real, a, b,
+                                        settings)[0].real for a, b in zip(cuts[:-1], cuts[1:]))
+    assert diag.tail_fraction == pytest.approx(1.0 - 2.0 * below / (np.pi * omega_c), rel=1e-9)
+    assert 0.0 < diag.tail_fraction < 1.0
+    if omega <= 4.0:
+        # far above Omega it integrates Gamma_R ~ 6 Omega^2 (ln(w/Omega) - 1)/w^2,
+        # which the closed form approaches like 1 + pi/(2 (w/Omega) (ln(w/Omega) - 1))
+        w = omega * np.geomspace(1e3, 1e6, 20)
+        asymptote = 6.0 * omega**2 * (np.log(w / omega) - 1.0) / w**2
+        assert np.max(np.abs(vm.lorentzian_gamma(w, omega).real / asymptote - 1.0)) < 3e-4
+        share = 4.0 * omega * np.log(1e3 / omega) / (np.pi * 1e3)
+        assert diag.tail_fraction == pytest.approx(share, rel=1e-3)
+
+
+def test_lorentzian_curve_integrates_to_three_omega(lorentzian):
+    # the curve's cubic pieces exactly, closed by its (a + b ln w)/w^2 + c/w^3
+    # tail: -9.3e-8 relative, where the decade quadrature and the c/w^2 tail
+    # read -2.7e-3
+    curve = vm.sample_gamma_real(lorentzian)
+    assert (2.0 / np.pi) * curve.real_integral == pytest.approx(3.0, rel=2e-5)
+
+
 def test_reflection_cutoff_perfect_diverges(perfect):
     with pytest.raises(CutoffDivergenceError):
         vm.reflection_cutoff(perfect)
@@ -342,12 +390,10 @@ def test_response_curve_tail_is_the_fit_or_zero(points, fitted):
     values = 1.0 / (1.0 + grid**2) + 1j * grid / (1.0 + grid**2)
     curve = vm.ResponseCurve(grid, values)
     if fitted:
-        expected = fit_inverse_square_tail(grid, values.real)
+        expected = fit_log_tail(grid, values.real)
         assert np.float64(curve.tail).tobytes() == np.float64(expected).tobytes()
     else:
-        with pytest.raises(FitError):
-            fit_inverse_square_tail(grid, values.real)
-        assert curve.tail == 0.0
+        assert fit_log_tail(grid, values.real) == (0.0, 0.0, 0.0) == curve.tail
         # the transform closes with no tail instead of refusing the curve
         rec = vm.kk_reconstruct(curve, 1.0)
         assert np.isfinite(rec) and rec.real == np.interp(1.0, grid, values.real)
