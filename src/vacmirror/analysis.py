@@ -269,7 +269,8 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     onto the positive axis.  As rho^2/(rho^2 + p^2) = 1 - p^2/(rho^2 + p^2),
     its integral is the ``real_integral`` of the Gamma_R curve
     ``gamma_curve`` less p^2 times its Cauchy integral, its
-    ``continue_upper_half`` at i p, with k/p + p(m - mu) added.  Models
+    ``continue_upper_half`` at i p, with k/p + p(m - mu) added; ``mu``
+    defaults to the curve's own, m tau (2/pi) ``real_integral``.  Models
     without a finite induced mass raise CutoffDivergenceError.
     """
     if gamma_curve is None:
@@ -278,7 +279,7 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     if decay_slope(grid, gvals) > -1.2:
         raise CutoffDivergenceError("spectral measure is not finite (no reflection cutoff)")
     if mu is None:
-        mu = induced_mass(mech, reflection_cutoff(model, omega_max=grid[-1]))
+        mu = induced_mass(mech, (2.0 / np.pi) * gamma_curve.real_integral)
     if mu > mech.m:
         raise ValueError("spectral representation requires mu <= m")
     p = complex(p)

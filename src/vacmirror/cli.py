@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,7 @@ _COMMANDS = {
 }
 
 
+@cache
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="vacmirror",

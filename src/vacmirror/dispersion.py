@@ -4,20 +4,22 @@ The cutoff factor Gamma is causal: its real and imaginary parts on the
 real axis are a Kramers-Kronig pair, and the same Cauchy integral
 continues it into Im w > 0.  This module provides
 
-* the principal-value reconstruction of Gamma_I from sampled Gamma_R,
-* the off-axis Cauchy continuation, at one w or an array of them (a
-  table's Gamma in Im w > 0),
+* the Cauchy continuation of sampled Gamma_R into Im w > 0, at one w or an
+  array of them (a table's Gamma there),
+* its boundary value on the real axis, the Kramers-Kronig reconstruction
+  of Gamma_I from Gamma_R,
 * construction of the regularized time kernel kappa(t), the inverse
   transform of chi[w] + mu w^2 up to the lesser of pi/dt and the top of
   the chi curve, used by the memory integrator,
 * a discretization cross-check of the linear-response identity
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
-The reconstruction and the continuation read a ResponseCurve of Gamma_R
-and close it beyond its grid by the curve's own (a + b ln w)/w^2 + c/w^3 tail,
-fitted once per curve (``ResponseCurve.tail``), in closed form.  The
-reconstruction interpolates on the curve's spline; the continuation
-integrates the Cauchy kernel exactly on the spline's cubic pieces.
+The continuation and the reconstruction are one sum: the Cauchy kernel
+integrated exactly on the cubic pieces of a ResponseCurve's spline of
+Gamma_R, closed beyond its grid by the curve's own (a + b ln w)/w^2 + c/w^3
+tail, fitted once per curve (``ResponseCurve.tail``), in closed form.  On
+the real axis the sum is its limit from above (Sokhotski-Plemelj): the
+principal value plus i pi Gamma_R(w).
 Transforms follow the package sign convention (see numerics module); all
 routines are pure.
 """
@@ -27,8 +29,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationError, FrequencyRangeError, RegularizationError
-from .numerics import cubic_cauchy, pv_hilbert_even, spectrum_to_kernel, tail_cauchy, write_csv
+from .numerics import cubic_cauchy, spectrum_to_kernel, tail_cauchy, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples
+
+
+def _cauchy_sum(gamma_r, w):
+    """int Gamma_R(w') 2w/(w'^2 - w^2) dw' from the grid's first node to infinity,
+    for a 1-d array of w: as 2w/(w'^2 - w^2) = 1/(w' - w) - 1/(w' + w), two
+    ``cubic_cauchy`` sums over the cubic pieces of the curve's spline, exact
+    however narrow the kernel, plus the curve's tail in closed form.  At a real
+    w it is the boundary value from above."""
+    x, c = gamma_r._real_spline.x, gamma_r._real_spline.c
+    return cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w) + tail_cauchy(gamma_r.tail, x[-1], w)
 
 
 def kk_reconstruct(gamma_r, w):
@@ -36,22 +48,26 @@ def kk_reconstruct(gamma_r, w):
 
     ``gamma_r`` is a ResponseCurve (imaginary parts, if any, are ignored)
     and ``w`` a frequency or an array, each |w| inside the grid or 0 on a
-    grid from 0.  The real part of the result is the sampled Gamma_R at w;
-    the imaginary part, odd in w, is the principal-value transform with
-    singularity subtraction, one call for all of w on the curve's spline of
-    Gamma_R, plus the curve's (a + b ln w)/w^2 + c/w^3 tail beyond the grid.
+    grid from 0.  It is the limit of ``continue_upper_half`` on the real
+    axis, one call for all of w: its real part is the curve's spline of
+    Gamma_R at |w|, its imaginary part, odd in w, the principal value.  A
+    grid that starts above 0 is led by Gamma_R frozen at its edge value.
     """
-    grid, vals = gamma_r.grid, gamma_r.values.real
+    grid = gamma_r.grid
     w = np.asarray(w, dtype=float)
     aw = np.abs(w)
     inside = (grid[0] < aw) & (aw < grid[-1])
     center = (w == 0.0) & (grid[0] == 0.0)  # the odd part vanishes there
     if not np.all(inside | center):
         raise FrequencyRangeError(f"|w|={aw[~(inside | center)].flat[0]} outside grid interior")
-    out = np.asarray(np.interp(aw, grid, vals), dtype=complex)
-    out.imag[inside] = pv_hilbert_even(grid, vals, gamma_r._real_spline, aw[inside],
-                                       tail=gamma_r.tail)
-    out.imag = np.where(w < 0, -out.imag, out.imag)
+    edge = gamma_r.values[0].real
+    out = np.full(w.shape, complex(edge))  # Gamma_R(0) at the center
+    wi = aw[inside]
+    total = _cauchy_sum(gamma_r, wi)
+    if grid[0] > 0.0:
+        total += edge * np.log((wi - grid[0]) / (wi + grid[0]))
+    out[inside] = total / (1j * np.pi)
+    out = np.where(w < 0, np.conj(out), out)
     return out if out.ndim else complex(out)
 
 
@@ -60,19 +76,12 @@ def continue_upper_half(gamma_r, w):
 
     Returns (1/(i pi)) int Gamma_R(w') * 2w/(w'^2 - w^2) dw' from the grid's
     first node (0 for a Gamma curve) to infinity, shaped like ``w``: one
-    frequency or an array, each with Im w > 0.  As 2w/(w'^2 - w^2) =
-    1/(w' - w) - 1/(w' + w), the grid part is two ``cubic_cauchy`` sums over
-    the cubic pieces of the curve's spline, exact however narrow the kernel;
-    the curve's tail adds its closed form.
+    frequency or an array, each with Im w > 0.
     """
     w = np.asarray(w, dtype=complex)
     if np.any(np.imag(w) <= 0):
         raise ContinuationError("continuation defined for Im w > 0 only")
-    x, c = gamma_r._real_spline.x, gamma_r._real_spline.c
-    flat = w.ravel()
-    out = cubic_cauchy(x, c, flat) - cubic_cauchy(x, c, -flat)
-    out += tail_cauchy(gamma_r.tail, x[-1], flat)
-    out = (out / (1j * np.pi)).reshape(w.shape)
+    out = (_cauchy_sum(gamma_r, w.ravel()) / (1j * np.pi)).reshape(w.shape)
     return out if out.ndim else complex(out)
 
 

@@ -2,10 +2,11 @@
 
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
-the PV Hilbert transform used by the dispersion checks (on the caller's
-spline of the samples), the exact Cauchy integral of piecewise cubics, the
-(a + b ln w)/w^2 + c/w^3 tail fit with its integrals in closed form, and a
-complex secant root finder; only NumPy is imported.  The CSV writer prints
+the exact Cauchy integral of piecewise cubics, off the real axis and as its
+boundary value from above on it (the principal value plus the residue, which
+the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
+integrals in closed form, and a complex secant root finder; only NumPy is
+imported.  The CSV writer prints
 every value as %.11e with NumPy, byte for byte what Python's formatting
 prints: 12 digits from a double-double product with a tabulated power of
 ten, rounded exactly unless the value lies next to a rounding tie, and
@@ -22,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import AccuracyError, FitError, FrequencyRangeError, RootConvergenceError
+from .errors import AccuracyError, FitError, RootConvergenceError
 
 _GL_LO = np.polynomial.legendre.leggauss(15)
 _GL_HI = np.polynomial.legendre.leggauss(30)
@@ -247,49 +248,6 @@ def write_csv(path, header, columns):
             fh.write(_format_block(x, template[: x.size].copy()))
 
 
-_PV_BLOCK = 1 << 16  # integrand values a row-wise transform holds at once
-
-
-def pv_hilbert_even(grid, values, spline, w, tail=(0.0, 0.0, 0.0)):
-    """Principal-value Kramers-Kronig integral for an even real function.
-
-    Computes  -(1/pi) PV int_{-inf}^{inf} F(w') / (w' - w) dw'  folded onto
-    the positive half grid, i.e.  -(2w/pi) PV int_0^inf F(w')/(w'^2-w^2) dw',
-    by subtracting the singular value analytically.  ``values`` are samples
-    of F on ``grid`` (ascending, starting at or near 0), ``spline`` their
-    interpolant, called as spline(w) and, for its slope, spline(w, 1) (a
-    scipy CubicSpline is one), and ``tail`` the (a, b, c) of an assumed
-    (a + b ln w')/w'^2 + c/w'^3 decay beyond the grid, closed by ``tail_cauchy``.
-
-    This is the imaginary part that causality pairs with the given real
-    part, shaped like ``w``: one probe or an array of them, each strictly
-    inside the grid.
-    """
-    L, g0 = grid[-1], grid[0]
-    w = np.asarray(w, dtype=float)
-    outside = ~((g0 <= w) & (w < L))
-    if outside.any():
-        raise FrequencyRangeError(f"probe {w[outside].flat[0]} outside the grid [{g0}, {L})")
-    fw, dfw = spline(w), spline(w, 1)
-    result = np.empty(w.shape)
-    step = max(1, _PV_BLOCK // grid.size)
-    for i in range(0, w.size, step):  # a block of probes, one row of grid nodes each
-        wb, fb, dfb = (np.ravel(a)[i : i + step, None] for a in (w, fw, dfw))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = (values - fb) * 2.0 * wb / ((grid - wb) * (grid + wb))
-        near = np.abs(grid - wb) < 1e-12 * np.maximum(1.0, wb)
-        result.flat[i : i + step] = np.trapezoid(np.where(near, dfb, integrand), grid, axis=-1)
-    # analytic PV of the subtracted pole over [0, L]
-    result += fw * np.log((L - w) / (L + w))
-    # below-grid segment, integrand frozen at the edge value (grid may
-    # start above 0); the pole sits outside [0, grid[0]]
-    if g0 > 0:
-        result += (values[0] - fw) * np.log((w - g0) / (w + g0))
-    if any(tail):
-        result += tail_cauchy(tail, L, w).real
-    return -result / np.pi
-
-
 def fit_log_tail(grid, values):
     """(a, b, c) of (a + b ln w)/w^2 + c/w^3 fitted to the top decade of a sampled
     decay, by least squares of values * w^2 against 1, ln w and 1/w; zeros on
@@ -310,6 +268,8 @@ def tail_integral(tail, top):
 
 
 _TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 at |z| = 1/2
+# the coefficients of S1, S2 and S3 in powers of z^2, one column each
+_TAIL_TERMS = 1.0 / np.column_stack([_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0])
 
 
 def tail_cauchy(tail, top, w):
@@ -325,12 +285,12 @@ def tail_cauchy(tail, top, w):
     a, b, c = tail
     z = np.atleast_1d(np.asarray(w) / top).astype(complex)
     near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
-    for k, terms in enumerate((_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0)):
-        s[k, near] = np.polynomial.polynomial.polyval(z[near] ** 2, 1.0 / terms)
+    s[:, near] = np.polynomial.polynomial.polyval(z[near] ** 2, _TAIL_TERMS)
     far = z[~near]
-    s[0, ~near] = (np.arctanh(far) - far) / far**3
-    s[1, ~near] = (0.5 * (_dilog(far) - _dilog(-far)) - far) / far**3
-    s[2, ~near] = -(far**2 + np.log(1.0 - far**2)) / (2.0 * far**4)
+    if far.size:
+        s[0, ~near] = (np.arctanh(far) - far) / far**3
+        s[1, ~near] = (0.5 * (_dilog(far) - _dilog(-far)) - far) / far**3
+        s[2, ~near] = -(far**2 + np.log(1.0 - far**2)) / (2.0 * far**4)
     out = (2.0 * z / top**2) * ((a + b * np.log(top)) * s[0] + b * s[1] + (c / top) * s[2])
     return out.reshape(np.shape(w))
 
@@ -360,17 +320,23 @@ def _dilog(z):
 
 
 _GL8 = np.polynomial.legendre.leggauss(8)
+_PV_BLOCK = 1 << 16  # piece-node values a block of w holds at once
 
 
 def cubic_cauchy(x, c, w):
     """sum_i int_{x_i}^{x_(i+1)} p_i(t)/(t - w) dt over cubic pieces, for a 1-d array of w.
 
     ``c[:, i]`` holds p_i in powers of t - x_i, highest first (a scipy
-    PPoly's layout), and no w lies on a piece.  On a piece of width h, with
-    b = w - x_i, it is exact where |b| < 4h: the quadratic
-    q = (p(t) - p(b))/(t - b) of synthetic division plus p(b) log((h - b)/(-b));
-    elsewhere, with the pole at least 3h away, 8-point Gauss-Legendre is at
-    rounding.  The w go in blocks of _PV_BLOCK node values.
+    PPoly's layout).  On a piece of width h, with b = w - x_i, it is exact
+    where |b| < 4h: the quadratic q = (p(t) - p(b))/(t - b) of synthetic
+    division plus p(b) log((h - b)/(-b)); elsewhere, with the pole at least
+    3h away, 8-point Gauss-Legendre is at rounding.  A complex w lies on no
+    piece.  A real w, on neither end x_0 nor x_n, gives the boundary value
+    from above (Sokhotski-Plemelj), summed in real arithmetic: the principal
+    value, with the log at log|(h - b)/b|, where on an inner knot the log 0s
+    of the two adjacent pieces cancel and are left out (the symmetric
+    limit), plus i pi times the pieces' value at w (0 beyond them).  The w
+    go in blocks of _PV_BLOCK piece-node values.
     """
     h = np.diff(x)
     nodes, weights = _GL8
@@ -378,19 +344,31 @@ def cubic_cauchy(x, c, w):
     p_t = ((c[0, :, None] * t + c[1, :, None]) * t + c[2, :, None]) * t + c[3, :, None]
     at_nodes = 0.5 * h[:, None] * weights * p_t
     t += x[:-1, None]
-    out = np.empty(w.shape, dtype=complex)
+    on_axis = not np.iscomplexobj(w)
+    out = np.empty(w.shape, dtype=float if on_axis else complex)
     step = max(1, _PV_BLOCK // t.size)
     for i in range(0, w.size, step):  # a block of w, one row of pieces each
         wb = w[i : i + step, None]
+        terms = t - wb[..., None]
+        terms = np.divide(at_nodes, terms, out=terms).sum(axis=-1)
         b = wb - x[:-1]
-        gauss = np.sum(at_nodes / (t - wb[..., None]), axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):  # far pieces take the Gauss rule
-            q1 = c[1] + b * c[0]
-            q0 = c[2] + b * q1
-            exact = ((c[0] * h / 3.0 + q1 / 2.0) * h + q0) * h \
-                + (c[3] + b * q0) * np.log((h - b) / -b)
-        out[i : i + step] = np.sum(np.where(np.abs(b) < 4.0 * h, exact, gauss), axis=-1)
-    return out
+        row, j = np.nonzero(np.abs(b) < 4.0 * h)  # the pieces that take the exact rule
+        b, hj, cj = b[row, j], h[j], c[:, j]
+        q1 = cj[1] + b * cj[0]
+        q0 = cj[2] + b * q1
+        if on_axis:  # |h - b| and |b| read 1 where they vanish: on a knot the log 0s cancel
+            num, den = np.abs(hj - b), np.abs(b)
+            log = np.log(np.where(num == 0.0, 1.0, num) / np.where(den == 0.0, 1.0, den))
+        else:
+            log = np.log((hj - b) / -b)
+        terms[row, j] = ((cj[0] * hj / 3.0 + q1 / 2.0) * hj + q0) * hj + (cj[3] + b * q0) * log
+        out[i : i + step] = terms.sum(axis=-1)
+    if not on_axis:
+        return out
+    k = np.clip(np.searchsorted(x, w, side="right") - 1, 0, h.size - 1)
+    d = w - x[k]
+    value = ((c[0, k] * d + c[1, k]) * d + c[2, k]) * d + c[3, k]
+    return out + 1j * np.pi * np.where((x[0] <= w) & (w < x[-1]), value, 0.0)
 
 
 def decay_slope(grid, values):

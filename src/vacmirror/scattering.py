@@ -115,7 +115,6 @@ _GL5 = np.polynomial.legendre.leggauss(5)
 @dataclass(frozen=True)
 class TabulatedMirror(MirrorModel):
     table: tuple  # (w, r, s) arrays
-    _interp: tuple = field(default=None, repr=False, compare=False)
     _cubics: np.ndarray = field(default=None, repr=False, compare=False)
     kind = "tabulated"
 
@@ -128,14 +127,10 @@ class TabulatedMirror(MirrorModel):
             raise ValueError("table needs at least 4 samples")
         if np.any(np.diff(w) <= 0) or w[0] < 0:
             raise ValueError("table grid must be nonnegative and strictly increasing")
-        interp = tuple(
-            PchipInterpolator(w, comp, extrapolate=False)
-            for comp in (np.real(r), np.imag(r), np.real(s), np.imag(s))
-        )
-        object.__setattr__(self, "_interp", interp)
-        # the cubics of r and of s on each table interval, in powers of
+        # the monotone cubics of r and of s on each table interval, in powers of
         # (w - w_i): shape (4, 2, intervals)
-        re_r, im_r, re_s, im_s = (p.c for p in interp)
+        re_r, im_r, re_s, im_s = (PchipInterpolator(w, part).c
+                                  for part in (np.real(r), np.imag(r), np.real(s), np.imag(s)))
         object.__setattr__(self, "_cubics", np.stack([re_r + 1j * im_r, re_s + 1j * im_s], 1))
 
     @property
@@ -144,12 +139,12 @@ class TabulatedMirror(MirrorModel):
         return float(w[0]), float(w[-1])
 
     def _r(self, w):
-        return self._eval(w, self._interp[0:2])
+        return self._eval(w, 0)
 
     def _s(self, w):
-        return self._eval(w, self._interp[2:4])
+        return self._eval(w, 1)
 
-    def _eval(self, w, parts):
+    def _eval(self, w, part):
         w = np.asarray(w)
         if np.iscomplexobj(w) and np.any(np.abs(np.imag(w)) > 0):
             raise ContinuationError("tabulated models support only real frequencies")
@@ -158,8 +153,7 @@ class TabulatedMirror(MirrorModel):
         aw = np.abs(wr)
         if np.any(aw < lo) or np.any(aw > hi):
             raise FrequencyRangeError(f"frequency magnitude outside table range [{lo}, {hi}]")
-        re_i, im_i = parts
-        out = re_i(aw) + 1j * im_i(aw)
+        out = self._pieces(aw, aw)[part, 0]  # r or s, one node per piece
         # reality of the time-domain kernel: f(-w) = conj(f(w))
         return np.where(wr >= 0, out, np.conj(out))
 

@@ -413,6 +413,24 @@ def test_spectral_reads_the_curves_own_spline_bitwise(lorentzian):
     assert curve._real_spline(rho).tobytes() == spline(rho).tobytes()
 
 
+def test_spectral_mu_defaults_to_the_curves_own(table_1100, monkeypatch):
+    # mu left None is m tau (2/pi) of the passed curve's integral: a curve to 500
+    # on a table whose own curve ends at 1e3 samples no other curve
+    import vacmirror.analysis as analysis
+
+    mech = vm.MirrorMechanics(k=0.5, tau=0.03)
+    curve = sample_gamma_real(table_1100, 500.0)
+    mu = mech.m * mech.tau * (2.0 / np.pi) * curve.real_integral
+    sampled = []
+    original = analysis.sample_gamma_real
+    monkeypatch.setattr(analysis, "sample_gamma_real",
+                        lambda *args, **kwargs: sampled.append(args) or original(*args, **kwargs))
+    for p in (0.05, 1.0 + 0.5j, 40.0):
+        z = vm.spectral_impedance(table_1100, mech, p, gamma_curve=curve)
+        assert z == vm.spectral_impedance(table_1100, mech, p, gamma_curve=curve, mu=mu)
+    assert sampled == []
+
+
 def test_spectral_bare_mass_limit(lorentzian):
     mech = vm.MirrorMechanics(k=0.0, tau=0.0)
     z = vm.spectral_impedance(lorentzian, mech, 2.0, mu=0.0)

@@ -126,6 +126,33 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_requests_share_one_parser(tmp_path, monkeypatch, capsys):
+    # the argparse tree, a root and one subparser per command, is built once per
+    # process: a refused argument list and a refused config leave it as it was
+    import argparse
+
+    from vacmirror import cli
+
+    cli.make_parser.cache_clear()
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    refused = write_cfg(tmp_path, "[model]\nkind = lorentzian\nbogus = 1\n", "refused.cfg")
+    good = write_cfg(tmp_path, LORENTZIAN_CFG)
+    with pytest.raises(SystemExit):
+        main(["stability"])  # no --config
+    assert main(["stability", "--config", str(refused), "--out", str(tmp_path / "a")]) == 2
+    assert main(["stability", "--config", str(good), "--out", str(tmp_path / "b")]) == 0
+    assert main(["analyze", "--config", str(good), "--out", str(tmp_path / "c")]) == 0
+    assert len(built) == 1 + len(cli._COMMANDS) and cli.make_parser() is built[0]
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_stability_perfect(tmp_path):
     body = LORENTZIAN_CFG.replace("kind = lorentzian", "kind = perfect")
     cfg = write_cfg(tmp_path, body)
@@ -505,12 +532,17 @@ def test_data_files_keep_their_bytes(tmp_path, command, body):
 # form's primitive, a Kramers-Kronig causality defect of r that moved by
 # 1.2e-7 relative (the log tail of Re r), a Kramers-Kronig defect of Gamma
 # of 4.7006e-6 (was 4.7027e-6) and a spectral defect of 2.8e-10 (was
-# 2.2e-8); decay_slope kept its bytes.
+# 2.2e-8); decay_slope kept its bytes.  Recorded again when the
+# Kramers-Kronig transform became the Cauchy continuation's boundary value,
+# exact on the spline's cubic pieces: the causality defect of r 1.0542e-5
+# (was 1.9897e-3, the trapezoid rule's) and the Kramers-Kronig defect of Gamma
+# 7.2580e-6 (was 4.7005e-6; both rules sit at the interpolation limit of the
+# curve's 0.1 step); nothing else moved.
 _GOLDEN_JSON = {
     ("analyze", "summary.json"):
-        "b64986074b7e9b9da49eb41f4463a09af8d68100bf530a105386402c518408b4",
+        "edea33e7526e8e2ffd2e12a7d0c8b5d093ab192a5f46d1c3b8ecbd72f174738a",
     ("crosscheck", "crosscheck.json"):
-        "dbc56c49ff64e5e698df07d4988490ea95ae0918686185115ec673f9cec7e7a2",
+        "f8df17af1cb0d19b3551766ae88862b456f0065cc8556a2af372be52321de417",
 }
 
 
@@ -535,16 +567,22 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
 # and 3 samples in their top decade: the second closes the Kramers-Kronig
 # check of r with no tail, and writes its transparency slope and cutoff
 # verdict as null, unknown from 3 samples (re-recorded for that alone).
+# The two analyze documents were recorded again when the Kramers-Kronig
+# transform became the continuation's boundary value on the cubic pieces:
+# causality defect 1.5861e-5 (was 3.1685e-3) with the tail and 7.1383e-2
+# (was 1.1598e-1) without, whose last digits r and s by Horner on the
+# table's cubics moved by 4.4e-16 relative; the stability documents kept
+# their bytes.
 _GOLDEN_TABLE = {
     "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
                       "c9da61b9d83a3cc8376c28d399395a6c75ceae83f97497ca8fa91feca2c56f80"),
     "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
                        "27ae0217a4e30137009e58d41ba99227d952235072756ca22247f1336fba2539"),
     "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
-                     "d87959ed47e6d8cc07856d2cd4cef45988c23ff20eec8bf7ef144734f7892f47"),
+                     "ba4a54aee2763d2f4efee8c771dbd19fce8acacab10524c04e2f8034d52752c5"),
     "analyze-no-tail": ("analyze",
                         "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e2\npoints = 10\n",
-                        "67e358d74837ee2268e9b1abd5000d49dcfcd352e3119b327383edca13dc9745"),
+                        "b9a85126c680c241ebcd3c9914fefa035f59672f0ee3a20edc59c2aa328d1ef5"),
 }
 
 

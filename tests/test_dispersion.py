@@ -88,6 +88,21 @@ def test_kk_reconstruct_array_refuses_any_element_out_of_range(gamma_r_curve, ba
         vm.kk_reconstruct(gamma_r_curve, np.array([1.0, bad, 2.0]))
 
 
+def test_kk_reconstruct_is_the_continuations_limit_on_the_axis():
+    # Sokhotski-Plemelj: Gamma(w + i eps) from continue_upper_half tends to
+    # kk_reconstruct(w) like eps |Gamma'|, and |Gamma'| <= 1/2 here: within eps
+    # at eps = 1e-6, 1e-9 and 1e-12, on knots, between them and at both signs;
+    # the real part is the curve's spline
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 350)])
+    curve = vm.ResponseCurve(grid, vm.lorentzian_gamma(grid).real, label="gamma_R")
+    w = np.concatenate([grid[1:-1:37], np.sqrt(grid[1:-2:41] * grid[2:-1:41]), [0.5, 999.0]])
+    w = np.concatenate([w, -w])
+    rec = vm.kk_reconstruct(curve, w)
+    np.testing.assert_allclose(rec.real, curve._real_spline(np.abs(w)), rtol=1e-15, atol=0.0)
+    for eps in (1e-6, 1e-9, 1e-12):
+        assert np.max(np.abs(vm.continue_upper_half(curve, w + 1j * eps) - rec)) < eps
+
+
 def test_continue_upper_half_matches_closed_form(gamma_r_curve):
     est = vm.continue_upper_half(gamma_r_curve, 1j)
     assert abs(est - GAMMA_AT_I_OMEGA) / GAMMA_AT_I_OMEGA < 1e-5

@@ -19,7 +19,6 @@ from vacmirror.numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
     cubic_cauchy,
-    pv_hilbert_even,
     running_integral,
     tail_cauchy,
     tail_integral,
@@ -174,62 +173,86 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
 
 
-def pv_hilbert_per_probe(grid, values, w, tail=(0.0, 0.0, 0.0)):
-    """The one-probe transform that the array form replaced, a spline per probe,
-    kept as its oracle."""
-    spline = CubicSpline(grid, values)
-    L = grid[-1]
-    fw = float(spline(w))
-    dfw = float(spline(w, 1))
-    denom = (grid - w) * (grid + w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (values - fw) * 2.0 * w / denom
-    near = np.abs(grid - w) < 1e-12 * max(1.0, w)
-    integrand[near] = dfw
-    result = np.trapezoid(integrand, grid)
-    result += fw * np.log((L - w) / (L + w))
-    g0 = grid[0]
-    if g0 > 0:
-        result += (values[0] - fw) * np.log((w - g0) / (w + g0))
-    if any(tail):
-        result += tail_cauchy(tail, L, w).real
-    return -result / np.pi
+_RAYS = np.concatenate([[0.0], np.geomspace(1.0, 1e12, 25)])
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(min_value=4, max_value=300),
+def axis_oracle(spline, tail, w, scale):
+    """The real-axis sum sum_i int p_i(t) [1/(t - w) - 1/(t + w)] dt plus the tail's
+    int_L^inf by adaptive quadrature: the principal value as the subtracted integrand
+    (S(t) - S(w))/(t - w), split at the knots and at w, plus S(w) log((L - w)/(w - x_0));
+    the tail at t = L + s on [L, 2L], with t - w = s + (L - w), and at t = 2L/u above.
+    The imaginary part, pi S(w), is the residue from above."""
+    x, L = spline.x, spline.x[-1]
+    a, b, c = tail
+    sw = float(spline(w))
+    tight = QuadratureSettings(abs_tol=1e-13 * scale, max_panels=4000)
+
+    def pieces(t):
+        s = spline(t)
+        return (s - sw) / (t - w) - s / (t + w)
+
+    def decay(t):
+        return (a + b * np.log(t)) / t**2 + c / t**3
+
+    def near(s):
+        return decay(L + s) * 2.0 * w / ((s + (L - w)) * (L + s + w))
+
+    def far(u):
+        t = 2.0 * L / u
+        return decay(t) * 2.0 * w / ((t - w) * (t + w)) * t / u
+
+    def integral(f, lo, hi, pole):  # cut points closing geometrically on a pole outside
+        gap = min(abs(lo - pole), abs(hi - pole))
+        cuts = pole + np.sign(lo + hi - 2.0 * pole) * gap * _RAYS
+        cuts = np.unique(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
+        return sum(adaptive_gauss_legendre(f, u, v, tight)[0].real
+                   for u, v in zip(cuts[:-1], cuts[1:]))
+
+    # the pieces split at w; the pole of 1/(t + w) lies at -w, that of the tail L - w below L
+    cuts = np.unique(np.concatenate([x, [w]]))
+    total = sum(integral(pieces, lo, hi, -w) for lo, hi in zip(cuts[:-1], cuts[1:]))
+    total += sw * np.log((L - w) / (w - x[0]))
+    total += integral(near, 0.0, L, w - L) + integral(far, 0.0, 1.0, -1.0)
+    return complex(total, np.pi * sw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=4, max_value=40),
        g0=st.sampled_from([0.0, 1e-3, 0.5, 3.0]),
        tail=st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-2.5, 0.7, 3.0),
                              (1e-3, -1e-3, 0.0)]),
        block=st.sampled_from([None, 1, 7, 1000]))
-def test_pv_hilbert_probes_match_the_per_probe_transform_bitwise(data, n, g0, tail, block):
+def test_cubic_cauchy_on_the_axis_is_the_boundary_value(data, n, g0, tail, block):
+    # the two real-axis sums at +-w and the tail against the adaptive oracle to
+    # 1e-11 of the data's scale: probes on inner knots, inside pieces and next to
+    # both ends (1e-4 L below the top L at most, as tail_cauchy rounds z = w/L and
+    # so reads eps L/(L - w) relative there); an array of w is bitwise its one-w
+    # calls, whatever the block size
     steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0)))
-    grid = g0 + np.concatenate([[0.0], np.cumsum(steps)])
+    x = g0 + np.concatenate([[0.0], np.cumsum(steps)])
     values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
-    # probes on interior grid nodes and anywhere strictly inside [g0, L)
-    nodes = data.draw(st.lists(st.integers(1, n - 2), max_size=8))
-    fractions = data.draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=8))
-    probes = np.array([grid[i] for i in nodes] + [g0 + u * (grid[-1] - g0) for u in fractions])
-    probes = probes[(probes > g0) & (probes < grid[-1])]
-    # the block size fixes how many probes share one integrand array
-    size = numerics._PV_BLOCK if block is None else block * grid.size
+    spline = CubicSpline(x, values)
+    nodes = data.draw(st.lists(st.integers(1, n - 2), max_size=4))
+    fractions = data.draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=4))
+    ends = [x[0] + 1e-9 * (x[1] - x[0]), x[-1] * (1.0 - 1e-4)]
+    w = np.array([x[i] for i in nodes] + [x[0] + u * (x[-1] - x[0]) for u in fractions] + ends)
+    w = w[(w > x[0]) & (w <= ends[-1])]
+    size = numerics._PV_BLOCK if block is None else block * 8 * (n - 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "_PV_BLOCK", size)
-        got = pv_hilbert_even(grid, values, CubicSpline(grid, values), probes, tail=tail)
-    oracle = np.array([pv_hilbert_per_probe(grid, values, float(w), tail) for w in probes])
-    assert got.shape == probes.shape
-    assert got.tobytes() == oracle.tobytes()
-    if probes.size:
-        one = pv_hilbert_even(grid, values, CubicSpline(grid, values), float(probes[0]),
-                              tail=tail)
-        assert np.ndim(one) == 0 and np.float64(one).tobytes() == oracle[:1].tobytes()
-
-
-def test_pv_hilbert_refuses_a_probe_outside_the_grid():
-    grid = np.linspace(0.5, 10.0, 40)
-    for bad in ([1.0, 10.0], [0.4, 2.0], [np.nan]):
-        with pytest.raises(vacmirror.FrequencyRangeError):
-            pv_hilbert_even(grid, np.exp(-grid), CubicSpline(grid, np.exp(-grid)), np.array(bad))
+        plus, minus = cubic_cauchy(spline.x, spline.c, w), cubic_cauchy(spline.x, spline.c, -w)
+    for k, probe in enumerate(w):
+        one = cubic_cauchy(spline.x, spline.c, probe[None])
+        assert one.tobytes() == plus[k : k + 1].tobytes()
+        assert cubic_cauchy(spline.x, spline.c, -probe[None]).tobytes() == minus[k : k + 1].tobytes()
+    assert not np.any(minus.imag)  # -w lies below the pieces
+    got = plus - minus + tail_cauchy(tail, x[-1], w)
+    # the data's scale: the spline's largest value and the tail's (a, b, c) at the top
+    dense = x[:-1, None] + np.diff(x)[:, None] * np.linspace(0.0, 1.0, 17)
+    a, b, c = np.abs(tail)
+    scale = max(np.max(np.abs(spline(dense))), (a + b * abs(np.log(x[-1])) + c / x[-1]) / x[-1]**2)
+    for value, probe in zip(got, w):
+        assert abs(value - axis_oracle(spline, tail, float(probe), scale)) <= 1e-11 * scale, probe
 
 
 _TAIL_PROBES = [1e-9j, 1j, 10j, 499j, 501j, 1e3j, 1e4j, 1e9j,  # w = i y, |z| across 1/2 and 1
@@ -307,16 +330,20 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert _loaded_after("import vacmirror", tmp_path) == "[]"
 
 
-def test_pv_hilbert_on_a_numpy_spline_loads_no_scipy(tmp_path):
-    # F = 1/(1 + w^2), whose transform is w/(1 + w^2), with its exact slope
+def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
+    # F = 1/(1 + t^2), the real part of 1/(1 - i w), in cubic Hermite pieces with its
+    # exact slopes: the real-axis sums give its Kramers-Kronig partner w/(1 + w^2)
     run = ("import numpy as np\n"
-           "from vacmirror.numerics import pv_hilbert_even\n"
-           "grid = np.linspace(0.0, 200.0, 20001)\n"
-           "def spline(x, nu=0):\n"
-           "    return 1.0 / (1.0 + x * x) if nu == 0 else -2.0 * x / (1.0 + x * x) ** 2\n"
-           "w = np.array([0.5, 1.0, 3.0])\n"
-           "got = pv_hilbert_even(grid, spline(grid), spline, w, tail=(1.0, 0.0, 0.0))\n"
-           "assert np.max(np.abs(got - w / (1.0 + w * w))) < 1e-6, got")
+           "from vacmirror.numerics import cubic_cauchy, tail_cauchy\n"
+           "x = np.linspace(0.0, 200.0, 20001)\n"
+           "h, f, d = np.diff(x), 1.0 / (1.0 + x * x), -2.0 * x / (1.0 + x * x) ** 2\n"
+           "s = np.diff(f) / h\n"
+           "c = np.array([(d[:-1] + d[1:] - 2.0 * s) / h**2, (3.0 * s - 2.0 * d[:-1] - d[1:]) / h,"
+           " d[:-1], f[:-1]])\n"
+           "w = np.array([0.5, 1.0, 3.0])  # 1.0 and 3.0 lie on knots\n"
+           "got = (cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w)"
+           " + tail_cauchy((1.0, 0.0, 0.0), x[-1], w)) / (1j * np.pi)\n"
+           "assert np.max(np.abs(got - 1.0 / (1.0 - 1j * w))) < 1e-9, got")
     assert _loaded_after(run, tmp_path, heavy=("scipy",)) == "[]"
 
 

@@ -72,6 +72,22 @@ def test_tabulated_range_and_continuation_errors(tabulated_copy):
         vm.reflectivity(tabulated_copy, 1.0 + 1.0j)
 
 
+def test_table_amplitudes_are_its_monotone_cubics():
+    # r and s by Horner on the table's PCHIP cubics, the pieces Gamma reads, are
+    # scipy's PCHIP evaluation to rounding: on the nodes, between them and at both
+    # ends of the 1100-top table, and conjugate at -w
+    from scipy.interpolate import PchipInterpolator
+
+    model = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+    w, r, s = model.table
+    ws = np.concatenate([w, 0.5 * (w[1:] + w[:-1]), w[:-1] + 0.9 * np.diff(w)])
+    for amplitude, data in ((vm.reflectivity, r), (vm.transmissivity, s)):
+        pchip = PchipInterpolator(w, data.real)(ws) + 1j * PchipInterpolator(w, data.imag)(ws)
+        got = amplitude(model, ws)
+        assert np.max(np.abs(got - pchip)) < 1e-15
+        np.testing.assert_array_equal(amplitude(model, -ws), np.conj(got))
+
+
 def test_table_io_roundtrip(tmp_path, lorentzian):
     ws = np.linspace(0.0, 3.0, 301)
     path = tmp_path / "mirror.txt"
