@@ -2,16 +2,17 @@
 
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
+the piecewise cubic that every sampled curve and table is read as (a
+not-a-knot spline or a monotone PCHIP, each scipy's arithmetic to the bit),
 the exact Cauchy integral of piecewise cubics, off the real axis and as its
 boundary value from above on it (the principal value plus the residue, which
 the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
 integrals in closed form, and a complex secant root finder; only NumPy is
-imported.  The CSV writer prints
-every value as %.11e with NumPy, byte for byte what Python's formatting
-prints: 12 digits from a double-double product with a tabulated power of
-ten, rounded exactly unless the value lies next to a rounding tie, and
-Python formats those alone (see write_csv).  The transform helper fixes
-the package convention
+imported.  The CSV writer prints every value as %.11e with NumPy, byte for
+byte what Python's formatting prints: 12 digits from a double-double
+product with a tabulated power of ten, rounded exactly unless the value
+lies next to a rounding tie, and Python formats those alone (see
+write_csv).  The transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -248,6 +249,137 @@ def write_csv(path, header, columns):
             fh.write(_format_block(x, template[: x.size].copy()))
 
 
+@dataclass(frozen=True)
+class PiecewiseCubic:
+    """A C^1 piecewise cubic on breakpoints x: ``c[:, i]`` holds its piece on
+    [x_i, x_(i+1)] in powers of w - x_i, highest first (a scipy PPoly's
+    layout, which ``cubic_cauchy`` reads).  Two constructors fit it to samples
+    y at x: ``not_a_knot``, the interpolating cubic spline of de Boor (A
+    Practical Guide to Splines, 1978), and ``pchip``, the monotone cubic of
+    Fritsch and Butland (SIAM J. Sci. Stat. Comput. 5, 1984).  Each follows
+    the order of arithmetic of scipy's CubicSpline and PchipInterpolator, so
+    that their coefficients, values and integral are scipy's to the bit.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def _hermite(cls, x, y, d):
+        """The cubic through (x_i, y_i) with slopes d_i at the nodes."""
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1])))
+
+    @classmethod
+    def not_a_knot(cls, x, y):
+        """The cubic spline through real samples y at increasing x, at least 3,
+        with a continuous third derivative at x_1 and x_(n-2); with 3 samples,
+        the parabola through them.  Its node slopes solve one tridiagonal
+        system in one sweep with partial pivoting, step for step LAPACK's
+        gtsv, which scipy calls: a row is swapped with the next where that
+        one's subdiagonal entry outgrows the pivot (only on strongly graded
+        grids, as every inner row dominates its diagonal), and the swap fills
+        in one entry right of the superdiagonal."""
+        n = x.size
+        if n < 3:
+            raise ValueError("a not-a-knot spline needs at least 3 samples")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        diag, upper, lower, rhs = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper[1:] = dx[:-1]
+        lower[:-1] = dx[1:]
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        if n == 3:  # one condition for both ends: s_i + s_(i+1) = 2 slope_i
+            diag[[0, -1]] = upper[0] = lower[-1] = 1.0
+            rhs[[0, -1]] = 2 * slope
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            diag[0], upper[0], diag[-1], lower[-1] = dx[1], d0, dx[-2], d1
+            rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+            rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        # forward: row i as eliminated so far is (pivot, up, rhs); each finished
+        # row goes to ``rows`` as (pivot, up, fill, rhs) for the back substitution
+        pivot, up, r = float(diag[0]), float(upper[0]), float(rhs[0])
+        rows = []
+        for low, d_next, up_next, r_next in zip(lower.tolist(), diag[1:].tolist(),
+                                                upper[1:].tolist() + [0.0], rhs[1:].tolist()):
+            if abs(pivot) >= abs(low):
+                f = low / pivot
+                rows.append((pivot, up, 0.0, r))
+                pivot, up, r = d_next - f * up, up_next, r_next - f * r
+            else:  # swap rows i and i + 1
+                f = pivot / low
+                rows.append((low, d_next, up_next, r_next))
+                pivot, up, r = up - f * d_next, -f * up_next, r - f * r_next
+        s = [r / pivot]
+        pivot, up, _, r = rows.pop()
+        s.append((r - up * s[-1]) / pivot)
+        for pivot, up, fill, r in reversed(rows):
+            s.append((r - up * s[-1] - fill * s[-2]) / pivot)
+        return cls._hermite(x, y, np.array(s[::-1]))
+
+    @classmethod
+    def pchip(cls, x, y):
+        """The monotone cubic through real samples y at increasing x, at least
+        3: an inner node's slope is 0 where the adjacent secants differ in sign
+        or one is 0, else their harmonic mean weighted by the step lengths; an
+        end's is the one-sided three-point estimate, set to 0 where its sign
+        differs from the end secant's and capped at 3 times that secant where
+        the first two secants differ in sign (Moler, Numerical Computing with
+        MATLAB, 2004, section 3.6)."""
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.zeros(x.size)
+        # flat nodes are left out; a mean that overflows gives slope 0, as in scipy
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
+        for end, inner in ((0, 1), (-1, -2)):
+            h0, h1, m0, m1 = h[end], h[inner], m[end], m[inner]
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(e) != np.sign(m0):
+                e = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+                e = 3.0 * m0
+            d[end] = e
+        return cls._hermite(x, y, d)
+
+    def __call__(self, w):
+        """The value at each w in [x_0, x_n], shaped like w: in ascending powers
+        of s = w - x_i, with s^2 and s^3 by repeated products, as scipy sums."""
+        i = np.clip(np.searchsorted(self.x, w, side="right") - 1, 0, self.x.size - 2)
+        # np.take gathers 5 times faster than c[:, i], and the gathered rows take
+        # the products in place: on a kernel's 65537 bins, fresh temporaries
+        # for each product took 4 times as long
+        c = np.take(self.c, i, axis=1)
+        s = w - np.take(self.x, i)
+        s2 = s * s
+        c[2] *= s
+        c[1] *= s2
+        s2 *= s
+        c[0] *= s2
+        out = c[3]
+        out += c[2]
+        out += c[1]
+        out += c[0]
+        return out
+
+    def integral(self):
+        """The exact integral from x_0 to x_n: each piece's primitive at its
+        width in ascending powers, summed piece by piece in order."""
+        h = np.diff(self.x)
+        h2 = h * h
+        h3 = h2 * h
+        c = self.c
+        pieces = c[3] * h + c[2] * h2 * 0.5 + c[1] * h3 * (1.0 / 3.0) + c[0] * (h3 * h) * 0.25
+        return float(np.cumsum(pieces)[-1])
+
+
 def fit_log_tail(grid, values):
     """(a, b, c) of (a + b ln w)/w^2 + c/w^3 fitted to the top decade of a sampled
     decay, by least squares of values * w^2 against 1, ln w and 1/w; zeros on
@@ -287,10 +419,12 @@ def tail_cauchy(tail, top, w):
     near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
     s[:, near] = np.polynomial.polynomial.polyval(z[near] ** 2, _TAIL_TERMS)
     far = z[~near]
-    if far.size:
-        s[0, ~near] = (np.arctanh(far) - far) / far**3
-        s[1, ~near] = (0.5 * (_dilog(far) - _dilog(-far)) - far) / far**3
-        s[2, ~near] = -(far**2 + np.log(1.0 - far**2)) / (2.0 * far**4)
+    if far.size:  # 1 -+ z as (top -+ w)/top: exact to rounding however near w is to top
+        wf = np.atleast_1d(np.asarray(w)).astype(complex)[~near]
+        below, above = (top - wf) / top, (top + wf) / top
+        s[0, ~near] = (0.5 * np.log(above / below) - far) / far**3
+        s[1, ~near] = (0.5 * (_dilog(far, below) - _dilog(-far, above)) - far) / far**3
+        s[2, ~near] = -(far**2 + np.log(below * above)) / (2.0 * far**4)
     out = (2.0 * z / top**2) * ((a + b * np.log(top)) * s[0] + b * s[1] + (c / top) * s[2])
     return out.reshape(np.shape(w))
 
@@ -302,18 +436,20 @@ _DILOG_SERIES = (0.0, 0.027777777777777776, -0.0002777777777777778, 4.7241118669
                  -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21)
 
 
-def _dilog(z):
-    """Li_2(z) off the cut [1, inf): |z| > 1 goes to 1/z, by Li_2(z) = -Li_2(1/z)
-    - pi^2/6 - log(-z)^2/2, then Re z > 1/2 to 1 - z, by Li_2(z) = -Li_2(1 - z)
-    + pi^2/6 - log z log(1 - z), which leaves |u| < 1.3 for the series
-    Li_2 = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k + 1)!, u = -log(1 - z)."""
+def _dilog(z, zc):
+    """Li_2(z) off the cut [1, inf), given zc = 1 - z: |z| > 1 goes to 1/z, by
+    Li_2(z) = -Li_2(1/z) - pi^2/6 - log(-z)^2/2 (with 1 - 1/z = -zc/z), then
+    Re z > 1/2 to zc, by Li_2(z) = -Li_2(zc) + pi^2/6 - log z log zc, which
+    leaves |u| < 1.3 for the series Li_2 = u - u^2/4 + sum_k B_2k
+    u^(2k+1)/(2k + 1)!, u = -log(1 - z)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.abs(z) > 1.0
         add_inv = np.where(inv, -np.pi**2 / 6.0 - 0.5 * np.log(-z) ** 2, 0.0)
+        zc = np.where(inv, -zc / z, zc)
         z = np.where(inv, 1.0 / z, z)
         ref = z.real > 0.5
-        add_ref = np.where(ref, np.pi**2 / 6.0 - np.log(z) * np.log(1.0 - z), 0.0)
-        u = -np.log(1.0 - np.where(ref, 1.0 - z, z))
+        add_ref = np.where(ref, np.pi**2 / 6.0 - np.log(z) * np.log(zc), 0.0)
+        u = -np.log(1.0 - np.where(ref, zc, z))
     li = u * (1.0 - 0.25 * u + np.polynomial.polynomial.polyval(u * u, _DILOG_SERIES))
     li = add_ref + np.where(ref, -li, li)
     return add_inv + np.where(inv, -li, li)
@@ -336,21 +472,22 @@ def cubic_cauchy(x, c, w):
     value, with the log at log|(h - b)/b|, where on an inner knot the log 0s
     of the two adjacent pieces cancel and are left out (the symmetric
     limit), plus i pi times the pieces' value at w (0 beyond them).  The w
-    go in blocks of _PV_BLOCK piece-node values.
+    go in blocks of _PV_BLOCK piece-node values, laid out node by node so
+    that each block sums its 8 nodes over its leading axis.
     """
     h = np.diff(x)
     nodes, weights = _GL8
-    t = 0.5 * h[:, None] * (1.0 + nodes)
-    p_t = ((c[0, :, None] * t + c[1, :, None]) * t + c[2, :, None]) * t + c[3, :, None]
-    at_nodes = 0.5 * h[:, None] * weights * p_t
-    t += x[:-1, None]
+    t = 0.5 * h * (1.0 + nodes[:, None])  # node-major: one row of pieces per node
+    p_t = ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+    at_nodes = (0.5 * h * weights[:, None] * p_t)[:, None]
+    t = (t + x[:-1])[:, None]
     on_axis = not np.iscomplexobj(w)
     out = np.empty(w.shape, dtype=float if on_axis else complex)
     step = max(1, _PV_BLOCK // t.size)
     for i in range(0, w.size, step):  # a block of w, one row of pieces each
         wb = w[i : i + step, None]
-        terms = t - wb[..., None]
-        terms = np.divide(at_nodes, terms, out=terms).sum(axis=-1)
+        terms = t - wb
+        terms = np.divide(at_nodes, terms, out=terms).sum(axis=0)
         b = wb - x[:-1]
         row, j = np.nonzero(np.abs(b) < 4.0 * h)  # the pieces that take the exact rule
         b, hj, cj = b[row, j], h[j], c[:, j]

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
-from .numerics import decay_slope
+from .numerics import PiecewiseCubic, decay_slope
 
 
 class MirrorModel:
@@ -119,8 +119,6 @@ class TabulatedMirror(MirrorModel):
     kind = "tabulated"
 
     def __post_init__(self):
-        from scipy.interpolate import PchipInterpolator
-
         w, r, s = self.table
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or w.size < 4:
@@ -129,7 +127,7 @@ class TabulatedMirror(MirrorModel):
             raise ValueError("table grid must be nonnegative and strictly increasing")
         # the monotone cubics of r and of s on each table interval, in powers of
         # (w - w_i): shape (4, 2, intervals)
-        re_r, im_r, re_s, im_s = (PchipInterpolator(w, part).c
+        re_r, im_r, re_s, im_s = (PiecewiseCubic.pchip(w, part).c
                                   for part in (np.real(r), np.imag(r), np.real(s), np.imag(s)))
         object.__setattr__(self, "_cubics", np.stack([re_r + 1j * im_r, re_s + 1j * im_s], 1))
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import CutoffDivergenceError, FrequencyRangeError
 from .numerics import (
+    PiecewiseCubic,
     adaptive_gauss_legendre,
     decay_slope,
     fit_log_tail,
@@ -74,11 +75,12 @@ class ResponseCurve:
 
     Negative frequencies follow from the Hermitian-real parity
     f[-w] = conj(f[w]); `__call__` applies it transparently through one
-    cubic spline per part, each built on first use: a caller of the real
-    part alone reads `_real_spline` and builds no imaginary one.  Beyond
-    the grid the real part is closed by an (a + b ln w)/w^2 + c/w^3 decay, `tail`,
-    also fitted on first use and kept; `real_integral` integrates the real
-    part exactly on the spline's cubic pieces and the tail.
+    not-a-knot cubic spline per part (``PiecewiseCubic``), each built on
+    first use: a caller of the real part alone reads `_real_spline` and
+    builds no imaginary one.  Beyond the grid the real part is closed by an
+    (a + b ln w)/w^2 + c/w^3 decay, `tail`, also fitted on first use and
+    kept; `real_integral` integrates the real part exactly on the spline's
+    cubic pieces and the tail.
     """
 
     grid: np.ndarray
@@ -99,15 +101,11 @@ class ResponseCurve:
 
     @cached_property
     def _real_spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.grid, self.values.real)
+        return PiecewiseCubic.not_a_knot(self.grid, self.values.real)
 
     @cached_property
     def _imag_spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.grid, self.values.imag)
+        return PiecewiseCubic.not_a_knot(self.grid, self.values.imag)
 
     @cached_property
     def tail(self):
@@ -119,8 +117,7 @@ class ResponseCurve:
     def real_integral(self):
         """int of the real part from grid[0] to infinity: the spline's cubic
         pieces exactly, plus the tail."""
-        return float(self._real_spline.integrate(self.grid[0], self.grid[-1])
-                     + tail_integral(self.tail, self.grid[-1]))
+        return float(self._real_spline.integral() + tail_integral(self.tail, self.grid[-1]))
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)

@@ -9,13 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import vacmirror
 from vacmirror import numerics
 from vacmirror.dynamics import export_energy_csv, export_run_csv
 from vacmirror.numerics import (
     _CSV_BLOCK,
+    PiecewiseCubic,
     QuadratureSettings,
     adaptive_gauss_legendre,
     cubic_cauchy,
@@ -173,6 +174,77 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
 
 
+_SCIPY_TWINS = {"not_a_knot": CubicSpline, "pchip": PchipInterpolator}
+
+
+def _graded_grid(data, n):
+    """n nodes from 0 or above it, with steps spread over six decades."""
+    x0 = data.draw(st.sampled_from([0.0, 1e-3, 0.7, 50.0]))
+    exps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(-3.0, 3.0)))
+    return x0 + np.concatenate([[0.0], np.cumsum(10.0**exps)])
+
+
+def _assert_scipys_to_the_bit(ours, theirs, probes):
+    assert ours.c.tobytes() == theirs.c.tobytes()
+    assert ours(probes).tobytes() == theirs(probes).tobytes()
+    assert ours.integral() == float(theirs.integrate(ours.x[0], ours.x[-1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=4, max_value=400),
+       kind=st.sampled_from(sorted(_SCIPY_TWINS)))
+def test_piecewise_cubic_is_scipys_to_the_bit(data, n, kind):
+    # not-a-knot against CubicSpline, PCHIP against PchipInterpolator, on graded
+    # grids where the spline's solve swaps rows as LAPACK's gtsv does: the
+    # coefficients, the values on the nodes, between them and at exactly both
+    # ends, and the integral over the grid against PPoly.integrate, all bitwise
+    # (y + 0.0 drops -0.0, which scipy's evaluation turns into 0.0 at a node)
+    x = _graded_grid(data, n)
+    y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))) + 0.0
+    fractions = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(0.0, 1.0)))
+    probes = np.concatenate([x, x[:-1] + fractions * np.diff(x), [x[0], x[-1]]])
+    ours = getattr(PiecewiseCubic, kind)(x, y)
+    _assert_scipys_to_the_bit(ours, _SCIPY_TWINS[kind](x, y), probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_three_sample_spline_is_the_parabola(data):
+    # with 3 samples not-a-knot is the parabola through them; scipy solves it
+    # densely, so only to within 1e-8 of each piece's largest coefficient on the
+    # graded grids (8.2e-10 at worst over 20000 draws)
+    x = _graded_grid(data, 3)
+    y = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)))
+    ours, theirs = PiecewiseCubic.not_a_knot(x, y).c, CubicSpline(x, y).c
+    assert np.all(np.abs(ours - theirs) <= 1e-8 * np.max(np.abs(theirs), axis=0))
+    with pytest.raises(ValueError):
+        PiecewiseCubic.not_a_knot(x[:2], y[:2])
+
+
+def test_piecewise_cubic_is_scipys_on_the_production_grids(tmp_path):
+    # the 351-node Gamma curve (both parts, a Lorentzian and the fixture table),
+    # simulate's 1601-node chi curve at dt = 1e-3, crosscheck's 4001-node KK grid,
+    # and the PCHIP of a table file at the benchmark's node density
+    from conftest import make_tabulated_copy
+    from vacmirror.analysis import sample_gamma_real
+
+    lorentzian = vacmirror.lorentzian_mirror(1.7)
+    table = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+    chi_grid = np.concatenate([[0.0], np.geomspace(1e-3, np.pi / 1e-3, 1600)])
+    kk_grid = np.linspace(0.0, 400.0, 4001)
+    curves = [(c.grid, c.values) for c in (sample_gamma_real(lorentzian), table.gamma_curve)]
+    curves += [(chi_grid, 0.03j * chi_grid**3 * vacmirror.gamma_samples(lorentzian, chi_grid)),
+               (kk_grid, vacmirror.gamma_samples(lorentzian, kk_grid))]
+    for x, values in curves:
+        for part in (values.real, values.imag):
+            _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(x, part), CubicSpline(x, part), x)
+    bench = make_tabulated_copy(omega_max=1100.0, step=2e-3, log_points=2200)
+    vacmirror.save_table(tmp_path / "table.txt", *bench.table)
+    w, r, s = vacmirror.load_table(tmp_path / "table.txt").table
+    for part in (r.real, r.imag, s.real, s.imag):
+        _assert_scipys_to_the_bit(PiecewiseCubic.pchip(w, part), PchipInterpolator(w, part), w)
+
+
 _RAYS = np.concatenate([[0.0], np.geomspace(1.0, 1e12, 25)])
 
 
@@ -225,16 +297,15 @@ def axis_oracle(spline, tail, w, scale):
 def test_cubic_cauchy_on_the_axis_is_the_boundary_value(data, n, g0, tail, block):
     # the two real-axis sums at +-w and the tail against the adaptive oracle to
     # 1e-11 of the data's scale: probes on inner knots, inside pieces and next to
-    # both ends (1e-4 L below the top L at most, as tail_cauchy rounds z = w/L and
-    # so reads eps L/(L - w) relative there); an array of w is bitwise its one-w
-    # calls, whatever the block size
+    # both ends (1e-9 L below the top L, where tail_cauchy forms 1 - w/L as
+    # (L - w)/L); an array of w is bitwise its one-w calls, whatever the block size
     steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0)))
     x = g0 + np.concatenate([[0.0], np.cumsum(steps)])
     values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
     spline = CubicSpline(x, values)
     nodes = data.draw(st.lists(st.integers(1, n - 2), max_size=4))
     fractions = data.draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=4))
-    ends = [x[0] + 1e-9 * (x[1] - x[0]), x[-1] * (1.0 - 1e-4)]
+    ends = [x[0] + 1e-9 * (x[1] - x[0]), x[-1] * (1.0 - 1e-9)]
     w = np.array([x[i] for i in nodes] + [x[0] + u * (x[-1] - x[0]) for u in fractions] + ends)
     w = w[(w > x[0]) & (w <= ends[-1])]
     size = numerics._PV_BLOCK if block is None else block * 8 * (n - 1)
@@ -257,7 +328,8 @@ def test_cubic_cauchy_on_the_axis_is_the_boundary_value(data, n, g0, tail, block
 
 _TAIL_PROBES = [1e-9j, 1j, 10j, 499j, 501j, 1e3j, 1e4j, 1e9j,  # w = i y, |z| across 1/2 and 1
                 1e-3, 100.0, 499.0, 501.0, 999.0,  # real, inside (0, L)
-                300.0 + 400.0j, -700.0 + 2.0j, 5.0 + 1e-3j, 2000.0 + 1.0j, 1e5 + 1e5j]
+                300.0 + 400.0j, -700.0 + 2.0j, 5.0 + 1e-3j, 2000.0 + 1.0j, 1e5 + 1e5j,
+                1e3 * (1.0 - 1e-6), 1e3 * (1.0 - 1e-9), 1e3 * (1.0 - 1e-12)]  # next to L
 
 
 # the Lorentzian's Gamma_R ~ 6 (ln w - 1)/w^2 + 3 pi/w^3 at Omega = 1, and the
@@ -265,7 +337,8 @@ _TAIL_PROBES = [1e-9j, 1j, 10j, 499j, 501j, 1e3j, 1e4j, 1e9j,  # w = i y, |z| ac
 @pytest.mark.parametrize("tail", [(-6.0, 6.0, 3.0 * np.pi), (0.0, 0.0, 1.0)])
 def test_tail_closed_forms_match_mpmath(tail):
     # int_L^inf ((a + b ln t)/t^2 + c/t^3) [2w/(t^2 - w^2)] dt at 30 digits: the
-    # series below |w/L| = 1/2, atanh, Legendre's chi_2 and log above; 1e-13 relative
+    # series below |w/L| = 1/2, atanh, Legendre's chi_2 and log above; 1e-13
+    # relative, also a hair below L, where 1 - w/L would lose eps L/(L - w) if rounded
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     a, b, c = tail
@@ -279,7 +352,9 @@ def test_tail_closed_forms_match_mpmath(tail):
     got = tail_cauchy(tail, L, np.array(_TAIL_PROBES))
     for w, value in zip(_TAIL_PROBES, got):
         z = mp.mpc(w)
-        exact = complex(mp.quad(lambda t: decay(t) * 2 * z / (t**2 - z**2), cuts))
+        gap = abs(L - w)  # cut points closing geometrically on a pole next to L
+        near = [L + gap * 10**k for k in range(14) if gap * 10**k < L]
+        exact = complex(mp.quad(lambda t: decay(t) * 2 * z / (t**2 - z**2), [L] + near + cuts[1:]))
         assert abs(value - exact) <= 1e-13 * abs(exact), w
     assert np.ndim(tail_cauchy(tail, L, 3j)) == 0
 
@@ -301,7 +376,6 @@ def test_cubic_cauchy_matches_adaptive_quadrature_on_the_spline():
         assert abs(value - oracle) < 1e-11, pole
 
 
-_HEAVY = ("scipy.integrate", "scipy.signal")
 _PERFECT_RUN = """
 [model]
 kind = perfect
@@ -313,11 +387,26 @@ tau_omega = 0.5
 force = gaussian
 t_final = 2.0
 """
+# the baseline Lorentzian (Omega = 1, tau Omega = 0.03, k/m = 0.5), its simulate
+# in the memory regime
+_LORENTZIAN_RUN = """
+[model]
+kind = lorentzian
+
+[mechanics]
+tau_omega = 0.03
+k_over_m = 0.5
+
+[simulation]
+t_final = 2.0
+"""
 
 
-def _loaded_after(code, tmp_path, heavy=_HEAVY):
+def _loaded_after(code, tmp_path):
+    """The scipy modules loaded once ``code`` has run in a fresh process."""
     src = str(Path(vacmirror.__file__).resolve().parents[1])
-    probe = f"import sys\n{code}\nprint(sorted(m for m in {heavy!r} if m in sys.modules))"
+    probe = (f"import sys\n{code}\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
@@ -344,11 +433,38 @@ def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
            "got = (cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w)"
            " + tail_cauchy((1.0, 0.0, 0.0), x[-1], w)) / (1j * np.pi)\n"
            "assert np.max(np.abs(got - 1.0 / (1.0 - 1j * w))) < 1e-9, got")
-    assert _loaded_after(run, tmp_path, heavy=("scipy",)) == "[]"
+    assert _loaded_after(run, tmp_path) == "[]"
 
 
 def test_perfect_simulate_leaves_heavy_scipy_unloaded(tmp_path):
     (tmp_path / "run.cfg").write_text(_PERFECT_RUN)
     run = ("from vacmirror.cli import main\n"
            "assert main(['simulate', '--config', 'run.cfg', '--out', 'out']) == 0")
+    assert _loaded_after(run, tmp_path) == "[]"
+
+
+@pytest.fixture(scope="module")
+def table_run(tmp_path_factory):
+    from conftest import make_tabulated_copy
+
+    directory = tmp_path_factory.mktemp("table")
+    table = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200).table
+    vacmirror.save_table(directory / "table.txt", *table)
+    (directory / "run.cfg").write_text(f"[model]\nkind = tabulated\ntable = {directory / 'table.txt'}\n"
+                                       "[mechanics]\ntau_omega = 0.4\n")
+    return directory / "run.cfg"
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("analyze", "lorentzian"), ("stability", "lorentzian"), ("simulate", "lorentzian"),
+    ("crosscheck", "lorentzian"), ("analyze", "tabulated"), ("stability", "tabulated")])
+def test_commands_load_no_scipy(tmp_path, table_run, command, kind):
+    # the runtime is NumPy alone: each command in a fresh process, a table's
+    # stability through its Cauchy continuation (tau Omega = 0.4 has a runaway root)
+    cfg = table_run
+    if kind == "lorentzian":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_LORENTZIAN_RUN)
+    run = ("from vacmirror.cli import main\n"
+           f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', 'out']) == 0")
     assert _loaded_after(run, tmp_path) == "[]"
