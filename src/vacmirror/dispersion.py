@@ -120,13 +120,6 @@ class TimeKernel:
         write_csv(path, header, [self.times, self.values])
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def build_time_kernel(chi_curve, mu, window, dt):
     """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
 
@@ -139,7 +132,7 @@ def build_time_kernel(chi_curve, mu, window, dt):
     steps = int(round(window / dt))
     if steps < 2:
         raise ValueError("kernel window shorter than two steps")
-    n_fft = _next_pow2(max(2 * steps, 4096))
+    n_fft = 1 << (max(2 * steps, 4096) - 1).bit_length()
 
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     in_band = freqs <= omega_max

@@ -9,9 +9,9 @@ boundary value from above on it (the principal value plus the residue, which
 the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
 integrals in closed form, and a complex secant root finder; only NumPy is
 imported.  The CSV writer prints every value as %.11e with NumPy, byte for
-byte what Python's formatting prints: 12 digits from a double-double
-product with a tabulated power of ten, rounded exactly unless the value
-lies next to a rounding tie, and Python formats those alone (see
+byte what Python's formatting prints: 12 digits from one rounded product
+with a tabulated power of ten, which rounds like the exact product unless
+it lies next to a rounding tie, and Python formats those alone (see
 write_csv).  The transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
@@ -93,77 +93,42 @@ def running_integral(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-# rows formatted per block: the block's scratch arrays take about 200 bytes a
-# value; 4096-row blocks ran no faster and raised the peak RSS of a simulate
-# queue by 4 MB (of about 101 MB)
-_CSV_BLOCK = 1024
+# values formatted per block (1024 rows of a trajectory's 8 columns), so that
+# narrow tables pay the per-block overhead no more often than wide ones; the
+# block's scratch arrays take about 200 bytes a value
+_CSV_BLOCK = 8192
 # one value's bytes: sign, lead digit, '.', 11 digits, 'e', exponent sign,
-# three exponent digits, separator; the writer drops the sign byte of a
-# value >= 0 and the hundreds byte of an exponent below 100
+# three exponent digits, separator; the sign byte of a value >= 0 and the
+# hundreds byte of an exponent below 100 are written as NUL and deleted
 _SLOT = 20
-# the fractional part of |x| * 10^(11 - e) is computed to within 2^-52, so a
-# value whose fraction lies farther than this from 1/2 rounds the same way
-# exactly; a nearer one is left to Python's correctly rounded formatting
-_TIE_MARGIN = 2.0**-40
-_K_MIN = -300  # 11 - e spans [-298, 336] for doubles, with an estimate off by one
-_E_MAX = 330
-
-
-def _decimal_scales(k_min, k_max):
-    """10^k = 2^b * (hi + lo) with 1 <= hi < 2, for k_min <= k <= k_max.
-
-    Built from exact integers: hi is the nearest double to 10^k / 2^b and lo
-    the nearest double to the remainder, so hi + lo is 10^k / 2^b to about
-    2^-106.  Returns (b, hi, lo) and hi's Dekker split.
-    """
-    b, hi, lo = [], [], []
-    for k in range(k_min, k_max + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        e2 = num.bit_length() - den.bit_length()
-        if (num << max(-e2, 0)) < (den << max(e2, 0)):
-            e2 -= 1
-        num, den = num << max(-e2, 0), den << max(e2, 0)  # num / den in [1, 2)
-        h = num / den  # int true division rounds correctly
-        p, q = h.as_integer_ratio()
-        b.append(e2)
-        hi.append(h)
-        lo.append((num * q - p * den) / (den * q))
-    hi = np.array(hi)
-    return (np.array(b, dtype=np.int32), hi, np.array(lo)) + _split(hi)
-
-
-def _split(a):
-    """Dekker's split of doubles into two 26-bit halves that sum to a exactly."""
-    c = 134217729.0 * a
-    head = c - (c - a)
-    return head, a - head
+# p = fl(|x| * fl(10^k)) takes two roundings of at most 2^-53 each, so where
+# the exact product is below 10^12, p is off by less than 10^12 * 2^-52 *
+# (1 + 2^-54) = 2.2e-4 < 2^-12; p < 2^40, so p - rint(p) is exact, and a p
+# whose distance to rint(p) is below 1/2 - 2^-12 has the exact product
+# strictly inside the same rounding interval; a nearer tie is left to
+# Python's correctly rounded formatting
+_TIE_MARGIN = 2.0**-12
+# the correctly rounded scales 10^k for _K_MIN <= k <= _K_MAX; from _TINY up
+# the decades e lie in [-296, 308], so an estimate one off either way still
+# finds its scale 10^(11 - e) in the table, and the nonzero values below
+# _TINY go to the fallback
+_K_MIN, _K_MAX = -300, 308
+_TINY = 1e-296
+_E_MAX = 308  # the largest decade of a double
 
 
 @cache
 def _csv_tables():
     """The writer's read-only tables, built on first use so that importing the
-    package does not pay for them: the scales of _decimal_scales, the four
-    ASCII digits of each 0 <= i < 10^4 as one word, and the exponent field
-    (sign and three digits) of each |e| <= _E_MAX as one word."""
+    package does not pay for them: the correctly rounded 10^k for _K_MIN <= k
+    <= _K_MAX, the four ASCII digits of each 0 <= i < 10^4 as one word, and
+    the exponent field (sign, hundreds digit or NUL below 100, two digits) of
+    each |e| <= _E_MAX as one word."""
+    scales = np.array([float(f"1e{k}") for k in range(_K_MIN, _K_MAX + 1)])
     digits = 48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    exponents = b"".join(b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1))
-    return (_decimal_scales(_K_MIN, 11 + _E_MAX),
-            digits.astype(np.uint8).view("=u4")[:, 0],
-            np.frombuffer(exponents, dtype="=u4"))
-
-
-def _scaled(ax, e):
-    """|x| * 10^(11 - e) as an unevaluated sum p + low, to within 3 * 2^-65 for p < 2^40.
-
-    |x| * 2^b is exact, and Dekker's two-product gives its product with hi
-    exactly as p + err; NumPy has no fused multiply-add to do it instead.
-    """
-    b, hi, lo, hi_head, hi_tail = (t[11 - e - _K_MIN] for t in _csv_tables()[0])
-    xs = np.ldexp(ax, b)
-    p = xs * hi
-    xs_head, xs_tail = _split(xs)
-    err = ((xs_head * hi_head - p) + xs_head * hi_tail + xs_tail * hi_head) + xs_tail * hi_tail
-    return p, err + xs * lo
+    words = [b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1)]
+    exponents = b"".join(w[:1] + b"\0" + w[2:] if w[1:2] == b"0" else w for w in words)
+    return scales, digits.astype(np.uint8).view("=u4")[:, 0], np.frombuffer(exponents, dtype="=u4")
 
 
 def _format_fallback(values):
@@ -174,31 +139,31 @@ def _format_fallback(values):
 def _format_block(x, slots):
     """The %.11e bytes of the values x, each followed by its slot's separator.
 
-    ``slots`` is an (x.size, _SLOT) byte array holding '-' at 0, 'e' at 14
-    and the separator at the end; it is overwritten.
+    ``slots`` is an (x.size, _SLOT) byte array holding 'e' at 14 and the
+    separator at the end; it is overwritten.
     """
+    scales, digits4, exponents = _csv_tables()
     ax = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lg = np.log10(ax)
-        live = np.isfinite(lg)  # finite and nonzero
-        e = np.floor(np.where(live, lg, 0.0)).astype(np.int64)
-        p, low = _scaled(ax, e)
+    live = (ax >= _TINY) & (ax < np.inf)
+    e = np.floor(np.log10(np.where(live, ax, 1.0))).astype(np.int64)
+    with np.errstate(invalid="ignore"):  # inf - inf, and signalling nans
+        p = ax * scales[11 - _K_MIN - e]
         # the decade from log10 can be off by one next to a power of ten: redo
-        # those values with the adjacent exponent
+        # those values with the adjacent exponent, and leave to the fallback
+        # any that still fall outside [1e11, 1e12]
         off = np.flatnonzero(live & ((p < 1e11) | (p > 1e12)))
         if off.size:
             e[off] += np.where(p[off] > 1e12, 1, -1)
-            p[off], low[off] = _scaled(ax[off], e[off])
-        whole = np.floor(p)
-        frac = (p - whole) + low
+            p[off] = ax[off] * scales[11 - _K_MIN - e[off]]
+            p[off[(p[off] < 1e11) | (p[off] > 1e12)]] = np.nan
         # p == 1e12 is a carry whichever side of it the exact product lies
-        fast = (ax == 0) | (live & (p >= 1e11) & (p <= 1e12) & (np.abs(frac - 0.5) > _TIE_MARGIN))
-        digits = np.where(fast, whole + (frac > 0.5), 0.0).astype(np.int64)
+        digits = np.rint(p)
+        fast = (np.abs(p - digits) < 0.5 - _TIE_MARGIN) & (live | (ax == 0))
+    digits = np.where(fast, digits, 0.0).astype(np.int64)
     carry = digits == 10**12
     digits[carry] = 10**11
     e = np.where(fast, e + carry, 0)
 
-    _, digits4, exponents = _csv_tables()
     head = digits // 10**8
     rest = digits - head * 10**8
     mid = rest // 10**4
@@ -208,17 +173,14 @@ def _format_block(x, slots):
     slots[:, 1] = slots[:, 2]
     slots[:, 2] = ord(".")
     slots[:, 15:19].view("=u4")[:, 0] = exponents[e + _E_MAX]
-    keep = np.ones(slots.shape, dtype=bool)
-    keep[:, 0] = np.signbit(x)
-    keep[:, 16] = np.abs(e) >= 100
+    slots[:, 0] = np.signbit(x) * np.uint8(ord("-"))
 
-    slow = np.flatnonzero(~fast)  # nan, +-inf and exact or near ties
+    slow = np.flatnonzero(~fast)  # nan, +-inf, values below _TINY and near ties
     if slow.size:
-        text = _format_fallback(x[slow].tolist())
-        width = _SLOT - 1
-        slots[slow, :width] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-        keep[slow, :width] = np.arange(width) < np.array([len(t) for t in text])[:, None]
-    return slots[keep]
+        width = _SLOT - 1  # each text NUL-padded to the separator
+        text = np.array(_format_fallback(x[slow].tolist()), dtype=f"S{width}")
+        slots[slow, :width] = text.view(np.uint8).reshape(-1, width)
+    return slots.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, columns):
@@ -227,25 +189,26 @@ def write_csv(path, header, columns):
     The bytes are those of np.savetxt(fmt="%.11e", delimiter=",").  A
     finite nonzero x with decade e prints the 12 digits D = rint(y), y =
     |x| * 10^(11 - e), carried into the next decade when D reaches 10^12.
-    y is formed as a double-double: |x| * 2^b exactly, times a tabulated
-    10^(11 - e) / 2^b = hi + lo (to 2^-106) by Dekker's two-product.  Its
-    fractional part is then known to within 2^-52, so rint is exact
-    wherever that part lies more than _TIE_MARGIN (2^-40) from 1/2.  Those
-    near ties, nan and +-inf are the one fallback: each is formatted alone
-    by Python into the same slot layout.  Rows go in blocks of _CSV_BLOCK,
-    so the memory held stays bounded whatever the row count.
+    y is taken as the one rounded product p = |x| * fl(10^(11 - e)), within
+    _TIE_MARGIN (2^-12) of it, so rint(p) is exact wherever p lies farther
+    than that from a half-integer.  Those near ties, nan, +-inf and the
+    values below _TINY are the one fallback: each is formatted alone by
+    Python into the same slot.  Every slot is written in full with NUL for
+    the bytes a value does not print, and each block is compacted by one
+    bytes.translate.  Values go in blocks of about _CSV_BLOCK, whole rows
+    each, so the memory held stays bounded whatever the row count.
     """
     table = np.asarray(np.column_stack(columns), dtype=np.float64)
-    template = np.zeros((_CSV_BLOCK, table.shape[1], _SLOT), dtype=np.uint8)
-    template[..., 0] = ord("-")
+    rows = max(1, min(_CSV_BLOCK // table.shape[1], table.shape[0]))
+    template = np.zeros((rows, table.shape[1], _SLOT), dtype=np.uint8)
     template[..., 14] = ord("e")
     template[..., -1] = ord(",")
     template[:, -1, -1] = ord("\n")
     template = template.reshape(-1, _SLOT)
     with open(path, "wb") as fh:
         fh.write(header.encode("latin-1") + b"\n")
-        for start in range(0, table.shape[0], _CSV_BLOCK):
-            x = table[start : start + _CSV_BLOCK].ravel()
+        for start in range(0, table.shape[0], rows):
+            x = table[start : start + rows].ravel()
             fh.write(_format_block(x, template[: x.size].copy()))
 
 

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +59,41 @@ def test_write_csv_matches_row_formatter(tmp_path_factory, table):
     assert path.read_bytes() == row_formatted_csv(header, columns)
 
 
-@pytest.mark.parametrize("rows", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 7])
-def test_write_csv_matches_row_formatter_across_blocks(tmp_path, rows):
+# a block holds _CSV_BLOCK // cols whole rows: the edges of the first block for
+# the widths of kernel.csv, energy.csv and trajectory.csv; the cases below are
+# named by row count alone, which fixes the width
+_BLOCK_EDGES = [(cols, _CSV_BLOCK // cols + d) for cols in (2, 6, 8) for d in (-1, 0, 1)]
+_ACROSS_BLOCKS = _BLOCK_EDGES + [(8, 2 * (_CSV_BLOCK // 8) + 7), (8, 1)]
+
+
+@pytest.mark.parametrize("cols, rows", _ACROSS_BLOCKS, ids=[str(rows) for _, rows in _ACROSS_BLOCKS])
+def test_write_csv_matches_row_formatter_across_blocks(tmp_path, cols, rows):
     rng = np.random.default_rng(rows)
-    table = rng.standard_normal((rows, 8)) * 10.0 ** rng.integers(-320, 300, (rows, 8))
-    table[-1] = _EDGE_ROW
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-320, 300, (rows, cols))
+    table[-1] = np.resize(_EDGE_ROW, cols)
     path = tmp_path / "table.csv"
-    header = "t,q,v,a,F_a,W_a,E,W_m"
+    header = ",".join(f"c{j}" for j in range(cols))
     write_csv(path, header, list(table.T))
     assert path.read_bytes() == row_formatted_csv(header, list(table.T))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=numerics._TINY, max_value=sys.float_info.max),
+       shift=st.sampled_from([-1, 0, 1]))
+@example(x=9.999999999995e-7, shift=0)
+@example(x=numerics._TINY, shift=-1)
+@example(x=sys.float_info.max, shift=1)
+def test_one_rounded_product_stays_within_the_tie_margin(x, shift):
+    # the bound the writer's _TIE_MARGIN rests on: at the decade e of x or one
+    # off it, fl(x * fl(10^(11 - e))) is within the margin of the exact
+    # x * 10^(11 - e) wherever that is below 10^12, with fl(10^k) from the
+    # writer's table correctly rounded
+    k = 11 - (math.floor(math.log10(x)) + shift)
+    scale = numerics._csv_tables()[0][k - numerics._K_MIN]
+    assert scale == float(Fraction(10) ** k)
+    exact = Fraction(x) * Fraction(10) ** k
+    if exact < 10**12:
+        assert abs(Fraction(x * scale) - exact) < numerics._TIE_MARGIN
 
 
 def _step(x, steps):
@@ -76,6 +104,7 @@ def _step(x, steps):
 
 
 _SUBNORMAL_MAX = 2.2250738585072014e-308
+_SIGNALLING_NAN = float(np.uint64(0x7FF0000000000001).view(np.float64))
 _EXACT_TIES = st.one_of(
     # 13 significant digits ending in 5: integers, and 1 + odd/4096
     st.integers(10**11, 10**12 - 1).map(lambda n: float(10 * n + 5)),
@@ -93,10 +122,17 @@ _WIDE_EXPONENTS = st.builds(  # both sides of 1e+-99 and 1e+-100
 _HARD_VALUES = st.one_of(
     _EXACT_TIES, _CARRIES, _WIDE_EXPONENTS,
     st.floats(min_value=-_SUBNORMAL_MAX, max_value=_SUBNORMAL_MAX, allow_subnormal=True),
-    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, _SIGNALLING_NAN]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 _MIXED_BLOCK = [0.125, -3.5, 4097 / 4096, np.nan, 2.0, np.inf, -1e-3, -np.inf]
+
+
+def _at_block_edges(test):
+    """The _MIXED_BLOCK example at every block edge and across three blocks."""
+    for cols, rows in _BLOCK_EDGES + [(7, 2 * (_CSV_BLOCK // 7) + 7)]:
+        test = example(values=_MIXED_BLOCK, rows=rows, cols=cols)(test)
+    return test
 
 
 @settings(max_examples=300, deadline=None)
@@ -108,14 +144,12 @@ _MIXED_BLOCK = [0.125, -3.5, 4097 / 4096, np.nan, 2.0, np.inf, -1e-3, -np.inf]
 @example(values=[1e99, _step(1e99, -1), 1e100, _step(1e100, -1),
                  -1e-99, _step(-1e-99, 1), -1e-100, _step(-1e-100, 1)], rows=1, cols=8)
 @example(values=[-0.0, 5e-324, -5e-324, _SUBNORMAL_MAX, -2.5e-310, 0.0], rows=3, cols=2)
-@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK - 1, cols=8)
-@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK, cols=8)
-@example(values=_MIXED_BLOCK, rows=_CSV_BLOCK + 1, cols=8)
-@example(values=_MIXED_BLOCK, rows=2 * _CSV_BLOCK + 7, cols=7)
+@_at_block_edges
+@pytest.mark.filterwarnings("error")
 def test_write_csv_matches_row_formatter_on_hard_values(tmp_path_factory, values, rows, cols):
     # exact ties (rounded half to even), carries into the next decade,
     # three-digit exponents, subnormals, signed zeros and non-finite values,
-    # tiled cyclically over rows x cols
+    # tiled cyclically over rows x cols; a signalling nan raises no warning
     table = np.resize(np.array(values, dtype=np.float64), (rows, cols))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(cols))
@@ -253,15 +287,18 @@ def axis_oracle(spline, tail, w, scale):
     int_L^inf by adaptive quadrature: the principal value as the subtracted integrand
     (S(t) - S(w))/(t - w), split at the knots and at w, plus S(w) log((L - w)/(w - x_0));
     the tail at t = L + s on [L, 2L], with t - w = s + (L - w), and at t = 2L/u above.
-    The imaginary part, pi S(w), is the residue from above."""
+    The imaginary part, pi S(w), is the residue from above.  A node that rounds onto w
+    (on a panel a few ulps wide, between w and a knot next to it) takes the limit S'(w)."""
     x, L = spline.x, spline.x[-1]
     a, b, c = tail
-    sw = float(spline(w))
+    sw, slope = float(spline(w)), float(spline(w, 1))
     tight = QuadratureSettings(abs_tol=1e-13 * scale, max_panels=4000)
 
     def pieces(t):
         s = spline(t)
-        return (s - sw) / (t - w) - s / (t + w)
+        gap = t - w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(gap == 0.0, slope, (s - sw) / gap) - s / (t + w)
 
     def decay(t):
         return (a + b * np.log(t)) / t**2 + c / t**3
@@ -288,23 +325,37 @@ def axis_oracle(spline, tail, w, scale):
     return complex(total, np.pi * sw)
 
 
+@st.composite
+def _axis_splines(draw):
+    """(g0, steps, values, nodes, fractions): a spline's knots g0 + cumsum(steps)
+    with its values, and its probes' inner knot indices and fractions of its span."""
+    n = draw(st.integers(min_value=4, max_value=40))
+    return (draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0])),
+            draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0))),
+            draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0))),
+            draw(st.lists(st.integers(1, n - 2), max_size=4)),
+            draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=4)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), n=st.integers(min_value=4, max_value=40),
-       g0=st.sampled_from([0.0, 1e-3, 0.5, 3.0]),
+@given(case=_axis_splines(),
        tail=st.sampled_from([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (-2.5, 0.7, 3.0),
                              (1e-3, -1e-3, 0.0)]),
        block=st.sampled_from([None, 1, 7, 1000]))
-def test_cubic_cauchy_on_the_axis_is_the_boundary_value(data, n, g0, tail, block):
+# a draw found in a 1500-example run: a zero spline on 37 knots 1e-3 apart,
+# probed at w = L/3 = 0.012000000000000007, two ulps above the knot x_12, where
+# a node of the oracle's subtracted integrand rounded onto w and read 0/0
+@example(case=(0.0, np.full(36, 1e-3), np.zeros(37), [], [1 / 3]), tail=(0.0, 0.0, 0.0),
+         block=None)
+def test_cubic_cauchy_on_the_axis_is_the_boundary_value(case, tail, block):
     # the two real-axis sums at +-w and the tail against the adaptive oracle to
     # 1e-11 of the data's scale: probes on inner knots, inside pieces and next to
     # both ends (1e-9 L below the top L, where tail_cauchy forms 1 - w/L as
     # (L - w)/L); an array of w is bitwise its one-w calls, whatever the block size
-    steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 2.0)))
+    g0, steps, values, nodes, fractions = case
+    n = values.size
     x = g0 + np.concatenate([[0.0], np.cumsum(steps)])
-    values = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
     spline = CubicSpline(x, values)
-    nodes = data.draw(st.lists(st.integers(1, n - 2), max_size=4))
-    fractions = data.draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=4))
     ends = [x[0] + 1e-9 * (x[1] - x[0]), x[-1] * (1.0 - 1e-9)]
     w = np.array([x[i] for i in nodes] + [x[0] + u * (x[-1] - x[0]) for u in fractions] + ends)
     w = w[(w > x[0]) & (w <= ends[-1])]
