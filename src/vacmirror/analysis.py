@@ -18,7 +18,8 @@ them on the boundary of the whole half plane (Nyquist): a walk up the imaginary 
 Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
 Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
 at p = 0 and the arc at infinity close it in closed form.  A scan of the
-real axis seeds a secant iteration that refines them.  Passivity is read
+real axis, every sign change of it narrowed at once in 14 array passes,
+seeds a secant iteration that refines them.  Passivity is read
 on the same walk: no zero in Re p > 0 and Re Z(i y) >= 0; its test oracle
 is ``passivity_check``, a log-polar probe scan of Re Z{p}.  The spectral
 representation cross-checks the continuation,
@@ -263,32 +264,33 @@ def passivity_check(model, mech, probes=None):
 
 
 def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
-    """Z{p} from the passive spectral representation.
+    """Z{p} from the passive spectral representation, at one p (a complex) or
+    an array of p, each with Re p > 0.
 
     Folds the nonnegative measure Z_R[rho] drho = m tau rho^2 Gamma_R drho
     onto the positive axis.  As rho^2/(rho^2 + p^2) = 1 - p^2/(rho^2 + p^2),
     its integral is the ``real_integral`` of the Gamma_R curve
-    ``gamma_curve`` less p^2 times its Cauchy integral, its
-    ``continue_upper_half`` at i p, with k/p + p(m - mu) added; ``mu``
-    defaults to the curve's own, m tau (2/pi) ``real_integral``.  Models
-    without a finite induced mass raise CutoffDivergenceError.
+    ``gamma_curve`` less p^2 times its Cauchy integral, one
+    ``continue_upper_half`` call at every i p, with k/p + p(m - mu) added;
+    ``mu`` defaults to the curve's own, m tau (2/pi) ``real_integral``.
+    Models without a finite induced mass raise CutoffDivergenceError.
     """
     if gamma_curve is None:
         gamma_curve = model.gamma_curve
-    grid, gvals = gamma_curve.grid, np.real(gamma_curve.values)
-    if decay_slope(grid, gvals) > -1.2:
+    if decay_slope(gamma_curve.grid, np.real(gamma_curve.values)) > -1.2:
         raise CutoffDivergenceError("spectral measure is not finite (no reflection cutoff)")
     if mu is None:
         mu = induced_mass(mech, (2.0 / np.pi) * gamma_curve.real_integral)
     if mu > mech.m:
         raise ValueError("spectral representation requires mu <= m")
-    p = complex(p)
-    if p.real <= 0:
+    p = np.asarray(p, dtype=complex)
+    if np.any(p.real <= 0):
         raise ContinuationError("spectral representation defined for Re p > 0")
     mt = mech.m * mech.tau
     motional = (2.0 * p / np.pi) * gamma_curve.real_integral \
         - p * p * continue_upper_half(gamma_curve, 1j * p)
-    return mt * motional + mech.k / p + p * (mech.m - mu)
+    out = mt * motional + mech.k / p + p * (mech.m - mu)
+    return out if out.ndim else complex(out)
 
 
 @dataclass(frozen=True)
@@ -326,26 +328,30 @@ class StabilityReport:
         return text
 
 
+_SPLITS, _SPLIT_ROUNDS = 16, 14
+
+
 def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
     """Real zeros of Z on the positive real axis in [p_min, p_max], ascending:
-    an exact zero of the scan once, and each strict sign change between scan
-    points bisected."""
+    an exact zero of the scan once, and the midpoint of each strict sign
+    change between scan points once ``_SPLIT_ROUNDS`` array rounds have cut
+    every such bracket at once into ``_SPLITS`` log-spaced parts (one
+    ``laplace_impedance`` call), keeping the first that still changes sign:
+    down to an ulp or two where Z's computed sign changes, as bisection does,
+    since where k/p and m tau p^2 dwarf m p (perfect mirror, tau = 1e8, k = 4)
+    a secant from 2e-7 off ends a float away, above its tolerance."""
     ps = np.geomspace(p_min, p_max, n)
-    z = np.real(np.atleast_1d(laplace_impedance(model, mech, ps)))
-    sign = np.sign(z)
-    seeds = [float(p) for p in ps[sign == 0]]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        a, b = ps[i], ps[i + 1]
-        fa = z[i]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(np.real(laplace_impedance(model, mech, m)))
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        seeds.append(0.5 * (a + b))
-    return sorted(seeds)
+    sign = np.sign(np.real(laplace_impedance(model, mech, ps)))
+    i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    a, b, side = ps[i, None], ps[i + 1, None], sign[i, None]
+    rows, parts = np.arange(i.size)[:, None], np.arange(1, _SPLITS) / _SPLITS
+    for _ in range(_SPLIT_ROUNDS if i.size else 0):
+        ends = np.concatenate([a, a * (b / a) ** parts, b], axis=1)
+        off = np.real(laplace_impedance(model, mech, ends[:, 1:-1])) * side <= 0
+        # the kept part starts at the last of the leading points on a's side
+        j = np.cumprod(~off, axis=1).sum(axis=1, keepdims=True)
+        a, b = ends[rows, j], ends[rows, j + 1]
+    return np.sort(np.concatenate([ps[sign == 0], 0.5 * (a + b).ravel()])).tolist()
 
 
 def stability_report(model, mech):

@@ -42,9 +42,9 @@ class MirrorModel:
     gamma_is_one = False
     omega_scale = 1.0
 
-    def _cutoff(self, top):
-        """(omega_C, its share above ``top``, the top-decade slope of Gamma_R) in
-        closed form, or None: the integral of ``gamma_curve`` then gives them."""
+    def _cutoff(self, top, full_output):
+        """(omega_C, its share above ``top``, the top-decade slope of Gamma_R) in closed
+        form, the last two None unless ``full_output``; or None: ``gamma_curve`` gives them."""
         return None
 
     @cached_property
@@ -93,13 +93,15 @@ class LorentzianMirror(MirrorModel):
     def _gamma(self, w):
         return np.asarray(lorentzian_gamma(w, self.omega_scale))
 
-    def _cutoff(self, top):
+    def _cutoff(self, top, full_output):
         """omega_C = 3 Omega, and its share above ``top`` exactly: in x = i w/Omega
         Gamma has the primitive G = -3/x - 3 (1 - x)^2 log(1 - x)/x^2, with
         G(0) = -9/2, so int_0^top Gamma_R dw = Omega Im G(i top/Omega).  At
         top >> Omega the share tends to 4 Omega ln(top/Omega)/(pi top), the
         integral of the asymptote Gamma_R ~ 6 Omega^2 (ln(w/Omega) - 1)/w^2.
         The slope is fitted to the closed form on the top decade."""
+        if not full_output:
+            return 3.0 * self.omega_scale, None, None
         inv = self.omega_scale / (1j * top)  # 1/x
         primitive = -3.0 * inv - 3.0 * (1.0 - inv) ** 2 * np.log(1.0 - 1.0 / inv)
         probe = np.geomspace(top / 10.0, top, 48)

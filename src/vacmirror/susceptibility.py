@@ -198,14 +198,17 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
 
     Folded to (2/pi) int_0^inf by parity, with a tail above ``omega_max``
     (default: the lesser of 1e3 and the top of the model's range).  The
-    Lorentzian gives its own, 3 Omega; any other model the ``real_integral``
-    of its Gamma curve to ``omega_max`` (``gamma_curve`` where that ends
-    there).  Raises CutoffDivergenceError when Gamma_R shows no integrable
-    decay over the top decade (the perfect mirror: Gamma_R == 1).
+    Lorentzian gives its own, 3 Omega, in closed form, and works out the
+    share above ``omega_max`` and the top-decade slope of Gamma_R only under
+    ``full_output``; any other model the ``real_integral`` of its Gamma
+    curve to ``omega_max`` (``gamma_curve`` where that ends there), whose
+    slope is always fitted: CutoffDivergenceError is raised when Gamma_R
+    shows no integrable decay over the top decade (the perfect mirror:
+    Gamma_R == 1).
     """
     if omega_max is None:
         omega_max = min(1.0e3, model.omega_range[1])
-    exact = model._cutoff(omega_max)
+    exact = model._cutoff(omega_max, full_output)
     if exact is None:
         curve = model.gamma_curve
         if curve.grid[-1] != omega_max:

@@ -431,6 +431,21 @@ def test_spectral_mu_defaults_to_the_curves_own(table_1100, monkeypatch):
     assert sampled == []
 
 
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_spectral_array_matches_the_scalar_calls_bitwise(lorentzian, table_1100, kind):
+    # one call on an array of p, shaped like p, gives the per-point calls'
+    # numbers; a scalar p still gives a complex
+    model = lorentzian if kind == "lorentzian" else table_1100
+    mech = vm.MirrorMechanics(k=0.5, tau=0.03)
+    ps = np.concatenate([np.geomspace(1e-2, 1e2, 100), [1.0 + 0.5j, 3.0 - 2.0j]]).reshape(2, 51)
+    array = vm.spectral_impedance(model, mech, ps)
+    scalar = [vm.spectral_impedance(model, mech, p) for p in ps.ravel()]
+    assert all(type(z) is complex for z in scalar)
+    assert type(vm.spectral_impedance(model, mech, 2.0)) is complex
+    assert array.shape == ps.shape
+    assert array.tobytes() == np.array(scalar).reshape(ps.shape).tobytes()
+
+
 def test_spectral_bare_mass_limit(lorentzian):
     mech = vm.MirrorMechanics(k=0.0, tau=0.0)
     z = vm.spectral_impedance(lorentzian, mech, 2.0, mu=0.0)
@@ -528,3 +543,69 @@ def test_real_axis_seeds_take_an_exact_zero_once(perfect):
     ps = np.geomspace(1e-6, 10.0, 400)
     assert 1.0 in ps  # the scan hits the root p = 1/tau exactly
     assert _real_axis_seeds(perfect, mech, 10.0) == [1.0]
+
+
+def bisected_seeds(model, mech, p_max, p_min=1e-6, n=400):
+    """The scan's real zeros with each sign change bisected 60 times by scalar
+    calls: the oracle of ``_real_axis_seeds``, whose array rounds narrow every
+    bracket at once."""
+    ps = np.geomspace(p_min, p_max, n)
+    z = np.real(np.atleast_1d(vm.laplace_impedance(model, mech, ps)))
+    sign = np.sign(z)
+    seeds = [float(p) for p in ps[sign == 0]]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        a, b, fa = ps[i], ps[i + 1], z[i]
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = float(np.real(vm.laplace_impedance(model, mech, m)))
+            if fa * fm <= 0:
+                b = m
+            else:
+                a, fa = m, fm
+        seeds.append(0.5 * (a + b))
+    return sorted(seeds)
+
+
+def seeded_report(model, mech, seeder):
+    """The stability report with ``seeder`` in place of ``_real_axis_seeds``,
+    and every seed it gave."""
+    import vacmirror.analysis as analysis
+
+    seeds = []
+
+    def recorded(*args, **kwargs):
+        found = seeder(*args, **kwargs)
+        seeds.extend(found)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_real_axis_seeds", recorded)
+        return seeds, vm.stability_report(model, mech)
+
+
+def assert_matches_the_bisection_oracle(model, mech):
+    """The array brackets against the bisected ones: the same count and
+    verdict, seeds within 1e-12 relative, a root for every zero counted, each
+    within 1e-12 relative of the oracle's."""
+    seeds, report = seeded_report(model, mech, _real_axis_seeds)
+    expected, oracle = seeded_report(model, mech, bisected_seeds)
+    assert (report.rhp_zero_count, report.passive) == (oracle.rhp_zero_count, oracle.passive)
+    assert len(seeds) == len(expected)
+    assert np.all(np.abs(np.subtract(seeds, expected)) <= 1e-12 * np.abs(expected))
+    assert len(report.roots) == report.rhp_zero_count == len(oracle.roots)
+    for (root, _), (expect, _) in zip(report.roots, oracle.roots):
+        assert abs(root - expect) <= 1e-12 * abs(expect)
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega=st.floats(0.3, 5.0), mu_over_m=st.floats(1.05, 900.0),
+       k=st.one_of(st.just(0.0), st.floats(0.05, 20.0)))
+def test_array_brackets_match_the_bisection_oracle(omega, mu_over_m, k):
+    # mu/m = 3 tau Omega for the Lorentzian
+    mech = vm.MirrorMechanics(k=k, tau=mu_over_m / (3.0 * omega))
+    assert_matches_the_bisection_oracle(vm.lorentzian_mirror(omega), mech)
+
+
+@pytest.mark.parametrize("tau", [0.4, 0.35, 3000.0])
+def test_table_brackets_match_the_bisection_oracle(table_1100, tau):
+    assert_matches_the_bisection_oracle(table_1100, vm.MirrorMechanics(k=0.0, tau=tau))
