@@ -210,9 +210,10 @@ def axis_walk(model, mech):
 def refine_root(model, mech, seed):
     """Polish a zero of Z{p} from a seed in Re p > 0 (secant iteration).
 
-    Returns (root, residual) with |Z{root}| below 1e-10 * m * |root|.
-    Divergence out of the half plane or stagnation raises
-    RootConvergenceError.
+    Returns (root, residual) with |Z{root}| below 1e-10 times the terms that
+    cancel there, k/|p| + m|p| + m tau |p|^2 |Gamma{p}|, which set Z's
+    rounding floor.  A larger residual, divergence out of the half plane or
+    stagnation raises RootConvergenceError.
     """
     if np.real(seed) <= 0:
         raise ValueError("seed must have Re p > 0")
@@ -223,10 +224,9 @@ def refine_root(model, mech, seed):
         return laplace_impedance(model, mech, complex(p))
 
     root, resid = secant_root(f, complex(seed))
-    if resid > 1e-10 * mech.m * max(abs(root), 1e-30):
-        raise RootConvergenceError(
-            f"residual {resid:.3e} above tolerance at candidate {root}"
-        )
+    r = abs(root)  # at a zero, m tau p^2 Gamma{p} = k/p + m p to within resid
+    if resid > 1e-10 * (mech.k / r + mech.m * r + abs(mech.k / root + mech.m * root)):
+        raise RootConvergenceError(f"residual {resid:.3e} above tolerance at candidate {root}")
     return root, resid
 
 

@@ -294,7 +294,7 @@ def cmd_simulate(cfg, out, args):
             raise ConfigError(f"simulation.{key} = {sim[key]:g} would be ignored in the {where}",
                               cfg.path)
 
-    fitted = None
+    fitted = kernel = None
     if regime == "perfect":
         dt = sim["dt"] if mech.tau == 0 else min(sim["dt"], mech.tau / 50.0)
         traj = dynamics.simulate_perfect_mirror(
@@ -315,14 +315,12 @@ def cmd_simulate(cfg, out, args):
             cg, 1j * mech.m * mech.tau * cg**3 * gamma_samples(model, cg), label="chi"
         )
         kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
-        kernel.to_csv(out / "kernel.csv")
         traj = dynamics.simulate_with_memory(
             mech, kernel, force, sim["t_final"], q0=sim["q0"]
         )
 
     ledger = dynamics.energy_ledger(traj, mech)
-    dynamics.export_run_csv(out / "trajectory.csv", traj, ledger)
-    dynamics.export_energy_csv(out / "energy.csv", ledger)
+    dynamics.export_simulation_csv(out, traj, ledger, kernel)
     doc = {
         "model": model.kind,
         "regime": regime,

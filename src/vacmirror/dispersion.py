@@ -109,15 +109,15 @@ class TimeKernel:
     n_fft: int
     _spectrum: np.ndarray = field(repr=False, compare=False, default=None)
 
+    @property
+    def csv_header(self):
+        return (f"# mu_subtracted = {self.mu_subtracted:.11e}\n"
+                f"# dt = {self.dt:.11e}\n"
+                f"# T = {self.times[-1] + self.dt:.11e}\n"
+                f"# omega_max = {self.omega_max:.11e}\nt,kappa")
+
     def to_csv(self, path):
-        header = (
-            f"# mu_subtracted = {self.mu_subtracted:.11e}\n"
-            f"# dt = {self.dt:.11e}\n"
-            f"# T = {self.times[-1] + self.dt:.11e}\n"
-            f"# omega_max = {self.omega_max:.11e}\n"
-            "t,kappa"
-        )
-        write_csv(path, header, [self.times, self.values])
+        write_csv(path, self.csv_header, [self.times, self.values])
 
 
 def build_time_kernel(chi_curve, mu, window, dt):

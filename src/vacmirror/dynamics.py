@@ -20,7 +20,8 @@ the divergence time.
 
 The energy ledger integrates the work identities; the radiated part is
 defined by the decomposition W_m = W_a - dE and cross-checked against the
-independently reconstructed -int F_m v dt'.
+independently reconstructed -int F_m v dt'.  A run's CSV files are written
+in one pass, each column they share (t, W_a, E, W_m) formatted once.
 
 Distinct runs share no mutable state.
 """
@@ -32,7 +33,7 @@ import numpy as np
 
 from .dispersion import acceleration_weights
 from .errors import FitError
-from .numerics import running_integral, write_csv
+from .numerics import running_integral, write_csv_files
 
 
 @dataclass(frozen=True)
@@ -292,7 +293,8 @@ def energy_ledger(traj, mech):
     ts, v = traj.times, traj.v
     w_a = running_integral(traj.f_applied * v, ts)
     energy = 0.5 * mech.k * traj.q**2 + 0.5 * mech.m * v**2
-    delta_e = energy - energy[0]
+    # E >= +0 as k >= 0 and m > 0, and x - 0.0 is x bitwise: from rest dE is E
+    delta_e = energy if energy[0] == 0 else energy - energy[0]
     w_m = w_a - delta_e
     w_m_check = -running_integral(traj.f_motional * v, ts)
     return EnergyLedger(
@@ -347,16 +349,19 @@ def fit_runaway_rate(traj):
     )
 
 
-def export_run_csv(path, traj, ledger):
-    """Write the combined trajectory/ledger table: t,q,v,a,F_a,W_a,E,W_m."""
-    write_csv(path, "t,q,v,a,F_a,W_a,E,W_m", [
+def export_simulation_csv(out, traj, ledger, kernel=None):
+    """Write trajectory.csv, energy.csv and a memory run's kernel.csv into
+    ``out`` in one writer pass; the kernel's t, arange(n) * dt, is bitwise
+    the trajectory's first n times unless the run ended early."""
+    files = [(out / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
         traj.times, traj.q, traj.v, traj.a, traj.f_applied,
         ledger.w_applied, ledger.energy, ledger.w_radiated,
-    ])
-
-
-def export_energy_csv(path, ledger):
-    write_csv(path, "t,W_a,E,delta_E,W_m,residual", [
+    ]), (out / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
         ledger.times, ledger.w_applied, ledger.energy,
         ledger.delta_energy, ledger.w_radiated, ledger.residual,
-    ])
+    ])]
+    if kernel is not None:
+        t = traj.times[: kernel.times.size]
+        files.append((out / "kernel.csv", kernel.csv_header,
+                      [t if np.array_equal(t, kernel.times) else kernel.times, kernel.values]))
+    write_csv_files(files)

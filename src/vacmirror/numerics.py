@@ -12,13 +12,14 @@ imported.  The CSV writer prints every value as %.11e with NumPy, byte for
 byte what Python's formatting prints: 12 digits from one rounded product
 with a tabulated power of ten, which rounds like the exact product unless
 it lies next to a rounding tie, and Python formats those alone (see
-write_csv).  The transform helper fixes the package convention
+write_csv_files).  The transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
 which is the opposite sign to numpy's FFT, hence the conjugation below.
 """
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
 
@@ -93,9 +94,8 @@ def running_integral(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-# values formatted per block (1024 rows of a trajectory's 8 columns), so that
-# narrow tables pay the per-block overhead no more often than wide ones; the
-# block's scratch arrays take about 200 bytes a value
+# values formatted per block, whole rows of the distinct columns (819 rows of
+# a memory run's 10), so narrow tables pay the per-block overhead no more often
 _CSV_BLOCK = 8192
 # one value's bytes: sign, lead digit, '.', 11 digits, 'e', exponent sign,
 # three exponent digits, separator; the sign byte of a value >= 0 and the
@@ -136,12 +136,12 @@ def _format_fallback(values):
     return [b"%.11e" % v for v in values]
 
 
-def _format_block(x, slots):
-    """The %.11e bytes of the values x, each followed by its slot's separator.
-
-    ``slots`` is an (x.size, _SLOT) byte array holding 'e' at 14 and the
-    separator at the end; it is overwritten.
-    """
+def _format_block(x):
+    """The %.11e bytes of the values x in (x.size, _SLOT) slots: 'e' at 14,
+    ',' at the end, and NUL for the bytes a value does not print."""
+    slots = np.zeros((x.size, _SLOT), dtype=np.uint8)
+    slots[:, 14] = ord("e")
+    slots[:, -1] = ord(",")
     scales, digits4, exponents = _csv_tables()
     ax = np.abs(x)
     live = (ax >= _TINY) & (ax < np.inf)
@@ -180,11 +180,12 @@ def _format_block(x, slots):
         width = _SLOT - 1  # each text NUL-padded to the separator
         text = np.array(_format_fallback(x[slow].tolist()), dtype=f"S{width}")
         slots[slow, :width] = text.view(np.uint8).reshape(-1, width)
-    return slots.tobytes().translate(None, b"\0")
+    return slots
 
 
-def write_csv(path, header, columns):
-    """Write equal-length real columns under a header line, every value as %.11e.
+def write_csv_files(files):
+    """Write each (path, header, columns) of ``files`` in one pass: equal-length
+    real columns under a header line, every value as %.11e.
 
     The bytes are those of np.savetxt(fmt="%.11e", delimiter=",").  A
     finite nonzero x with decade e prints the 12 digits D = rint(y), y =
@@ -194,22 +195,48 @@ def write_csv(path, header, columns):
     than that from a half-integer.  Those near ties, nan, +-inf and the
     values below _TINY are the one fallback: each is formatted alone by
     Python into the same slot.  Every slot is written in full with NUL for
-    the bytes a value does not print, and each block is compacted by one
-    bytes.translate.  Values go in blocks of about _CSV_BLOCK, whole rows
-    each, so the memory held stays bounded whatever the row count.
+    the bytes a value does not print.  Rows go in blocks of about _CSV_BLOCK
+    values, so the memory held stays bounded; a column several files hold
+    (one array, or a view of its first rows) is formatted once, each file
+    takes its slots from there into one bytes.translate, and every column is
+    held to the end, so no two distinct arrays can share a data address.
     """
-    table = np.asarray(np.column_stack(columns), dtype=np.float64)
-    rows = max(1, min(_CSV_BLOCK // table.shape[1], table.shape[0]))
-    template = np.zeros((rows, table.shape[1], _SLOT), dtype=np.uint8)
-    template[..., 14] = ord("e")
-    template[..., -1] = ord(",")
-    template[:, -1, -1] = ord("\n")
-    template = template.reshape(-1, _SLOT)
-    with open(path, "wb") as fh:
-        fh.write(header.encode("latin-1") + b"\n")
-        for start in range(0, table.shape[0], rows):
-            x = table[start : start + rows].ravel()
-            fh.write(_format_block(x, template[: x.size].copy()))
+    columns, index, tables = [], {}, []
+    for path, header, cols in files:
+        cols = [np.asarray(c, dtype=np.float64) for c in cols]
+        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
+            raise ValueError(f"{path}: the columns must be 1-d arrays of one length")
+        take = [index.setdefault((c.__array_interface__["data"][0], c.strides), len(index))
+                for c in cols]
+        for j, c in zip(take, cols):
+            if j == len(columns):
+                columns.append(c)
+            elif c.size > columns[j].size:
+                columns[j] = c
+        tables.append((path, header, cols, take))
+    length = max(cols[0].size for _, _, cols, _ in tables)
+    rows = max(1, _CSV_BLOCK // len(columns))
+    with ExitStack() as stack:
+        handles = []
+        for path, header, cols, take in tables:
+            handles.append((stack.enter_context(open(path, "wb")), take, cols[0].size))
+            handles[-1][0].write(header.encode("latin-1") + b"\n")
+        for start in range(0, length, rows):
+            x = np.zeros((min(rows, length - start), len(columns)))
+            for j, c in enumerate(columns):
+                part = c[start : start + len(x)]
+                x[: part.size, j] = part
+            slots = _format_block(x.ravel()).reshape(*x.shape, _SLOT)
+            for fh, take, size in handles:
+                if start < size:
+                    block = slots[: size - start].take(take, axis=1)
+                    block[:, -1, -1] = ord("\n")
+                    fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def write_csv(path, header, columns):
+    """write_csv_files for one file."""
+    write_csv_files([(path, header, columns)])
 
 
 @dataclass(frozen=True)

@@ -506,6 +506,20 @@ def test_perfect_mirror_root_from_the_real_axis_scan(perfect, tau, k):
     assert abs(root - expect) <= 1e-12 * abs(expect)
 
 
+def test_refine_root_accepts_a_root_at_the_rounding_floor(perfect):
+    # at tau = 1e8, k = 4 the terms k/p and m tau p^2 that cancel at the root
+    # p = 3.42e-3 are about 1e3; the floats next to the root read |Z| around
+    # 3e-13, above 1e-10 m|p| = 3.4e-13 at some of them
+    mech = vm.MirrorMechanics(k=4.0, tau=1e8)
+    report = vm.stability_report(perfect, mech)
+    assert len(report.roots) == report.rhp_zero_count == 1
+    (root, _), = report.roots
+    offsets = np.geomspace(1e-9, 1e-3, 25)
+    for seed in root.real * np.concatenate([1.0 + offsets, 1.0 - offsets]):
+        found, _ = vm.refine_root(perfect, mech, seed)
+        assert abs(found - root) <= np.spacing(root.real)
+
+
 @pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
 @pytest.mark.parametrize("tau,k", [(0.34, 0.0), (0.35, 0.0), (0.4, 0.0), (0.35, 1.0)])
 def test_runaway_just_above_the_mass_boundary(lorentzian, table_1100, kind, tau, k):

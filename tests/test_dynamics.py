@@ -268,11 +268,56 @@ def test_export_csv_formats(tmp_path):
     ledger = vm.energy_ledger(traj, mech)
     p1 = tmp_path / "trajectory.csv"
     p2 = tmp_path / "energy.csv"
-    vm.dynamics.export_run_csv(p1, traj, ledger)
-    vm.dynamics.export_energy_csv(p2, ledger)
+    vm.dynamics.export_simulation_csv(tmp_path, traj, ledger)
     assert p1.read_text().splitlines()[0] == "t,q,v,a,F_a,W_a,E,W_m"
     assert p2.read_text().splitlines()[0] == "t,W_a,E,delta_E,W_m,residual"
     assert len(p1.read_text().splitlines()) == len(traj.times) + 1
+
+
+# distinct columns, each formatted once down the longest file: t, q, v, a,
+# F_a, W_a, E, W_m and the residual, with kappa for a memory run, its own t
+# where the run ended inside the kernel's window, and delta_E where the run
+# does not start at E = 0
+_DISTINCT = {"memory": 10, "ended": 11, "displaced": 11, "perfect": 9}
+
+
+@pytest.mark.parametrize("case", list(_DISTINCT))
+def test_simulation_export_keeps_the_bytes_of_each_file(tmp_path, monkeypatch, case):
+    mech = vm.MirrorMechanics(k=1.0, tau=0.05)
+    pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=1.0, width=0.3)
+    kernel = None
+    if case == "perfect":
+        traj = vm.simulate_perfect_mirror(mech, pulse, t_final=3.0, dt=1e-3)
+    else:
+        kernel = make_kernel(mech, 3.0, 1e-3)
+        force = (lambda ts: np.where(ts < 2.0, pulse(ts), np.inf)) if case == "ended" else pulse
+        traj = vm.simulate_with_memory(mech, kernel, force, 3.0,
+                                       q0=0.5 if case == "displaced" else 0.0)
+        assert traj.diverged == (case == "ended")
+    ledger = vm.energy_ledger(traj, mech)
+    assert ledger.delta_energy.tobytes() == (ledger.energy - ledger.energy[0]).tobytes()
+    assert (ledger.delta_energy is ledger.energy) == (case != "displaced")
+
+    # each file alone, from its own columns
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    vm.numerics.write_csv(alone / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
+        traj.times, traj.q, traj.v, traj.a, traj.f_applied,
+        ledger.w_applied, ledger.energy, ledger.w_radiated])
+    vm.numerics.write_csv(alone / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
+        traj.times, ledger.w_applied, ledger.energy,
+        ledger.energy - ledger.energy[0], ledger.w_radiated, ledger.residual])
+    if kernel is not None:
+        kernel.to_csv(alone / "kernel.csv")
+    formatted = []
+    block = vm.numerics._format_block
+    monkeypatch.setattr(vm.numerics, "_format_block",
+                        lambda x: formatted.append(x.size) or block(x))
+    vm.dynamics.export_simulation_csv(tmp_path, traj, ledger, kernel)
+    rows = max(traj.times.size, 0 if kernel is None else kernel.times.size)
+    assert sum(formatted) == _DISTINCT[case] * rows
+    for path in alone.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
 
 _FORCE_KINDS = ["none", "gaussian", "step", "sine"]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import vacmirror
 from vacmirror import numerics
-from vacmirror.dynamics import export_energy_csv, export_run_csv
+from vacmirror.dynamics import export_simulation_csv
 from vacmirror.numerics import (
     _CSV_BLOCK,
     PiecewiseCubic,
@@ -26,6 +27,7 @@ from vacmirror.numerics import (
     tail_cauchy,
     tail_integral,
     write_csv,
+    write_csv_files,
 )
 
 from test_dynamics import make_kernel
@@ -164,19 +166,19 @@ def test_write_csv_leaves_few_values_of_a_trajectory_to_the_fallback(tmp_path, m
     pulse = vacmirror.ForceProfile(kind="gaussian", amplitude=1e-3, center=5.0, width=1.5)
     traj = vacmirror.simulate_with_memory(mech, make_kernel(mech, 20.0, 1e-3), pulse, 20.0)
     ledger = vacmirror.energy_ledger(traj, mech)
-    fallback = []
-    original = numerics._format_fallback
+    fallback, formatted = [], []
+    original, block = numerics._format_fallback, numerics._format_block
 
     def counted(values):
         fallback.extend(values)
         return original(values)
 
     monkeypatch.setattr(numerics, "_format_fallback", counted)
-    export_run_csv(tmp_path / "trajectory.csv", traj, ledger)
-    export_energy_csv(tmp_path / "energy.csv", ledger)
-    n_values = traj.times.size * (8 + 6)
+    monkeypatch.setattr(numerics, "_format_block", lambda x: formatted.append(x.size) or block(x))
+    export_simulation_csv(tmp_path, traj, ledger)
     assert traj.times.size == 20001
-    assert len(fallback) < 1e-3 * n_values
+    assert sum(formatted) == traj.times.size * 9  # t, q, v, a, F_a, W_a, E, W_m, residual
+    assert len(fallback) < 1e-3 * sum(formatted)
 
 
 def test_write_csv_multiline_header(tmp_path):
@@ -519,3 +521,98 @@ def test_commands_load_no_scipy(tmp_path, table_run, command, kind):
     run = ("from vacmirror.cli import main\n"
            f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', 'out']) == 0")
     assert _loaded_after(run, tmp_path) == "[]"
+
+
+# each file: its row count (cut to the table's) and the table columns it holds
+_FILE_SPECS = st.lists(
+    st.tuples(st.integers(0, 14), st.lists(st.integers(0, 7), min_size=1, max_size=7)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
+                        elements=_ANY_FLOAT),
+       files=_FILE_SPECS, fortran=st.booleans())
+@example(table=np.resize(_EDGE_ROW, (3, 8)), files=[(3, [0, 1, 2, 3, 4, 5, 6, 7]),
+                                                   (2, [7, 6, 5, 4, 3]), (1, [0, 0])],
+         fortran=False)
+@example(table=np.resize(_EDGE_ROW, (5, 8)),
+         files=[(5, [0, 1, 2, 3]), (4, [0, 4, 5, 6, 7]), (0, [1])], fortran=True)
+def test_write_csv_files_match_row_formatter_with_shared_columns(tmp_path_factory, table,
+                                                                 files, fortran):
+    # every column is a view of the first rows of a table column, so files of
+    # different lengths hold one array, a prefix view of it, or both
+    table = np.asfortranarray(table) if fortran else table
+    out = tmp_path_factory.mktemp("csv")
+    specs = []
+    for i, (rows, picks) in enumerate(files):
+        columns = [table[:rows, j % table.shape[1]] for j in picks]
+        specs.append((out / f"f{i}.csv", ",".join(f"c{j}" for j in picks), columns))
+    write_csv_files(specs)
+    for path, header, columns in specs:
+        assert path.read_bytes() == row_formatted_csv(header, columns)
+
+
+@pytest.mark.parametrize("rows", [_CSV_BLOCK // 10 + d for d in (-1, 0, 1)]
+                         + [2 * (_CSV_BLOCK // 10) + 7])
+def test_write_csv_files_match_row_formatter_across_blocks(tmp_path, rows):
+    # a memory run's layout: 10 distinct columns over three files, the kernel
+    # file one row shorter and holding a prefix view of t
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((10, rows)) * 10.0 ** rng.integers(-320, 300, (10, rows))
+    table[:, -1] = np.resize(_EDGE_ROW, 10)
+    t, q, v, a, f, w_a, e, w_m, r, kappa = table
+    specs = [
+        (tmp_path / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [t, q, v, a, f, w_a, e, w_m]),
+        (tmp_path / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [t, w_a, e, e, w_m, r]),
+        (tmp_path / "kernel.csv", "t,kappa", [t[:-1], kappa[:-1]]),
+    ]
+    write_csv_files(specs)
+    for path, header, columns in specs:
+        assert path.read_bytes() == row_formatted_csv(header, columns)
+
+
+def test_write_csv_files_never_alias_distinct_arrays(tmp_path):
+    # equal values, different bytes: a column is shared by its data, never
+    # by its values
+    zeros, signed = np.array([0.0, 1.5, 0.0]), np.array([-0.0, 1.5, -0.0])
+    assert np.array_equal(zeros, signed)
+    # one data address, two strides
+    base = np.arange(8.0)
+    # lists: each converted to a fresh array, whose address a dropped one
+    # could hand on to the next
+    lists = [[float(j)] * 4 for j in range(6)]
+    specs = [
+        (tmp_path / "signs.csv", "a,b", [zeros, signed]),
+        (tmp_path / "copies.csv", "a,b", [signed.copy(), zeros.copy()]),
+        (tmp_path / "strides.csv", "a,b", [base[:4], base[::2]]),
+        (tmp_path / "lists.csv", "a,b,c,d,e,f", lists),
+        (tmp_path / "single.csv", "a,b", [np.float32([0.1, 2.5, -3.0, 7.0]), lists[0]]),
+    ]
+    write_csv_files(specs)
+    for path, header, columns in specs:
+        assert path.read_bytes() == row_formatted_csv(header, columns)
+
+
+def test_write_csv_files_refuse_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", "a,b", [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ValueError):
+        write_csv_files([(tmp_path / "u.csv", "a", [np.zeros(3)]),
+                         (tmp_path / "v.csv", "a,b", [np.zeros(2), np.zeros(3)[1:2]])])
+    assert not (tmp_path / "u.csv").exists()  # refused before any file is opened
+
+
+def test_write_csv_holds_no_copy_of_the_table(tmp_path):
+    # the table takes 6.4 MB, and a copy of it as much again; one block's
+    # arrays peak near 1.2 MB
+    table = np.random.default_rng(3).standard_normal((100_000, 8))
+    write_csv(tmp_path / "warm.csv", "c", [table[:10, 0]])  # the lookup tables
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "table.csv", ",".join(f"c{j}" for j in range(8)), list(table.T))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
