@@ -2,8 +2,8 @@
 
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
-the piecewise cubic that every sampled curve and table is read as (a
-not-a-knot spline or a monotone PCHIP, each scipy's arithmetic to the bit),
+the piecewise cubic that every sampled curve and table is read as (the
+not-a-knot spline, scipy's arithmetic to the bit),
 the exact Cauchy integral of piecewise cubics, off the real axis and as its
 boundary value from above on it (the principal value plus the residue, which
 the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
@@ -243,24 +243,14 @@ def write_csv(path, header, columns):
 class PiecewiseCubic:
     """A C^1 piecewise cubic on breakpoints x: ``c[:, i]`` holds its piece on
     [x_i, x_(i+1)] in powers of w - x_i, highest first (a scipy PPoly's
-    layout, which ``cubic_cauchy`` reads).  Two constructors fit it to samples
-    y at x: ``not_a_knot``, the interpolating cubic spline of de Boor (A
-    Practical Guide to Splines, 1978), and ``pchip``, the monotone cubic of
-    Fritsch and Butland (SIAM J. Sci. Stat. Comput. 5, 1984).  Each follows
-    the order of arithmetic of scipy's CubicSpline and PchipInterpolator, so
-    that their coefficients, values and integral are scipy's to the bit.
+    layout, which ``cubic_cauchy`` reads).  ``not_a_knot`` fits it to samples
+    y at x: the interpolating cubic spline of de Boor (A Practical Guide to
+    Splines, 1978), in the order of arithmetic of scipy's CubicSpline, so that
+    its coefficients, values and integral are scipy's to the bit.
     """
 
     x: np.ndarray
     c: np.ndarray
-
-    @classmethod
-    def _hermite(cls, x, y, d):
-        """The cubic through (x_i, y_i) with slopes d_i at the nodes."""
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (d[:-1] + d[1:] - 2 * slope) / dx
-        return cls(x, np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1])))
 
     @classmethod
     def not_a_knot(cls, x, y):
@@ -309,35 +299,10 @@ class PiecewiseCubic:
         s.append((r - up * s[-1]) / pivot)
         for pivot, up, fill, r in reversed(rows):
             s.append((r - up * s[-1] - fill * s[-2]) / pivot)
-        return cls._hermite(x, y, np.array(s[::-1]))
-
-    @classmethod
-    def pchip(cls, x, y):
-        """The monotone cubic through real samples y at increasing x, at least
-        3: an inner node's slope is 0 where the adjacent secants differ in sign
-        or one is 0, else their harmonic mean weighted by the step lengths; an
-        end's is the one-sided three-point estimate, set to 0 where its sign
-        differs from the end secant's and capped at 3 times that secant where
-        the first two secants differ in sign (Moler, Numerical Computing with
-        MATLAB, 2004, section 3.6)."""
-        h = np.diff(x)
-        m = np.diff(y) / h
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        d = np.zeros(x.size)
-        # flat nodes are left out; a mean that overflows gives slope 0, as in scipy
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / mean)
-        for end, inner in ((0, 1), (-1, -2)):
-            h0, h1, m0, m1 = h[end], h[inner], m[end], m[inner]
-            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            if np.sign(e) != np.sign(m0):
-                e = 0.0
-            elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-                e = 3.0 * m0
-            d[end] = e
-        return cls._hermite(x, y, d)
+        # the cubic through (x_i, y_i) with the slopes s_i at the nodes
+        d = np.array(s[::-1])
+        t = (d[:-1] + d[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1])))
 
     def __call__(self, w):
         """The value at each w in [x_0, x_n], shaped like w: in ascending powers
@@ -513,9 +478,10 @@ def decay_slope(grid, values):
 def secant_root(f, z0):
     """Secant iteration for an analytic complex function from a seed z0.
 
-    Stops once a step is below 1e-14 relative and |f| does not grow.
-    Returns (root, residual).  Raises RootConvergenceError after 100 steps
-    or on a degenerate update.
+    Stops once a step is below 1e-14 relative, at whichever end of that step
+    has the smaller |f|: at the rounding floor the iterates can cycle with
+    |f| growing after every small step.  Returns (root, residual).  Raises
+    RootConvergenceError after 100 steps or on a degenerate update.
     """
     z1 = z0 * (1.0 + 1e-4) + 1e-12
     f0, f1 = f(z0), f(z1)
@@ -525,8 +491,8 @@ def secant_root(f, z0):
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
         z0, f0, z1 = z1, f1, z2
         f1 = f(z1)
-        if abs(z1 - z0) <= 1e-14 * max(1.0, abs(z1)) and abs(f1) <= abs(f0):
-            return z1, abs(f1)
+        if abs(z1 - z0) <= 1e-14 * max(1.0, abs(z1)):
+            return (z1, abs(f1)) if abs(f1) <= abs(f0) else (z0, abs(f0))
     raise RootConvergenceError(
         f"secant did not converge in 100 iterations (last {z1}, |f|={abs(f1):.3e})"
     )

@@ -5,7 +5,8 @@ s[w] on the real frequency axis.  Three models are supported:
 
 * ``perfect``    -- r = -1, s = 0 at every frequency (no cutoff),
 * ``lorentzian`` -- r[w] = -1 / (1 - i w / Omega), s = 1 + r,
-* ``tabulated``  -- monotone-cubic interpolation of sampled (w, r, s).
+* ``tabulated``  -- sampled (w, r, s), read between the nodes through the
+  not-a-knot cubic spline of each part, the cubic every sampled curve uses.
 
 Everything that differs between them answers the ``MirrorModel``
 interface; callers ask the model, and ``kind`` is only the name written
@@ -125,11 +126,13 @@ class TabulatedMirror(MirrorModel):
         w = np.asarray(w, dtype=float)
         if w.ndim != 1 or w.size < 4:
             raise ValueError("table needs at least 4 samples")
+        if not all(np.all(np.isfinite(part)) for part in (w, r, s)):
+            raise ValueError("table entries must be finite")
         if np.any(np.diff(w) <= 0) or w[0] < 0:
             raise ValueError("table grid must be nonnegative and strictly increasing")
-        # the monotone cubics of r and of s on each table interval, in powers of
-        # (w - w_i): shape (4, 2, intervals)
-        re_r, im_r, re_s, im_s = (PiecewiseCubic.pchip(w, part).c
+        # the not-a-knot splines of r and of s on each table interval, in powers
+        # of (w - w_i): shape (4, 2, intervals)
+        re_r, im_r, re_s, im_s = (PiecewiseCubic.not_a_knot(w, part).c
                                   for part in (np.real(r), np.imag(r), np.real(s), np.imag(s)))
         object.__setattr__(self, "_cubics", np.stack([re_r + 1j * im_r, re_s + 1j * im_s], 1))
 

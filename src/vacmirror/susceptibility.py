@@ -243,15 +243,10 @@ class SusceptibilityResult:
     def cutoff_divergent(self):
         return not np.isfinite(self.omega_c)
 
-    @property
-    def quad_errors(self):
-        """Error bounds of the Gamma samples: 0, as every model's rule is exact."""
-        return np.zeros(self.gamma.grid.shape)
-
     def to_csv(self, path):
         g, x = self.gamma.values, self.chi.values
-        write_csv(path, "omega,gamma_re,gamma_im,chi_re,chi_im,quad_err",
-                  [self.gamma.grid, g.real, g.imag, x.real, x.imag, self.quad_errors])
+        write_csv(path, "omega,gamma_re,gamma_im,chi_re,chi_im",
+                  [self.gamma.grid, g.real, g.imag, x.real, x.imag])
 
 
 def compute_susceptibility(model, mech, grid):

@@ -86,7 +86,7 @@ def test_analyze_lorentzian(tmp_path):
     assert not doc["cutoff_divergent"]
     assert doc["validation"]["unitarity_defect"] < 1e-12
     lines = (out / "gamma.csv").read_text().splitlines()
-    assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im,quad_err"
+    assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im"
     assert len(lines) == 61
 
 
@@ -516,11 +516,13 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # of a data file, format or numbers, shows here.  A change that moves the
 # numbers on purpose records them again and says so: the memory run's were
 # recorded again when omega_C became 3 Omega exactly (mu = 0.9, was 0.8975; the
-# trajectory moved by at most 7e-12 of each column's largest value).
+# trajectory moved by at most 7e-12 of each column's largest value).  The
+# analyze run's gamma.csv was recorded again when its quad_err column, 0 in
+# every row, was dropped: each row kept its first five values' bytes.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
-        "gamma.csv": "9e447d084bfd5a6b8253b250c37969b9d3110d29d7f3ae03c4d7fc09f4b908cf",
+        "gamma.csv": "29d448f16084a580f612ce72b0e9f6ed9ec9a80fe91a442f34ce8dc0752bf35d",
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
@@ -596,17 +598,25 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
 # real-axis brackets were narrowed in array rounds instead of bisected: the
 # secant ends on the root 30.89386584291163 (was 30.89386584291161, 6e-16
 # relative) with residual 3.6e-15 (was 7.1e-15); at 0.35 the root
-# 176.82422858180337 kept its bytes.
+# 176.82422858180337 kept its bytes.  All four were recorded again when the
+# table's r and s became the not-a-knot splines of its samples (were the
+# monotone PCHIP cubics): the unitarity defect 4.99e-9 (was 1.14e-5) with
+# the tail and 8.87e-10 (was 2.57e-6) without, omega_C 2.99999971992 (was
+# 2.99999972109, 3.9e-10 relative), tail_fraction and decay_slope 5e-11 and
+# 7e-11 relative, the causality defect of r 1.58567e-5 (was 1.58608e-5) and
+# 7.13817e-2 (was 7.13826e-2), the transparency tail and slope 7e-10 and
+# 1.5e-11 relative; the roots 30.893865904 (was 30.893865843) at 0.4 and
+# 176.82423031 (was 176.82422858) at 0.35, 2e-9 and 1e-8 relative.
 _GOLDEN_TABLE = {
     "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
-                      "03504a473cf3eb8820ce323932b73e39654cb0b36c1e7c426613cb25b8bc95e2"),
+                      "9acebb9da68d68f91be3d7a2fee7804dc5991980ba365ada897934d7641117e7"),
     "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
-                       "27ae0217a4e30137009e58d41ba99227d952235072756ca22247f1336fba2539"),
+                       "be124ab3d1408155d651416edbe3fdc1409644f11179ee73cd8a60b5a0ea6a1b"),
     "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
-                     "ba4a54aee2763d2f4efee8c771dbd19fce8acacab10524c04e2f8034d52752c5"),
+                     "f74de98452ca4e036a127a1ab200fc37df381ef7d845cf77891ae942731a8f77"),
     "analyze-no-tail": ("analyze",
                         "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e2\npoints = 10\n",
-                        "b9a85126c680c241ebcd3c9914fefa035f59672f0ee3a20edc59c2aa328d1ef5"),
+                        "176f8498d30eb73d02ea6eb52bc44048f52faf3e41700ee52979c498315a8e06"),
 }
 
 
@@ -715,3 +725,25 @@ def test_non_finite_values_are_refused(tmp_path, capsys, section, key, value):
     lineno = lines.index(f"{key} = {value}") + 1
     assert f"{cfg}:{lineno}: {section}.{key} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("column,value", [
+    (0, "nan"), (0, "inf"), (1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan"),
+])
+def test_non_finite_table_entries_are_refused(tmp_path, capsys, column, value):
+    # one entry of w, Re r, Im r, Re s or Im s; unrefused, a nan in r or s
+    # escaped analyze and stability as a bare ValueError and made crosscheck a
+    # failed validation, and a nan node passed the grid's ordering check
+    w = np.linspace(0.0, 40.0, 81)
+    model = vm.lorentzian_mirror()
+    table = tmp_path / "table.txt"
+    vm.save_table(table, w, vm.reflectivity(model, w), vm.transmissivity(model, w))
+    rows = table.read_text().splitlines()
+    fields = rows[40].split()
+    fields[column] = value
+    rows[40] = " ".join(fields)
+    table.write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, f"[model]\nkind = tabulated\ntable = {table}\n")
+    for command in ("analyze", "stability", "crosscheck"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 2
+        assert "model.table: table entries must be finite" in capsys.readouterr().err

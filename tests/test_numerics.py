@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 import vacmirror
 from vacmirror import numerics
@@ -210,9 +210,6 @@ def test_running_integral_is_bitwise_scipy_on_a_ledger_grid():
     assert running_integral(power, ts).tobytes() == oracle.tobytes()
 
 
-_SCIPY_TWINS = {"not_a_knot": CubicSpline, "pchip": PchipInterpolator}
-
-
 def _graded_grid(data, n):
     """n nodes from 0 or above it, with steps spread over six decades."""
     x0 = data.draw(st.sampled_from([0.0, 1e-3, 0.7, 50.0]))
@@ -227,20 +224,18 @@ def _assert_scipys_to_the_bit(ours, theirs, probes):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(min_value=4, max_value=400),
-       kind=st.sampled_from(sorted(_SCIPY_TWINS)))
-def test_piecewise_cubic_is_scipys_to_the_bit(data, n, kind):
-    # not-a-knot against CubicSpline, PCHIP against PchipInterpolator, on graded
-    # grids where the spline's solve swaps rows as LAPACK's gtsv does: the
-    # coefficients, the values on the nodes, between them and at exactly both
-    # ends, and the integral over the grid against PPoly.integrate, all bitwise
-    # (y + 0.0 drops -0.0, which scipy's evaluation turns into 0.0 at a node)
+@given(data=st.data(), n=st.integers(min_value=4, max_value=400))
+def test_piecewise_cubic_is_scipys_to_the_bit(data, n):
+    # not-a-knot against CubicSpline, on graded grids where the spline's solve
+    # swaps rows as LAPACK's gtsv does: the coefficients, the values on the
+    # nodes, between them and at exactly both ends, and the integral over the
+    # grid against PPoly.integrate, all bitwise (y + 0.0 drops -0.0, which
+    # scipy's evaluation turns into 0.0 at a node)
     x = _graded_grid(data, n)
     y = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))) + 0.0
     fractions = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(0.0, 1.0)))
     probes = np.concatenate([x, x[:-1] + fractions * np.diff(x), [x[0], x[-1]]])
-    ours = getattr(PiecewiseCubic, kind)(x, y)
-    _assert_scipys_to_the_bit(ours, _SCIPY_TWINS[kind](x, y), probes)
+    _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(x, y), CubicSpline(x, y), probes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,7 +255,7 @@ def test_three_sample_spline_is_the_parabola(data):
 def test_piecewise_cubic_is_scipys_on_the_production_grids(tmp_path):
     # the 351-node Gamma curve (both parts, a Lorentzian and the fixture table),
     # simulate's 1601-node chi curve at dt = 1e-3, crosscheck's 4001-node KK grid,
-    # and the PCHIP of a table file at the benchmark's node density
+    # and the parts of r and s of a table file at the benchmark's node density
     from conftest import make_tabulated_copy
     from vacmirror.analysis import sample_gamma_real
 
@@ -278,7 +273,7 @@ def test_piecewise_cubic_is_scipys_on_the_production_grids(tmp_path):
     vacmirror.save_table(tmp_path / "table.txt", *bench.table)
     w, r, s = vacmirror.load_table(tmp_path / "table.txt").table
     for part in (r.real, r.imag, s.real, s.imag):
-        _assert_scipys_to_the_bit(PiecewiseCubic.pchip(w, part), PchipInterpolator(w, part), w)
+        _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(w, part), CubicSpline(w, part), w)
 
 
 _RAYS = np.concatenate([[0.0], np.geomspace(1.0, 1e12, 25)])

@@ -72,19 +72,20 @@ def test_tabulated_range_and_continuation_errors(tabulated_copy):
         vm.reflectivity(tabulated_copy, 1.0 + 1.0j)
 
 
-def test_table_amplitudes_are_its_monotone_cubics():
-    # r and s by Horner on the table's PCHIP cubics, the pieces Gamma reads, are
-    # scipy's PCHIP evaluation to rounding: on the nodes, between them and at both
-    # ends of the 1100-top table, and conjugate at -w
-    from scipy.interpolate import PchipInterpolator
+def test_table_amplitudes_are_its_not_a_knot_splines():
+    # r and s by Horner on the table's not-a-knot cubics, the pieces Gamma reads,
+    # are scipy's CubicSpline evaluation to rounding (1.2e-16 at worst): on the
+    # nodes, between them and at both ends of the 1100-top table, and conjugate
+    # at -w
+    from scipy.interpolate import CubicSpline
 
     model = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
     w, r, s = model.table
     ws = np.concatenate([w, 0.5 * (w[1:] + w[:-1]), w[:-1] + 0.9 * np.diff(w)])
     for amplitude, data in ((vm.reflectivity, r), (vm.transmissivity, s)):
-        pchip = PchipInterpolator(w, data.real)(ws) + 1j * PchipInterpolator(w, data.imag)(ws)
+        spline = CubicSpline(w, data.real)(ws) + 1j * CubicSpline(w, data.imag)(ws)
         got = amplitude(model, ws)
-        assert np.max(np.abs(got - pchip)) < 1e-15
+        assert np.max(np.abs(got - spline)) < 1e-15
         np.testing.assert_array_equal(amplitude(model, -ws), np.conj(got))
 
 
@@ -155,7 +156,12 @@ def test_tabulated_gain_detected():
 
 # r, s and Gamma of the factories' models on a fixed grid, recorded as
 # "re im" hex floats from the last release that dispatched on the kind
-# string; the model interface must reproduce them bitwise
+# string; the model interface must reproduce them bitwise.  The table's
+# were recorded again when its r and s became the not-a-knot splines of its
+# samples (were PCHIP cubics): r and s moved only off the nodes, at 7.3, by
+# 3.9e-8 and now lie 4.0e-9 from the Lorentzian's (3.6e-8 before); Gamma
+# moved by at most 5.4e-3 (at 0.25), and its largest gap to the
+# Lorentzian's, also at 0.25, fell from 5.7e-3 to 1.6e-3
 _GRID = [-3.0, 0.0, 0.25, 1.0, 7.3]
 _UPPER = [0.5 + 2j, 3j]
 _LORENTZIAN_AT_GRID = {
@@ -184,19 +190,19 @@ _TABULATED_AT_GRID = {
     "r": [
         "-0x1.9999999999999p-4 0x1.3333333333333p-2", "-0x1.0000000000000p+0 0x0.0p+0",
         "-0x1.e1e1e1e1e1e1ep-1 -0x1.e1e1e1e1e1e1ep-3", "-0x1.0000000000000p-1 -0x1.0000000000000p-1",
-        "-0x1.2dc98af8afc40p-6 -0x1.136160904d608p-3",
+        "-0x1.2dc9629ba9204p-6 -0x1.13615f282575ep-3",
     ],
     "s": [
         "0x1.ccccccccccccdp-1 0x1.3333333333333p-2", "0x0.0p+0 0x0.0p+0",
         "0x1.e1e1e1e1e1e20p-5 -0x1.e1e1e1e1e1e1ep-3", "0x1.0000000000000p-1 -0x1.0000000000000p-1",
-        "0x1.f691b3a83a81ep-1 -0x1.136160904d608p-3",
+        "0x1.f691b4eb22b70p-1 -0x1.13615f282575ep-3",
     ],
     # recorded from the exact piecewise Gauss-Legendre rule; the adaptive
     # quadrature these replaced was off by up to 2.1e-12
     "gamma": [
-        "0x1.8395ad2377574p-2 -0x1.b140e5450ac72p-2", "0x1.0000000000000p+0 0x0.0p+0",
-        "0x1.f44a1ff5cba16p-1 0x1.00ac5803af5b0p-3", "0x1.9576e0bd90254p-1 0x1.7807bb986b000p-2",
-        "0x1.1348de8caeea4p-3 0x1.1ef2baf5003c8p-2",
+        "0x1.8385b136e4198p-2 -0x1.b14f2f9716a7ap-2", "0x1.0000000000000p+0 0x0.0p+0",
+        "0x1.f6e834e253056p-1 0x1.f9d9760249054p-4", "0x1.95735bc1465bep-1 0x1.77e8a644d4a88p-2",
+        "0x1.13418f0c9b912p-3 0x1.1ef59420e817ep-2",
     ],
 }
 
