@@ -18,8 +18,8 @@ them on the boundary of the whole half plane (Nyquist): a walk up the imaginary 
 Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
 Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
 at p = 0 and the arc at infinity close it in closed form.  A scan of the
-real axis, every sign change of it narrowed at once in 14 array passes,
-seeds a secant iteration that refines them.  Passivity is read
+real axis seeds a secant iteration at the chord zero of each sign change;
+a counted zero the secant cannot refine raises.  Passivity is read
 on the same walk: no zero in Re p > 0 and Re Z(i y) >= 0; its test oracle
 is ``passivity_check``, a log-polar probe scan of Re Z{p}.  The spectral
 representation cross-checks the continuation,
@@ -212,8 +212,10 @@ def refine_root(model, mech, seed):
 
     Returns (root, residual) with |Z{root}| below 1e-10 times the terms that
     cancel there, k/|p| + m|p| + m tau |p|^2 |Gamma{p}|, which set Z's
-    rounding floor.  A larger residual, divergence out of the half plane or
-    stagnation raises RootConvergenceError.
+    rounding floor.  The secant ends where its steps or its updates reach
+    that floor; a larger residual there, an iterate out of the half plane or
+    no convergence in 100 steps raises RootConvergenceError, and
+    ``stability_report`` passes the error on.
     """
     if np.real(seed) <= 0:
         raise ValueError("seed must have Re p > 0")
@@ -328,30 +330,17 @@ class StabilityReport:
         return text
 
 
-_SPLITS, _SPLIT_ROUNDS = 16, 14
-
-
 def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
     """Real zeros of Z on the positive real axis in [p_min, p_max], ascending:
-    an exact zero of the scan once, and the midpoint of each strict sign
-    change between scan points once ``_SPLIT_ROUNDS`` array rounds have cut
-    every such bracket at once into ``_SPLITS`` log-spaced parts (one
-    ``laplace_impedance`` call), keeping the first that still changes sign:
-    down to an ulp or two where Z's computed sign changes, as bisection does,
-    since where k/p and m tau p^2 dwarf m p (perfect mirror, tau = 1e8, k = 4)
-    a secant from 2e-7 off ends a float away, above its tolerance."""
+    an exact zero of the 400-point log scan once, and the zero of the chord
+    across each strict sign change between scan points, where the secant of
+    ``refine_root`` starts."""
     ps = np.geomspace(p_min, p_max, n)
-    sign = np.sign(np.real(laplace_impedance(model, mech, ps)))
+    z = np.real(laplace_impedance(model, mech, ps))
+    sign = np.sign(z)
     i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    a, b, side = ps[i, None], ps[i + 1, None], sign[i, None]
-    rows, parts = np.arange(i.size)[:, None], np.arange(1, _SPLITS) / _SPLITS
-    for _ in range(_SPLIT_ROUNDS if i.size else 0):
-        ends = np.concatenate([a, a * (b / a) ** parts, b], axis=1)
-        off = np.real(laplace_impedance(model, mech, ends[:, 1:-1])) * side <= 0
-        # the kept part starts at the last of the leading points on a's side
-        j = np.cumprod(~off, axis=1).sum(axis=1, keepdims=True)
-        a, b = ends[rows, j], ends[rows, j + 1]
-    return np.sort(np.concatenate([ps[sign == 0], 0.5 * (a + b).ravel()])).tolist()
+    a, b, za, zb = ps[i], ps[i + 1], z[i], z[i + 1]
+    return np.sort(np.concatenate([ps[sign == 0], a - za * (b - a) / (zb - za)])).tolist()
 
 
 def stability_report(model, mech):
@@ -376,11 +365,7 @@ def stability_report(model, mech):
             low, top = _walk_span(model, mech)
             seeds = sorted({*_real_axis_seeds(model, mech, 1e-6, p_min=low), *seeds,
                             *_real_axis_seeds(model, mech, top, p_min=p_max)})
-        for seed in seeds:
-            try:
-                roots.append(refine_root(model, mech, seed))
-            except RootConvergenceError:
-                pass
+        roots = [refine_root(model, mech, seed) for seed in seeds]
     return StabilityReport(
         model_kind=model.kind,
         tau_omega=mech.tau,

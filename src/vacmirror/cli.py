@@ -376,11 +376,10 @@ def cmd_crosscheck(cfg, out, args):
     except CutoffDivergenceError:
         mu = None
 
-    # Kramers-Kronig: Gamma_I reconstructed from Gamma_R vs Gamma_I itself
-    kk_grid = np.linspace(0.0, min(400.0, model.omega_range[1]), 4001)
-    curve = ResponseCurve(kk_grid, gamma_samples(model, kk_grid).real, label="gamma")
+    # Kramers-Kronig: Gamma_I reconstructed from the Gamma_R of the model's
+    # Gamma curve vs Gamma_I itself
     probes = np.linspace(0.1, 5.0, 40)
-    rec = dispersion.kk_reconstruct(curve, probes)
+    rec = dispersion.kk_reconstruct(model.gamma_curve, probes)
     kk_defect = float(np.max(np.abs(rec.imag - gamma_samples(model, probes).imag)))
     doc["kk"] = {"defect": kk_defect, "threshold": a["kk_threshold"],
                  "passed": bool(kk_defect < a["kk_threshold"])}

@@ -476,22 +476,25 @@ def decay_slope(grid, values):
 
 
 def secant_root(f, z0):
-    """Secant iteration for an analytic complex function from a seed z0.
+    """Secant iteration for an analytic complex function from a seed z0 != 0.
 
-    Stops once a step is below 1e-14 relative, at whichever end of that step
-    has the smaller |f|: at the rounding floor the iterates can cycle with
-    |f| growing after every small step.  Returns (root, residual).  Raises
-    RootConvergenceError after 100 steps or on a degenerate update.
+    Scale-free: the second point is z0 (1 + 1e-4), and the iteration stops
+    once a step is below 1e-14 relative, at whichever end of that step has
+    the smaller |f| (at the rounding floor the iterates can cycle with |f|
+    growing after every small step), or on a degenerate update f1 == f0,
+    where the rounding floor is reached, at the current iterate.  Returns
+    (root, residual); the caller judges the residual.  Raises
+    RootConvergenceError after 100 steps.
     """
-    z1 = z0 * (1.0 + 1e-4) + 1e-12
+    z1 = z0 * (1.0 + 1e-4)
     f0, f1 = f(z0), f(z1)
     for _ in range(100):
         if f1 == f0:
-            raise RootConvergenceError(f"degenerate secant update near {z1}")
+            return z1, abs(f1)
         z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
         z0, f0, z1 = z1, f1, z2
         f1 = f(z1)
-        if abs(z1 - z0) <= 1e-14 * max(1.0, abs(z1)):
+        if abs(z1 - z0) <= 1e-14 * abs(z1):
             return (z1, abs(f1)) if abs(f1) <= abs(f0) else (z0, abs(f0))
     raise RootConvergenceError(
         f"secant did not converge in 100 iterations (last {z1}, |f|={abs(f1):.3e})"

@@ -216,6 +216,48 @@ def test_stability_runaway_just_above_the_mass_boundary(tmp_path, table_1100_fil
     assert doc["passive"] is False
 
 
+def test_stability_names_the_runaway_root_next_to_the_mass_boundary(tmp_path):
+    # mu/m = 1.0071: a secant started an ulp from the root met a degenerate
+    # update at the rounding floor, and the report counted the zero and
+    # wrote no root
+    cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\nomega = 3.59783369382381\n"
+                              "[mechanics]\ntau_omega = 0.09330819119791416\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "stability.json").read_text())
+    assert 1.0 < doc["mu_over_m"] < 1.01
+    assert doc["rhp_zero_count"] == 1
+    (root,) = doc["roots"]
+    model = vm.lorentzian_mirror(3.59783369382381)
+    mech = vm.MirrorMechanics(k=0.0, tau=0.09330819119791416)
+
+    def z(p):
+        return vm.laplace_impedance(model, mech, p).real
+
+    a, b = 1e3, 1e5  # Z > 0 at a, < 0 at b
+    assert z(a) > 0 > z(b)
+    for _ in range(80):
+        a, b = (0.5 * (a + b), b) if z(0.5 * (a + b)) > 0 else (a, 0.5 * (a + b))
+    assert root["im"] == 0.0
+    assert abs(root["re"] - a) <= 1e-12 * a
+
+
+def test_stability_fails_loud_when_a_counted_root_is_not_refined(tmp_path, monkeypatch):
+    import vacmirror.analysis as analysis
+
+    def refuse(model, mech, seed):
+        raise vm.RootConvergenceError(f"no root from {seed}")
+
+    monkeypatch.setattr(analysis, "refine_root", refuse)
+    mech = vm.MirrorMechanics(k=0.0, tau=0.69)
+    with pytest.raises(vm.RootConvergenceError):
+        analysis.stability_report(vm.lorentzian_mirror(), mech)
+    cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n[mechanics]\ntau_omega = 0.69\n")
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "stability.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["lorentzian", "perfect", "transparent"])
 def test_stability_decoupled_counts_no_zero(tmp_path, kind):
     model = f"kind = {kind}\n"
@@ -559,12 +601,16 @@ def test_data_files_keep_their_bytes(tmp_path, command, body):
 # exact on the spline's cubic pieces: the causality defect of r 1.0542e-5
 # (was 1.9897e-3, the trapezoid rule's) and the Kramers-Kronig defect of Gamma
 # 7.2580e-6 (was 4.7005e-6; both rules sit at the interpolation limit of the
-# curve's 0.1 step); nothing else moved.
+# curve's 0.1 step); nothing else moved.  The crosscheck document was
+# recorded again when the Kramers-Kronig check read the model's 351-point
+# Gamma curve (was a private 4001-point curve on [0, 400] with a 0.1 step):
+# the Kramers-Kronig defect of Gamma 1.8614e-8 (was 7.2580e-6); nothing else
+# moved.
 _GOLDEN_JSON = {
     ("analyze", "summary.json"):
         "edea33e7526e8e2ffd2e12a7d0c8b5d093ab192a5f46d1c3b8ecbd72f174738a",
     ("crosscheck", "crosscheck.json"):
-        "f8df17af1cb0d19b3551766ae88862b456f0065cc8556a2af372be52321de417",
+        "dcbe132a054a1b92c6a7acaace44221116e7474f854c0eca2b9932537a720e06",
 }
 
 
@@ -606,12 +652,18 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
 # 7e-11 relative, the causality defect of r 1.58567e-5 (was 1.58608e-5) and
 # 7.13817e-2 (was 7.13826e-2), the transparency tail and slope 7e-10 and
 # 1.5e-11 relative; the roots 30.893865904 (was 30.893865843) at 0.4 and
-# 176.82423031 (was 176.82422858) at 0.35, 2e-9 and 1e-8 relative.
+# 176.82423031 (was 176.82422858) at 0.35, 2e-9 and 1e-8 relative.  The
+# two stability documents were recorded again when the secant started from
+# the chord zero of each scan bracket (was the bracket narrowed to an ulp in
+# 14 array rounds): the root 30.893865903963263 (was 30.893865903963285,
+# 7e-16 relative) with residual 0 (was 3.6e-15) at 0.4, and
+# 176.82423030908788 (was 176.82423030908797, 5e-16 relative) with residual
+# 2.8e-14 (was 0) at 0.35.
 _GOLDEN_TABLE = {
     "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
-                      "9acebb9da68d68f91be3d7a2fee7804dc5991980ba365ada897934d7641117e7"),
+                      "b82a78ea688dedad3a3e218305dcf9b8f7a86e987c66e3299b9468176a123371"),
     "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
-                       "be124ab3d1408155d651416edbe3fdc1409644f11179ee73cd8a60b5a0ea6a1b"),
+                       "777a141fb0f721d43c856be94e1f06db02a9b7c62f7528a6aebfdb97ca271881"),
     "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
                      "f74de98452ca4e036a127a1ab200fc37df381ef7d845cf77891ae942731a8f77"),
     "analyze-no-tail": ("analyze",
@@ -630,11 +682,11 @@ def test_table_documents_keep_their_bytes(tmp_path, table_1100_file, run):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 4)])
+@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 3)])
 def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, most):
     # analyze: the causality probes of validate_model share one spline;
-    # crosscheck: that one, one for the 40 KK probes, the real part of the
-    # Gamma curve for the 100 spectral points, and the real part of the
+    # crosscheck: that one, the real part of the Gamma curve for the 40 KK
+    # probes and the 100 spectral points, and the real part of the
     # consistency check's curve
     builds = []
     original = PiecewiseCubic.not_a_knot.__func__
@@ -650,13 +702,13 @@ def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, m
 
 
 @pytest.mark.parametrize("command,kind,most", [("stability", "tabulated", 1),
-                                               ("crosscheck", "lorentzian", 4)])
+                                               ("crosscheck", "lorentzian", 2)])
 def test_each_curve_fits_its_tail_once(tmp_path, monkeypatch, table_1100_file,
                                        command, kind, most):
     # stability at tau Omega = 0.4 on the table: its Gamma curve, read by
     # reflection_cutoff, the walk, the real-axis scan and the secant;
-    # crosscheck: the validation curve of r, the 4001-point Kramers-Kronig
-    # curve and the Gamma curve of the spectral points
+    # crosscheck: the validation curve of r, and the Gamma curve of the
+    # Kramers-Kronig probes and the spectral points
     original = sys.modules["vacmirror.numerics"].fit_log_tail
     fits = []
 

@@ -24,6 +24,7 @@ from vacmirror.numerics import (
     adaptive_gauss_legendre,
     cubic_cauchy,
     running_integral,
+    secant_root,
     tail_cauchy,
     tail_integral,
     write_csv,
@@ -254,7 +255,7 @@ def test_three_sample_spline_is_the_parabola(data):
 
 def test_piecewise_cubic_is_scipys_on_the_production_grids(tmp_path):
     # the 351-node Gamma curve (both parts, a Lorentzian and the fixture table),
-    # simulate's 1601-node chi curve at dt = 1e-3, crosscheck's 4001-node KK grid,
+    # simulate's 1601-node chi curve at dt = 1e-3, a 4001-node uniform grid,
     # and the parts of r and s of a table file at the benchmark's node density
     from conftest import make_tabulated_copy
     from vacmirror.analysis import sample_gamma_real
@@ -611,3 +612,18 @@ def test_write_csv_holds_no_copy_of_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("root", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+def test_secant_root_is_scale_free(root):
+    # an absolute 1e-12 first step put the second point 1e8 roots past a
+    # root at 1e-20; the step test now reads 1e-14 relative at every scale
+    found, resid = secant_root(lambda z: z * z - root * root, complex(root * (1.0 + 1e-3)))
+    assert abs(found - root) <= 1e-14 * root
+    assert resid <= 4e-16 * root * root
+
+
+def test_secant_root_ends_at_a_degenerate_update():
+    # f1 == f0 is the rounding floor (or a flat f): the iterate is returned
+    # with its residual, for the caller's tolerance to judge
+    assert secant_root(lambda z: 2.0 + 0.0j, 3.0 + 0.0j) == (3.0 * (1.0 + 1e-4), 2.0)
