@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContinuationError, FrequencyRangeError, RegularizationError
-from .numerics import cubic_cauchy, spectrum_to_kernel, tail_cauchy, write_csv
+from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, tail_cauchy, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples
 
 
@@ -126,13 +126,14 @@ def build_time_kernel(chi_curve, mu, window, dt):
     The transform band ends at omega_max, the lesser of pi/dt and the top
     of ``chi_curve``.  The subtraction must leave a decaying remainder: if
     |chi + mu w^2|/w^2 fails to fall across the top decade of the band, the
-    requested mass is inconsistent and RegularizationError is raised.
+    requested mass is inconsistent and RegularizationError is raised.  The period
+    n_fft, the least even 2^a 3^b 5^c >= max(2 steps, 4096), covers twice the window.
     """
     omega_max = min(np.pi / dt, chi_curve.grid[-1])
     steps = int(round(window / dt))
     if steps < 2:
         raise ValueError("kernel window shorter than two steps")
-    n_fft = 1 << (max(2 * steps, 4096) - 1).bit_length()
+    n_fft = fft_length(max(2 * steps, 4096))
 
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     in_band = freqs <= omega_max

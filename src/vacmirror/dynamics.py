@@ -33,7 +33,7 @@ import numpy as np
 
 from .dispersion import acceleration_weights
 from .errors import FitError
-from .numerics import running_integral, write_csv_files
+from .numerics import fft_length, running_integral, write_csv_files
 
 
 @dataclass(frozen=True)
@@ -85,13 +85,14 @@ _BLOWUP = 1e100
 _LEAF = 256  # leaf block of the memory integrator's Toeplitz solve
 
 
-def _rk4(deriv, y0, force, t_final, dt):
-    """Classical RK4 for (q, v, a)' = deriv(q, v, a, F_a) from y0 on a uniform grid.
+def _rk4(k, m, m_tau, y0, force, t_final, dt):
+    """Classical RK4 for (q, v, a)' = (v, a, (k q + m a - F_a)/m_tau) from y0 on a
+    uniform grid, or at m_tau = 0 for the oscillator's (v, (F_a - k q)/m, 0).
 
-    The state is stepped as three Python floats, since array overhead would
-    dominate a three-component step, and stored as raw doubles.  The force
-    is sampled at the grid points and the half steps.  A state that
-    overflows (non-finite or above _BLOWUP) is dropped and ends the run.
+    The state is stepped as three Python floats, each stage written out, since
+    array overhead would dominate a three-component step, and stored as raw
+    doubles.  The force is sampled at the grid points and the half steps.  A
+    state that overflows (non-finite or above _BLOWUP) is dropped and ends the run.
     Returns (times, states, force samples, divergence time or None).
     """
     n = int(round(t_final / dt))
@@ -102,14 +103,23 @@ def _rk4(deriv, y0, force, t_final, dt):
     half, sixth = 0.5 * dt, dt / 6.0
     q, v, a = (float(x) for x in y0)
     out = array("d", (q, v, a))
-    for i in range(n):
-        q1, v1, a1 = deriv(q, v, a, f_at[i])
-        q2, v2, a2 = deriv(q + half * q1, v + half * v1, a + half * a1, f_half[i])
-        q3, v3, a3 = deriv(q + half * q2, v + half * v2, a + half * a2, f_half[i])
-        q4, v4, a4 = deriv(q + dt * q3, v + dt * v3, a + dt * a3, f_at[i + 1])
-        q = q + sixth * (q1 + 2 * q2 + 2 * q3 + q4)
+    for i, (f0, fh, f1) in enumerate(zip(f_at, f_half, f_at[1:])):
+        if m_tau:
+            v1, a1 = a, (k * q + m * a - f0) / m_tau
+            q2, v2 = v + half * v1, a + half * a1
+            a2 = (k * (q + half * v) + m * v2 - fh) / m_tau
+            q3, v3 = v + half * v2, a + half * a2
+            a3 = (k * (q + half * q2) + m * v3 - fh) / m_tau
+            q4, v4 = v + dt * v3, a + dt * a3
+            a4 = (k * (q + dt * q3) + m * v4 - f1) / m_tau
+            a = a + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        else:
+            v1 = (f0 - k * q) / m
+            q2, v2 = v + half * v1, (fh - k * (q + half * v)) / m
+            q3, v3 = v + half * v2, (fh - k * (q + half * q2)) / m
+            q4, v4 = v + dt * v3, (f1 - k * (q + dt * q3)) / m
+        q = q + sixth * (v + 2 * q2 + 2 * q3 + q4)
         v = v + sixth * (v1 + 2 * v2 + 2 * v3 + v4)
-        a = a + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
         if not (abs(q) <= _BLOWUP and abs(v) <= _BLOWUP and abs(a) <= _BLOWUP):
             return ts[: i + 1], np.reshape(out, (-1, 3)), fs[: i + 1], ts[i + 1]
         out.extend((q, v, a))
@@ -126,22 +136,14 @@ def simulate_perfect_mirror(mech, force, t_final, dt=None, q0=0.0, v0=0.0, a0=0.
     """
     k, m, tau = mech.k, mech.m, mech.tau
     if tau == 0.0:
-        def deriv(q, v, a, f_now):  # a stays at 0 in the state
-            return v, (f_now - k * q) / m, 0.0
-
         dt = dt or 1e-2
-        ts, out, fs, t_div = _rk4(deriv, (q0, v0, 0.0), force, t_final, dt)
+        ts, out, fs, t_div = _rk4(k, m, 0.0, (q0, v0, 0.0), force, t_final, dt)
         q, v = out[:, 0], out[:, 1]
         a = (fs - k * q) / m
         f_mot = np.zeros(ts.size)
     else:
-        m_tau = m * tau
-
-        def deriv(q, v, a, f_now):
-            return v, a, (k * q + m * a - f_now) / m_tau
-
         dt = dt if dt is not None else tau / 50.0
-        ts, out, fs, t_div = _rk4(deriv, (q0, v0, a0), force, t_final, dt)
+        ts, out, fs, t_div = _rk4(k, m, m * tau, (q0, v0, a0), force, t_final, dt)
         q, v, a = out[:, 0], out[:, 1], out[:, 2]
         f_mot = k * q + m * a - fs  # = m tau q''' along the solution
     return Trajectory(
@@ -221,7 +223,7 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     All steps of the implicit trapezoid scheme are solved at once as one
     lower-triangular Toeplitz system for the accelerations.  A state that
     overflows (non-finite or above _BLOWUP) ends the run there, as in the
-    RK4 runs.
+    RK4 runs.  The motional force convolves a with h at the least even 2^a 3^b 5^c >= 2 n + 1.
     """
     mu = kernel.mu_subtracted
     if mu >= mech.m:
@@ -251,7 +253,7 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     end = 1 + overflow[0] if overflow.size else stop
     t_div = ts[end] if end <= n else None
     ts, fs, q, v, a = ts[:end], fs[:end], q[:end], v[:end], a[:end]
-    p = 1 << (2 * a.size - 1).bit_length()
+    p = fft_length(2 * a.size - 1)  # the linear convolution does not wrap
     spectrum = np.fft.rfft(a, p)
     spectrum *= np.fft.rfft(h[: a.size], p)
     f_mot = mu * a + dt * np.fft.irfft(spectrum, p)[: a.size]

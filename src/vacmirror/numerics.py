@@ -7,12 +7,13 @@ not-a-knot spline, scipy's arithmetic to the bit),
 the exact Cauchy integral of piecewise cubics, off the real axis and as its
 boundary value from above on it (the principal value plus the residue, which
 the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
-integrals in closed form, and a complex secant root finder; only NumPy is
-imported.  The CSV writer prints every value as %.11e with NumPy, byte for
-byte what Python's formatting prints: 12 digits from one rounded product
-with a tabulated power of ten, which rounds like the exact product unless
-it lies next to a rounding tie, and Python formats those alone (see
-write_csv_files).  The transform helper fixes the package convention
+integrals in closed form, a complex secant root finder and the FFT length
+rule; only NumPy is imported.  The CSV writer prints every value as %.11e
+with NumPy, byte for byte what Python's formatting prints: 12 digits from
+one rounded product with a tabulated power of ten, which rounds like the
+exact product unless it lies next to a rounding tie, and Python formats
+those alone (see write_csv_files).  The transform helper fixes the
+package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -499,6 +500,20 @@ def secant_root(f, z0):
     raise RootConvergenceError(
         f"secant did not converge in 100 iterations (last {z1}, |f|={abs(f1):.3e})"
     )
+
+
+def fft_length(n):
+    """The least even 2^a 3^b 5^c >= n, for n >= 1: an FFT length that costs about
+    what a power of two does per point, with no doubling just past each 2^j."""
+    best = max(2, 1 << (n - 1).bit_length())
+    p5 = 1
+    while 2 * p5 < best:
+        p35 = p5
+        while 2 * p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())  # p35 < n: even
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def spectrum_to_kernel(spectrum, n, dt):

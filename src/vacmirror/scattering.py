@@ -234,7 +234,8 @@ def load_table(path):
     data = np.loadtxt(path, comments="#", ndmin=2)
     if data.shape[1] != 5:
         raise ValueError(f"{path}: expected 5 columns, got {data.shape[1]}")
-    return tabulated_mirror(data[:, 0], data[:, 1] + 1j * data[:, 2], data[:, 3] + 1j * data[:, 4])
+    # each (Re, Im) column pair viewed as one complex column: inf * 1j would make a nan
+    return tabulated_mirror(data[:, 0], *np.ascontiguousarray(data[:, 1:]).view(complex).T)
 
 
 def save_table(path, w, r, s):

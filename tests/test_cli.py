@@ -9,7 +9,7 @@ import pytest
 import vacmirror as vm
 from vacmirror.cli import main, parse_config
 from vacmirror.errors import ConfigError
-from vacmirror.numerics import PiecewiseCubic
+from vacmirror.numerics import PiecewiseCubic, fft_length
 
 from conftest import make_tabulated_copy
 
@@ -374,6 +374,15 @@ def test_perfect_regime_refuses_non_perfect_mirror(tmp_path, monkeypatch, capsys
     assert not (out / "trajectory.csv").exists()
 
 
+def test_kernel_period_is_the_fitted_length_just_past_a_power_of_two(tmp_path):
+    # 32,769 steps: a power of two would double the period to 2^17
+    body = SIM_MEMORY_CFG.replace("t_final = 30.0\ndt = 2.0e-3", "t_final = 32.769\ndt = 1.0e-3")
+    cfg = write_cfg(tmp_path, body)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "run.json").read_text())
+    assert doc["kernel_n_fft"] == fft_length(2 * 32769) == 65610
+
+
 def test_memory_regime_refuses_perfect_mirror(tmp_path, monkeypatch, capsys):
     body = SIM_PERFECT_CFG.replace("a0 = 1.0\n", "regime = memory\n")
     cfg = write_cfg(tmp_path, body)
@@ -560,7 +569,12 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # recorded again when omega_C became 3 Omega exactly (mu = 0.9, was 0.8975; the
 # trajectory moved by at most 7e-12 of each column's largest value).  The
 # analyze run's gamma.csv was recorded again when its quad_err column, 0 in
-# every row, was dropped: each row kept its first five values' bytes.
+# every row, was dropped: each row kept its first five values' bytes.  The
+# memory run's were recorded again when the kernel period became the least
+# even 2^a 3^b 5^c >= 2 steps (kernel_n_fft 32768 -> 30000): q, v, W_a, E and
+# W_m moved by at most 7.4e-12 of each column's largest value, a by 1.7e-8,
+# energy.csv's residual by 1.1e-8, kappa in kernel.csv by 1.7e-5 of its peak,
+# and kernel_causality_residual went 9.136e-4 -> 9.130e-4.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -568,9 +582,9 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "de90cd9e9ba621f1e09cffb94356c6a70f5c4a542786cdb2e68e3732b330fe84",
-        "kernel.csv": "61365ee2fa303584da8e1e52df3866bcd95fee1076d03235e8a2ac508c04ab2a",
-        "trajectory.csv": "c96d53e9d332f35cf156562a4f8a6e800280f684da835dd6cb4bb46f54a1e3b8",
+        "energy.csv": "8185fa202f7851559e7f28e88266312e54a57a98c039403d17b74d134538247e",
+        "kernel.csv": "bcd15d105787667d68b7b0de97cf1537e085c0815b412ce3eb7d04f4d7b386e5",
+        "trajectory.csv": "71da3e75f566d7487d551c1e2da9fd137965a9c1b36451a2112d4214fd206c95",
     },
     ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
         "energy.csv": "54a419b41854edfd96e4f4ca002f673e0b422a32ad7e4ba50a5f6a4e826b0c39",
@@ -779,6 +793,7 @@ def test_non_finite_values_are_refused(tmp_path, capsys, section, key, value):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("column,value", [
     (0, "nan"), (0, "inf"), (1, "nan"), (2, "inf"), (3, "-inf"), (4, "nan"),
 ])

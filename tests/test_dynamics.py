@@ -208,6 +208,26 @@ def test_memory_run_too_long_for_kernel():
         vm.simulate_with_memory(mech, kern, vm.ForceProfile(kind="none"), 2 * limit)
 
 
+@pytest.mark.parametrize("mech,force", [
+    (vm.MirrorMechanics(k=2.25, tau=0.3),
+     vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=4.0, width=1.2)),
+    (vm.MirrorMechanics(k=0.0, tau=0.2), vm.ForceProfile(kind="step", amplitude=1e-3, center=1.0)),
+], ids=["pulse", "step"])
+def test_memory_run_past_a_power_of_two_matches_a_longer_period(mech, force):
+    # 33,000 steps: the period is 67,500 samples, not the 2^17 a power of two
+    # would take; eight times the window puts it at 540,000
+    t_final, dt = 33.0, 1e-3
+    runs = []
+    for window in (t_final, 8 * t_final):
+        kern = make_kernel(mech, window, dt)
+        traj = vm.simulate_with_memory(mech, kern, force, t_final)
+        runs.append((kern.n_fft, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
+    (n_fit, q, w_m), (n_long, q_long, w_m_long) = runs
+    assert (n_fit, n_long) == (67500, 540000)
+    assert np.max(np.abs(q - q_long)) < 1e-11 * np.max(np.abs(q_long))
+    assert abs(w_m - w_m_long) < 1e-10 * abs(w_m_long)
+
+
 def test_memory_damped_pulse_energy_books():
     mech = vm.MirrorMechanics(k=2.25, tau=0.3)
     dt = 1e-3

@@ -23,6 +23,7 @@ from vacmirror.numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
     cubic_cauchy,
+    fft_length,
     running_integral,
     secant_root,
     tail_cauchy,
@@ -190,6 +191,28 @@ def test_write_csv_multiline_header(tmp_path):
         "0.00000000000e+00,2.00000000000e+00\n"
         "1.00000000000e+00,-0.00000000000e+00\n"
     )
+
+
+def even_5_smooth(x):
+    """Whether each integer of x is even with no prime factor above 5."""
+    x = np.asarray(x, dtype=np.int64)
+    rest = x.copy()
+    for p in (2, 3, 5):
+        for _ in range(int(x.max(initial=1)).bit_length()):
+            rest = np.where(rest % p == 0, rest // p, rest)
+    return (x % 2 == 0) & (rest == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2**22))
+@example(n=1)
+@example(n=2 * 32769)  # the kernel period just past 2^15 steps
+@example(n=2**22)
+def test_fft_length_is_the_least_even_5_smooth_length(n):
+    length = fft_length(n)
+    assert length >= n and even_5_smooth([length])[0]
+    # brute force: no length from n up has all three properties
+    assert not even_5_smooth(np.arange(n, length)).any()
 
 
 _FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=True)
