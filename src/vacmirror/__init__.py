@@ -2,9 +2,12 @@
 
 Frequency-domain response (scattering amplitudes, motional susceptibility,
 dispersion relations), mechanical impedance with stability and passivity
-analysis, and time-domain dynamics with energy bookkeeping.  Internally
-the reflectivity scale and the mirror mass are 1; the single physical
-knob is the dimensionless coupling tau_omega.
+analysis, and time-domain dynamics with energy bookkeeping.  The mirror
+mass is 1, and frequencies and times share one unit of the caller's
+choosing (a Lorentzian mirror's reflectivity scale Omega is 1 by default).
+The config key and JSON field ``tau_omega`` hold the response time tau in
+the unit of 1/(those frequencies), not tau Omega; a Lorentzian mirror's
+induced mass is mu/m = 3 Omega tau.
 """
 
 from .analysis import (

@@ -93,10 +93,8 @@ class TimeKernel:
     spectrum, at the rfft bins of the full period, is kept for the memory
     integrator's weights; ``values`` exposes the causal window.  Band
     limitation smears the t = 0 core over a guard window of a few hundred
-    samples; ``causality_residual`` measures the
-    anticausal content beyond a guard of 1024 samples relative to the
-    kernel peak,
-    ``causality_residual_raw`` includes the smeared core.
+    samples; ``causality_residual`` measures the anticausal content beyond
+    a guard of 1024 samples relative to the kernel peak.
     """
 
     times: np.ndarray
@@ -105,7 +103,6 @@ class TimeKernel:
     dt: float
     omega_max: float
     causality_residual: float
-    causality_residual_raw: float
     n_fft: int
     _spectrum: np.ndarray = field(repr=False, compare=False, default=None)
 
@@ -118,6 +115,14 @@ class TimeKernel:
 
     def to_csv(self, path):
         write_csv(path, self.csv_header, [self.times, self.values])
+
+
+def _median(x):
+    """np.median of a 1-d array of at least two finite values, by np.partition
+    (np.median imports numpy.ma on its first call)."""
+    k = x.size // 2
+    part = np.partition(x, (k - 1, k))
+    return part[k] if x.size % 2 else (part[k - 1] + part[k]) / 2
 
 
 def build_time_kernel(chi_curve, mu, window, dt):
@@ -147,17 +152,16 @@ def build_time_kernel(chi_curve, mu, window, dt):
     top = band >= band[-1] / 10.0**0.5
     mid = (band >= band[-1] / 10.0) & ~top
     if top.sum() >= 2 and mid.sum() >= 2:
-        if np.median(ratio[top]) > 0.5 * np.median(ratio[mid]):
+        if _median(ratio[top]) > 0.5 * _median(ratio[mid]):
             raise RegularizationError(
                 "chi + mu w^2 does not decay; mass subtraction inconsistent"
             )
 
     full = spectrum_to_kernel(spectrum, n_fft, dt)
     peak = float(np.max(np.abs(full)))
-    anti = np.abs(full[n_fft // 2:][::-1])  # anti[j] = |kappa(-(j+1) dt)|
-    raw = float(anti.max() / peak) if peak > 0 else 0.0
-    beyond_guard = anti[1024:]
-    guarded = float(beyond_guard.max() / peak) if peak > 0 and beyond_guard.size else 0.0
+    # |kappa(-j dt)| for j > 1024: the anticausal half beyond the guard
+    beyond_guard = np.abs(full[n_fft // 2 : n_fft - 1024])
+    guarded = float(beyond_guard.max() / peak) if peak > 0 else 0.0
     times = np.arange(steps) * dt
     return TimeKernel(
         times=times,
@@ -166,7 +170,6 @@ def build_time_kernel(chi_curve, mu, window, dt):
         dt=float(dt),
         omega_max=float(omega_max),
         causality_residual=guarded,
-        causality_residual_raw=raw,
         n_fft=n_fft,
         _spectrum=spectrum,
     )

@@ -206,6 +206,8 @@ def _trapezoid_steps(c, fs, k, dt, q0):
         solve(mid, hi)
 
     solve(1, fs.size)
+    # solve's closure holds solve: the cycle would keep x, c and the spectra to a gc pass
+    del solve
     return q, v, a
 
 
@@ -234,13 +236,15 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     n = int(round(t_final / dt))
     if n > kernel.n_fft // 2:
         raise ValueError("kernel period too short for the requested run length")
+    # a copy of the lags the run reaches, so the rest of the period is freed
     h = history_weights if history_weights is not None else acceleration_weights(kernel)
+    h = h[: n + 1].copy()
     k, m = mech.k, mech.m
     ts = np.arange(n + 1) * dt
     fs = np.asarray(force(ts), dtype=float)
 
     # memory column: sum_l c_l a_{j-l} = (m - mu) a_j - dt sum_l h_l a_{j-l}
-    c = -dt * h[: n + 1]
+    c = -dt * h
     c[0] += m - mu
     # a non-finite force ends the run where it appears; a leaf product
     # would spread it to the earlier steps of its block
@@ -248,6 +252,7 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     stop = n + 1 if finite.all() else max(1, int(finite.argmin()))
     with np.errstate(over="ignore", invalid="ignore"):
         q, v, a = _trapezoid_steps(c, fs[:stop], k, dt, q0)
+        del c
         held = (np.abs(q) <= _BLOWUP) & (np.abs(v) <= _BLOWUP) & (np.abs(a) <= _BLOWUP)
     overflow = np.flatnonzero(~held[1:])
     end = 1 + overflow[0] if overflow.size else stop
@@ -256,7 +261,8 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     p = fft_length(2 * a.size - 1)  # the linear convolution does not wrap
     spectrum = np.fft.rfft(a, p)
     spectrum *= np.fft.rfft(h[: a.size], p)
-    f_mot = mu * a + dt * np.fft.irfft(spectrum, p)[: a.size]
+    f_mot = np.fft.irfft(spectrum, p)[: a.size] * dt
+    f_mot += mu * a
     return Trajectory(
         times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
         method="trapezoid-implicit", dt=dt, diverged=t_div is not None, t_diverged=t_div,

@@ -28,8 +28,17 @@ import numpy as np
 
 from .errors import AccuracyError, FitError, RootConvergenceError
 
-_GL_LO = np.polynomial.legendre.leggauss(15)
-_GL_HI = np.polynomial.legendre.leggauss(30)
+
+@cache
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built on first use, so that importing the package imports no
+    numpy.polynomial and runs no eigensolver.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,8 @@ def adaptive_gauss_legendre(f, a, b, settings=None):
     with the estimate still above tolerance.
     """
     settings = settings or QuadratureSettings()
-    x_lo, w_lo = _GL_LO
-    x_hi, w_hi = _GL_HI
+    x_lo, w_lo = gauss_legendre(15)
+    x_hi, w_hi = gauss_legendre(30)
     stack = [(float(a), float(b))]
     total = 0.0 + 0.0j
     err_total = 0.0
@@ -411,7 +420,6 @@ def _dilog(z, zc):
     return add_inv + np.where(inv, -li, li)
 
 
-_GL8 = np.polynomial.legendre.leggauss(8)
 _PV_BLOCK = 1 << 16  # piece-node values a block of w holds at once
 
 
@@ -432,7 +440,7 @@ def cubic_cauchy(x, c, w):
     that each block sums its 8 nodes over its leading axis.
     """
     h = np.diff(x)
-    nodes, weights = _GL8
+    nodes, weights = gauss_legendre(8)
     t = 0.5 * h * (1.0 + nodes[:, None])  # node-major: one row of pieces per node
     p_t = ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
     at_nodes = (0.5 * h * weights[:, None] * p_t)[:, None]

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BranchCutError, ContinuationError, FitError, FrequencyRangeError
-from .numerics import PiecewiseCubic, decay_slope
+from .numerics import PiecewiseCubic, decay_slope, gauss_legendre
 
 
 class MirrorModel:
@@ -110,11 +110,6 @@ class LorentzianMirror(MirrorModel):
                 decay_slope(probe, lorentzian_gamma(probe, self.omega_scale).real))
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: five nodes integrate degree 9
-# exactly, and the tabulated Gamma integrand has degree 8 on each piece
-_GL5 = np.polynomial.legendre.leggauss(5)
-
-
 @dataclass(frozen=True)
 class TabulatedMirror(MirrorModel):
     table: tuple  # (w, r, s) arrays
@@ -194,7 +189,7 @@ class TabulatedMirror(MirrorModel):
         cuts = np.unique(np.concatenate([[0.0, 0.5], tu[tu < 0.5], 1.0 - tu[tu > 0.5]]))
         mid = 0.5 * (cuts[1:] + cuts[:-1])
         rad = 0.5 * (cuts[1:] - cuts[:-1])
-        nodes, weights = _GL5
+        nodes, weights = gauss_legendre(5)
         u = mid + rad * nodes[:, None]
         r_x, s_x = self._pieces(w * mid, w * u)
         r_y, s_y = self._pieces(w * (1.0 - mid), w * (1.0 - u))

@@ -443,6 +443,28 @@ def test_failed_crosscheck_exits_3(tmp_path, capsys):
     assert "kk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega,code", [(1.0, 0), (100.0, 3)])
+def test_crosscheck_fails_when_its_spectral_check_cannot_run(tmp_path, capsys, omega, code):
+    # tau Omega = 0.03, k/m = 0.5 Omega^2: one dimensionless mirror.  At Omega = 100
+    # omega_C = 3 Omega is finite, but the Gamma curve on the fixed band shows no
+    # integrable decay: the spectral check cannot run, and that is no pass
+    body = (f"[model]\nkind = lorentzian\nomega = {omega}\n"
+            f"[mechanics]\ntau_omega = {0.03 / omega}\nk_over_m = {0.5 * omega**2}\n")
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main(["crosscheck", "--config", str(cfg), "--out", str(out)]) == code
+    doc = json.loads((out / "crosscheck.json").read_text())
+    assert doc["kk"]["passed"] and doc["consistency"]["passed"]
+    spectral = doc["spectral_rep"]
+    assert spectral["threshold"] == 1e-4
+    if code:
+        assert spectral == {"status": "divergent", "defect": None, "threshold": 1e-4,
+                            "passed": False}
+        assert "spectral_rep divergent" in capsys.readouterr().err
+    else:
+        assert spectral["passed"] and spectral["defect"] < 1e-4
+
+
 def test_crosscheck_perfect_reports_divergence(tmp_path):
     body = CROSSCHECK_CFG.replace("kind = lorentzian", "kind = perfect")
     cfg = write_cfg(tmp_path, body)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,6 +208,81 @@ def test_memory_run_too_long_for_kernel():
     limit = kern.n_fft // 2 * kern.dt
     with pytest.raises(ValueError, match="period"):
         vm.simulate_with_memory(mech, kern, vm.ForceProfile(kind="none"), 2 * limit)
+
+
+def test_memory_run_keeps_only_what_it_uses():
+    # the run holds the weights of the lags it reaches, not the whole period,
+    # and no memory column or second full-length product past the solve (118 B
+    # a step at 30,000 steps; 157 with them); the solve's recursive closure
+    # must not keep its work arrays alive past the return until a gc pass
+    mech = vm.MirrorMechanics(k=2.25, tau=0.3)
+    force = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=4.0, width=1.2)
+    steps, dt = 30_000, 1e-3
+    kern = make_kernel(mech, steps * dt, dt)
+    vm.simulate_with_memory(mech, kern, force, steps * dt)  # warm
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        traj = vm.simulate_with_memory(mech, kern, force, steps * dt)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(x.nbytes for x in (traj.times, traj.q, traj.v, traj.a, traj.f_applied,
+                                  traj.f_motional))
+    assert (peak - start) / steps < 125
+    assert end - start < kept + 100_000
+
+
+def cq_weights(model, mech, dt, n):
+    """Trapezoidal convolution-quadrature weights (Lubich, Numer. Math. 52, 1988)
+    of the whole motional kernel H(s) = m tau s Gamma{s}, no mu subtracted, at
+    lags 0..n: w_l = rho^-l/L sum_k H(delta(rho e^(2 pi i k/L))/dt) e^(-2 pi i k l/L)
+    with delta(z) = 2 (1 - z)/(1 + z), L = 2 (n + 1) and rho^L = 1e-8."""
+    size = 2 * (n + 1)
+    rho = 1e-8 ** (1.0 / size)
+    z = rho * np.exp(2j * np.pi * np.arange(size) / size)
+    s = 2.0 * (1.0 - z) / (1.0 + z) / dt
+    h = mech.m * mech.tau * s * vm.gamma_samples(model, 1j * s)
+    return (rho ** -np.arange(n + 1) * np.fft.fft(h)[: n + 1] / size).real
+
+
+def kicked_run(model, mech, dt, t_final):
+    """A run kicked by a small Gaussian pulse, its memory the CQ weights of the
+    whole kernel: with mu_subtracted = 0 the solver's leading coefficient is
+    m - w_0, which is negative, not zero, at mu > m, so the run goes on there."""
+    n = int(round(t_final / dt))
+    kern = vm.TimeKernel(times=np.zeros(0), values=np.zeros(0), mu_subtracted=0.0, dt=dt,
+                         omega_max=np.pi / dt, causality_residual=0.0, n_fft=2 * (n + 1))
+    pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-6, center=10 * dt, width=2 * dt)
+    return vm.simulate_with_memory(mech, kern, pulse, t_final,
+                                   history_weights=cq_weights(model, mech, dt, n) / dt)
+
+
+@pytest.mark.parametrize("tau,k", [(0.4, 0.0), (0.4, 4.0), (0.35, 0.0), (1.0, 0.0)])
+def test_kicked_run_grows_at_the_stability_root(tau, k):
+    # a zero of Z in Re p > 0 is a growing motion: the run measures its rate
+    # with none of the walk's or the secant's code, to 4e-6..8e-6 relative at
+    # dt = 0.01/p (about 1200 steps whatever p is)
+    model, mech = vm.lorentzian_mirror(), vm.MirrorMechanics(k=k, tau=tau)
+    report = vm.stability_report(model, mech)
+    assert report.rhp_zero_count == len(report.roots) == 1
+    p = report.roots[0][0].real
+    traj = kicked_run(model, mech, 0.01 / p, 12.0 / p)
+    assert not traj.diverged
+    assert abs(vm.fit_runaway_rate(traj).rate / p - 1.0) < 2e-4
+
+
+@pytest.mark.parametrize("tau,k", [(0.2, 0.0), (0.2, 4.0), (0.3, 2.25)])
+def test_kicked_run_below_the_mass_boundary_does_not_grow(tau, k):
+    # criterion 6's dichotomy in the time domain: at mu < m no zero, no growth
+    model, mech = vm.lorentzian_mirror(), vm.MirrorMechanics(k=k, tau=tau)
+    report = vm.stability_report(model, mech)
+    assert report.passive and report.rhp_zero_count == 0
+    traj = kicked_run(model, mech, 1e-3, 12.0)
+    quarter = traj.a.size // 4
+    assert np.max(np.abs(traj.a[-quarter:])) < np.max(np.abs(traj.a[:quarter]))
+    with pytest.raises(FitError):
+        vm.fit_runaway_rate(traj)
 
 
 @pytest.mark.parametrize("mech,force", [

@@ -474,11 +474,12 @@ t_final = 2.0
 """
 
 
-def _loaded_after(code, tmp_path):
-    """The scipy modules loaded once ``code`` has run in a fresh process."""
+def _loaded_after(code, tmp_path, packages=("scipy",)):
+    """The modules of ``packages`` loaded once ``code`` has run in a fresh process."""
     src = str(Path(vacmirror.__file__).resolve().parents[1])
     probe = (f"import sys\n{code}\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if any(m == p or m.startswith(p + '.')"
+             f" for p in {packages!r})))")
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
@@ -489,6 +490,31 @@ def _loaded_after(code, tmp_path):
 
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     assert _loaded_after("import vacmirror", tmp_path) == "[]"
+
+
+def test_import_and_memory_simulate_load_no_numpy_polynomial_or_ma(tmp_path):
+    # the Gauss-Legendre rules are built on first use (numpy.polynomial and its
+    # eigensolver cost 1.6 MB at import), and the kernel's mass check takes its
+    # medians by np.partition (np.median imports numpy.ma)
+    (tmp_path / "run.cfg").write_text(_LORENTZIAN_RUN)
+    packages = ("numpy.polynomial", "numpy.ma")
+    assert _loaded_after("import vacmirror.cli", tmp_path, packages) == "[]"
+    run = ("from vacmirror.cli import main\n"
+           "assert main(['simulate', '--config', 'run.cfg', '--out', 'out']) == 0\n"
+           "assert __import__('json').load(open('out/run.json'))['regime'] == 'memory'")
+    assert _loaded_after(run, tmp_path, packages) == "[]"
+
+
+@pytest.mark.parametrize("n", [5, 8, 15, 30])
+def test_gauss_legendre_is_numpys_rule_built_once_and_read_only(n):
+    nodes, weights = numerics.gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
+    assert numerics.gauss_legendre(n)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
