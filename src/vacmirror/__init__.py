@@ -52,6 +52,7 @@ from .errors import (
     FitError,
     FrequencyRangeError,
     ImpedancePoleError,
+    KernelWindowError,
     RegularizationError,
     RootConvergenceError,
     VacMirrorError,

@@ -36,7 +36,8 @@ from .susceptibility import (
     induced_mass,
     reflection_cutoff,
 )
-from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
+from .errors import (ConfigError, CutoffDivergenceError, FitError, KernelWindowError,
+                     VacMirrorError)
 from .numerics import write_csv
 
 # [model] kind -> the mirror model built from that section
@@ -314,7 +315,11 @@ def cmd_simulate(cfg, out, args):
         chi_curve = ResponseCurve(
             cg, 1j * mech.m * mech.tau * cg**3 * gamma_samples(model, cg), label="chi"
         )
-        kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
+        try:
+            kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
+        except KernelWindowError as exc:
+            raise ConfigError(f"simulation.t_final = {sim['t_final']:g} at simulation.dt = "
+                              f"{dt:g}: {exc}", cfg.path) from exc
         traj = dynamics.simulate_with_memory(
             mech, kernel, force, sim["t_final"], q0=sim["q0"]
         )

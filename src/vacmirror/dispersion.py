@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContinuationError, FrequencyRangeError, RegularizationError
+from .errors import (ContinuationError, FrequencyRangeError, KernelWindowError,
+                     RegularizationError)
 from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, tail_cauchy, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples
 
@@ -131,13 +132,14 @@ def build_time_kernel(chi_curve, mu, window, dt):
     The transform band ends at omega_max, the lesser of pi/dt and the top
     of ``chi_curve``.  The subtraction must leave a decaying remainder: if
     |chi + mu w^2|/w^2 fails to fall across the top decade of the band, the
-    requested mass is inconsistent and RegularizationError is raised.  The period
+    requested mass is inconsistent and RegularizationError is raised; a window
+    of fewer than two steps raises KernelWindowError.  The period
     n_fft, the least even 2^a 3^b 5^c >= max(2 steps, 4096), covers twice the window.
     """
     omega_max = min(np.pi / dt, chi_curve.grid[-1])
     steps = int(round(window / dt))
     if steps < 2:
-        raise ValueError("kernel window shorter than two steps")
+        raise KernelWindowError("the kernel window spans fewer than two steps of dt")
     n_fft = fft_length(max(2 * steps, 4096))
 
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi

@@ -161,21 +161,26 @@ def _trapezoid_steps(c, fs, k, dt, q0):
     c + k dt^2/4 (1, 4, 8, 12, ...).  It is solved by divide and conquer
     after Hairer, Lubich & Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985):
     solve the leading block, subtract its memory on the trailing block with
-    one FFT convolution, recurse.  The spring's ramp couples a block to the
-    later ones only through the state (q, v, a) at its last step, so it
-    enters through that state, stepped as in the scheme; summed over the
-    whole history instead, its weights 4(j - p) cancel to a bounded q and
-    cost one to two digits.  Every leaf is the same _LEAF-sized Toeplitz
-    system, so one inverse, found by forward substitution, serves them all.
-    O(n log^2 n).
+    one FFT convolution, recurse.  A node's leading block is the largest
+    power-of-two number of leaves short of its span, so every node but the
+    last one of each level spans a power of two and convolves at that
+    length; the spectrum of c there is kept where two or more nodes share
+    it.  The last, partial node convolves at the least even 2^a 3^b 5^c
+    covering its span, and keeps nothing.  The spring's ramp couples a
+    block to the later ones only through the state (q, v, a) at its last
+    step, so it enters through that state, stepped as in the scheme; summed
+    over the whole history instead, its weights 4(j - p) cancel to a bounded
+    q and cost one to two digits.  Every leaf is the same _LEAF-sized
+    Toeplitz system, so one inverse, found by forward substitution, serves
+    them all; its v and q are summed through one buffer.  O(n log^2 n).
     """
     a, v, q = np.empty(fs.size), np.zeros(fs.size), np.full(fs.size, float(q0))
     a[0] = (fs[0] - k * q0) / c[0]
     x = fs - c[: fs.size] * a[0]  # the force less the memory of a_0
     size = min(_LEAF, max(1, fs.size - 1))
     quarter = 0.25 * dt * dt
-    lag = np.arange(size)
-    t = c[:size] + k * quarter * np.maximum(4.0 * lag, 1.0)
+    r = np.arange(1, size + 1)  # the lag j - s of each leaf step from the leaf's start s
+    t = c[:size] + k * quarter * np.maximum(4.0 * (r - 1), 1.0)
     inv = np.empty(size)  # first column of the leaf inverse
     inv[0] = 1.0 / t[0]
     for j in range(1, size):
@@ -183,26 +188,42 @@ def _trapezoid_steps(c, fs, k, dt, q0):
     leaf = np.zeros((size, size))
     for j in range(size):
         leaf[j:, j] = inv[: size - j]
+    r_dt, r_quarter = r * dt, quarter * (2 * r - 1)
+    pair, sums = np.empty(size), np.empty(size + 1)
     c_spectra = {}
+    top = fs.size - 1
 
     def solve(lo, hi):
-        if hi - lo <= size:
-            s, r = lo - 1, lag[: hi - lo] + 1  # r = j - s
-            drift = q[s] + r * dt * v[s] + quarter * (2 * r - 1) * a[s]
-            a[lo:hi] = leaf[: hi - lo, : hi - lo] @ (x[lo:hi] - k * drift)
-            pair = a[s : hi - 1] + a[lo:hi]
-            v[s:hi] = np.cumsum(np.concatenate([[v[s]], 0.5 * dt * pair]))
-            q[s:hi] = np.cumsum(np.concatenate([[q[s]], dt * v[s : hi - 1] + quarter * pair]))
+        n, s = hi - lo, lo - 1
+        if n <= size:
+            drift = q[s] + r_dt[:n] * v[s] + r_quarter[:n] * a[s]
+            a[lo:hi] = leaf[:n, :n] @ (x[lo:hi] - k * drift)
+            np.add(a[s : hi - 1], a[lo:hi], out=pair[:n])
+            sums[0] = v[s]
+            np.multiply(pair[:n], 0.5 * dt, out=sums[1 : n + 1])
+            np.cumsum(sums[: n + 1], out=v[s:hi])
+            sums[0] = q[s]
+            np.multiply(v[s : hi - 1], dt, out=sums[1 : n + 1])
+            pair[:n] *= quarter
+            sums[1 : n + 1] += pair[:n]
+            np.cumsum(sums[: n + 1], out=q[s:hi])
             return
-        blocks = -(-(hi - lo) // size)
+        blocks = -(-n // size)
         mid = lo + size * 2 ** ((blocks - 1).bit_length() - 1)
         solve(lo, mid)
-        # lags up to hi - lo - 1 < p: the circular convolution does not wrap
-        p = 1 << (hi - lo - 1).bit_length()
-        if p not in c_spectra:
-            c_spectra[p] = np.fft.rfft(c[:p], p)
-        memory = np.fft.irfft(np.fft.rfft(a[lo:mid], p) * c_spectra[p], p)
-        x[mid:hi] -= memory[mid - lo : hi - lo]
+        # lags up to n - 1 < p: the circular convolution does not wrap
+        if n & (n - 1):
+            p = fft_length(n)
+            spectrum = np.fft.rfft(c[:p], p)
+        else:
+            p = n
+            spectrum = c_spectra.get(p)
+            if spectrum is None:
+                spectrum = np.fft.rfft(c[:p], p)
+                if 2 * n <= top:  # another node of this span is to come
+                    c_spectra[p] = spectrum
+        memory = np.fft.irfft(np.fft.rfft(a[lo:mid], p) * spectrum, p)
+        x[mid:hi] -= memory[mid - lo : n]
         solve(mid, hi)
 
     solve(1, fs.size)

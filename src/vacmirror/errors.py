@@ -38,6 +38,10 @@ class RegularizationError(VacMirrorError):
     """Mass-subtracted susceptibility does not decay; no time kernel exists."""
 
 
+class KernelWindowError(VacMirrorError, ValueError):
+    """Time-kernel window shorter than two steps of dt."""
+
+
 class ImpedancePoleError(VacMirrorError):
     """Impedance evaluated at its zero-frequency pole."""
 

@@ -131,14 +131,27 @@ _E_MAX = 308  # the largest decade of a double
 def _csv_tables():
     """The writer's read-only tables, built on first use so that importing the
     package does not pay for them: the correctly rounded 10^k for _K_MIN <= k
-    <= _K_MAX, the four ASCII digits of each 0 <= i < 10^4 as one word, and
-    the exponent field (sign, hundreds digit or NUL below 100, two digits) of
-    each |e| <= _E_MAX as one word."""
+    <= _K_MAX; the head of a value, its sign byte (NUL or '-'), lead digit,
+    '.' and next three digits, for each sign s and 0 <= i < 10^4 at s 10^4 +
+    i as one 8-byte word; the four ASCII digits of each 0 <= i < 10^4 as one
+    word; and the tail of each decade |e| <= _E_MAX as one 8-byte word: two
+    bytes to be written over, 'e', the exponent field (sign, hundreds digit
+    or NUL below 100, two digits) and the separator ','."""
     scales = np.array([float(f"1e{k}") for k in range(_K_MIN, _K_MAX + 1)])
     digits = 48 + np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    words = [b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1)]
-    exponents = b"".join(w[:1] + b"\0" + w[2:] if w[1:2] == b"0" else w for w in words)
-    return scales, digits.astype(np.uint8).view("=u4")[:, 0], np.frombuffer(exponents, dtype="=u4")
+    heads = np.zeros((2, 10000, 8), dtype=np.uint8)
+    heads[1, :, 0] = ord("-")
+    heads[:, :, 1] = digits[:, 0]
+    heads[:, :, 2] = ord(".")
+    heads[:, :, 3:6] = digits[:, 1:]
+    tails = np.zeros((2 * _E_MAX + 1, 8), dtype=np.uint8)
+    tails[:, 2] = ord("e")
+    tails[:, 3:7] = np.frombuffer(b"".join(b"%+04d" % e for e in range(-_E_MAX, _E_MAX + 1)),
+                                  dtype=np.uint8).reshape(-1, 4)
+    tails[np.abs(np.arange(-_E_MAX, _E_MAX + 1)) < 100, 4] = 0
+    tails[:, 7] = ord(",")
+    return (scales, heads.view("=u8").ravel(), digits.astype(np.uint8).view("=u4")[:, 0],
+            tails.view("=u8").ravel())
 
 
 def _format_fallback(values):
@@ -149,10 +162,8 @@ def _format_fallback(values):
 def _format_block(x):
     """The %.11e bytes of the values x in (x.size, _SLOT) slots: 'e' at 14,
     ',' at the end, and NUL for the bytes a value does not print."""
-    slots = np.zeros((x.size, _SLOT), dtype=np.uint8)
-    slots[:, 14] = ord("e")
-    slots[:, -1] = ord(",")
-    scales, digits4, exponents = _csv_tables()
+    slots = np.empty((x.size, _SLOT), dtype=np.uint8)
+    scales, heads, digits4, tails = _csv_tables()
     ax = np.abs(x)
     live = (ax >= _TINY) & (ax < np.inf)
     e = np.floor(np.log10(np.where(live, ax, 1.0))).astype(np.int64)
@@ -172,18 +183,19 @@ def _format_block(x):
     digits = np.where(fast, digits, 0.0).astype(np.int64)
     carry = digits == 10**12
     digits[carry] = 10**11
-    e = np.where(fast, e + carry, 0)
+    e += carry
 
     head = digits // 10**8
     rest = digits - head * 10**8
     mid = rest // 10**4
-    slots[:, 2:6].view("=u4")[:, 0] = digits4[head]
+    head += np.signbit(x) * 10**4
+    # each word before the one that writes over its first or last two bytes;
+    # a slow value's decade can lie one past the table, and the fallback
+    # writes over what the clipped gather puts there
+    slots[:, 12:].view("=u8")[:, 0] = np.take(tails, e + _E_MAX, mode="clip")
+    slots[:, :8].view("=u8")[:, 0] = heads[head]
     slots[:, 6:10].view("=u4")[:, 0] = digits4[mid]
     slots[:, 10:14].view("=u4")[:, 0] = digits4[rest - mid * 10**4]
-    slots[:, 1] = slots[:, 2]
-    slots[:, 2] = ord(".")
-    slots[:, 15:19].view("=u4")[:, 0] = exponents[e + _E_MAX]
-    slots[:, 0] = np.signbit(x) * np.uint8(ord("-"))
 
     slow = np.flatnonzero(~fast)  # nan, +-inf, values below _TINY and near ties
     if slow.size:
@@ -204,11 +216,12 @@ def write_csv_files(files):
     _TIE_MARGIN (2^-12) of it, so rint(p) is exact wherever p lies farther
     than that from a half-integer.  Those near ties, nan, +-inf and the
     values below _TINY are the one fallback: each is formatted alone by
-    Python into the same slot.  Every slot is written in full with NUL for
-    the bytes a value does not print.  Rows go in blocks of about _CSV_BLOCK
-    values, so the memory held stays bounded; a column several files hold
-    (one array, or a view of its first rows) is formatted once, each file
-    takes its slots from there into one bytes.translate, and every column is
+    Python into the same slot.  Every slot is written in full, a few bytes
+    at a time, with NUL for the bytes a value does not print.  Rows go in
+    blocks of about _CSV_BLOCK values, so the memory held stays bounded; a
+    column several files hold (one array, or a view of its first rows) is
+    formatted once, each file gathers its slots from there into a bytearray
+    that one translate compacts in place of a copy, and every column is
     held to the end, so no two distinct arrays can share a data address.
     """
     columns, index, tables = [], {}, []
@@ -239,9 +252,13 @@ def write_csv_files(files):
             slots = _format_block(x.ravel()).reshape(*x.shape, _SLOT)
             for fh, take, size in handles:
                 if start < size:
-                    block = slots[: size - start].take(take, axis=1)
+                    n = min(size - start, len(x))
+                    text = bytearray(n * len(take) * _SLOT)
+                    block = np.frombuffer(text, dtype=np.uint8).reshape(n, len(take), _SLOT)
+                    # the default mode "raise" would gather into a buffer and copy it
+                    np.take(slots[:n], take, axis=1, out=block, mode="clip")
                     block[:, -1, -1] = ord("\n")
-                    fh.write(block.tobytes().translate(None, b"\0"))
+                    fh.write(text.translate(None, b"\0"))
 
 
 def write_csv(path, header, columns):
@@ -253,10 +270,12 @@ def write_csv(path, header, columns):
 class PiecewiseCubic:
     """A C^1 piecewise cubic on breakpoints x: ``c[:, i]`` holds its piece on
     [x_i, x_(i+1)] in powers of w - x_i, highest first (a scipy PPoly's
-    layout, which ``cubic_cauchy`` reads).  ``not_a_knot`` fits it to samples
-    y at x: the interpolating cubic spline of de Boor (A Practical Guide to
-    Splines, 1978), in the order of arithmetic of scipy's CubicSpline, so that
-    its coefficients, values and integral are scipy's to the bit.
+    layout, which ``cubic_cauchy`` reads), with any trailing axes of ``c``
+    its columns, one cubic each on the same breakpoints.  ``not_a_knot``
+    fits it to samples y at x: the interpolating cubic spline of de Boor (A
+    Practical Guide to Splines, 1978), in the order of arithmetic of scipy's
+    CubicSpline, so that each column's coefficients, values and integral
+    are scipy's to the bit.
     """
 
     x: np.ndarray
@@ -266,22 +285,26 @@ class PiecewiseCubic:
     def not_a_knot(cls, x, y):
         """The cubic spline through real samples y at increasing x, at least 3,
         with a continuous third derivative at x_1 and x_(n-2); with 3 samples,
-        the parabola through them.  Its node slopes solve one tridiagonal
-        system in one sweep with partial pivoting, step for step LAPACK's
-        gtsv, which scipy calls: a row is swapped with the next where that
-        one's subdiagonal entry outgrows the pivot (only on strongly graded
-        grids, as every inner row dominates its diagonal), and the swap fills
-        in one entry right of the superdiagonal."""
+        the parabola through them; y's trailing axes are columns, each fitted
+        bitwise as alone.  The node slopes solve one tridiagonal system, its
+        matrix eliminated once for all columns in one sweep with partial
+        pivoting, step for step LAPACK's gtsv, which scipy calls: a row is
+        swapped with the next where that one's subdiagonal entry outgrows the
+        pivot (only on strongly graded grids, as every inner row dominates
+        its diagonal), and the swap fills in one entry right of the
+        superdiagonal; each column's right-hand side then takes the same
+        steps and the back substitution."""
         n = x.size
         if n < 3:
             raise ValueError("a not-a-knot spline needs at least 3 samples")
         dx = np.diff(x)
-        slope = np.diff(y) / dx
-        diag, upper, lower, rhs = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(n)
+        h = dx.reshape((-1,) + (1,) * (y.ndim - 1))  # dx against y's columns
+        slope = np.diff(y, axis=0) / h
+        diag, upper, lower, rhs = np.empty(n), np.empty(n - 1), np.empty(n - 1), np.empty(y.shape)
         diag[1:-1] = 2 * (dx[:-1] + dx[1:])
         upper[1:] = dx[:-1]
         lower[:-1] = dx[1:]
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[1:-1] = 3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
         if n == 3:  # one condition for both ends: s_i + s_(i+1) = 2 slope_i
             diag[[0, -1]] = upper[0] = lower[-1] = 1.0
             rhs[[0, -1]] = 2 * slope
@@ -290,53 +313,79 @@ class PiecewiseCubic:
             diag[0], upper[0], diag[-1], lower[-1] = dx[1], d0, dx[-2], d1
             rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
             rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        # forward: row i as eliminated so far is (pivot, up, rhs); each finished
-        # row goes to ``rows`` as (pivot, up, fill, rhs) for the back substitution
-        pivot, up, r = float(diag[0]), float(upper[0]), float(rhs[0])
-        rows = []
-        for low, d_next, up_next, r_next in zip(lower.tolist(), diag[1:].tolist(),
-                                                upper[1:].tolist() + [0.0], rhs[1:].tolist()):
-            if abs(pivot) >= abs(low):
-                f = low / pivot
-                rows.append((pivot, up, 0.0, r))
-                pivot, up, r = d_next - f * up, up_next, r_next - f * r
-            else:  # swap rows i and i + 1
+        # forward, the matrix: row i as eliminated so far is (pivot, up); each
+        # finished row goes to ``rows`` as (pivot, up, fill) for the back
+        # substitution, and its multiplier and whether it was swapped to ``steps``
+        pivot, up = float(diag[0]), float(upper[0])
+        rows, steps = [], []
+        for low, d_next, up_next in zip(lower.tolist(), diag[1:].tolist(),
+                                        upper[1:].tolist() + [0.0]):
+            swapped = abs(pivot) < abs(low)
+            if swapped:  # rows i and i + 1 change places
                 f = pivot / low
-                rows.append((low, d_next, up_next, r_next))
-                pivot, up, r = up - f * d_next, -f * up_next, r - f * r_next
-        s = [r / pivot]
-        pivot, up, _, r = rows.pop()
-        s.append((r - up * s[-1]) / pivot)
-        for pivot, up, fill, r in reversed(rows):
-            s.append((r - up * s[-1] - fill * s[-2]) / pivot)
-        # the cubic through (x_i, y_i) with the slopes s_i at the nodes
-        d = np.array(s[::-1])
-        t = (d[:-1] + d[1:] - 2 * slope) / dx
-        return cls(x, np.stack((t / dx, (slope - d[:-1]) / dx - t, d[:-1], y[:-1])))
+                rows.append((low, d_next, up_next))
+                pivot, up = up - f * d_next, -f * up_next
+            else:
+                f = low / pivot
+                rows.append((pivot, up, 0.0))
+                pivot, up = d_next - f * up, up_next
+            steps.append((f, swapped))
+        # each column's right-hand side through the same steps, then back to
+        # its node slopes d
+        d = np.empty(y.shape)
+        for column, slopes in zip(rhs.reshape(n, -1).T, d.reshape(n, -1).T):
+            column = column.tolist()
+            r, done = column[0], []
+            for (f, swapped), r_next in zip(steps, column[1:]):
+                if swapped:
+                    done.append(r_next)
+                    r = r - f * r_next
+                else:
+                    done.append(r)
+                    r = r_next - f * r
+            s1 = r / pivot
+            s0 = (done[-1] - rows[-1][1] * s1) / rows[-1][0]
+            s = [s1, s0]
+            for (p, u, fill), r in zip(rows[-2::-1], done[-2::-1]):
+                s1, s0 = s0, (r - u * s0 - fill * s1) / p
+                s.append(s0)
+            slopes[:] = s[::-1]
+        # the cubic through (x_i, y_i) with the slopes d_i at the nodes
+        t = (d[:-1] + d[1:] - 2 * slope) / h
+        return cls(x, np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1])))
 
-    def __call__(self, w):
-        """The value at each w in [x_0, x_n], shaped like w: in ascending powers
-        of s = w - x_i, with s^2 and s^3 by repeated products, as scipy sums."""
+    def __call__(self, w, out=None):
+        """The value at each w in [x_0, x_n], shaped like w and then the columns,
+        written to ``out`` if given: in ascending powers of s = w - x_i, with
+        s^2 and s^3 by repeated products, as scipy sums.  The pieces and the
+        powers of s are found once for all columns, which are then summed one
+        at a time."""
         i = np.clip(np.searchsorted(self.x, w, side="right") - 1, 0, self.x.size - 2)
-        # np.take gathers 5 times faster than c[:, i], and the gathered rows take
-        # the products in place: on a kernel's 65537 bins, fresh temporaries
-        # for each product took 4 times as long
-        c = np.take(self.c, i, axis=1)
         s = w - np.take(self.x, i)
         s2 = s * s
-        c[2] *= s
-        c[1] *= s2
-        s2 *= s
-        c[0] *= s2
-        out = c[3]
-        out += c[2]
-        out += c[1]
-        out += c[0]
-        return out
+        s3 = s2 * s
+        if out is None:
+            out = np.empty(np.shape(w) + self.c.shape[2:])
+        # np.take gathers 5 times faster than c[:, i], into one buffer that each
+        # column reuses (mode "clip" writes there directly; i is in range), and
+        # the gathered rows take the products in place: on a kernel's 65537
+        # bins, fresh temporaries for each product took 4 times as long
+        c = np.empty((4,) + np.shape(w))
+        for column in np.ndindex(self.c.shape[2:]):
+            np.take(self.c[(slice(None), slice(None)) + column], i, axis=1, out=c, mode="clip")
+            c[2] *= s
+            c[1] *= s2
+            c[0] *= s3
+            value = out[(...,) + column]
+            np.add(c[3], c[2], out=value)
+            value += c[1]
+            value += c[0]
+        return out if out.ndim else out[()]
 
     def integral(self):
-        """The exact integral from x_0 to x_n: each piece's primitive at its
-        width in ascending powers, summed piece by piece in order."""
+        """The exact integral from x_0 to x_n of a one-column cubic: each piece's
+        primitive at its width in ascending powers, summed piece by piece in
+        order."""
         h = np.diff(self.x)
         h2 = h * h
         h3 = h2 * h

@@ -126,10 +126,11 @@ class TabulatedMirror(MirrorModel):
         if np.any(np.diff(w) <= 0) or w[0] < 0:
             raise ValueError("table grid must be nonnegative and strictly increasing")
         # the not-a-knot splines of r and of s on each table interval, in powers
-        # of (w - w_i): shape (4, 2, intervals)
-        re_r, im_r, re_s, im_s = (PiecewiseCubic.not_a_knot(w, part).c
-                                  for part in (np.real(r), np.imag(r), np.real(s), np.imag(s)))
-        object.__setattr__(self, "_cubics", np.stack([re_r + 1j * im_r, re_s + 1j * im_s], 1))
+        # of (w - w_i), fitted as the four columns of one: shape (4, 2, intervals)
+        parts = np.stack((np.real(r), np.imag(r), np.real(s), np.imag(s)), axis=-1)
+        c = PiecewiseCubic.not_a_knot(w, parts).c
+        object.__setattr__(self, "_cubics", np.stack([c[..., 0] + 1j * c[..., 1],
+                                                      c[..., 2] + 1j * c[..., 3]], 1))
 
     @property
     def omega_range(self):

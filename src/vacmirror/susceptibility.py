@@ -75,12 +75,15 @@ class ResponseCurve:
 
     Negative frequencies follow from the Hermitian-real parity
     f[-w] = conj(f[w]); `__call__` applies it transparently through one
-    not-a-knot cubic spline per part (``PiecewiseCubic``), each built on
-    first use: a caller of the real part alone reads `_real_spline` and
-    builds no imaginary one.  Beyond the grid the real part is closed by an
-    (a + b ln w)/w^2 + c/w^3 decay, `tail`, also fitted on first use and
-    kept; `real_integral` integrates the real part exactly on the spline's
-    cubic pieces and the tail.
+    not-a-knot cubic spline (``PiecewiseCubic``) of both parts, its columns
+    the real and the imaginary part, built on first use and kept; each part
+    is summed straight into the complex result.  The Cauchy sums and the
+    integral read `_real_spline`, the real part fitted alone on first use
+    (bitwise that spline's real column), so a caller of the real part alone
+    fits no imaginary column.  Beyond the grid
+    the real part is closed by an (a + b ln w)/w^2 + c/w^3 decay, `tail`,
+    also fitted on first use and kept; `real_integral` integrates the real
+    part exactly on the spline's cubic pieces and the tail.
     """
 
     grid: np.ndarray
@@ -100,12 +103,13 @@ class ResponseCurve:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def _real_spline(self):
-        return PiecewiseCubic.not_a_knot(self.grid, self.values.real)
+    def _spline(self):
+        return PiecewiseCubic.not_a_knot(self.grid, np.stack((self.values.real,
+                                                              self.values.imag), axis=-1))
 
     @cached_property
-    def _imag_spline(self):
-        return PiecewiseCubic.not_a_knot(self.grid, self.values.imag)
+    def _real_spline(self):
+        return PiecewiseCubic.not_a_knot(self.grid, self.values.real)
 
     @cached_property
     def tail(self):
@@ -124,8 +128,9 @@ class ResponseCurve:
         aw = np.abs(w)
         if np.any(aw < self.grid[0]) or np.any(aw > self.grid[-1]):
             raise FrequencyRangeError(f"|w| outside sampled range of {self.label or 'curve'}")
-        out = self._real_spline(aw) + 1j * self._imag_spline(aw)
-        out = np.where(w >= 0, out, np.conj(out))
+        # the (re, im) columns are the two halves of each complex value
+        out = self._spline(aw, out=np.empty(aw.shape + (2,))).view(complex)[..., 0]
+        np.conjugate(out, out=out, where=w < 0)
         return out if out.ndim else complex(out)
 
 

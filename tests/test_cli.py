@@ -393,6 +393,18 @@ def test_memory_regime_refuses_perfect_mirror(tmp_path, monkeypatch, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("t_final", ["0.001", "0.0004"])
+def test_memory_run_shorter_than_two_steps_is_a_config_error(tmp_path, capsys, t_final):
+    # a kernel needs two steps; this was a bare ValueError traceback and exit 1
+    body = SIM_MEMORY_CFG.replace("t_final = 30.0\ndt = 2.0e-3", f"t_final = {t_final}\ndt = 1.0e-3")
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "simulation.t_final" in err and "simulation.dt" in err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_memory_refuses_heavy_mass(tmp_path):
     body = SIM_MEMORY_CFG.replace("tau_omega = 0.3", "tau_omega = 0.5")
     cfg = write_cfg(tmp_path, body)
@@ -596,7 +608,13 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # even 2^a 3^b 5^c >= 2 steps (kernel_n_fft 32768 -> 30000): q, v, W_a, E and
 # W_m moved by at most 7.4e-12 of each column's largest value, a by 1.7e-8,
 # energy.csv's residual by 1.1e-8, kappa in kernel.csv by 1.7e-5 of its peak,
-# and kernel_causality_residual went 9.136e-4 -> 9.130e-4.
+# and kernel_causality_residual went 9.136e-4 -> 9.130e-4.  They were recorded
+# again when the Toeplitz solve's last, partial block of each level convolved at
+# the least even 2^a 3^b 5^c covering its span, not the next power of two (a
+# rounding change): q and v moved by at most 2.2e-14 of their largest values, a
+# by 1.9e-13 (the step-loop oracle allows 1e-11), E and delta_E by 2.6e-16,
+# energy.csv's residual by 1.1e-10 of its largest value (2.7e-23); t, F_a, W_a,
+# W_m and kernel.csv kept their bytes.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -604,9 +622,9 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "8185fa202f7851559e7f28e88266312e54a57a98c039403d17b74d134538247e",
+        "energy.csv": "21dcc2ebb9fc24a09323ad03346d0766fad1055c4d3236033b0fe141ea017175",
         "kernel.csv": "bcd15d105787667d68b7b0de97cf1537e085c0815b412ce3eb7d04f4d7b386e5",
-        "trajectory.csv": "71da3e75f566d7487d551c1e2da9fd137965a9c1b36451a2112d4214fd206c95",
+        "trajectory.csv": "ddf664bc4481d66a77e39d5fb2a7261e403732cbd82f83b90f5b0b08e817ee9f",
     },
     ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
         "energy.csv": "54a419b41854edfd96e4f4ca002f673e0b422a32ad7e4ba50a5f6a4e826b0c39",
@@ -718,12 +736,12 @@ def test_table_documents_keep_their_bytes(tmp_path, table_1100_file, run):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 3)])
+@pytest.mark.parametrize("command,most", [("analyze", 1), ("crosscheck", 3), ("simulate", 1)])
 def test_lorentzian_commands_build_few_splines(tmp_path, monkeypatch, command, most):
     # analyze: the causality probes of validate_model share one spline;
-    # crosscheck: that one, the real part of the Gamma curve for the 40 KK
-    # probes and the 100 spectral points, and the real part of the
-    # consistency check's curve
+    # crosscheck: that one, the Gamma curve's for the 40 KK probes and the 100
+    # spectral points, and the consistency check's curve's; simulate (a memory
+    # run): the chi curve's, one spline of both parts (one per part took two)
     builds = []
     original = PiecewiseCubic.not_a_knot.__func__
 

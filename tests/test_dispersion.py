@@ -188,6 +188,10 @@ def test_build_time_kernel_basics():
     assert kernel.causality_residual < 1e-3
     assert kernel.times[0] == 0.0
     assert len(kernel.times) == len(kernel.values) == int(round(30.0 / dt))
+    # a window of fewer than two steps, still a ValueError to library callers
+    with pytest.raises(vm.KernelWindowError, match="two steps"):
+        vm.build_time_kernel(curve, mu, window=1.4 * dt, dt=dt)
+    assert issubclass(vm.KernelWindowError, ValueError)
 
 
 @settings(max_examples=300, deadline=None)

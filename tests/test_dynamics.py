@@ -10,6 +10,8 @@ from vacmirror.dispersion import acceleration_weights
 from vacmirror.dynamics import _BLOWUP, _LEAF
 from vacmirror.errors import FitError
 
+from conftest import make_tabulated_copy
+
 
 def memory_loop(mech, kernel, force, t_final, q0=0.0):
     """The per-step implicit trapezoid loop that simulate_with_memory replaced.
@@ -272,6 +274,37 @@ def test_kicked_run_grows_at_the_stability_root(tau, k):
     assert abs(vm.fit_runaway_rate(traj).rate / p - 1.0) < 2e-4
 
 
+@settings(max_examples=40, deadline=None)
+@given(omega=st.floats(min_value=0.5, max_value=4.0),
+       mass=st.floats(min_value=1.001, max_value=900.0, exclude_min=True),
+       spring=st.floats(min_value=0.0, max_value=4.0))
+def test_kicked_run_grows_at_the_root_of_any_lorentzian(omega, mass, spring):
+    # one growing mode past the mass boundary, mu/m = 3 Omega tau in (1.001,
+    # 900], at any Omega and k/m in [0, 4 Omega^2]: its rate is the one root
+    model = vm.lorentzian_mirror(omega)
+    mech = vm.MirrorMechanics(k=spring * omega**2, tau=mass / (3.0 * omega))
+    report = vm.stability_report(model, mech)
+    assert report.rhp_zero_count == len(report.roots) == 1
+    p = report.roots[0][0].real
+    traj = kicked_run(model, mech, 0.01 / p, 12.0 / p)
+    assert not traj.diverged
+    assert abs(vm.fit_runaway_rate(traj).rate / p - 1.0) < 2e-4
+
+
+@pytest.mark.parametrize("tau", [0.4, 0.35])
+def test_kicked_run_on_the_table_grows_at_its_stability_root(tau):
+    # the 1100-top table's roots through its Cauchy continuation, 30.89 and
+    # 176.8, seen in the time domain through the same continuation
+    table_1100 = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+    mech = vm.MirrorMechanics(k=0.0, tau=tau)
+    report = vm.stability_report(table_1100, mech)
+    assert report.rhp_zero_count == len(report.roots) == 1
+    p = report.roots[0][0].real
+    traj = kicked_run(table_1100, mech, 0.01 / p, 12.0 / p)
+    assert not traj.diverged
+    assert abs(vm.fit_runaway_rate(traj).rate / p - 1.0) < 2e-4
+
+
 @pytest.mark.parametrize("tau,k", [(0.2, 0.0), (0.2, 4.0), (0.3, 2.25)])
 def test_kicked_run_below_the_mass_boundary_does_not_grow(tau, k):
     # criterion 6's dichotomy in the time domain: at mu < m no zero, no growth
@@ -438,6 +471,7 @@ def drive(kind, t_final, amplitude=1e-3):
 @example(k=2.25, tau=0.1, q0=-1e-3, kind="step", steps=19999)
 @example(k=0.25, tau=1e-3, q0=1e-3, kind="none", steps=12345)
 @example(k=2.225073858507e-311, tau=0.25, q0=1e-3, kind="none", steps=2)  # subnormal spring
+@example(k=0.0, tau=0.2, q0=0.0, kind="step", steps=20001)  # k = 0, partial node
 def test_memory_solve_matches_step_loop(k, tau, q0, kind, steps):
     dt = 1e-3
     mech = vm.MirrorMechanics(k=k, tau=tau)

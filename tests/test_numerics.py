@@ -262,6 +262,36 @@ def test_piecewise_cubic_is_scipys_to_the_bit(data, n):
     _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(x, y), CubicSpline(x, y), probes)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=3, max_value=200),
+       columns=st.integers(min_value=1, max_value=4), graded=st.booleans())
+def test_not_a_knot_fits_each_column_as_alone(data, n, columns, graded):
+    # one fit of 1-4 columns eliminates the matrix once; each column's
+    # coefficients and values are bitwise its fit alone and, from 4 samples,
+    # scipy's CubicSpline of it, on mildly uneven grids and on graded ones,
+    # where the sweep swaps rows as LAPACK's gtsv does (y + 0.0 drops -0.0,
+    # which scipy's evaluation turns into 0.0 at a node)
+    if graded:
+        x = _graded_grid(data, n)
+    else:
+        steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(0.05, 1.0)))
+        x = np.concatenate([[0.0], np.cumsum(steps)])
+    y = data.draw(hnp.arrays(np.float64, (n, columns), elements=st.floats(-1e3, 1e3))) + 0.0
+    fractions = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(0.0, 1.0)))
+    probes = np.concatenate([x, x[:-1] + fractions * np.diff(x), [x[0], x[-1]]])
+    spline = PiecewiseCubic.not_a_knot(x, y)
+    values = spline(probes)
+    assert spline.c.shape == (4, n - 1, columns) and values.shape == (probes.size, columns)
+    for j in range(columns):
+        alone = PiecewiseCubic.not_a_knot(x, y[:, j].copy())
+        assert spline.c[..., j].tobytes() == alone.c.tobytes()
+        assert values[:, j].tobytes() == alone(probes).tobytes()
+        if n > 3:  # scipy solves three samples densely
+            theirs = CubicSpline(x, y[:, j])
+            assert alone.c.tobytes() == theirs.c.tobytes()
+            assert values[:, j].tobytes() == theirs(probes).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_three_sample_spline_is_the_parabola(data):

@@ -8,6 +8,7 @@ import vacmirror as vm
 from vacmirror.errors import AccuracyError, CutoffDivergenceError
 from vacmirror.numerics import (
     _PV_BLOCK,
+    PiecewiseCubic,
     QuadratureSettings,
     adaptive_gauss_legendre,
     fit_log_tail,
@@ -461,3 +462,28 @@ def test_compute_susceptibility_perfect_records_divergence(perfect):
     result = vm.compute_susceptibility(perfect, mech, np.geomspace(0.1, 10, 8))
     assert result.cutoff_divergent
     assert np.isinf(result.mu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=3, max_value=120))
+def test_response_curve_is_its_parts_through_one_spline(data, n):
+    # one spline of both parts, each summed straight into the complex value:
+    # bitwise the real part's spline + 1j * the imaginary part's, each fitted
+    # alone, at |w|, and its conjugate at w < 0 (y + 0.0 drops -0.0, which the
+    # sum with 1j * turns into 0.0); the real part read alone, as the Cauchy
+    # sums and the integral read it, is fitted alone and is that spline's column
+    steps = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(1e-3, 10.0)))
+    grid = np.concatenate([[0.0], np.cumsum(steps)])
+    parts = data.draw(hnp.arrays(np.float64, (2, n), elements=st.floats(-1e3, 1e3))) + 0.0
+    curve = vm.ResponseCurve(grid, parts[0] + 1j * parts[1])
+    assert curve._real_spline.c.tobytes() == PiecewiseCubic.not_a_knot(grid, parts[0]).c.tobytes()
+    assert "_spline" not in vars(curve)
+    fractions = data.draw(hnp.arrays(np.float64, n - 1, elements=st.floats(0.0, 1.0)))
+    w = np.concatenate([grid, grid[:-1] + fractions * steps])
+    w = np.concatenate([w, -w])
+    real, imag = (PiecewiseCubic.not_a_knot(grid, part)(np.abs(w)) for part in parts)
+    expected = real + 1j * imag
+    expected = np.where(w >= 0, expected, np.conj(expected))
+    assert curve(w).tobytes() == expected.tobytes()
+    assert curve(w[-1]) == complex(expected[-1]) and isinstance(curve(w[-1]), complex)
+    assert curve._real_spline.c.tobytes() == curve._spline.c[..., 0].tobytes()
