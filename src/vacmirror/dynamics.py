@@ -163,16 +163,17 @@ def _trapezoid_steps(c, fs, k, dt, q0):
     solve the leading block, subtract its memory on the trailing block with
     one FFT convolution, recurse.  A node's leading block is the largest
     power-of-two number of leaves short of its span, so every node but the
-    last one of each level spans a power of two and convolves at that
-    length; the spectrum of c there is kept where two or more nodes share
-    it.  The last, partial node convolves at the least even 2^a 3^b 5^c
-    covering its span, and keeps nothing.  The spring's ramp couples a
-    block to the later ones only through the state (q, v, a) at its last
-    step, so it enters through that state, stepped as in the scheme; summed
-    over the whole history instead, its weights 4(j - p) cancel to a bounded
-    q and cost one to two digits.  Every leaf is the same _LEAF-sized
-    Toeplitz system, so one inverse, found by forward substitution, serves
-    them all; its v and q are summed through one buffer.  O(n log^2 n).
+    last, partial one of each level spans a power of two.  Every node
+    convolves at the least even 2^a 3^b 5^c covering its span (a power of
+    two is its own) with the spectrum of c at that length kept where a full
+    node has another of its span to come, which a partial node of that
+    length reuses too.  The spring's ramp couples a block to the later ones
+    only through the state (q, v, a) at its last step, so it enters through
+    that state, stepped as in the scheme; summed over the whole history
+    instead, its weights 4(j - p) cancel to a bounded q and cost one to two
+    digits.  Every leaf is the same _LEAF-sized Toeplitz system, so one
+    inverse, found by forward substitution, serves them all; its v and q
+    are summed through one buffer.  O(n log^2 n).
     """
     a, v, q = np.empty(fs.size), np.zeros(fs.size), np.full(fs.size, float(q0))
     a[0] = (fs[0] - k * q0) / c[0]
@@ -211,17 +212,12 @@ def _trapezoid_steps(c, fs, k, dt, q0):
         blocks = -(-n // size)
         mid = lo + size * 2 ** ((blocks - 1).bit_length() - 1)
         solve(lo, mid)
-        # lags up to n - 1 < p: the circular convolution does not wrap
-        if n & (n - 1):
-            p = fft_length(n)
+        p = fft_length(n)  # lags up to n - 1 < p: the circular convolution does not wrap
+        spectrum = c_spectra.get(p)
+        if spectrum is None:
             spectrum = np.fft.rfft(c[:p], p)
-        else:
-            p = n
-            spectrum = c_spectra.get(p)
-            if spectrum is None:
-                spectrum = np.fft.rfft(c[:p], p)
-                if 2 * n <= top:  # another node of this span is to come
-                    c_spectra[p] = spectrum
+            if n == 2 * (mid - lo) and 2 * n <= top:  # a full node, another of its span to come
+                c_spectra[p] = spectrum
         memory = np.fft.irfft(np.fft.rfft(a[lo:mid], p) * spectrum, p)
         x[mid:hi] -= memory[mid - lo : n]
         solve(mid, hi)
@@ -346,26 +342,29 @@ class RunawayFit:
 
 
 def fit_runaway_rate(traj):
-    """Log-linear growth rate of |a(t)| over the final growth window.
+    """Log-linear growth rate of the motional force |F_m(t)| over the final
+    growth window.  On a perfect mirror F_m = m tau q^(3), a pure exponential
+    past a step of the drive at t0, where |a| = (F/m)(e^((t - t0)/tau) - 1)
+    is biased by its constant; undriven at k = 0, F_m = m a.
 
     Requires at least 3 e-folds of net growth across the usable samples
     (a diverged run qualifies by construction); otherwise raises FitError.
     """
-    ts, aa = traj.times, np.abs(traj.a)
-    good = np.isfinite(aa) & (aa > 0)
-    ts, aa = ts[good], aa[good]
+    ts, f = traj.times, np.abs(traj.f_motional)
+    good = np.isfinite(f) & (f > 0)
+    ts, f = ts[good], f[good]
     if ts.size < 10:
         raise FitError("too few finite samples for a growth fit")
     # envelope growth between the first and last quarter of the run; an
-    # oscillating bounded signal shows none even though |a| dips to 0
+    # oscillating bounded signal shows none even though |F_m| dips to 0
     quarter = max(2, ts.size // 4)
-    head = float(np.max(aa[:quarter]))
-    tail_max = float(np.max(aa[-quarter:]))
+    head = float(np.max(f[:quarter]))
+    tail_max = float(np.max(f[-quarter:]))
     growth = np.log(tail_max / head) if head > 0 else np.inf
     if growth < 3.0:
         raise FitError(f"only {growth:.2f} e-folds of envelope growth; need 3 for a rate fit")
     start = ts.size // 2
-    tw, lw = ts[start:], np.log(aa[start:])
+    tw, lw = ts[start:], np.log(f[start:])
     slope, intercept = np.polyfit(tw, lw, 1)
     resid = lw - (slope * tw + intercept)
     var = np.sum(resid**2) / max(1, tw.size - 2)

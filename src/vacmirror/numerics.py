@@ -272,10 +272,10 @@ class PiecewiseCubic:
     [x_i, x_(i+1)] in powers of w - x_i, highest first (a scipy PPoly's
     layout, which ``cubic_cauchy`` reads), with any trailing axes of ``c``
     its columns, one cubic each on the same breakpoints.  ``not_a_knot``
-    fits it to samples y at x: the interpolating cubic spline of de Boor (A
-    Practical Guide to Splines, 1978), in the order of arithmetic of scipy's
-    CubicSpline, so that each column's coefficients, values and integral
-    are scipy's to the bit.
+    fits it to samples y at x, one column at a time: the interpolating cubic
+    spline of de Boor (A Practical Guide to Splines, 1978), in the order of
+    arithmetic of scipy's CubicSpline, so that each column's coefficients,
+    values and integral are scipy's to the bit.
     """
 
     x: np.ndarray
@@ -286,14 +286,13 @@ class PiecewiseCubic:
         """The cubic spline through real samples y at increasing x, at least 3,
         with a continuous third derivative at x_1 and x_(n-2); with 3 samples,
         the parabola through them; y's trailing axes are columns, each fitted
-        bitwise as alone.  The node slopes solve one tridiagonal system, its
-        matrix eliminated once for all columns in one sweep with partial
-        pivoting, step for step LAPACK's gtsv, which scipy calls: a row is
-        swapped with the next where that one's subdiagonal entry outgrows the
-        pivot (only on strongly graded grids, as every inner row dominates
-        its diagonal), and the swap fills in one entry right of the
-        superdiagonal; each column's right-hand side then takes the same
-        steps and the back substitution."""
+        bitwise as alone.  A column's node slopes solve one tridiagonal
+        system, its matrix and right-hand side eliminated together in one
+        sweep with partial pivoting, step for step LAPACK's gtsv, which scipy
+        calls: a row is swapped with the next where that one's subdiagonal
+        entry outgrows the pivot (only on strongly graded grids, as every
+        inner row dominates its diagonal), and the swap fills in one entry
+        right of the superdiagonal."""
         n = x.size
         if n < 3:
             raise ValueError("a not-a-knot spline needs at least 3 samples")
@@ -313,43 +312,28 @@ class PiecewiseCubic:
             diag[0], upper[0], diag[-1], lower[-1] = dx[1], d0, dx[-2], d1
             rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
             rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        # forward, the matrix: row i as eliminated so far is (pivot, up); each
-        # finished row goes to ``rows`` as (pivot, up, fill) for the back
-        # substitution, and its multiplier and whether it was swapped to ``steps``
-        pivot, up = float(diag[0]), float(upper[0])
-        rows, steps = [], []
-        for low, d_next, up_next in zip(lower.tolist(), diag[1:].tolist(),
-                                        upper[1:].tolist() + [0.0]):
-            swapped = abs(pivot) < abs(low)
-            if swapped:  # rows i and i + 1 change places
-                f = pivot / low
-                rows.append((low, d_next, up_next))
-                pivot, up = up - f * d_next, -f * up_next
-            else:
-                f = low / pivot
-                rows.append((pivot, up, 0.0))
-                pivot, up = d_next - f * up, up_next
-            steps.append((f, swapped))
-        # each column's right-hand side through the same steps, then back to
-        # its node slopes d
+        # each column forward and back: row i as eliminated so far is (pivot,
+        # up, r); each finished row goes to ``rows`` as (pivot, up, fill, r)
+        # for the back substitution to its node slopes d
         d = np.empty(y.shape)
+        diag, upper, lower = diag.tolist(), upper.tolist() + [0.0], lower.tolist()
         for column, slopes in zip(rhs.reshape(n, -1).T, d.reshape(n, -1).T):
             column = column.tolist()
-            r, done = column[0], []
-            for (f, swapped), r_next in zip(steps, column[1:]):
-                if swapped:
-                    done.append(r_next)
-                    r = r - f * r_next
-                else:
-                    done.append(r)
-                    r = r_next - f * r
-            s1 = r / pivot
-            s0 = (done[-1] - rows[-1][1] * s1) / rows[-1][0]
-            s = [s1, s0]
-            for (p, u, fill), r in zip(rows[-2::-1], done[-2::-1]):
-                s1, s0 = s0, (r - u * s0 - fill * s1) / p
-                s.append(s0)
-            slopes[:] = s[::-1]
+            pivot, up, r = diag[0], upper[0], column[0]
+            rows = []
+            for low, d_next, up_next, r_next in zip(lower, diag[1:], upper[1:], column[1:]):
+                if abs(pivot) >= abs(low):
+                    f = low / pivot
+                    rows.append((pivot, up, 0.0, r))
+                    pivot, up, r = d_next - f * up, up_next, r_next - f * r
+                else:  # swap rows i and i + 1
+                    f = pivot / low
+                    rows.append((low, d_next, up_next, r_next))
+                    pivot, up, r = up - f * d_next, -f * up_next, r - f * r_next
+            s = [0.0, r / pivot]  # 0.0 pads past the end: the last finished row has fill 0
+            for pivot, up, fill, r in reversed(rows):
+                s.append((r - up * s[-1] - fill * s[-2]) / pivot)
+            slopes[:] = s[:0:-1]
         # the cubic through (x_i, y_i) with the slopes d_i at the nodes
         t = (d[:-1] + d[1:] - 2 * slope) / h
         return cls(x, np.stack((t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1])))

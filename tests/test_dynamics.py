@@ -117,6 +117,24 @@ def test_runaway_free_mass():
     assert abs(fit.rate - 1.0 / mech.tau) * mech.tau < 1e-2
 
 
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(min_value=0.1, max_value=1.0),
+       t_final=st.floats(min_value=10.0, max_value=20.0),
+       kind=st.sampled_from(["step", "gaussian", "sine"]),
+       frequency=st.floats(min_value=0.5, max_value=2.0))
+# two step drives on which a log-linear fit of |a| = (F/m)(e^((t - 5)/tau) - 1)
+# read 1.005e-2 and 1.03e-2 off 1/tau, biased by the constant
+@example(tau=0.9241446207772924, t_final=11.0, kind="step", frequency=0.5561713106656616)
+@example(tau=0.9598848602805055, t_final=11.203, kind="step", frequency=0.5945968143187363)
+def test_runaway_rate_of_a_driven_free_mirror(tau, t_final, kind, frequency):
+    # a driven perfect mirror at k = 0 runs away at 1/tau, to criterion 8's bound
+    mech = vm.MirrorMechanics(k=0.0, tau=tau)
+    force = vm.ForceProfile(kind=kind, amplitude=1e-3, center=5.0, width=1.5,
+                            frequency=frequency)
+    traj = vm.simulate_perfect_mirror(mech, force, t_final, dt=1e-3)
+    assert abs(vm.fit_runaway_rate(traj).rate * tau - 1.0) < 1e-2
+
+
 def test_runaway_overflow_marks_divergence():
     mech = vm.MirrorMechanics(k=0.0, tau=1e-3)
     traj = vm.simulate_perfect_mirror(
@@ -472,6 +490,8 @@ def drive(kind, t_final, amplitude=1e-3):
 @example(k=0.25, tau=1e-3, q0=1e-3, kind="none", steps=12345)
 @example(k=2.225073858507e-311, tau=0.25, q0=1e-3, kind="none", steps=2)  # subnormal spring
 @example(k=0.0, tau=0.2, q0=0.0, kind="step", steps=20001)  # k = 0, partial node
+# partial nodes of spans 4061 and 2013 take the kept 4096 and 2048 spectra
+@example(k=2.25, tau=0.1, q0=1e-3, kind="gaussian", steps=12253)
 def test_memory_solve_matches_step_loop(k, tau, q0, kind, steps):
     dt = 1e-3
     mech = vm.MirrorMechanics(k=k, tau=tau)
