@@ -35,6 +35,7 @@ from .susceptibility import (
     gamma_samples,
     induced_mass,
     reflection_cutoff,
+    susceptibility,
 )
 from .errors import (ConfigError, CutoffDivergenceError, FitError, KernelWindowError,
                      VacMirrorError)
@@ -312,9 +313,7 @@ def cmd_simulate(cfg, out, args):
         mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
         curve_max = min(np.pi / dt, model.omega_range[1])
         cg = np.concatenate([[0.0], np.geomspace(1e-3, curve_max, 1600)])
-        chi_curve = ResponseCurve(
-            cg, 1j * mech.m * mech.tau * cg**3 * gamma_samples(model, cg), label="chi"
-        )
+        chi_curve = ResponseCurve(cg, susceptibility(model, mech, cg), label="chi")
         try:
             kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
         except KernelWindowError as exc:
@@ -359,6 +358,10 @@ def cmd_crosscheck(cfg, out, args):
     doc = {"model": model.kind, "tau_omega": mech.tau, "meta": _meta(args)}
 
     lo, hi = model.omega_range
+    # before the validation, whose grid [1e-2, hi] runs backwards below 1e-2
+    if hi < dispersion.consistency_band():
+        raise ConfigError(f"the model ends at omega = {hi:g}, below the consistency "
+                          f"check's band {dispersion.consistency_band():.4g}", cfg.path)
     validation = scattering.validate_model(
         model, np.geomspace(max(1e-2, lo + 1e-12), min(1e2, hi), 800))
     if validation.unitarity_defect > 1e-6:
@@ -366,9 +369,6 @@ def cmd_crosscheck(cfg, out, args):
         _write_json(out / "crosscheck.json", doc)
         print("validation failed before crosscheck", file=sys.stderr)
         return 3
-    if hi < dispersion.consistency_band():
-        raise ConfigError(f"the model ends at omega = {hi:g}, below the consistency "
-                          f"check's band {dispersion.consistency_band():.4g}", cfg.path)
 
     if model.gamma_is_one:
         for name in _CROSSCHECKS:

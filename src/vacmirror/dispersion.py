@@ -31,7 +31,7 @@ import numpy as np
 from .errors import (ContinuationError, FrequencyRangeError, KernelWindowError,
                      RegularizationError)
 from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, tail_cauchy, write_csv
-from .susceptibility import ResponseCurve, gamma, gamma_samples
+from .susceptibility import ResponseCurve, gamma, gamma_samples, susceptibility
 
 
 def _cauchy_sum(gamma_r, w):
@@ -227,8 +227,7 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     if mt == 0.0:
         return ConsistencyReport(defect=0.0, n_fft=n_fft, dt=dt, omega_band=freqs[-1])
 
-    chi_spec = 1j * mt * freqs**3 * gamma_samples(model, freqs)
-    chi_t = spectrum_to_kernel(chi_spec, n_fft, dt)
+    chi_t = spectrum_to_kernel(susceptibility(model, mech, freqs), n_fft, dt)
     j = np.arange(1, n_fft // 2)
     lhs = chi_t[j] - chi_t[n_fft - j]
 
@@ -242,8 +241,5 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     rhs = rhs_t[j]
 
     scale = float(np.max(np.abs(rhs)))
-    if scale == 0.0:
-        return ConsistencyReport(defect=float(np.max(np.abs(lhs))), n_fft=n_fft, dt=dt,
-                                 omega_band=freqs[-1])
-    defect = float(np.max(np.abs(lhs - rhs)) / scale)
+    defect = float(np.max(np.abs(lhs - rhs)) / (scale or 1.0))  # absolute when rhs == 0
     return ConsistencyReport(defect=defect, n_fft=n_fft, dt=dt, omega_band=freqs[-1])

@@ -18,10 +18,11 @@ Two integrators cover the two regimes:
 Both integrators end a run at the first state that overflows and report
 the divergence time.
 
-The energy ledger integrates the work identities; the radiated part is
-defined by the decomposition W_m = W_a - dE and cross-checked against the
-independently reconstructed -int F_m v dt'.  A run's CSV files are written
-in one pass, each column they share (t, W_a, E, W_m) formatted once.
+The energy ledger books W_a = int F_a v dt' and W_m = W_a - dE, checked
+against -int F_m v dt'.  Both integrators read F_m off the force balance,
+k q + m a - F_a, so the check's residual is int (k q + m a) v dt' - dE, the
+trapezoid rule's own defect.  A run's CSV files are written in one pass,
+each column they share (t, W_a, E, W_m) formatted once.
 
 Distinct runs share no mutable state.
 """
@@ -242,7 +243,8 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     All steps of the implicit trapezoid scheme are solved at once as one
     lower-triangular Toeplitz system for the accelerations.  A state that
     overflows (non-finite or above _BLOWUP) ends the run there, as in the
-    RK4 runs.  The motional force convolves a with h at the least even 2^a 3^b 5^c >= 2 n + 1.
+    RK4 runs.  F_m is read off each step's balance, k q + m a - F_a (rounding
+    noise, not zeros, at tau = 0), with no convolution after the solve.
     """
     mu = kernel.mu_subtracted
     if mu >= mech.m:
@@ -253,15 +255,13 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     n = int(round(t_final / dt))
     if n > kernel.n_fft // 2:
         raise ValueError("kernel period too short for the requested run length")
-    # a copy of the lags the run reaches, so the rest of the period is freed
-    h = history_weights if history_weights is not None else acceleration_weights(kernel)
-    h = h[: n + 1].copy()
     k, m = mech.k, mech.m
     ts = np.arange(n + 1) * dt
     fs = np.asarray(force(ts), dtype=float)
 
     # memory column: sum_l c_l a_{j-l} = (m - mu) a_j - dt sum_l h_l a_{j-l}
-    c = -dt * h
+    c = -dt * (acceleration_weights(kernel) if history_weights is None
+               else history_weights)[: n + 1]
     c[0] += m - mu
     # a non-finite force ends the run where it appears; a leaf product
     # would spread it to the earlier steps of its block
@@ -275,13 +275,8 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     end = 1 + overflow[0] if overflow.size else stop
     t_div = ts[end] if end <= n else None
     ts, fs, q, v, a = ts[:end], fs[:end], q[:end], v[:end], a[:end]
-    p = fft_length(2 * a.size - 1)  # the linear convolution does not wrap
-    spectrum = np.fft.rfft(a, p)
-    spectrum *= np.fft.rfft(h[: a.size], p)
-    f_mot = np.fft.irfft(spectrum, p)[: a.size] * dt
-    f_mot += mu * a
     return Trajectory(
-        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
+        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=k * q + m * a - fs,
         method="trapezoid-implicit", dt=dt, diverged=t_div is not None, t_diverged=t_div,
     )
 
@@ -292,8 +287,8 @@ class EnergyLedger:
 
     w_applied is the reservoir input int F_a v, energy the stored
     (1/2) k q^2 + (1/2) m v^2, w_radiated the decomposition
-    W_a - dE, and residual the mismatch against the independent
-    reconstruction -int F_m v dt.
+    W_a - dE, and residual its mismatch against -int F_m v dt, which with
+    F_m = k q + m a - F_a is the trapezoid rule's defect int (k q + m a) v dt - dE.
     """
 
     times: np.ndarray

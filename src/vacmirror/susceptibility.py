@@ -263,6 +263,7 @@ def compute_susceptibility(model, mech, grid):
     """
     grid = np.asarray(grid, dtype=float)
     vals = gamma_samples(model, grid)
+    # susceptibility's product, on the Gamma samples that gamma.csv reuses
     chi_vals = 1j * mech.m * mech.tau * grid**3 * vals
     diag = None
     try:
