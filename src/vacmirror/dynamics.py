@@ -18,11 +18,11 @@ Two integrators cover the two regimes:
 Both integrators end a run at the first state that overflows and report
 the divergence time.
 
-The energy ledger books W_a = int F_a v dt' and W_m = W_a - dE, checked
-against -int F_m v dt'.  Both integrators read F_m off the force balance,
-k q + m a - F_a, so the check's residual is int (k q + m a) v dt' - dE, the
-trapezoid rule's own defect.  A run's CSV files are written in one pass,
-each column they share (t, W_a, E, W_m) formatted once.
+The energy ledger integrates the work identities; the radiated part is
+defined by the decomposition W_m = W_a - dE and checked against
+-int F_m v dt', which a memory run convolves apart from its solve.  A run's
+CSV files are written in one pass, each column they share (t, W_a, E, W_m)
+formatted once.
 
 Distinct runs share no mutable state.
 """
@@ -243,8 +243,8 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     All steps of the implicit trapezoid scheme are solved at once as one
     lower-triangular Toeplitz system for the accelerations.  A state that
     overflows (non-finite or above _BLOWUP) ends the run there, as in the
-    RK4 runs.  F_m is read off each step's balance, k q + m a - F_a (rounding
-    noise, not zeros, at tau = 0), with no convolution after the solve.
+    RK4 runs.  F_m = mu a + dt h * a convolves a with -dt h, the memory
+    column less its inertia, at the least even 2^a 3^b 5^c >= 2 n + 1.
     """
     mu = kernel.mu_subtracted
     if mu >= mech.m:
@@ -262,6 +262,7 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     # memory column: sum_l c_l a_{j-l} = (m - mu) a_j - dt sum_l h_l a_{j-l}
     c = -dt * (acceleration_weights(kernel) if history_weights is None
                else history_weights)[: n + 1]
+    c0 = c[0]
     c[0] += m - mu
     # a non-finite force ends the run where it appears; a leaf product
     # would spread it to the earlier steps of its block
@@ -269,14 +270,18 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     stop = n + 1 if finite.all() else max(1, int(finite.argmin()))
     with np.errstate(over="ignore", invalid="ignore"):
         q, v, a = _trapezoid_steps(c, fs[:stop], k, dt, q0)
-        del c
         held = (np.abs(q) <= _BLOWUP) & (np.abs(v) <= _BLOWUP) & (np.abs(a) <= _BLOWUP)
     overflow = np.flatnonzero(~held[1:])
     end = 1 + overflow[0] if overflow.size else stop
     t_div = ts[end] if end <= n else None
     ts, fs, q, v, a = ts[:end], fs[:end], q[:end], v[:end], a[:end]
+    c[0] = c0  # -dt h: the inertia m - mu is not part of F_m
+    p = fft_length(2 * a.size - 1)  # the linear convolution does not wrap
+    spectrum = np.fft.rfft(a, p)
+    spectrum *= np.fft.rfft(c[: a.size], p)
+    f_mot = mu * a - np.fft.irfft(spectrum, p)[: a.size]
     return Trajectory(
-        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=k * q + m * a - fs,
+        times=ts, q=q, v=v, a=a, f_applied=fs, f_motional=f_mot,
         method="trapezoid-implicit", dt=dt, diverged=t_div is not None, t_diverged=t_div,
     )
 
@@ -287,8 +292,8 @@ class EnergyLedger:
 
     w_applied is the reservoir input int F_a v, energy the stored
     (1/2) k q^2 + (1/2) m v^2, w_radiated the decomposition
-    W_a - dE, and residual its mismatch against -int F_m v dt, which with
-    F_m = k q + m a - F_a is the trapezoid rule's defect int (k q + m a) v dt - dE.
+    W_a - dE, and residual the mismatch against the independent
+    reconstruction -int F_m v dt.
     """
 
     times: np.ndarray

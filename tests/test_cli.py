@@ -620,11 +620,11 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # by 1.9e-13 (the step-loop oracle allows 1e-11), E and delta_E by 2.6e-16,
 # energy.csv's residual by 1.1e-10 of its largest value (2.7e-23); t, F_a, W_a,
 # W_m and kernel.csv kept their bytes.  energy.csv was recorded again when a
-# memory run read F_m off its step balance, k q + m a - F_a, in place of a
-# convolution of a with h after the solve: its residual column moved by at most
-# 2.1e-22 against a largest |residual| of 2.35e-13 (max_ledger_residual
-# 2.350510682769e-13 -> 2.350510683828e-13); every other column and file kept
-# its bytes.
+# memory run's post-solve convolution took the memory column less its inertia,
+# -dt h, in place of a copy of h scaled by dt after it: its residual column
+# moved by at most 2.7e-23 against a largest |residual| of 2.35e-13
+# (max_ledger_residual 2.350510682769e-13 -> 2.350510682505e-13); every other
+# column and file kept its bytes.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -632,7 +632,7 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "2a3f45a95b595d9d671a22a742f3c78363b2dafd9e0635c6f16a2bb8436563b3",
+        "energy.csv": "e1d5a9ef59d467ceae4385cc754673fb251c15e88def71c9b80fa22afe4b6955",
         "kernel.csv": "bcd15d105787667d68b7b0de97cf1537e085c0815b412ce3eb7d04f4d7b386e5",
         "trajectory.csv": "ddf664bc4481d66a77e39d5fb2a7261e403732cbd82f83b90f5b0b08e817ee9f",
     },

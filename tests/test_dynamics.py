@@ -231,11 +231,11 @@ def test_memory_run_too_long_for_kernel():
 
 
 def test_memory_run_keeps_only_what_it_uses():
-    # the run keeps no reference to the weights' period, no copy of them and no
-    # memory column past the solve, and reads F_m off the step balance with no
-    # convolution after it (107.4 B a step at 30,000 steps; 115.4 with a copy of
-    # the weights and F_m convolved after the solve); the solve's recursive
-    # closure must not keep its work arrays alive past the return until a gc pass
+    # the run keeps no reference to the weights' period and no copy of them
+    # through the solve, and convolves F_m after it with the memory column it
+    # solved with (107.4 B a step at 30,000 steps; 115.4 with a copy of the
+    # weights); the solve's recursive closure must not keep its work arrays
+    # alive past the return until a gc pass
     mech = vm.MirrorMechanics(k=2.25, tau=0.3)
     force = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=4.0, width=1.2)
     steps, dt = 30_000, 1e-3
@@ -493,6 +493,9 @@ def drive(kind, t_final, amplitude=1e-3):
 @example(k=0.0, tau=0.2, q0=0.0, kind="step", steps=20001)  # k = 0, partial node
 # partial nodes of spans 4061 and 2013 take the kept 4096 and 2048 spectra
 @example(k=2.25, tau=0.1, q0=1e-3, kind="gaussian", steps=12253)
+# a small tau: F_m read off the step balance, k q + m a - F_a, would be 9.2e-11
+# of its largest value off by cancellation; the convolution keeps 3e-15
+@example(k=2.48, tau=1e-5, q0=0.0, kind="sine", steps=1000)
 def test_memory_solve_matches_step_loop(k, tau, q0, kind, steps):
     dt = 1e-3
     mech = vm.MirrorMechanics(k=k, tau=tau)
