@@ -141,25 +141,29 @@ def _walk_span(model, mech):
     return max(low, 1e-300), min(top, 1e300)
 
 
-def _axis_impedance(model, mech, y):
-    """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0.
-
-    A model defined up to a finite top (a table, whose exact rule costs
-    about a millisecond a frequency) reads Gamma from its curve and, above
-    the curve's top, from the asymptote Gamma ~ (a + b ln y)/y^2 + c/y^3
-    + i omega_C/y that the curve's Cauchy continuation carries: (a, b, c) its
-    tail, omega_C the table's, (2/pi) times the curve's integral.
+def _axis_motional(model, mech, y):
+    """m tau y^2 conj Gamma[y] at y > 0: the motional part of Z(i y), read by
+    the walk and by a memory run's weights.  A model defined up to a finite top
+    (a table, whose exact rule costs about a millisecond a frequency) reads
+    Gamma from its curve and, above the curve's top, from the asymptote
+    (a + b ln y)/y^2 + c/y^3 + i (omega_C/y - pi b/(2 y^2)) that the curve's
+    Cauchy continuation carries: (a, b, c) its tail, -pi b/(2 y^2) the
+    Kramers-Kronig partner of b ln y/y^2, omega_C (2/pi) the curve's integral.
     """
     mt = mech.m * mech.tau
     if np.isinf(model.omega_range[1]):
-        motional = (mt * y) * (y * np.conj(gamma_samples(model, y)))
-    else:
-        curve = model.gamma_curve
-        (a, b, c), omega_c = curve.tail, (2.0 / np.pi) * curve.real_integral
-        inside = y <= curve.grid[-1]
-        motional = mt * (a + b * np.log(y) + c / y - 1j * omega_c * y)
-        motional[inside] = (mt * y[inside]) * (y[inside] * np.conj(curve(y[inside])))
-    return -1j * mech.k / y + 1j * mech.m * y + motional
+        return (mt * y) * (y * np.conj(gamma_samples(model, y)))
+    curve = model.gamma_curve
+    (a, b, c), omega_c = curve.tail, (2.0 / np.pi) * curve.real_integral
+    inside = y <= curve.grid[-1]
+    motional = mt * (a + b * np.log(y) + c / y + 1j * (0.5 * np.pi * b - omega_c * y))
+    motional[inside] = (mt * y[inside]) * (y[inside] * np.conj(curve(y[inside])))
+    return motional
+
+
+def _axis_impedance(model, mech, y):
+    """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0."""
+    return -1j * mech.k / y + 1j * mech.m * y + _axis_motional(model, mech, y)
 
 
 def count_rhp_zeros(model, mech):

@@ -29,16 +29,13 @@ import numpy as np
 from . import analysis, dispersion, dynamics, scattering
 from .susceptibility import (
     MirrorMechanics,
-    ResponseCurve,
     compute_susceptibility,
     gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
-    susceptibility,
 )
-from .errors import (ConfigError, CutoffDivergenceError, FitError, KernelWindowError,
-                     VacMirrorError)
+from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
 from .numerics import write_csv
 
 # [model] kind -> the mirror model built from that section
@@ -296,7 +293,7 @@ def cmd_simulate(cfg, out, args):
             raise ConfigError(f"simulation.{key} = {sim[key]:g} would be ignored in the {where}",
                               cfg.path)
 
-    fitted = kernel = None
+    fitted = weights = None
     if regime == "perfect":
         dt = sim["dt"] if mech.tau == 0 else min(sim["dt"], mech.tau / 50.0)
         traj = dynamics.simulate_perfect_mirror(
@@ -309,22 +306,16 @@ def cmd_simulate(cfg, out, args):
         except FitError:
             fitted = None
     else:
-        dt = sim["dt"]
-        mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
-        curve_max = min(np.pi / dt, model.omega_range[1])
-        cg = np.concatenate([[0.0], np.geomspace(1e-3, curve_max, 1600)])
-        chi_curve = ResponseCurve(cg, susceptibility(model, mech, cg), label="chi")
-        try:
-            kernel = dispersion.build_time_kernel(chi_curve, mu, window=sim["t_final"], dt=dt)
-        except KernelWindowError as exc:
+        dt, steps = sim["dt"], int(round(sim["t_final"] / sim["dt"]))
+        if steps < 2:
             raise ConfigError(f"simulation.t_final = {sim['t_final']:g} at simulation.dt = "
-                              f"{dt:g}: {exc}", cfg.path) from exc
-        traj = dynamics.simulate_with_memory(
-            mech, kernel, force, sim["t_final"], q0=sim["q0"]
-        )
+                              f"{dt:g}: a memory run needs two steps", cfg.path)
+        mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
+        weights = dynamics._cq_weights(model, mech, mu, dt, steps)
+        traj = dynamics._memory_run(mech, mu, dt, weights, force, sim["t_final"], sim["q0"])
 
     ledger = dynamics.energy_ledger(traj, mech)
-    dynamics.export_simulation_csv(out, traj, ledger, kernel)
+    dynamics.export_simulation_csv(out, traj, ledger)
     doc = {
         "model": model.kind,
         "regime": regime,
@@ -342,8 +333,7 @@ def cmd_simulate(cfg, out, args):
         "meta": _meta(args),
     }
     if regime == "memory":
-        doc["kernel_causality_residual"] = kernel.causality_residual
-        doc["kernel_n_fft"] = kernel.n_fft
+        doc["kernel_n_fft"] = weights.size  # the weights' period
     _write_json(out / "run.json", doc)
     return 0
 

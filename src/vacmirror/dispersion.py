@@ -8,9 +8,9 @@ continues it into Im w > 0.  This module provides
   array of them (a table's Gamma there),
 * its boundary value on the real axis, the Kramers-Kronig reconstruction
   of Gamma_I from Gamma_R,
-* construction of the regularized time kernel kappa(t), the inverse
-  transform of chi[w] + mu w^2 up to the lesser of pi/dt and the top of
-  the chi curve, used by the memory integrator,
+* the regularized time kernel kappa(t), the inverse transform of chi[w] +
+  mu w^2 up to the lesser of pi/dt and the chi curve's top: the acceptance
+  criteria's FFT path into the memory integrator, not ``vacmirror simulate``'s,
 * a discretization cross-check of the linear-response identity
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
@@ -118,14 +118,6 @@ class TimeKernel:
         write_csv(path, self.csv_header, [self.times, self.values])
 
 
-def _median(x):
-    """np.median of a 1-d array of at least two finite values, by np.partition
-    (np.median imports numpy.ma on its first call)."""
-    k = x.size // 2
-    part = np.partition(x, (k - 1, k))
-    return part[k] if x.size % 2 else (part[k - 1] + part[k]) / 2
-
-
 def build_time_kernel(chi_curve, mu, window, dt):
     """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
 
@@ -154,7 +146,7 @@ def build_time_kernel(chi_curve, mu, window, dt):
     top = band >= band[-1] / 10.0**0.5
     mid = (band >= band[-1] / 10.0) & ~top
     if top.sum() >= 2 and mid.sum() >= 2:
-        if _median(ratio[top]) > 0.5 * _median(ratio[mid]):
+        if np.median(ratio[top]) > 0.5 * np.median(ratio[mid]):
             raise RegularizationError(
                 "chi + mu w^2 does not decay; mass subtraction inconsistent"
             )

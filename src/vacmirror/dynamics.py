@@ -13,7 +13,9 @@ Two integrators cover the two regimes:
   kernel (exact for a mirror at rest in the far past), which keeps the
   discrete convolution bounded and bin-exact.  The scheme is linear and
   time-invariant, so all its steps form one lower-triangular Toeplitz
-  system for the accelerations, solved blockwise in O(n log^2 n).
+  system for the accelerations, solved blockwise in O(n log^2 n).  The
+  weights are a ``TimeKernel``'s (the acceptance criteria's FFT path) or, in
+  ``vacmirror simulate``, convolution quadrature of Gamma on the real axis.
 
 Both integrators end a run at the first state that overflows and report
 the divergence time.
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import _axis_motional
 from .dispersion import acceleration_weights
 from .errors import FitError
 from .numerics import fft_length, running_integral, write_csv_files
@@ -230,15 +233,36 @@ def _trapezoid_steps(c, fs, k, dt, q0):
 
 
 def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=None):
-    """Causal-mirror run with the vacuum memory force.
+    """Causal-mirror run (``_memory_run``) on a ``build_time_kernel`` kernel, the
+    acceptance criteria's FFT path: its step, mu and, unless ``history_weights``
+    are given, ``acceleration_weights`` to lag n_fft/2, short of its anticausal half."""
+    return _memory_run(mech, kernel.mu_subtracted, kernel.dt,
+                       acceleration_weights(kernel)[: kernel.n_fft // 2 + 1]
+                       if history_weights is None else history_weights, force, t_final, q0)
 
-    The step size is the kernel's; the kernel period must cover the run
-    (lags never reach the wrapped anticausal half).  Initial conditions
-    model a release from rest: the mirror is held at q0 with zero velocity
-    for t < 0, so the static history exerts no force (chi[0] = 0) and the
-    memory closes over the acceleration history alone.  The induced mass
-    mu is the one the kernel subtracted; the non-passive regime mu >= m
-    has no bounded-effective-mass formulation and is refused.
+
+def _cq_weights(model, mech, mu, dt, n):
+    """History weights h of a run of n steps: the trapezoidal convolution
+    quadrature (Lubich, Numer. Math. 52, 1988) of H(s) = m tau s Gamma{s} - mu.
+    Bin k of the unit circle is s = -i w_k, w_k = (2/dt) tan(pi k/L), so
+    H_k = -i m tau w_k Gamma[w_k] - mu, 8192 bins at a time to keep Gamma's
+    temporaries small, H_0 = -mu and H_(L/2) = 0 (m tau s Gamma{s} -> mu).
+    Lags past the period L alias onto the run's; L, the least even 2^a 3^b 5^c
+    >= max(5 n/2, 4096), holds them to 1e-10 in W_m on a free mass's step
+    drive, whose lags fall slowest."""
+    size = fft_length(max(5 * n // 2, 4096))
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    spectrum[0] = -mu
+    for lo in range(1, size // 2, 8192):
+        w = (2.0 / dt) * np.tan(np.pi / size * np.arange(lo, min(lo + 8192, size // 2)))
+        spectrum[lo : lo + w.size] = 1j * _axis_motional(model, mech, w) / w - mu
+    return np.fft.irfft(spectrum, size) / dt
+
+
+def _memory_run(mech, mu, dt, h, force, t_final, q0):
+    """A run of step dt, induced mass mu and history weights h reaching lag
+    n = t_final/dt, from rest at q0 (chi[0] = 0: the memory closes over the
+    accelerations alone); mu >= m, with no bounded effective mass, is refused.
 
     All steps of the implicit trapezoid scheme are solved at once as one
     lower-triangular Toeplitz system for the accelerations.  A state that
@@ -246,22 +270,18 @@ def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=N
     RK4 runs.  F_m = mu a + dt h * a convolves a with -dt h, the memory
     column less its inertia, at the least even 2^a 3^b 5^c >= 2 n + 1.
     """
-    mu = kernel.mu_subtracted
     if mu >= mech.m:
-        raise ValueError(
-            f"mu = {mu:.6g} >= m = {mech.m:.6g}: memory integrator requires mu < m"
-        )
-    dt = kernel.dt
+        raise ValueError(f"mu = {mu:.6g} >= m = {mech.m:.6g}: memory integrator requires mu < m")
     n = int(round(t_final / dt))
-    if n > kernel.n_fft // 2:
-        raise ValueError("kernel period too short for the requested run length")
+    if n >= len(h):
+        raise ValueError("the weights' period is too short for the requested run length")
     k, m = mech.k, mech.m
     ts = np.arange(n + 1) * dt
     fs = np.asarray(force(ts), dtype=float)
 
     # memory column: sum_l c_l a_{j-l} = (m - mu) a_j - dt sum_l h_l a_{j-l}
-    c = -dt * (acceleration_weights(kernel) if history_weights is None
-               else history_weights)[: n + 1]
+    c = -dt * h[: n + 1]
+    del h  # frees the weights unless the caller holds them
     c0 = c[0]
     c[0] += m - mu
     # a non-finite force ends the run where it appears; a leaf product
@@ -377,19 +397,12 @@ def fit_runaway_rate(traj):
     )
 
 
-def export_simulation_csv(out, traj, ledger, kernel=None):
-    """Write trajectory.csv, energy.csv and a memory run's kernel.csv into
-    ``out`` in one writer pass; the kernel's t, arange(n) * dt, is bitwise
-    the trajectory's first n times unless the run ended early."""
-    files = [(out / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
+def export_simulation_csv(out, traj, ledger):
+    """Write trajectory.csv and energy.csv into ``out`` in one writer pass."""
+    write_csv_files([(out / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
         traj.times, traj.q, traj.v, traj.a, traj.f_applied,
         ledger.w_applied, ledger.energy, ledger.w_radiated,
     ]), (out / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
         ledger.times, ledger.w_applied, ledger.energy,
         ledger.delta_energy, ledger.w_radiated, ledger.residual,
-    ])]
-    if kernel is not None:
-        t = traj.times[: kernel.times.size]
-        files.append((out / "kernel.csv", kernel.csv_header,
-                      [t if np.array_equal(t, kernel.times) else kernel.times, kernel.values]))
-    write_csv_files(files)
+    ])])

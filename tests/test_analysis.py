@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 import vacmirror as vm
 from vacmirror.analysis import (
+    _axis_impedance,
     _real_axis_seeds,
     default_probes,
     sample_gamma_real,
@@ -308,6 +309,19 @@ def test_walk_counts_a_runaway_exactly_when_mu_exceeds_m(tau_omega, k, omega):
     mech = vm.MirrorMechanics(k=k, tau=tau_omega / omega)
     count = vm.count_rhp_zeros(vm.lorentzian_mirror(omega), mech)
     assert count == int(3.0 * tau_omega > 1.0)
+
+
+def test_table_walk_above_its_curve_matches_the_lorentzian(lorentzian, table_1100):
+    # above the Gamma curve's top (1000) the walk reads the table's asymptote,
+    # whose Gamma_I carries -pi b/(2 y^2), the Kramers-Kronig partner of the
+    # tail's b ln y/y^2: 1.4e-4 of |Z| worst, next to the top, and 2.6e-6 at
+    # y = 1e4 (2.7e-2 and 2.8e-3 without that term); Re Z keeps its values
+    mech = vm.MirrorMechanics(k=2.25, tau=0.3)
+    y = np.geomspace(1000.0001, 1e7, 400)
+    z, exact = (_axis_impedance(m, mech, y) for m in (table_1100, lorentzian))
+    gap = np.abs(z - exact) / np.abs(exact)
+    assert np.max(gap) < 2e-4
+    assert np.max(gap[y >= 1e4]) < 5e-6
 
 
 @settings(max_examples=30, deadline=None)

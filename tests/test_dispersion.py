@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import vacmirror as vm
-from vacmirror.dispersion import _median, acceleration_weights
+from vacmirror.dispersion import acceleration_weights
 from vacmirror.numerics import spectrum_to_kernel
 from vacmirror.errors import (
     ContinuationError,
@@ -192,14 +189,6 @@ def test_build_time_kernel_basics():
     with pytest.raises(vm.KernelWindowError, match="two steps"):
         vm.build_time_kernel(curve, mu, window=1.4 * dt, dt=dt)
     assert issubclass(vm.KernelWindowError, ValueError)
-
-
-@settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(2, 40),
-                  elements=st.floats(0.0, 1e300, allow_subnormal=True)))
-def test_median_by_partition_is_numpys(x):
-    # the mass check's medians, with no numpy.ma import; the ratios are >= 0
-    assert _median(x) == np.median(x)
 
 
 def test_build_time_kernel_wrong_mass_rejected():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights
-from vacmirror.dynamics import _BLOWUP, _LEAF
+from vacmirror.dynamics import _BLOWUP, _LEAF, _cq_weights, _memory_run
 from vacmirror.errors import FitError
 
 from conftest import make_tabulated_copy
@@ -230,6 +230,16 @@ def test_memory_run_too_long_for_kernel():
         vm.simulate_with_memory(mech, kern, vm.ForceProfile(kind="none"), 2 * limit)
 
 
+def test_memory_run_refuses_weights_shorter_than_the_run():
+    # 5000 steps on 100 weights: this was a broadcasting ValueError from the
+    # memory column's first row
+    mech = vm.MirrorMechanics(k=1.0, tau=0.1)
+    kern = make_kernel(mech, 5.0, 1e-3)
+    with pytest.raises(ValueError, match="period"):
+        vm.simulate_with_memory(mech, kern, vm.ForceProfile(kind="none"), 5.0,
+                                history_weights=acceleration_weights(kern)[:100])
+
+
 def test_memory_run_keeps_only_what_it_uses():
     # the run keeps no reference to the weights' period and no copy of them
     # through the solve, and convolves F_m after it with the memory column it
@@ -337,11 +347,14 @@ def test_kicked_run_below_the_mass_boundary_does_not_grow(tau, k):
         vm.fit_runaway_rate(traj)
 
 
-@pytest.mark.parametrize("mech,force", [
+_PERIOD_CASES = [
     (vm.MirrorMechanics(k=2.25, tau=0.3),
      vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=4.0, width=1.2)),
     (vm.MirrorMechanics(k=0.0, tau=0.2), vm.ForceProfile(kind="step", amplitude=1e-3, center=1.0)),
-], ids=["pulse", "step"])
+]
+
+
+@pytest.mark.parametrize("mech,force", _PERIOD_CASES, ids=["pulse", "step"])
 def test_memory_run_past_a_power_of_two_matches_a_longer_period(mech, force):
     # 33,000 steps: the period is 67,500 samples, not the 2^17 a power of two
     # would take; eight times the window puts it at 540,000
@@ -355,6 +368,62 @@ def test_memory_run_past_a_power_of_two_matches_a_longer_period(mech, force):
     assert (n_fit, n_long) == (67500, 540000)
     assert np.max(np.abs(q - q_long)) < 1e-11 * np.max(np.abs(q_long))
     assert abs(w_m - w_m_long) < 1e-10 * abs(w_m_long)
+
+
+@pytest.mark.parametrize("mech,force", _PERIOD_CASES, ids=["pulse", "step"])
+def test_cq_memory_run_matches_a_longer_period(mech, force):
+    # the convolution-quadrature twin of the test above: weights of period
+    # 82,944 (5/2 of 33,000 steps, rounded up to 2^a 3^b 5^c) against eight
+    # times that; the step's W_m reads 8.8e-11 off (1.4e-10 at 2 n)
+    t_final, dt, n = 33.0, 1e-3, 33_000
+    model, mu = vm.lorentzian_mirror(), 3.0 * mech.m * mech.tau
+    runs = []
+    for steps in (n, 8 * n):
+        h = _cq_weights(model, mech, mu, dt, steps)
+        traj = _memory_run(mech, mu, dt, h, force, t_final, 0.0)
+        runs.append((h.size, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
+    (n_fit, q, w_m), (n_long, q_long, w_m_long) = runs
+    assert (n_fit, n_long) == (82944, 8 * 82944)
+    assert np.max(np.abs(q - q_long)) < 1e-11 * np.max(np.abs(q_long))
+    assert abs(w_m - w_m_long) < 1e-10 * abs(w_m_long)
+
+
+def test_cq_memory_run_is_second_order_from_rest():
+    # a drive that starts smooth (the Gaussian at t = 10 is 2e-10 of its peak
+    # at t = 0): q reads order 2.02 between dt = 0.02 and 0.01 against dt =
+    # 0.02/16; criterion 9's pulse, 4e-3 of its peak at t = 0, is a jump and
+    # reads 0.80 there
+    model, mech = vm.lorentzian_mirror(), vm.MirrorMechanics(k=2.25, tau=0.3)
+    mu, t_final = 0.9, 20.0
+    pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=10.0, width=1.5)
+
+    def q(dt):
+        n = int(round(t_final / dt))
+        return _memory_run(mech, mu, dt, _cq_weights(model, mech, mu, dt, n),
+                           pulse, t_final, 0.0).q
+
+    ref = q(0.02 / 16)
+    e1, e2 = (np.max(np.abs(q(dt) - ref[:: int(round(16 * dt / 0.02))])) for dt in (0.02, 0.01))
+    assert 1.9 < np.log2(e1 / e2) < 2.1
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_cq_weights_match_the_off_circle_quadrature(kind):
+    # the weights on the unit circle, from Gamma on the real axis, against
+    # the test's at rho^L = 1e-8, from Gamma's continuation into Im w > 0,
+    # whole kernel less mu; at dt = 0.01 both periods span 40 time units or
+    # more, so aliased lags do not show.  The Lorentzian's read 4.9e-9 of the
+    # largest weight, the size of the off-circle rule's rho^L; the table's
+    # 1.0e-5, largest at lag 0: above the curve's top (1000) the axis reads
+    # the table's asymptote
+    model = vm.lorentzian_mirror() if kind == "lorentzian" else \
+        make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+    mech, dt, n = vm.MirrorMechanics(k=2.25, tau=0.3), 1e-2, 2000
+    h = _cq_weights(model, mech, 0.9, dt, n)[: n + 1] * dt
+    ref = cq_weights(model, mech, dt, n)
+    ref[0] -= 0.9
+    bound = 2e-8 if kind == "lorentzian" else 3e-5
+    assert np.max(np.abs(h - ref)) < bound * np.max(np.abs(ref))
 
 
 def test_memory_damped_pulse_energy_books():
@@ -424,17 +493,15 @@ def test_export_csv_formats(tmp_path):
 
 
 # distinct columns, each formatted once down the longest file: t, q, v, a,
-# F_a, W_a, E, W_m and the residual, with kappa for a memory run, its own t
-# where the run ended inside the kernel's window, and delta_E where the run
-# does not start at E = 0
-_DISTINCT = {"memory": 10, "ended": 11, "displaced": 11, "perfect": 9}
+# F_a, W_a, E, W_m and the residual, with delta_E where the run does not
+# start at E = 0
+_DISTINCT = {"memory": 9, "ended": 9, "displaced": 10, "perfect": 9}
 
 
 @pytest.mark.parametrize("case", list(_DISTINCT))
 def test_simulation_export_keeps_the_bytes_of_each_file(tmp_path, monkeypatch, case):
     mech = vm.MirrorMechanics(k=1.0, tau=0.05)
     pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=1.0, width=0.3)
-    kernel = None
     if case == "perfect":
         traj = vm.simulate_perfect_mirror(mech, pulse, t_final=3.0, dt=1e-3)
     else:
@@ -456,15 +523,12 @@ def test_simulation_export_keeps_the_bytes_of_each_file(tmp_path, monkeypatch, c
     vm.numerics.write_csv(alone / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
         traj.times, ledger.w_applied, ledger.energy,
         ledger.energy - ledger.energy[0], ledger.w_radiated, ledger.residual])
-    if kernel is not None:
-        kernel.to_csv(alone / "kernel.csv")
     formatted = []
     block = vm.numerics._format_block
     monkeypatch.setattr(vm.numerics, "_format_block",
                         lambda x: formatted.append(x.size) or block(x))
-    vm.dynamics.export_simulation_csv(tmp_path, traj, ledger, kernel)
-    rows = max(traj.times.size, 0 if kernel is None else kernel.times.size)
-    assert sum(formatted) == _DISTINCT[case] * rows
+    vm.dynamics.export_simulation_csv(tmp_path, traj, ledger)
+    assert sum(formatted) == _DISTINCT[case] * traj.times.size
     for path in alone.iterdir():
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 

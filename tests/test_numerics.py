@@ -524,8 +524,8 @@ def test_import_leaves_scipy_integrate_unloaded(tmp_path):
 
 def test_import_and_memory_simulate_load_no_numpy_polynomial_or_ma(tmp_path):
     # the Gauss-Legendre rules are built on first use (numpy.polynomial and its
-    # eigensolver cost 1.6 MB at import), and the kernel's mass check takes its
-    # medians by np.partition (np.median imports numpy.ma)
+    # eigensolver cost 1.6 MB at import), and a memory run builds no FFT
+    # kernel, whose mass check takes np.median (which imports numpy.ma)
     (tmp_path / "run.cfg").write_text(_LORENTZIAN_RUN)
     packages = ("numpy.polynomial", "numpy.ma")
     assert _loaded_after("import vacmirror.cli", tmp_path, packages) == "[]"
@@ -632,8 +632,8 @@ def test_write_csv_files_match_row_formatter_with_shared_columns(tmp_path_factor
 @pytest.mark.parametrize("rows", [_CSV_BLOCK // 10 + d for d in (-1, 0, 1)]
                          + [2 * (_CSV_BLOCK // 10) + 7])
 def test_write_csv_files_match_row_formatter_across_blocks(tmp_path, rows):
-    # a memory run's layout: 10 distinct columns over three files, the kernel
-    # file one row shorter and holding a prefix view of t
+    # 10 distinct columns over three files, the third one row shorter and
+    # holding a prefix view of t
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((10, rows)) * 10.0 ** rng.integers(-320, 300, (10, rows))
     table[:, -1] = np.resize(_EDGE_ROW, 10)
