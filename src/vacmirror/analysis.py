@@ -11,26 +11,25 @@ vacuum.  In the Laplace domain (p = -i w, Re p > 0)
     Z{p} = k/p + m p - m tau p^2 Gamma{p},
 
 real on the positive real axis, with Gamma{p} = Gamma[i p] the model's own
-continuation (a table's is the Cauchy integral of its sampled curve,
-exact on the curve's cubic pieces).  A
-runaway mode is a zero of Z{p} in Re p > 0.  The argument principle counts
-them on the boundary of the whole half plane (Nyquist): a walk up the imaginary axis, where only real-axis
-Gamma is needed, Z(i y) = -i k/y + i m y + m tau y^2 Gamma[-y], and where
-Re Z = m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation
-at p = 0 and the arc at infinity close it in closed form.  A scan of the
-real axis seeds a secant iteration at the chord zero of each sign change;
-a counted zero the secant cannot refine raises.  Passivity is read
-on the same walk: no zero in Re p > 0 and Re Z(i y) >= 0; its test oracle
-is ``passivity_check``, a log-polar probe scan of Re Z{p}.  The spectral
+continuation (a table's is the Cauchy integral of its sampled curve, exact
+on the curve's cubic pieces).  A runaway mode is a zero of Z{p} in Re p > 0.
+The argument principle counts them on the boundary of the whole half plane
+(Nyquist): a walk up the imaginary axis, Z(i y) = -i k/y + i m y + m tau y^2
+Gamma[-y], with Gamma as the model reads it on the real axis (a table: its
+Gamma curve, and above its top the tail's ``LogTail.axis`` value), where Re Z
+= m tau y^2 Gamma_R >= 0 for a passive mirror (Brune); the indentation at p
+= 0 and the arc at infinity close it in closed form.  A scan of the real
+axis seeds a secant iteration at the chord zero of each sign change; a
+counted zero the secant cannot refine raises.  Passivity is read on the
+same walk: no zero in Re p > 0 and Re Z(i y) >= 0; its test oracle is
+``passivity_check``, a log-polar probe scan of Re Z{p}.  The spectral
 representation cross-checks the continuation,
 
     Z{p} = (2p/pi) int_0^inf Z_R[rho] / (p^2 + rho^2) drho + k/p + p(m - mu),
 
 which a sampled Gamma curve gives as its integral and its own Cauchy
-continuation at i p.
-
-Evaluations are pure; the walk and the probe sweeps vectorize over points.
-"""
+continuation at i p.  Evaluations are pure; the walk and the probe sweeps
+vectorize over points."""
 
 import json
 from dataclasses import dataclass
@@ -141,29 +140,10 @@ def _walk_span(model, mech):
     return max(low, 1e-300), min(top, 1e300)
 
 
-def _axis_motional(model, mech, y):
-    """m tau y^2 conj Gamma[y] at y > 0: the motional part of Z(i y), read by
-    the walk and by a memory run's weights.  A model defined up to a finite top
-    (a table, whose exact rule costs about a millisecond a frequency) reads
-    Gamma from its curve and, above the curve's top, from the asymptote
-    (a + b ln y)/y^2 + c/y^3 + i (omega_C/y - pi b/(2 y^2)) that the curve's
-    Cauchy continuation carries: (a, b, c) its tail, -pi b/(2 y^2) the
-    Kramers-Kronig partner of b ln y/y^2, omega_C (2/pi) the curve's integral.
-    """
-    mt = mech.m * mech.tau
-    if np.isinf(model.omega_range[1]):
-        return (mt * y) * (y * np.conj(gamma_samples(model, y)))
-    curve = model.gamma_curve
-    (a, b, c), omega_c = curve.tail, (2.0 / np.pi) * curve.real_integral
-    inside = y <= curve.grid[-1]
-    motional = mt * (a + b * np.log(y) + c / y + 1j * (0.5 * np.pi * b - omega_c * y))
-    motional[inside] = (mt * y[inside]) * (y[inside] * np.conj(curve(y[inside])))
-    return motional
-
-
 def _axis_impedance(model, mech, y):
     """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0."""
-    return -1j * mech.k / y + 1j * mech.m * y + _axis_motional(model, mech, y)
+    motional = (mech.m * mech.tau * y) * (y * np.conj(model._axis_gamma(y)))
+    return -1j * mech.k / y + 1j * mech.m * y + motional
 
 
 def count_rhp_zeros(model, mech):

@@ -16,12 +16,11 @@ continues it into Im w > 0.  This module provides
 
 The continuation and the reconstruction are one sum: the Cauchy kernel
 integrated exactly on the cubic pieces of a ResponseCurve's spline of
-Gamma_R, closed beyond its grid by the curve's own (a + b ln w)/w^2 + c/w^3
-tail, fitted once per curve (``ResponseCurve.tail``), in closed form.  On
-the real axis the sum is its limit from above (Sokhotski-Plemelj): the
-principal value plus i pi Gamma_R(w).
-Transforms follow the package sign convention (see numerics module); all
-routines are pure.
+Gamma_R, closed beyond its grid by the curve's tail (``ResponseCurve.tail``,
+one ``LogTail``) in closed form.  On the real axis the sum is its limit from
+above (Sokhotski-Plemelj): the principal value plus i pi Gamma_R(w); above
+a Gamma curve's top, ``LogTail.axis`` expands that limit to y^-3.
+Transforms follow the package sign convention (see numerics module).
 """
 
 from dataclasses import dataclass, field
@@ -30,18 +29,17 @@ import numpy as np
 
 from .errors import (ContinuationError, FrequencyRangeError, KernelWindowError,
                      RegularizationError)
-from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, tail_cauchy, write_csv
+from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, write_csv
 from .susceptibility import ResponseCurve, gamma, gamma_samples, susceptibility
 
 
 def _cauchy_sum(gamma_r, w):
     """int Gamma_R(w') 2w/(w'^2 - w^2) dw' from the grid's first node to infinity,
     for a 1-d array of w: as 2w/(w'^2 - w^2) = 1/(w' - w) - 1/(w' + w), two
-    ``cubic_cauchy`` sums over the cubic pieces of the curve's spline, exact
-    however narrow the kernel, plus the curve's tail in closed form.  At a real
-    w it is the boundary value from above."""
+    ``cubic_cauchy`` sums over the spline's cubic pieces, exact however narrow
+    the kernel, plus ``LogTail.cauchy``; at a real w, the boundary value from above."""
     x, c = gamma_r._real_spline.x, gamma_r._real_spline.c
-    return cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w) + tail_cauchy(gamma_r.tail, x[-1], w)
+    return cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w) + gamma_r.tail.cauchy(w)
 
 
 def kk_reconstruct(gamma_r, w):

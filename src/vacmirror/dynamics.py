@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _axis_motional
 from .dispersion import acceleration_weights
 from .errors import FitError
 from .numerics import fft_length, running_integral, write_csv_files
@@ -248,14 +247,15 @@ def _cq_weights(model, mech, mu, dt, n):
     H_k = -i m tau w_k Gamma[w_k] - mu, 8192 bins at a time to keep Gamma's
     temporaries small, H_0 = -mu and H_(L/2) = 0 (m tau s Gamma{s} -> mu).
     Lags past the period L alias onto the run's; L, the least even 2^a 3^b 5^c
-    >= max(5 n/2, 4096), holds them to 1e-10 in W_m on a free mass's step
-    drive, whose lags fall slowest."""
-    size = fft_length(max(5 * n // 2, 4096))
+    >= max(5 n/2, 4096, 40/(omega_scale dt)), spans 40 of the model's time
+    scale and holds them to 1e-10 in W_m on a free mass's step drive."""
+    size = fft_length(max(5 * n // 2, 4096, int(np.ceil(40.0 / (model.omega_scale * dt)))))
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     spectrum[0] = -mu
     for lo in range(1, size // 2, 8192):
         w = (2.0 / dt) * np.tan(np.pi / size * np.arange(lo, min(lo + 8192, size // 2)))
-        spectrum[lo : lo + w.size] = 1j * _axis_motional(model, mech, w) / w - mu
+        motional = (mech.m * mech.tau * w) * (w * np.conj(model._axis_gamma(w)))
+        spectrum[lo : lo + w.size] = 1j * motional / w - mu
     return np.fft.irfft(spectrum, size) / dt
 
 

@@ -3,17 +3,18 @@
 Everything here is stateless, and pure but for the CSV writer: adaptive
 Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
 the piecewise cubic that every sampled curve and table is read as (the
-not-a-knot spline, scipy's arithmetic to the bit),
-the exact Cauchy integral of piecewise cubics, off the real axis and as its
-boundary value from above on it (the principal value plus the residue, which
-the dispersion checks read), the (a + b ln w)/w^2 + c/w^3 tail fit with its
-integrals in closed form, a complex secant root finder and the FFT length
-rule; only NumPy is imported.  The CSV writer prints every value as %.11e
-with NumPy, byte for byte what Python's formatting prints: 12 digits from
-one rounded product with a tabulated power of ten, which rounds like the
-exact product unless it lies next to a rounding tie, and Python formats
-those alone (see write_csv_files).  The transform helper fixes the
-package convention
+not-a-knot spline, scipy's arithmetic to the bit), the exact Cauchy integral
+of piecewise cubics, off the real axis and as its boundary value from above
+on it (the principal value plus the residue, which the dispersion checks
+read), the (a + b ln w)/w^2 + c/w^3 tail that closes a sampled curve
+(``LogTail``: its fit, its integral and Cauchy sum in closed form, and a
+Gamma curve's value on the real axis above its top), a complex secant root
+finder and the FFT length rule; only NumPy is imported.  The CSV writer
+prints every value as %.11e with NumPy, byte for byte what Python's
+formatting prints: 12 digits from one rounded product with a tabulated
+power of ten, which rounds like the exact product unless it lies next to a
+rounding tie, and Python formats those alone (see write_csv_files).  The
+transform helper fixes the package convention
 
     f(t) = (1/2pi) * integral dw f[w] exp(-i w t)
 
@@ -22,7 +23,7 @@ which is the opposite sign to numpy's FFT, hence the conjugation below.
 
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -206,8 +207,9 @@ def _format_block(x):
 
 
 def write_csv_files(files):
-    """Write each (path, header, columns) of ``files`` in one pass: equal-length
-    real columns under a header line, every value as %.11e.
+    """Write each (path, header, columns) of ``files`` in one pass: real columns
+    of one length in every file (else none is opened) under a header line,
+    every value as %.11e.
 
     The bytes are those of np.savetxt(fmt="%.11e", delimiter=",").  A
     finite nonzero x with decade e prints the 12 digits D = rint(y), y =
@@ -219,46 +221,38 @@ def write_csv_files(files):
     Python into the same slot.  Every slot is written in full, a few bytes
     at a time, with NUL for the bytes a value does not print.  Rows go in
     blocks of about _CSV_BLOCK values, so the memory held stays bounded; a
-    column several files hold (one array, or a view of its first rows) is
-    formatted once, each file gathers its slots from there into a bytearray
-    that one translate compacts in place of a copy, and every column is
-    held to the end, so no two distinct arrays can share a data address.
+    column several files hold is formatted once, each file gathers its slots
+    from there into a bytearray that one translate compacts in place of a
+    copy, and every column is held to the end, so no two distinct arrays can
+    share a data address.
     """
     columns, index, tables = [], {}, []
     for path, header, cols in files:
         cols = [np.asarray(c, dtype=np.float64) for c in cols]
-        if len({c.shape for c in cols}) != 1 or cols[0].ndim != 1:
-            raise ValueError(f"{path}: the columns must be 1-d arrays of one length")
+        if len({c.shape for c in cols + columns[:1]}) != 1 or cols[0].ndim != 1:
+            raise ValueError(f"{path}: the columns must be 1-d arrays of one length in every file")
         take = [index.setdefault((c.__array_interface__["data"][0], c.strides), len(index))
                 for c in cols]
         for j, c in zip(take, cols):
             if j == len(columns):
                 columns.append(c)
-            elif c.size > columns[j].size:
-                columns[j] = c
-        tables.append((path, header, cols, take))
-    length = max(cols[0].size for _, _, cols, _ in tables)
+        tables.append((path, header, take))
     rows = max(1, _CSV_BLOCK // len(columns))
     with ExitStack() as stack:
         handles = []
-        for path, header, cols, take in tables:
-            handles.append((stack.enter_context(open(path, "wb")), take, cols[0].size))
+        for path, header, take in tables:
+            handles.append((stack.enter_context(open(path, "wb")), take))
             handles[-1][0].write(header.encode("latin-1") + b"\n")
-        for start in range(0, length, rows):
-            x = np.zeros((min(rows, length - start), len(columns)))
-            for j, c in enumerate(columns):
-                part = c[start : start + len(x)]
-                x[: part.size, j] = part
+        for start in range(0, columns[0].size, rows):
+            x = np.column_stack([c[start : start + rows] for c in columns])
             slots = _format_block(x.ravel()).reshape(*x.shape, _SLOT)
-            for fh, take, size in handles:
-                if start < size:
-                    n = min(size - start, len(x))
-                    text = bytearray(n * len(take) * _SLOT)
-                    block = np.frombuffer(text, dtype=np.uint8).reshape(n, len(take), _SLOT)
-                    # the default mode "raise" would gather into a buffer and copy it
-                    np.take(slots[:n], take, axis=1, out=block, mode="clip")
-                    block[:, -1, -1] = ord("\n")
-                    fh.write(text.translate(None, b"\0"))
+            for fh, take in handles:
+                text = bytearray(len(x) * len(take) * _SLOT)
+                block = np.frombuffer(text, dtype=np.uint8).reshape(len(x), len(take), _SLOT)
+                # the default mode "raise" would gather into a buffer and copy it
+                np.take(slots, take, axis=1, out=block, mode="clip")
+                block[:, -1, -1] = ord("\n")
+                fh.write(text.translate(None, b"\0"))
 
 
 def write_csv(path, header, columns):
@@ -377,24 +371,14 @@ class PiecewiseCubic:
         pieces = c[3] * h + c[2] * h2 * 0.5 + c[1] * h3 * (1.0 / 3.0) + c[0] * (h3 * h) * 0.25
         return float(np.cumsum(pieces)[-1])
 
-
-def fit_log_tail(grid, values):
-    """(a, b, c) of (a + b ln w)/w^2 + c/w^3 fitted to the top decade of a sampled
-    decay, by least squares of values * w^2 against 1, ln w and 1/w; zeros on
-    fewer than 4 samples.  The c/w^3 term, Gamma_R's next order, cuts the
-    error of a Lorentzian curve's integral a hundredfold."""
-    mask = grid >= grid[-1] / 10.0
-    if mask.sum() < 4:
-        return 0.0, 0.0, 0.0
-    w = grid[mask]
-    basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
-    return tuple(float(x) for x in np.linalg.lstsq(basis, values[mask] * w**2, rcond=None)[0])
-
-
-def tail_integral(tail, top):
-    """int_top^inf ((a + b ln t)/t^2 + c/t^3) dt of the tail (a, b, c)."""
-    a, b, c = tail
-    return (a + b * (np.log(top) + 1.0) + 0.5 * c / top) / top
+    @cached_property
+    def second_moment(self):
+        """int w^2 p(w) dw of a one-column cubic p over [x_0, x_n], kept: exact by
+        3-point Gauss-Legendre on each piece, as w^2 p is a quintic there."""
+        nodes, weights = gauss_legendre(3)
+        half = 0.5 * np.diff(self.x)
+        t = (self.x[:-1] + half)[:, None] + half[:, None] * nodes
+        return float(np.sum(half * ((t * t * self(t)) @ weights)))
 
 
 _TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 at |z| = 1/2
@@ -402,29 +386,64 @@ _TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 a
 _TAIL_TERMS = 1.0 / np.column_stack([_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0])
 
 
-def tail_cauchy(tail, top, w):
-    """int_top^inf ((a + b ln t)/t^2 + c/t^3) 2w/(t^2 - w^2) dt of the tail (a, b, c), like w.
+@dataclass(frozen=True)
+class LogTail:
+    """The decay (a + b ln w)/w^2 + c/w^3 closing a sampled curve's real part past its
+    top; the c/w^3 term cuts the error of a Lorentzian curve's integral a hundredfold."""
 
-    Each w lies off the real axis or inside (-top, top).  With z = w/top it is
-    (2w/top^3) [(a + b ln top) S1 + b S2 + (c/top) S3], S1 = sum_k z^2k/(2k + 3)
-    = (atanh z - z)/z^3, S2 = sum_k z^2k/(2k + 3)^2 = (chi_2(z) - z)/z^3, with
-    Legendre's chi_2(z) = (Li_2(z) - Li_2(-z))/2, and S3 = sum_k z^2k/(2k + 4)
-    = -(z^2 + log(1 - z^2))/(2 z^4): the sums for |z| <= 1/2, where the closed
-    forms cancel, and the closed forms above.  Complex.
-    """
-    a, b, c = tail
-    z = np.atleast_1d(np.asarray(w) / top).astype(complex)
-    near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
-    s[:, near] = np.polynomial.polynomial.polyval(z[near] ** 2, _TAIL_TERMS)
-    far = z[~near]
-    if far.size:  # 1 -+ z as (top -+ w)/top: exact to rounding however near w is to top
-        wf = np.atleast_1d(np.asarray(w)).astype(complex)[~near]
-        below, above = (top - wf) / top, (top + wf) / top
-        s[0, ~near] = (0.5 * np.log(above / below) - far) / far**3
-        s[1, ~near] = (0.5 * (_dilog(far, below) - _dilog(-far, above)) - far) / far**3
-        s[2, ~near] = -(far**2 + np.log(below * above)) / (2.0 * far**4)
-    out = (2.0 * z / top**2) * ((a + b * np.log(top)) * s[0] + b * s[1] + (c / top) * s[2])
-    return out.reshape(np.shape(w))
+    a: float
+    b: float
+    c: float
+    top: float
+
+    @classmethod
+    def fit(cls, grid, values):
+        """The tail fitted to the top decade of a sampled decay, by least squares
+        of values * w^2 against 1, ln w and 1/w; zeros on fewer than 4 samples."""
+        w = grid[grid >= grid[-1] / 10.0]  # the top decade, the last w.size samples
+        if w.size < 4:
+            return cls(0.0, 0.0, 0.0, float(grid[-1]))
+        basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
+        fit = np.linalg.lstsq(basis, values[-w.size :] * w**2, rcond=None)[0]
+        return cls(*map(float, fit), float(grid[-1]))
+
+    def integral(self):
+        """int_top^inf ((a + b ln t)/t^2 + c/t^3) dt."""
+        return (self.a + self.b * (np.log(self.top) + 1.0) + 0.5 * self.c / self.top) / self.top
+
+    def cauchy(self, w):
+        """int_top^inf ((a + b ln t)/t^2 + c/t^3) 2w/(t^2 - w^2) dt, like w.
+
+        Each w lies off the real axis or inside (-top, top).  With z = w/top it is
+        (2w/top^3) [(a + b ln top) S1 + b S2 + (c/top) S3], S1 = sum_k z^2k/(2k + 3)
+        = (atanh z - z)/z^3, S2 = sum_k z^2k/(2k + 3)^2 = (chi_2(z) - z)/z^3, with
+        Legendre's chi_2(z) = (Li_2(z) - Li_2(-z))/2, and S3 = sum_k z^2k/(2k + 4)
+        = -(z^2 + log(1 - z^2))/(2 z^4): the sums for |z| <= 1/2, where the closed
+        forms cancel, and the closed forms above.  Complex."""
+        a, b, c, top = self.a, self.b, self.c, self.top
+        z = np.atleast_1d(np.asarray(w) / top).astype(complex)
+        near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
+        s[:, near] = np.polynomial.polynomial.polyval(z[near] ** 2, _TAIL_TERMS)
+        far = z[~near]
+        if far.size:  # 1 -+ z as (top -+ w)/top: exact to rounding however near w is to top
+            wf = np.atleast_1d(np.asarray(w)).astype(complex)[~near]
+            below, above = (top - wf) / top, (top + wf) / top
+            s[0, ~near] = (0.5 * np.log(above / below) - far) / far**3
+            s[1, ~near] = (0.5 * (_dilog(far, below) - _dilog(-far, above)) - far) / far**3
+            s[2, ~near] = -(far**2 + np.log(below * above)) / (2.0 * far**4)
+        out = (2.0 * z / top**2) * ((a + b * np.log(top)) * s[0] + b * s[1] + (c / top) * s[2])
+        return out.reshape(np.shape(w))
+
+    def axis(self, y, total, moment):
+        """Gamma at real y > top on a Gamma curve with int_0^inf Gamma_R = ``total`` and
+        int_0^top w^2 Gamma_R = ``moment``: the tail, and as Gamma_I the Cauchy integral's
+        boundary value to y^-3, (2/(pi y)) total - pi b/(2 y^2) + (2/(pi y^3)) [moment
+        - top (a + b ln top - b) + c ln(y/top)]."""
+        a, b, c, top = self.a, self.b, self.c, self.top
+        log, inv = np.log(y), 1.0 / y
+        third = moment - top * (a + b * np.log(top) - b) + c * (log - np.log(top))
+        imag = (2.0 / np.pi) * (total + third * inv * inv) - 0.5 * np.pi * b * inv
+        return (a + b * log + c * inv) * inv * inv + 1j * imag * inv
 
 
 # B_2k/(2k + 1)! for k = 0..12, k = 0 aside: the odd terms of Li_2's Bernoulli series

@@ -35,9 +35,9 @@ class MirrorModel:
     """What every mirror model answers: ``_r``, ``_s`` and ``_gamma`` (r, s and
     Gamma shaped like w, Gamma at real w and at Im w > 0), ``omega_range``
     (|w| where r, s exist), ``gamma_is_one`` (Gamma == 1, the local
-    third-derivative regime), ``omega_scale`` (the frequency on which Gamma varies, 1 where it has
-    none of its own), ``gamma_curve`` and ``_cutoff``.
-    """
+    third-derivative regime), ``omega_scale`` (the frequency on which Gamma
+    varies, 1 where it has none of its own), ``gamma_curve``, ``_cutoff`` and
+    ``_axis_gamma`` (Gamma on the real axis as the walk and the weights read it)."""
 
     omega_range = (0.0, np.inf)
     gamma_is_one = False
@@ -47,6 +47,9 @@ class MirrorModel:
         """(omega_C, its share above ``top``, the top-decade slope of Gamma_R) in closed
         form, the last two None unless ``full_output``; or None: ``gamma_curve`` gives them."""
         return None
+
+    def _axis_gamma(self, y):  # the exact rule
+        return self._gamma(y)
 
     @cached_property
     def gamma_curve(self):
@@ -178,6 +181,14 @@ class TabulatedMirror(MirrorModel):
         for i, x in np.ndenumerate(aw):
             out[i] = self._gamma_at(float(x))
         return np.where(w >= 0, out, np.conj(out))
+
+    def _axis_gamma(self, y):
+        """Gamma at each real y > 0 from ``gamma_curve`` (the exact rule costs about
+        a millisecond a frequency): the curve to its top, its tail's axis value above."""
+        curve, top = self.gamma_curve, self.gamma_curve.grid[-1]
+        above = curve.tail.axis(np.maximum(y, top), curve.real_integral,
+                                curve._real_spline.second_moment)
+        return np.where(y <= top, curve(np.minimum(y, top)), above)
 
     def _gamma_at(self, w):
         """Gamma[w] for one w >= 0, in units of w (u = x / w, so that no

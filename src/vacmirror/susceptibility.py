@@ -33,14 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffDivergenceError, FrequencyRangeError
-from .numerics import (
-    PiecewiseCubic,
-    adaptive_gauss_legendre,
-    decay_slope,
-    fit_log_tail,
-    tail_integral,
-    write_csv,
-)
+from .numerics import LogTail, PiecewiseCubic, adaptive_gauss_legendre, decay_slope, write_csv
 from .scattering import reflectivity, transmissivity
 
 
@@ -80,10 +73,10 @@ class ResponseCurve:
     is summed straight into the complex result.  The Cauchy sums and the
     integral read `_real_spline`, the real part fitted alone on first use
     (bitwise that spline's real column), so a caller of the real part alone
-    fits no imaginary column.  Beyond the grid
-    the real part is closed by an (a + b ln w)/w^2 + c/w^3 decay, `tail`,
-    also fitted on first use and kept; `real_integral` integrates the real
-    part exactly on the spline's cubic pieces and the tail.
+    fits no imaginary column.  Beyond the grid the real part is closed by an
+    (a + b ln w)/w^2 + c/w^3 decay, `tail` (a ``LogTail``), also fitted on
+    first use and kept; `real_integral` integrates the real part exactly on
+    the spline's cubic pieces and the tail.
     """
 
     grid: np.ndarray
@@ -113,15 +106,14 @@ class ResponseCurve:
 
     @cached_property
     def tail(self):
-        """(a, b, c) of the real part's (a + b ln w)/w^2 + c/w^3 decay beyond the
-        grid, fitted over its top decade: ``fit_log_tail``."""
-        return fit_log_tail(self.grid, self.values.real)
+        """The real part's decay beyond the grid: ``LogTail.fit`` to its top decade."""
+        return LogTail.fit(self.grid, self.values.real)
 
     @cached_property
     def real_integral(self):
         """int of the real part from grid[0] to infinity: the spline's cubic
         pieces exactly, plus the tail."""
-        return float(self._real_spline.integral() + tail_integral(self.tail, self.grid[-1]))
+        return float(self._real_spline.integral() + self.tail.integral())
 
     def __call__(self, w):
         w = np.asarray(w, dtype=float)
@@ -226,7 +218,7 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
                 f"Gamma_R decays like w^{slope:.2f} on the top decade; "
                 "cutoff integral does not converge"
             )
-        total, tail = curve.real_integral, tail_integral(curve.tail, omega_max)
+        total, tail = curve.real_integral, curve.tail.integral()
         exact = (2.0 / np.pi) * total, tail / total if tail else 0.0, slope
     omega_c, tail_fraction, slope = exact
     if full_output:

@@ -312,16 +312,39 @@ def test_walk_counts_a_runaway_exactly_when_mu_exceeds_m(tau_omega, k, omega):
 
 
 def test_table_walk_above_its_curve_matches_the_lorentzian(lorentzian, table_1100):
-    # above the Gamma curve's top (1000) the walk reads the table's asymptote,
+    # above the Gamma curve's top (1000) the walk reads the tail's axis value,
     # whose Gamma_I carries -pi b/(2 y^2), the Kramers-Kronig partner of the
-    # tail's b ln y/y^2: 1.4e-4 of |Z| worst, next to the top, and 2.6e-6 at
-    # y = 1e4 (2.7e-2 and 2.8e-3 without that term); Re Z keeps its values
+    # tail's b ln y/y^2, and the y^-3 term: 8.4e-7 of |Z| worst, at 1e7 (1.4e-4
+    # next to the top without the y^-3 term, 2.7e-2 without either); Re Z keeps
+    # its values
     mech = vm.MirrorMechanics(k=2.25, tau=0.3)
     y = np.geomspace(1000.0001, 1e7, 400)
     z, exact = (_axis_impedance(m, mech, y) for m in (table_1100, lorentzian))
-    gap = np.abs(z - exact) / np.abs(exact)
-    assert np.max(gap) < 2e-4
-    assert np.max(gap[y >= 1e4]) < 5e-6
+    assert np.max(np.abs(z - exact) / np.abs(exact)) < 2e-6
+
+
+def _blaschke_table(top):
+    """The all-pass B(w) = prod (w - conj p)/(w - p) over the poles p = -0.7i,
+    +-2 - 1.1i, as r = (B - 1)/2 and s = (B + 1)/2 (|r|^2 + |s|^2 = 1, r(0) = -1),
+    on the 1100-top table's kind of grid: a linear head to 2, a log tail to top."""
+    grid = np.unique(np.concatenate([np.arange(0.0, 2.0, 1e-2), np.geomspace(2.0, top, 2200)]))
+    b = np.prod([(grid - np.conj(p)) / (grid - p) for p in (-0.7j, 2 - 1.1j, -2 - 1.1j)], axis=0)
+    return vm.tabulated_mirror(grid, (b - 1.0) / 2.0, (b + 1.0) / 2.0)
+
+
+@pytest.mark.parametrize("kind,bound", [("1100", 2e-7), ("200", 1e-5), ("blaschke", 2e-7)])
+def test_gamma_above_the_curve_is_the_continuations_boundary_value(table_1100, kind, bound):
+    # the tail's axis value against the Cauchy continuation of the same curve
+    # and tail just above the axis, from just above the top to 1e4 times it:
+    # 8.6e-8, 3.7e-6 and 8.9e-8 of |Gamma| worst, next to the top (1.6e-5,
+    # 3.2e-4 and 5.4e-5 without the y^-3 term)
+    model = {"1100": table_1100, "200": make_tabulated_copy(omega_max=200.0, step=1e-2,
+                                                            log_points=2200),
+             "blaschke": _blaschke_table(1100.0)}[kind]
+    curve = model.gamma_curve
+    y = np.geomspace(curve.grid[-1] * (1.0 + 1e-12), 1e4 * curve.grid[-1], 400)
+    exact = vm.continue_upper_half(curve, y * (1.0 + 1e-13j))
+    assert np.max(np.abs(model._axis_gamma(y) - exact) / np.abs(exact)) < bound
 
 
 @settings(max_examples=30, deadline=None)

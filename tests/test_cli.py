@@ -9,7 +9,7 @@ import pytest
 import vacmirror as vm
 from vacmirror.cli import main, parse_config
 from vacmirror.errors import ConfigError
-from vacmirror.numerics import PiecewiseCubic, fft_length
+from vacmirror.numerics import LogTail, PiecewiseCubic, fft_length
 
 from conftest import make_tabulated_copy
 
@@ -433,16 +433,17 @@ def _memory_trajectory(tmp_path, name, model, simulation):
 
 
 def test_table_memory_run_matches_the_lorentzians(tmp_path, table_1100_file):
-    # the table's weights read its Gamma curve up to 1000 and its asymptote
-    # above: q 5.2e-7 of its largest value off the Lorentzian's run, W_m(end)
-    # 2.0e-6 relative (1.8e-4 and -6.8e-4 without the asymptote's -pi b/(2 y^2)
-    # in Gamma_I; 9.5e-4 and -3.7e-3 with the band-limited FFT kernel)
+    # the table's weights read its Gamma curve up to 1000 and its tail's axis
+    # value above: q 2.8e-9 of its largest value off the Lorentzian's run,
+    # W_m(end) -8.1e-9 relative (5.2e-7 and 2.0e-6 without the y^-3 term in
+    # Gamma_I; 1.8e-4 and -6.8e-4 without its -pi b/(2 y^2) either; 9.5e-4 and
+    # -3.7e-3 with the band-limited FFT kernel)
     drive = "force = gaussian\namplitude = 1.0e-3\ncenter = 10.0\nwidth = 1.5\nt_final = 30.0\n"
     table = _memory_trajectory(tmp_path, "table", f"kind = tabulated\ntable = {table_1100_file}\n",
                                drive)
     exact = _memory_trajectory(tmp_path, "exact", "kind = lorentzian\n", drive)
-    assert np.max(np.abs(table[:, 1] - exact[:, 1])) < 2e-6 * np.max(np.abs(exact[:, 1]))
-    assert abs(table[-1, 7] - exact[-1, 7]) < 5e-6 * abs(exact[-1, 7])
+    assert np.max(np.abs(table[:, 1] - exact[:, 1])) < 2e-8 * np.max(np.abs(exact[:, 1]))
+    assert abs(table[-1, 7] - exact[-1, 7]) < 5e-8 * abs(exact[-1, 7])
 
 
 @pytest.mark.parametrize("w1", [1.2, 1.5, 1.875])
@@ -836,17 +837,14 @@ def test_each_curve_fits_its_tail_once(tmp_path, monkeypatch, table_1100_file,
     # reflection_cutoff, the walk, the real-axis scan and the secant;
     # crosscheck: the validation curve of r, and the Gamma curve of the
     # Kramers-Kronig probes and the spectral points
-    original = sys.modules["vacmirror.numerics"].fit_log_tail
+    original = LogTail.fit.__func__
     fits = []
 
-    def counted(*args, **kwargs):
+    def counted(cls, *args, **kwargs):
         fits.append(1)
-        return original(*args, **kwargs)
+        return original(cls, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "vacmirror" and \
-                getattr(module, "fit_log_tail", None) is original:
-            monkeypatch.setattr(module, "fit_log_tail", counted)
+    monkeypatch.setattr(LogTail, "fit", classmethod(counted))
     model = "kind = lorentzian\n" if kind == "lorentzian" else \
         f"kind = tabulated\ntable = {table_1100_file}\n"
     cfg = write_cfg(tmp_path, f"[model]\n{model}[mechanics]\n"

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,7 @@ def test_kk_reconstruct_array_on_a_grid_above_zero():
     # a bump on a 0.2/w^2 decay: the curve's tail closes the transform
     grid = np.geomspace(0.05, 60.0, 500)
     curve = vm.ResponseCurve(grid, np.exp(-grid**2) + 0.2 / (1.0 + grid**2), label="bump")
-    a, b, c = curve.tail  # reads 0.2/w^2 at the grid's top
-    top = grid[-1]
+    a, b, c, top = astuple(curve.tail)  # reads 0.2/w^2 at the grid's top
     assert a + b * np.log(top) + c / top == pytest.approx(0.2, rel=1e-2) and abs(b) < 1e-2
     w = np.array([-7.0, 0.3, 1.0, -0.06])
     each = np.array([vm.kk_reconstruct(curve, x) for x in w])
@@ -154,7 +155,7 @@ def test_continue_upper_half_array_is_the_per_point_rule(bottom):
     # led by a constant piece at its edge value
     grid = np.concatenate([[bottom], np.geomspace(max(bottom, 1e-3) * 1.01, 1e3, 1400)])
     curve = vm.ResponseCurve(grid, vm.lorentzian_gamma(grid).real, label="gamma_R")
-    assert curve.tail != (0.0, 0.0, 0.0)
+    assert astuple(curve.tail)[:3] != (0.0, 0.0, 0.0)
     y = np.geomspace(1e-6, 1e5, 120)
     for w in (1j * y, y * np.exp(1j * np.linspace(0.1, np.pi - 0.1, y.size))):
         each = np.array([vm.continue_upper_half(curve, x) for x in w])

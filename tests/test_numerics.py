@@ -19,6 +19,7 @@ from vacmirror import numerics
 from vacmirror.dynamics import export_simulation_csv
 from vacmirror.numerics import (
     _CSV_BLOCK,
+    LogTail,
     PiecewiseCubic,
     QuadratureSettings,
     adaptive_gauss_legendre,
@@ -26,8 +27,6 @@ from vacmirror.numerics import (
     fft_length,
     running_integral,
     secant_root,
-    tail_cauchy,
-    tail_integral,
     write_csv,
     write_csv_files,
 )
@@ -262,6 +261,25 @@ def test_piecewise_cubic_is_scipys_to_the_bit(data, n):
     _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(x, y), CubicSpline(x, y), probes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=3, max_value=200))
+def test_second_moment_is_exact_on_the_pieces(data, n):
+    # int w^2 S(w) dw against each piece's quintic (x_i + s)^2 p_i(s) integrated
+    # as a polynomial: to 1e-12 of the integral of |w^2 S| (by 4-point
+    # Gauss-Legendre on each piece)
+    x = _graded_grid(data, n)
+    spline = PiecewiseCubic.not_a_knot(
+        x, data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
+    poly = np.polynomial.Polynomial
+    exact = sum((poly(c[::-1]) * poly([x0, 1.0]) ** 2).integ()(h)
+                for x0, h, c in zip(x[:-1], np.diff(x), spline.c.T))
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(x)
+    t = (x[:-1] + half)[:, None] + half[:, None] * nodes
+    scale = np.sum(half * (np.abs(t**2 * spline(t)) @ weights))
+    assert abs(spline.second_moment - exact) <= 1e-12 * scale
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=3, max_value=200),
        columns=st.integers(min_value=1, max_value=4), graded=st.booleans())
@@ -401,7 +419,7 @@ def _axis_splines(draw):
 def test_cubic_cauchy_on_the_axis_is_the_boundary_value(case, tail, block):
     # the two real-axis sums at +-w and the tail against the adaptive oracle to
     # 1e-11 of the data's scale: probes on inner knots, inside pieces and next to
-    # both ends (1e-9 L below the top L, where tail_cauchy forms 1 - w/L as
+    # both ends (1e-9 L below the top L, where LogTail.cauchy forms 1 - w/L as
     # (L - w)/L); an array of w is bitwise its one-w calls, whatever the block size
     g0, steps, values, nodes, fractions = case
     n = values.size
@@ -419,7 +437,7 @@ def test_cubic_cauchy_on_the_axis_is_the_boundary_value(case, tail, block):
         assert one.tobytes() == plus[k : k + 1].tobytes()
         assert cubic_cauchy(spline.x, spline.c, -probe[None]).tobytes() == minus[k : k + 1].tobytes()
     assert not np.any(minus.imag)  # -w lies below the pieces
-    got = plus - minus + tail_cauchy(tail, x[-1], w)
+    got = plus - minus + LogTail(*tail, x[-1]).cauchy(w)
     # the data's scale: the spline's largest value and the tail's (a, b, c) at the top
     dense = x[:-1, None] + np.diff(x)[:, None] * np.linspace(0.0, 1.0, 17)
     a, b, c = np.abs(tail)
@@ -450,15 +468,16 @@ def test_tail_closed_forms_match_mpmath(tail):
         return (a + b * mp.log(t)) / t**2 + c / t**3
 
     cuts = [L, 2 * L, mp.inf]
-    assert tail_integral(tail, L) == pytest.approx(float(mp.quad(decay, cuts)), rel=1e-14)
-    got = tail_cauchy(tail, L, np.array(_TAIL_PROBES))
+    closed = LogTail(a, b, c, L)
+    assert closed.integral() == pytest.approx(float(mp.quad(decay, cuts)), rel=1e-14)
+    got = closed.cauchy(np.array(_TAIL_PROBES))
     for w, value in zip(_TAIL_PROBES, got):
         z = mp.mpc(w)
         gap = abs(L - w)  # cut points closing geometrically on a pole next to L
         near = [L + gap * 10**k for k in range(14) if gap * 10**k < L]
         exact = complex(mp.quad(lambda t: decay(t) * 2 * z / (t**2 - z**2), [L] + near + cuts[1:]))
         assert abs(value - exact) <= 1e-13 * abs(exact), w
-    assert np.ndim(tail_cauchy(tail, L, 3j)) == 0
+    assert np.ndim(closed.cauchy(3j)) == 0
 
 
 def test_cubic_cauchy_matches_adaptive_quadrature_on_the_spline():
@@ -551,7 +570,7 @@ def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
     # F = 1/(1 + t^2), the real part of 1/(1 - i w), in cubic Hermite pieces with its
     # exact slopes: the real-axis sums give its Kramers-Kronig partner w/(1 + w^2)
     run = ("import numpy as np\n"
-           "from vacmirror.numerics import cubic_cauchy, tail_cauchy\n"
+           "from vacmirror.numerics import LogTail, cubic_cauchy\n"
            "x = np.linspace(0.0, 200.0, 20001)\n"
            "h, f, d = np.diff(x), 1.0 / (1.0 + x * x), -2.0 * x / (1.0 + x * x) ** 2\n"
            "s = np.diff(f) / h\n"
@@ -559,7 +578,7 @@ def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
            " d[:-1], f[:-1]])\n"
            "w = np.array([0.5, 1.0, 3.0])  # 1.0 and 3.0 lie on knots\n"
            "got = (cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w)"
-           " + tail_cauchy((1.0, 0.0, 0.0), x[-1], w)) / (1j * np.pi)\n"
+           " + LogTail(1.0, 0.0, 0.0, x[-1]).cauchy(w)) / (1j * np.pi)\n"
            "assert np.max(np.abs(got - 1.0 / (1.0 - 1j * w))) < 1e-9, got")
     assert _loaded_after(run, tmp_path) == "[]"
 
@@ -598,31 +617,27 @@ def test_commands_load_no_scipy(tmp_path, table_run, command, kind):
     assert _loaded_after(run, tmp_path) == "[]"
 
 
-# each file: its row count (cut to the table's) and the table columns it holds
-_FILE_SPECS = st.lists(
-    st.tuples(st.integers(0, 14), st.lists(st.integers(0, 7), min_size=1, max_size=7)),
-    min_size=1, max_size=4,
-)
+# each file: the table columns it holds
+_FILE_SPECS = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=7), min_size=1, max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
 @given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 6)),
                         elements=_ANY_FLOAT),
        files=_FILE_SPECS, fortran=st.booleans())
-@example(table=np.resize(_EDGE_ROW, (3, 8)), files=[(3, [0, 1, 2, 3, 4, 5, 6, 7]),
-                                                   (2, [7, 6, 5, 4, 3]), (1, [0, 0])],
-         fortran=False)
-@example(table=np.resize(_EDGE_ROW, (5, 8)),
-         files=[(5, [0, 1, 2, 3]), (4, [0, 4, 5, 6, 7]), (0, [1])], fortran=True)
+@example(table=np.resize(_EDGE_ROW, (3, 8)), files=[[0, 1, 2, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3],
+                                                   [0, 0]], fortran=False)
+@example(table=np.resize(_EDGE_ROW, (5, 8)), files=[[0, 1, 2, 3], [0, 4, 5, 6, 7], [1]],
+         fortran=True)
 def test_write_csv_files_match_row_formatter_with_shared_columns(tmp_path_factory, table,
                                                                  files, fortran):
-    # every column is a view of the first rows of a table column, so files of
-    # different lengths hold one array, a prefix view of it, or both
+    # every column is a view of a table column, so files share arrays, and a
+    # file may hold one array twice
     table = np.asfortranarray(table) if fortran else table
     out = tmp_path_factory.mktemp("csv")
     specs = []
-    for i, (rows, picks) in enumerate(files):
-        columns = [table[:rows, j % table.shape[1]] for j in picks]
+    for i, picks in enumerate(files):
+        columns = [table[:, j % table.shape[1]] for j in picks]
         specs.append((out / f"f{i}.csv", ",".join(f"c{j}" for j in picks), columns))
     write_csv_files(specs)
     for path, header, columns in specs:
@@ -632,8 +647,7 @@ def test_write_csv_files_match_row_formatter_with_shared_columns(tmp_path_factor
 @pytest.mark.parametrize("rows", [_CSV_BLOCK // 10 + d for d in (-1, 0, 1)]
                          + [2 * (_CSV_BLOCK // 10) + 7])
 def test_write_csv_files_match_row_formatter_across_blocks(tmp_path, rows):
-    # 10 distinct columns over three files, the third one row shorter and
-    # holding a prefix view of t
+    # 10 distinct columns over three files, t in all three
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((10, rows)) * 10.0 ** rng.integers(-320, 300, (10, rows))
     table[:, -1] = np.resize(_EDGE_ROW, 10)
@@ -641,7 +655,7 @@ def test_write_csv_files_match_row_formatter_across_blocks(tmp_path, rows):
     specs = [
         (tmp_path / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [t, q, v, a, f, w_a, e, w_m]),
         (tmp_path / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [t, w_a, e, e, w_m, r]),
-        (tmp_path / "kernel.csv", "t,kappa", [t[:-1], kappa[:-1]]),
+        (tmp_path / "kernel.csv", "t,kappa", [t, kappa]),
     ]
     write_csv_files(specs)
     for path, header, columns in specs:
@@ -651,7 +665,7 @@ def test_write_csv_files_match_row_formatter_across_blocks(tmp_path, rows):
 def test_write_csv_files_never_alias_distinct_arrays(tmp_path):
     # equal values, different bytes: a column is shared by its data, never
     # by its values
-    zeros, signed = np.array([0.0, 1.5, 0.0]), np.array([-0.0, 1.5, -0.0])
+    zeros, signed = np.array([0.0, 1.5, 0.0, 2.0]), np.array([-0.0, 1.5, -0.0, 2.0])
     assert np.array_equal(zeros, signed)
     # one data address, two strides
     base = np.arange(8.0)
@@ -676,7 +690,12 @@ def test_write_csv_files_refuse_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
         write_csv_files([(tmp_path / "u.csv", "a", [np.zeros(3)]),
                          (tmp_path / "v.csv", "a,b", [np.zeros(2), np.zeros(3)[1:2]])])
-    assert not (tmp_path / "u.csv").exists()  # refused before any file is opened
+    # files of different row counts, even of one array and its prefix view
+    base = np.zeros(3)
+    with pytest.raises(ValueError):
+        write_csv_files([(tmp_path / "w.csv", "a", [base]), (tmp_path / "x.csv", "a", [base[:2]])])
+    # refused before any file is opened
+    assert not (tmp_path / "u.csv").exists() and not (tmp_path / "w.csv").exists()
 
 
 def test_write_csv_holds_no_copy_of_the_table(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +10,10 @@ import vacmirror as vm
 from vacmirror.errors import AccuracyError, CutoffDivergenceError
 from vacmirror.numerics import (
     _PV_BLOCK,
+    LogTail,
     PiecewiseCubic,
     QuadratureSettings,
     adaptive_gauss_legendre,
-    fit_log_tail,
 )
 
 from conftest import make_tabulated_copy
@@ -419,11 +421,11 @@ def test_response_curve_tail_is_the_fit_or_zero(points, fitted):
     grid = np.geomspace(1e-2, 1e2, points)
     values = 1.0 / (1.0 + grid**2) + 1j * grid / (1.0 + grid**2)
     curve = vm.ResponseCurve(grid, values)
-    if fitted:
-        expected = fit_log_tail(grid, values.real)
-        assert np.float64(curve.tail).tobytes() == np.float64(expected).tobytes()
-    else:
-        assert fit_log_tail(grid, values.real) == (0.0, 0.0, 0.0) == curve.tail
+    expected = LogTail.fit(grid, values.real)
+    assert np.float64(astuple(curve.tail)).tobytes() == np.float64(astuple(expected)).tobytes()
+    assert curve.tail.top == grid[-1]
+    if not fitted:
+        assert astuple(curve.tail)[:3] == (0.0, 0.0, 0.0)
         # the transform closes with no tail instead of refusing the curve; its
         # real part is the curve's spline
         rec = vm.kk_reconstruct(curve, 1.0)
