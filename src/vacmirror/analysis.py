@@ -31,7 +31,6 @@ which a sampled Gamma curve gives as its integral and its own Cauchy
 continuation at i p.  Evaluations are pure; the walk and the probe sweeps
 vectorize over points."""
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,31 +44,17 @@ from .errors import (
     RootConvergenceError,
 )
 from .dispersion import continue_upper_half
-from .numerics import decay_slope, secant_root
+from .numerics import json_num, secant_root, write_json
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
+    curve_cutoff,
     gamma,
     gamma_samples,
     induced_mass,
     reflection_cutoff,
     susceptibility,
 )
-
-__all__ = [
-    "MirrorMechanics",
-    "impedance",
-    "admittance",
-    "laplace_impedance",
-    "sample_gamma_real",
-    "count_rhp_zeros",
-    "axis_walk",
-    "refine_root",
-    "passivity_check",
-    "spectral_impedance",
-    "StabilityReport",
-    "stability_report",
-]
 
 
 def impedance(model, mech, w):
@@ -101,14 +86,15 @@ def admittance(model, mech, w):
 def sample_gamma_real(model, omega_max=None):
     """Dense Gamma curve for continuation and spectral integrals.
 
-    Gamma[0], then 350 log points from 1e-3 to ``omega_max`` (default min(1e3,
-    model top)), for every model: the exact rules on the curve's cubic pieces
-    converge at fourth order, and 350 points carry about 7e-8 of the
-    continuation, below a fine table's own error.
+    Gamma[0], then 350 log points from 1e-3 ``model.omega_scale`` to
+    ``omega_max`` (default the model's ``_curve_top``, 1e3 omega_scale or the
+    table's top below that), for every model: the exact rules on the curve's
+    cubic pieces converge at fourth order, and 350 points carry about 7e-8
+    of the continuation, below a fine table's own error.
     """
     if omega_max is None:
-        omega_max = min(1.0e3, model.omega_range[1])
-    grid = np.geomspace(1e-3, omega_max, 350)  # ends on omega_max exactly
+        omega_max = model._curve_top
+    grid = np.geomspace(1e-3 * model.omega_scale, omega_max, 350)  # ends on omega_max exactly
     vals = np.concatenate([[gamma(model, 0.0)], gamma_samples(model, grid)])
     return ResponseCurve(np.concatenate([[0.0], grid]), vals, label="gamma")
 
@@ -233,9 +219,10 @@ class PassivityScan:
 
 
 def passivity_check(model, mech, probes=None):
-    """Scan Re Z{p} over a probe set; verdict min >= -1e-9 * m|p| pointwise."""
+    """Scan Re Z{p} over a probe set (default ``default_probes`` in units of
+    ``model.omega_scale``); verdict min >= -1e-9 * m|p| pointwise."""
     if probes is None:
-        probes = default_probes()
+        probes = model.omega_scale * default_probes()
     z = np.atleast_1d(laplace_impedance(model, mech, probes))
     scale = mech.m * np.abs(probes)
     scaled = z.real / scale
@@ -258,15 +245,14 @@ def spectral_impedance(model, mech, p, gamma_curve=None, mu=None):
     its integral is the ``real_integral`` of the Gamma_R curve
     ``gamma_curve`` less p^2 times its Cauchy integral, one
     ``continue_upper_half`` call at every i p, with k/p + p(m - mu) added;
-    ``mu`` defaults to the curve's own, m tau (2/pi) ``real_integral``.
-    Models without a finite induced mass raise CutoffDivergenceError.
+    ``mu`` defaults to the curve's own, m tau omega_C from ``curve_cutoff``,
+    which raises CutoffDivergenceError where the measure is not finite.
     """
     if gamma_curve is None:
         gamma_curve = model.gamma_curve
-    if decay_slope(gamma_curve.grid, np.real(gamma_curve.values)) > -1.2:
-        raise CutoffDivergenceError("spectral measure is not finite (no reflection cutoff)")
+    omega_c, _ = curve_cutoff(gamma_curve)
     if mu is None:
-        mu = induced_mass(mech, (2.0 / np.pi) * gamma_curve.real_integral)
+        mu = induced_mass(mech, omega_c)
     if mu > mech.m:
         raise ValueError("spectral representation requires mu <= m")
     p = np.asarray(p, dtype=complex)
@@ -291,15 +277,12 @@ class StabilityReport:
     passive: bool
 
     def to_json(self, path=None):
-        def _num(x):
-            return None if x is None or not np.isfinite(x) else float(x)
-
         doc = {
             "model": self.model_kind,
             "tau_omega": float(self.tau_omega),
             "k_over_m": float(self.k_over_m),
-            "omega_C": _num(self.omega_c),
-            "mu_over_m": _num(self.mu_over_m),
+            "omega_C": json_num(self.omega_c),
+            "mu_over_m": json_num(self.mu_over_m),
             "rhp_zero_count": int(self.rhp_zero_count),
             "roots": [
                 {"re": float(r.real), "im": float(r.imag), "residual": float(res)}
@@ -307,11 +290,7 @@ class StabilityReport:
             ],
             "passive": bool(self.passive),
         }
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return write_json(path, doc)
 
 
 def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):

@@ -18,7 +18,6 @@ physics parameters are how reproductions go wrong.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -36,7 +35,7 @@ from .susceptibility import (
     reflection_cutoff,
 )
 from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
-from .numerics import write_csv
+from .numerics import json_num, write_csv, write_json
 
 # [model] kind -> the mirror model built from that section
 _MODELS = {
@@ -201,18 +200,6 @@ def _passive_induced_mass(cfg, model, mech, consumer):
     return mu
 
 
-def _json_num(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
-
-
 def _meta(args):
     meta = {}
     if args.timestamps:
@@ -242,23 +229,23 @@ def cmd_analyze(cfg, out, args):
         "model": model.kind,
         "tau_omega": mech.tau,
         "k_over_m": mech.k / mech.m,
-        "omega_C": _json_num(result.omega_c),
-        "mu_over_m": _json_num(result.mu / mech.m if np.isfinite(result.mu) else None),
+        "omega_C": json_num(result.omega_c),
+        "mu_over_m": json_num(result.mu / mech.m),
         "gamma0": {"re": gamma0.real, "im": gamma0.imag},
         "cutoff_divergent": bool(result.cutoff_divergent),
-        "tail_fraction": None if diag is None else _json_num(diag.tail_fraction),
-        "decay_slope": None if diag is None else _json_num(diag.decay_slope),
+        "tail_fraction": None if diag is None else json_num(diag.tail_fraction),
+        "decay_slope": None if diag is None else json_num(diag.decay_slope),
         "validation": {
             "unitarity_defect": validation.unitarity_defect,
             "transparency_tail": validation.transparency_tail,
-            "transparency_slope": _json_num(validation.transparency_slope),
-            "causality_defect": _json_num(validation.causality_defect),
+            "transparency_slope": json_num(validation.transparency_slope),
+            "causality_defect": json_num(validation.causality_defect),
             "has_cutoff": validation.has_cutoff,
         },
         "grid": dict(cfg["grid"]),
         "meta": _meta(args),
     }
-    _write_json(out / "summary.json", doc)
+    write_json(out / "summary.json", doc)
     return 0
 
 
@@ -324,7 +311,7 @@ def cmd_simulate(cfg, out, args):
         "t_final": sim["t_final"],
         "force": {k: sim[k] for k in ("force", "amplitude", "center", "width", "frequency")},
         "diverged": bool(traj.diverged),
-        "t_diverged": _json_num(traj.t_diverged),
+        "t_diverged": json_num(traj.t_diverged),
         "fitted_runaway": fitted,
         "W_a_final": ledger.w_applied[-1],
         "W_m_final": ledger.w_radiated[-1],
@@ -334,7 +321,7 @@ def cmd_simulate(cfg, out, args):
     }
     if regime == "memory":
         doc["kernel_n_fft"] = weights.size  # the weights' period
-    _write_json(out / "run.json", doc)
+    write_json(out / "run.json", doc)
     return 0
 
 
@@ -347,23 +334,24 @@ def cmd_crosscheck(cfg, out, args):
     a = cfg["analysis"]
     doc = {"model": model.kind, "tau_omega": mech.tau, "meta": _meta(args)}
 
-    lo, hi = model.omega_range
+    lo, hi = model.omega_range  # every band below is a constant times the model's scale
+    scale, band = model.omega_scale, dispersion.consistency_band(model)
     # before the validation, whose grid [1e-2, hi] runs backwards below 1e-2
-    if hi < dispersion.consistency_band():
+    if hi < band:
         raise ConfigError(f"the model ends at omega = {hi:g}, below the consistency "
-                          f"check's band {dispersion.consistency_band():.4g}", cfg.path)
+                          f"check's band {band:.4g}", cfg.path)
     validation = scattering.validate_model(
-        model, np.geomspace(max(1e-2, lo + 1e-12), min(1e2, hi), 800))
+        model, np.geomspace(max(1e-2 * scale, lo + 1e-12), min(1e2 * scale, hi), 800))
     if validation.unitarity_defect > 1e-6:
         doc["validation_failure"] = {"unitarity_defect": validation.unitarity_defect}
-        _write_json(out / "crosscheck.json", doc)
+        write_json(out / "crosscheck.json", doc)
         print("validation failed before crosscheck", file=sys.stderr)
         return 3
 
     if model.gamma_is_one:
         for name in _CROSSCHECKS:
             doc[name] = {"status": "divergent", "defect": None}
-        _write_json(out / "crosscheck.json", doc)
+        write_json(out / "crosscheck.json", doc)
         return 0
 
     try:
@@ -373,7 +361,7 @@ def cmd_crosscheck(cfg, out, args):
 
     # Kramers-Kronig: Gamma_I reconstructed from the Gamma_R of the model's
     # Gamma curve vs Gamma_I itself
-    probes = np.linspace(0.1, 5.0, 40)
+    probes = scale * np.linspace(0.1, 5.0, 40)
     rec = dispersion.kk_reconstruct(model.gamma_curve, probes)
     kk_defect = float(np.max(np.abs(rec.imag - gamma_samples(model, probes).imag)))
     doc["kk"] = {"defect": kk_defect, "threshold": a["kk_threshold"],
@@ -382,7 +370,7 @@ def cmd_crosscheck(cfg, out, args):
     # spectral representation vs direct Laplace impedance
     doc["spectral_rep"] = {"status": "divergent", "defect": None}
     if mu is not None:
-        ps = np.geomspace(1e-2, 1e2, a["spectral_points"])
+        ps = scale * np.geomspace(1e-2, 1e2, a["spectral_points"])
         direct = analysis.laplace_impedance(model, mech, ps)
         try:
             spectral = analysis.spectral_impedance(model, mech, ps, mu=mu)
@@ -399,7 +387,7 @@ def cmd_crosscheck(cfg, out, args):
     doc["consistency"] = {"defect": report.defect,
                           "threshold": a["consistency_threshold"],
                           "passed": bool(report.defect < a["consistency_threshold"])}
-    _write_json(out / "crosscheck.json", doc)
+    write_json(out / "crosscheck.json", doc)
     failed = [f"{name} {'divergent' if 'status' in doc[name] else 'at or above threshold'}"
               for name in _CROSSCHECKS if doc[name].get("passed") is False]
     if failed:

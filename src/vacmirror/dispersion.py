@@ -194,15 +194,15 @@ class ConsistencyReport:
     omega_band: float
 
 
-_CONSISTENCY_N_FFT, _CONSISTENCY_DT = 2048, 0.1
+_CONSISTENCY_N_FFT, _CONSISTENCY_DT = 2048, 0.1  # dt in units of 1/omega_scale
 
 
-def consistency_band():
-    """Top frequency of consistency_check's default grid: pi/dt plus half a bin."""
-    return np.pi / _CONSISTENCY_DT * (1.0 + 1.0 / _CONSISTENCY_N_FFT)
+def consistency_band(model):
+    """Top frequency of consistency_check's default grid on ``model``: pi/dt plus half a bin."""
+    return np.pi * model.omega_scale / _CONSISTENCY_DT * (1.0 + 1.0 / _CONSISTENCY_N_FFT)
 
 
-def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT):
+def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=None):
     """Discrete check of chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
     The left side antisymmetrizes the inverse transform of the full chi;
@@ -210,8 +210,10 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=_CONSISTENCY_DT)
     independently on a half-shifted grid and resampled.  The normalized
     maximum discrepancy measures the joint Gamma evaluation,
     interpolation and transform consistency; it decreases under grid
-    refinement.
+    refinement.  ``dt`` defaults to 0.1/``model.omega_scale``, a band of 31.4 omega_scale.
     """
+    if dt is None:
+        dt = _CONSISTENCY_DT / model.omega_scale
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     mt = mech.m * mech.tau
     if mt == 0.0:

@@ -1,6 +1,6 @@
 """Shared numerical routines.
 
-Everything here is stateless, and pure but for the CSV writer: adaptive
+Everything here is stateless, and pure but for the CSV and JSON writers: adaptive
 Gauss-Legendre quadrature (a test oracle), the running trapezoid integral,
 the piecewise cubic that every sampled curve and table is read as (the
 not-a-knot spline, scipy's arithmetic to the bit), the exact Cauchy integral
@@ -21,6 +21,7 @@ transform helper fixes the package convention
 which is the opposite sign to numpy's FFT, hence the conjugation below.
 """
 
+import json
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -258,6 +259,21 @@ def write_csv_files(files):
 def write_csv(path, header, columns):
     """write_csv_files for one file."""
     write_csv_files([(path, header, columns)])
+
+
+def json_num(x):
+    """x as a JSON number: null where it is None or not finite."""
+    return None if x is None or not np.isfinite(x) else float(x)
+
+
+def write_json(path, doc):
+    """``doc`` as JSON text indented by 2 with a closing newline, written to ``path``
+    unless that is None; a NaN or an infinity raises ValueError."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
 
 
 @dataclass(frozen=True)

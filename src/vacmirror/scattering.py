@@ -36,12 +36,19 @@ class MirrorModel:
     Gamma shaped like w, Gamma at real w and at Im w > 0), ``omega_range``
     (|w| where r, s exist), ``gamma_is_one`` (Gamma == 1, the local
     third-derivative regime), ``omega_scale`` (the frequency on which Gamma
-    varies, 1 where it has none of its own), ``gamma_curve``, ``_cutoff`` and
+    varies, which every default band is a constant times: Omega for a
+    Lorentzian, for a table the power of ten nearest its first node above 0
+    with |r|^2 <= 1/2, else 1), ``gamma_curve``, ``_cutoff`` and
     ``_axis_gamma`` (Gamma on the real axis as the walk and the weights read it)."""
 
     omega_range = (0.0, np.inf)
     gamma_is_one = False
     omega_scale = 1.0
+
+    @property
+    def _curve_top(self):
+        """The default Gamma curve's top: 1e3 omega_scale, or the model's top below it."""
+        return min(1.0e3 * self.omega_scale, self.omega_range[1])
 
     def _cutoff(self, top, full_output):
         """(omega_C, its share above ``top``, the top-decade slope of Gamma_R) in closed
@@ -139,6 +146,11 @@ class TabulatedMirror(MirrorModel):
     def omega_range(self):
         w = self.table[0]
         return float(w[0]), float(w[-1])
+
+    @cached_property
+    def omega_scale(self):
+        half = self.table[0][(self.table[0] > 0.0) & (np.abs(self.table[1]) ** 2 <= 0.5)]
+        return 10.0 ** round(np.log10(half[0])) if half.size else 1.0
 
     def _r(self, w):
         return self._eval(w, 0)

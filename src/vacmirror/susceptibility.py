@@ -190,21 +190,29 @@ class CutoffDiagnostics:
     decay_slope: float
 
 
+def curve_cutoff(curve):
+    """omega_C = (2/pi) ``real_integral`` of a Gamma curve and Gamma_R's top-decade slope;
+    a slope above -1.2, no integrable decay (Gamma_R == 1), raises CutoffDivergenceError."""
+    slope = decay_slope(curve.grid, curve.values.real)
+    if slope > -1.2:
+        raise CutoffDivergenceError(f"Gamma_R decays like w^{slope:.2f} on the top decade; "
+                                    "cutoff integral does not converge")
+    return (2.0 / np.pi) * curve.real_integral, slope
+
+
 def reflection_cutoff(model, omega_max=None, full_output=False):
     """Reflection cutoff omega_C = (1/pi) int_-inf^inf Gamma_R dw.
 
     Folded to (2/pi) int_0^inf by parity, with a tail above ``omega_max``
-    (default: the lesser of 1e3 and the top of the model's range).  The
-    Lorentzian gives its own, 3 Omega, in closed form, and works out the
-    share above ``omega_max`` and the top-decade slope of Gamma_R only under
-    ``full_output``; any other model the ``real_integral`` of its Gamma
-    curve to ``omega_max`` (``gamma_curve`` where that ends there), whose
-    slope is always fitted: CutoffDivergenceError is raised when Gamma_R
-    shows no integrable decay over the top decade (the perfect mirror:
-    Gamma_R == 1).
+    (default: the model's ``_curve_top``, 1e3 times its ``omega_scale`` or
+    the table's top below that).  The Lorentzian gives its own, 3 Omega, in
+    closed form, and works out the share above ``omega_max`` and the
+    top-decade slope of Gamma_R only under ``full_output``; any other model
+    the ``curve_cutoff`` of its Gamma curve to ``omega_max`` (``gamma_curve``
+    where that ends there), whose slope is always fitted.
     """
     if omega_max is None:
-        omega_max = min(1.0e3, model.omega_range[1])
+        omega_max = model._curve_top
     exact = model._cutoff(omega_max, full_output)
     if exact is None:
         curve = model.gamma_curve
@@ -212,14 +220,9 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
             from .analysis import sample_gamma_real
 
             curve = sample_gamma_real(model, omega_max)
-        slope = decay_slope(curve.grid, curve.values.real)
-        if slope > -1.2:
-            raise CutoffDivergenceError(
-                f"Gamma_R decays like w^{slope:.2f} on the top decade; "
-                "cutoff integral does not converge"
-            )
+        omega_c, slope = curve_cutoff(curve)
         total, tail = curve.real_integral, curve.tail.integral()
-        exact = (2.0 / np.pi) * total, tail / total if tail else 0.0, slope
+        exact = omega_c, tail / total if tail else 0.0, slope
     omega_c, tail_fraction, slope = exact
     if full_output:
         return omega_c, CutoffDiagnostics(omega_c, tail_fraction, slope)

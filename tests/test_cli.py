@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.cli import main, parse_config
@@ -512,11 +514,18 @@ def test_failed_crosscheck_exits_3(tmp_path, capsys):
     assert "kk" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("omega,code", [(1.0, 0), (100.0, 3)])
-def test_crosscheck_fails_when_its_spectral_check_cannot_run(tmp_path, capsys, omega, code):
-    # tau Omega = 0.03, k/m = 0.5 Omega^2: one dimensionless mirror.  At Omega = 100
-    # omega_C = 3 Omega is finite, but the Gamma curve on the fixed band shows no
-    # integrable decay: the spectral check cannot run, and that is no pass
+@pytest.mark.parametrize("omega,code", [(1.0, 0), (100.0, 0), (1000.0, 0), (100.0, 3)])
+def test_crosscheck_fails_when_its_spectral_check_cannot_run(tmp_path, monkeypatch, capsys,
+                                                             omega, code):
+    # tau Omega = 0.03, k/m = 0.5 Omega^2: one dimensionless mirror, whose Gamma
+    # curve, like every band of the crosscheck, scales with Omega.  A spectral
+    # check that cannot run (a curve that shows no integrable decay although
+    # omega_C, and so mu, is finite) is no pass: exit 3
+    if code:
+        def divergent(*args, **kwargs):
+            raise vm.CutoffDivergenceError("no integrable decay")
+
+        monkeypatch.setattr(vm.analysis, "spectral_impedance", divergent)
     body = (f"[model]\nkind = lorentzian\nomega = {omega}\n"
             f"[mechanics]\ntau_omega = {0.03 / omega}\nk_over_m = {0.5 * omega**2}\n")
     cfg = write_cfg(tmp_path, body)
@@ -532,6 +541,85 @@ def test_crosscheck_fails_when_its_spectral_check_cannot_run(tmp_path, capsys, o
         assert "spectral_rep divergent" in capsys.readouterr().err
     else:
         assert spectral["passed"] and spectral["defect"] < 1e-4
+
+
+_SCALED_TABLE = make_tabulated_copy(omega_max=1100.0, step=0.05, log_points=200)
+
+
+def _scaled_outputs(work, lam, tau, k, table):
+    """analyze, stability and, on the Lorentzian, crosscheck and a memory simulate
+    of one mirror at scale lam (Omega -> lam Omega, tau -> tau/lam, k -> lam^2 k,
+    the grid -> lam grid, times and dt -> /lam, the force -> lam^2 force), read
+    in units of that scale.  The table is the Lorentzian's at nodes lam w."""
+    if table:
+        vm.save_table(work / "t.txt", lam * _SCALED_TABLE.table[0], *_SCALED_TABLE.table[1:])
+        head = "[model]\nkind = tabulated\ntable = t.txt\n"
+    else:
+        head = f"[model]\nkind = lorentzian\nomega = {lam!r}\n"
+    cfg = write_cfg(work, head + (
+        f"[mechanics]\ntau_omega = {tau / lam!r}\nk_over_m = {k * lam**2!r}\n"
+        f"[grid]\nomega_min = {1e-2 * lam!r}\nomega_max = {1e2 * lam!r}\npoints = 60\n"
+        f"[simulation]\nregime = memory\namplitude = {1e-3 * lam**2!r}\n"
+        f"center = {5.0 / lam!r}\nwidth = {1.5 / lam!r}\nt_final = {10.0 / lam!r}\n"
+        f"dt = {0.05 / lam!r}\n"))
+    commands = ["analyze", "stability"] + ([] if table else ["crosscheck", "simulate"])
+    out = {"codes": [main([c, "--config", str(cfg), "--out", str(work / c)]) for c in commands]}
+    summary = json.loads((work / "analyze" / "summary.json").read_text())
+    report = json.loads((work / "stability" / "stability.json").read_text())
+    model = vm.load_table(work / "t.txt") if table else vm.lorentzian_mirror(lam)
+    scan = vm.passivity_check(model, vm.MirrorMechanics(k=k * lam**2, tau=tau / lam))
+    out["ratios"] = np.array([summary["omega_C"] / lam, summary["mu_over_m"],
+                              summary["decay_slope"], scan.min_re_scaled])
+    out["tail_fraction"] = summary["tail_fraction"]
+    out["verdicts"] = (report["rhp_zero_count"], report["passive"], scan.passive)
+    out["roots"] = np.array([complex(r["re"], r["im"]) for r in report["roots"]]) / lam
+    columns = np.loadtxt(work / "analyze" / "gamma.csv", delimiter=",", skiprows=1)
+    out["gamma"] = columns[:, 1] + 1j * columns[:, 2]
+    if not table and out["codes"][2] != 2:
+        doc = json.loads((work / "crosscheck" / "crosscheck.json").read_text())
+        out["checks"] = {name: (doc[name]["defect"], doc[name]["passed"])
+                         for name in ("kk", "spectral_rep", "consistency")}
+    if not table and out["codes"][3] == 0:
+        run = json.loads((work / "simulate" / "run.json").read_text())
+        out["run"] = (run["kernel_n_fft"], run["W_m_final"] / lam**2,
+                      np.loadtxt(work / "simulate" / "trajectory.csv", delimiter=",",
+                                 skiprows=1)[:, 1])
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(log_lam=st.floats(-3.0, 3.0), tau=st.sampled_from([0.03, 0.4]),
+       k=st.sampled_from([0.0, 0.5]), table=st.booleans())
+@example(log_lam=2.0, tau=0.03, k=0.5, table=False)
+@example(log_lam=-3.0, tau=0.4, k=0.0, table=True)
+@example(log_lam=3.0, tau=0.03, k=0.5, table=True)
+def test_every_output_is_the_same_at_every_frequency_scale(tmp_path_factory, log_lam, tau, k,
+                                                           table):
+    # every default band is a constant times the model's omega_scale, so the
+    # outputs in its units do not move with it (a table's scale is a power of
+    # ten, so it runs at lam = 10^j).  Over 300 draws of lam the Lorentzian read
+    # ratios to 4.4e-15, roots and Gamma on the CSV's 12 digits to rounding, the
+    # Kramers-Kronig and spectral defects to 4.8e-8 relative and the
+    # consistency defect, 2.6e-12, to 1.1e-15; the table's tail share to 3.4e-13
+    lam = 10.0 ** round(log_lam) if table else 10.0**log_lam
+    ref = _scaled_outputs(tmp_path_factory.mktemp("unit"), 1.0, tau, k, table)
+    got = _scaled_outputs(tmp_path_factory.mktemp("scaled"), lam, tau, k, table)
+    assert got["codes"] == ref["codes"]
+    assert got["verdicts"] == ref["verdicts"]
+    assert np.all(np.abs(got["ratios"] / ref["ratios"] - 1.0) <= 1e-12)
+    assert abs(got["tail_fraction"] / ref["tail_fraction"] - 1.0) <= 1e-11
+    assert got["roots"].shape == ref["roots"].shape
+    assert np.all(np.abs(got["roots"] - ref["roots"]) <= 1e-12 * np.abs(ref["roots"]))
+    assert np.max(np.abs(got["gamma"] - ref["gamma"])) <= 1e-10 * np.max(np.abs(ref["gamma"]))
+    assert got.keys() == ref.keys()
+    for name, (defect, passed) in ref.get("checks", {}).items():
+        assert got["checks"][name][1] == passed
+        bound = 1e-14 if name == "consistency" else 1e-6 * defect
+        assert abs(got["checks"][name][0] - defect) <= bound
+    if "run" in ref:
+        (n_fft, w_m, q), (ref_n_fft, ref_w_m, ref_q) = got["run"], ref["run"]
+        assert n_fft == ref_n_fft and w_m == pytest.approx(ref_w_m, rel=1e-10)
+        assert np.max(np.abs(q - ref_q)) <= 1e-10 * np.max(np.abs(ref_q))
 
 
 def test_crosscheck_perfect_reports_divergence(tmp_path):
@@ -606,14 +694,16 @@ def test_closed_form_models_never_integrate_gamma(tmp_path, monkeypatch, kind, c
 ], ids=["stability", "simulate"])
 def test_lorentzian_runs_fit_no_cutoff_slope(tmp_path, monkeypatch, command, body):
     # stability and a memory simulate read omega_C alone: the closed form's
-    # tail share and top-decade slope are the analyze diagnostics only
+    # tail share and top-decade slope are the analyze diagnostics only, and
+    # neither samples a Gamma curve
     def forbidden(*args):
-        raise AssertionError("decay slope fitted")
+        raise AssertionError("decay slope fitted or Gamma curve sampled")
 
     original = importlib.import_module("vacmirror.numerics").decay_slope
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "vacmirror" and getattr(module, "decay_slope", None) is original:
             monkeypatch.setattr(module, "decay_slope", forbidden)
+    monkeypatch.setattr(vm.analysis, "sample_gamma_real", forbidden)
     cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n" + body)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 

@@ -432,6 +432,35 @@ def test_cq_weights_match_the_off_circle_quadrature(kind):
     assert np.max(np.abs(h - ref)) < bound * np.max(np.abs(ref))
 
 
+class _OnePoleMirror:
+    """A model whose Gamma on the real axis is mu/(m tau (1 - i w)): the motional
+    kernel less mu is then H(s) = m tau s Gamma{s} - mu = -mu/(s + 1)."""
+
+    omega_scale = 1.0
+
+    def __init__(self, mech, mu):
+        self.height = mu / (mech.m * mech.tau)
+
+    def _axis_gamma(self, y):
+        return self.height / (1.0 - 1j * y)
+
+
+@pytest.mark.parametrize("dt", [0.1, 1e-2, 1e-3])
+def test_cq_weights_of_a_one_pole_kernel_are_its_closed_form(dt):
+    # with delta(z) = 2 (1 - z)/(1 + z), H(delta(z)/dt) = -mu c (1 + z)/(1 - r z),
+    # c = dt/(2 + dt) and r = (2 - dt)/(2 + dt): the weights are -mu c at lag 0
+    # and -mu c (r^j + r^(j-1)) at lag j.  The worst lag of the period, lag 0,
+    # read 6.8e-16, 6.1e-15 and 6.0e-14 of the largest weight (at dt = 1e-3 the
+    # period is 40,000, three blocks of 8192 bins); the lags aliased from beyond
+    # it add r^L, below 1e-17.  H(-i w) at the period's middle bin, w = inf, is 0
+    mech, mu = vm.MirrorMechanics(k=0.0, tau=0.3), 0.9
+    h = _cq_weights(_OnePoleMirror(mech, mu), mech, mu, dt, 100) * dt
+    c, r = dt / (2.0 + dt), (2.0 - dt) / (2.0 + dt)
+    lags = np.arange(1, h.size)
+    exact = -mu * c * np.concatenate([[1.0], r**lags + r ** (lags - 1)])
+    assert np.max(np.abs(h - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 def test_memory_damped_pulse_energy_books():
     mech = vm.MirrorMechanics(k=2.25, tau=0.3)
     dt = 1e-3
