@@ -336,7 +336,7 @@ def cmd_crosscheck(cfg, out, args):
 
     lo, hi = model.omega_range  # every band below is a constant times the model's scale
     scale, band = model.omega_scale, dispersion.consistency_band(model)
-    # before the validation, whose grid [1e-2, hi] runs backwards below 1e-2
+    # before the validation, whose grid [1e-2 scale, hi] would run backwards
     if hi < band:
         raise ConfigError(f"the model ends at omega = {hi:g}, below the consistency "
                           f"check's band {band:.4g}", cfg.path)

@@ -394,6 +394,33 @@ def test_cq_memory_run_matches_a_longer_period(mech, force, n, longer, periods):
     assert abs(w_m - w_m_long) < 1e-10 * abs(w_m_long)
 
 
+def test_cq_memory_run_on_a_table_between_powers_of_ten():
+    # the Lorentzian at Omega = 4 tabulated to 200 takes the power of ten
+    # nearest its half-power node, 10, for its scale, so at 2,000 steps of 1e-3
+    # its weights' period floor spans 4 time units (5,000), the Lorentzian's 10
+    # (10,000).  Against a 64 times longer period q reads 1.4e-8 of its largest
+    # value and W_m 1.5e-6 off (1.1e-9 and 1.2e-7 at scale 4), 18 and 15 times
+    # below the table's own gap to the Lorentzian's run, 2.5e-7 and 2.2e-5 (the
+    # table ends at 50 Omega: its omega_C is 1.3e-4 short)
+    force, dt, n = _PERIOD_CASES[1][1], 1e-3, 2_000
+    mech = vm.MirrorMechanics(k=0.0, tau=0.05)  # tau Omega = 0.2, as in the step case
+    lorentzian = vm.lorentzian_mirror(4.0)
+    w, *columns = make_tabulated_copy(omega_max=50.0, step=1e-2, log_points=2200).table
+    table = vm.tabulated_mirror(4.0 * w, *columns)
+    mu = 3.0 * 4.0 * mech.m * mech.tau
+    runs = []
+    for model, steps in ((table, n), (table, 64 * n), (lorentzian, n)):
+        h = _cq_weights(model, mech, mu, dt, steps)
+        traj = _memory_run(mech, mu, dt, h, force, n * dt, 0.0)
+        runs.append((h.size, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
+    (n_fit, q, w_m), (_, q_long, w_m_long), (n_lorentzian, q_exact, w_m_exact) = runs
+    assert table.omega_scale == 10.0 and (n_fit, n_lorentzian) == (5000, 10000)
+    assert np.max(np.abs(q - q_long)) < 3e-8 * np.max(np.abs(q_long))
+    assert abs(w_m - w_m_long) < 3e-6 * abs(w_m_long)
+    assert np.max(np.abs(q - q_exact)) < 5e-7 * np.max(np.abs(q_exact))
+    assert abs(w_m - w_m_exact) < 5e-5 * abs(w_m_exact)
+
+
 def test_cq_memory_run_is_second_order_from_rest():
     # a drive that starts smooth (the Gaussian at t = 10 is 2e-10 of its peak
     # at t = 0): q reads order 2.02 between dt = 0.02 and 0.01 against dt =

@@ -266,11 +266,10 @@ def test_piecewise_cubic_is_scipys_to_the_bit(data, n):
 def test_second_moment_is_exact_on_the_pieces(data, n):
     # int w^2 S(w) dw against each piece's quintic (x_i + s)^2 p_i(s) integrated
     # as a polynomial: to 1e-12 of the integral of |w^2 S| (by 4-point
-    # Gauss-Legendre on each piece); subnormal samples, which carry fewer
-    # digits than that, are not drawn
+    # Gauss-Legendre on each piece)
     x = _graded_grid(data, n)
-    spline = PiecewiseCubic.not_a_knot(x, data.draw(hnp.arrays(
-        np.float64, n, elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+    spline = PiecewiseCubic.not_a_knot(
+        x, data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
     poly = np.polynomial.Polynomial
     exact = sum((poly(c[::-1]) * poly([x0, 1.0]) ** 2).integ()(h)
                 for x0, h, c in zip(x[:-1], np.diff(x), spline.c.T))
@@ -316,11 +315,9 @@ def test_not_a_knot_fits_each_column_as_alone(data, n, columns, graded):
 def test_three_sample_spline_is_the_parabola(data):
     # with 3 samples not-a-knot is the parabola through them; scipy solves it
     # densely, so only to within 1e-8 of each piece's largest coefficient on the
-    # graded grids (8.2e-10 at worst over 20000 draws); subnormal samples, whose
-    # coefficients differ in their last of few digits, are not drawn
+    # graded grids (8.2e-10 at worst over 20000 draws)
     x = _graded_grid(data, 3)
-    y = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3,
-                                                               allow_subnormal=False)))
+    y = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)))
     ours, theirs = PiecewiseCubic.not_a_knot(x, y).c, CubicSpline(x, y).c
     assert np.all(np.abs(ours - theirs) <= 1e-8 * np.max(np.abs(theirs), axis=0))
     with pytest.raises(ValueError):
