@@ -578,9 +578,11 @@ def secant_root(f, z0):
     )
 
 
+@cache
 def fft_length(n):
     """The least even 2^a 3^b 5^c >= n, for n >= 1: an FFT length that costs about
-    what a power of two does per point, with no doubling just past each 2^j."""
+    what a power of two does per point, with no doubling just past each 2^j.  Kept
+    per n: a memory run's solve asks for one at each of its nodes."""
     best = max(2, 1 << (n - 1).bit_length())
     p5 = 1
     while 2 * p5 < best:

@@ -104,6 +104,24 @@ class LorentzianMirror(MirrorModel):
     def _gamma(self, w):
         return np.asarray(lorentzian_gamma(w, self.omega_scale))
 
+    def _axis_gamma(self, y):
+        """``lorentzian_gamma`` at real y >= 0 in real arithmetic: at s = y/Omega >= 1/4,
+        Gamma = 6 (b/s^3 - (1 - a)/s^2) + 6 i (1/(2 s) + a/s^3 - b/s^2) with b = arctan s
+        and a = log sqrt(1 + s^2), taken as log max(s, 1) + log1p(min(s, 1/s)^2)/2 so
+        that no s^2 overflows and no digit cancels; below, the closed form's series."""
+        y = np.asarray(y, dtype=float)
+        s = y / self.omega_scale
+        small = s < 0.25
+        s = np.maximum(s, 0.25)
+        a = np.log(np.maximum(s, 1.0)) + 0.5 * np.log1p(np.minimum(s, 1.0 / s) ** 2)
+        b = np.arctan(s)
+        out = np.empty(s.shape, dtype=complex)
+        out.real = 6.0 * ((b / s - (1.0 - a)) / s) / s
+        out.imag = 6.0 * (0.5 + (a / s - b) / s) / s
+        if small.any():
+            out[small] = lorentzian_gamma(y[small], self.omega_scale)
+        return out
+
     def _cutoff(self, top, full_output):
         """omega_C = 3 Omega, and its share above ``top`` exactly: in x = i w/Omega
         Gamma has the primitive G = -3/x - 3 (1 - x)^2 log(1 - x)/x^2, with

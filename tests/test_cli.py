@@ -788,7 +788,15 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # and 2.58e-3 of their largest values, W_a, E and W_m by 1.26e-3, 1.14e-3 and
 # 2.55e-3 (W_m(end) 1.350965e-7 -> 1.347525e-7), t and F_a kept their bytes,
 # and energy.csv's residual moved by 2.3e-3 of its largest value
-# (max_ledger_residual 2.3505e-13 -> 2.3461e-13).
+# (max_ledger_residual 2.3505e-13 -> 2.3461e-13).  The Lorentzian's Gamma on the
+# real axis in real arithmetic (3.0e-14 from the complex closed form) then moved
+# q, v and a by 1.7e-13, 2.2e-13 and 1.9e-12 of their largest values, W_a, E and
+# W_m by 2.5e-12, 2.6e-13 and 7.4e-12, and the residual by 1.1e-9; t and F_a kept
+# their bytes.  The perfect mirror's RK4 as one blocked linear recurrence moved
+# its q, v and a by 4.7e-15 of their largest values over the run's 173 e-folds
+# (in the file, by one unit of the last printed digit, 1.0e-12 of the largest
+# value), E, delta_E and W_m by 2.1e-21 and the residual by 4.7e-12; t, F_a,
+# W_a (0) and the 11,513 rows to t_diverged = 0.23026 kept their bytes.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -796,12 +804,12 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "57de5b8a78157e16d611728add7e7f609c843f4e6e97f026bea6fcd85df90253",
-        "trajectory.csv": "0ce44a31f41a37f9d93102bb5ed78c259a584701ef08c6d237dfb5abbbcbf0c6",
+        "energy.csv": "a2cbe35907260be37c4aa1a260a1ae4165432e4cacc49970bc3d499fd4ed16ab",
+        "trajectory.csv": "959be45045897622cb2ff5ef574098c6433a734b654293f9f2b9154af2fc32a3",
     },
     ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
-        "energy.csv": "54a419b41854edfd96e4f4ca002f673e0b422a32ad7e4ba50a5f6a4e826b0c39",
-        "trajectory.csv": "9c5fe18d61a8252833c04b4eb1b541e0f1d52ad945d3c3c26a7d5784c86ba78c",
+        "energy.csv": "33c07aae18f076fe581d0b969e2889df04dfa7fc8de4be10b547e43cf6356e47",
+        "trajectory.csv": "a67744b13bdd12fbca1937d569a81011c9dd40f5d1d15a7cb3119315dcb45b21",
     },
 }
 

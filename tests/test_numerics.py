@@ -261,23 +261,50 @@ def test_piecewise_cubic_is_scipys_to_the_bit(data, n):
     _assert_scipys_to_the_bit(PiecewiseCubic.not_a_knot(x, y), CubicSpline(x, y), probes)
 
 
+_SPACING = 2.0**-1074  # the subnormal spacing: there, rounding is absolute
+
+
+def assert_second_moment_is_exact(x, y):
+    """int w^2 S(w) dw against each piece's quintic (x_i + s)^2 p_i(s) integrated in
+    exact arithmetic.  The bound is 1e-13 of int w^2 (|S| + |w S'|) dw (by 4-point
+    Gauss-Legendre on each piece): a node t rounds to eps |t|, which moves p(t) by
+    eps |t p'|, and at x_i >> h that outgrows eps |p| (2.2e-12 of int |w^2 S| on a
+    draw with steps 1e-2 after x = 100; 1.6e-15 of this scale at worst over 6000
+    draws).  Subnormal terms round absolutely, by up to half a spacing: each
+    product c_k s^k with k < 3 and c_k != 0 (sums of subnormals are exact), which
+    t^2 then scales, and each product after it."""
+    spline = PiecewiseCubic.not_a_knot(x, y)
+    exact = Fraction(0)
+    for x0, x1, c in zip(x[:-1], x[1:], spline.c.T):
+        x0, h = Fraction(x0), Fraction(x1) - Fraction(x0)
+        for power, ck in zip((3, 2, 1, 0), c):  # int_0^h (x0 + s)^2 ck s^power ds
+            exact += Fraction(ck) * sum(f * h ** (power + j + 1) / (power + j + 1)
+                                        for j, f in enumerate((x0 * x0, 2 * x0, 1)))
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    half = 0.5 * np.diff(x)
+    s = half[:, None] * (nodes + 1.0)  # the nodes from each piece's start
+    t = x[:-1, None] + s
+    c = spline.c[..., None]
+    slope = 3.0 * c[0] * s**2 + 2.0 * c[1] * s + c[2]
+    scale = np.sum(half * ((t**2 * (np.abs(spline(t)) + np.abs(t * slope))) @ weights))
+    rounded = np.count_nonzero(spline.c[:3], axis=0)  # the products c_k s^k that round
+    floor = _SPACING * np.sum(np.diff(x) * (rounded * x[1:] ** 2 + 2.0) + 1.0)
+    assert abs(Fraction(spline.second_moment) - exact) <= Fraction(1e-13 * scale + floor)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=3, max_value=200))
 def test_second_moment_is_exact_on_the_pieces(data, n):
-    # int w^2 S(w) dw against each piece's quintic (x_i + s)^2 p_i(s) integrated
-    # as a polynomial: to 1e-12 of the integral of |w^2 S| (by 4-point
-    # Gauss-Legendre on each piece)
     x = _graded_grid(data, n)
-    spline = PiecewiseCubic.not_a_knot(
+    assert_second_moment_is_exact(
         x, data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
-    poly = np.polynomial.Polynomial
-    exact = sum((poly(c[::-1]) * poly([x0, 1.0]) ** 2).integ()(h)
-                for x0, h, c in zip(x[:-1], np.diff(x), spline.c.T))
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    half = 0.5 * np.diff(x)
-    t = (x[:-1] + half)[:, None] + half[:, None] * nodes
-    scale = np.sum(half * (np.abs(t**2 * spline(t)) @ weights))
-    assert abs(spline.second_moment - exact) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("y", [[5e-324] * 3, [0.0, 5e-324, 5e-324]])
+def test_second_moment_is_exact_on_subnormal_samples(y):
+    # [5e-324] * 3 reads 1.319e-320 against an exact 1.3175e-320: three spacings,
+    # under a floor of 42 that a run missing its last piece (2330 off) exceeds
+    assert_second_moment_is_exact(np.array([0.0, 10.0, 20.0]), np.array(y))
 
 
 @settings(max_examples=150, deadline=None)
@@ -310,18 +337,37 @@ def test_not_a_knot_fits_each_column_as_alone(data, n, columns, graded):
             assert values[:, j].tobytes() == theirs(probes).tobytes()
 
 
+def assert_three_sample_spline_is_the_parabola(x, y):
+    """With 3 samples not-a-knot is the parabola through them: each piece's
+    coefficients against the parabola's in exact arithmetic, to 1e-8 of the
+    piece's largest (the graded grids' cancellation: 6.4e-10 at worst over 20000
+    draws), plus the absolute rounding of subnormal samples: a few spacings,
+    divided by the least step (if below 1) once per power of s."""
+    (x0, x1, x2), (y0, y1, y2) = map(Fraction, x), map(Fraction, y)
+    d1, d2 = (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
+    curve = (d2 - d1) / (x2 - x0)  # p = y0 + d1 (w - x0) + curve (w - x0)(w - x1)
+    ours = PiecewiseCubic.not_a_knot(x, y).c
+    for i, (xi, yi) in enumerate(((x0, y0), (x1, y1))):
+        exact = (Fraction(0), curve, d1 + curve * (2 * xi - x0 - x1), yi)
+        bound = Fraction(1, 10**8) * max(abs(c) for c in exact)
+        for power, mine, want in zip((3, 2, 1, 0), ours[:, i], exact):
+            floor = Fraction(64 * _SPACING) / Fraction(min(np.min(np.diff(x)), 1.0)) ** power
+            assert abs(Fraction(mine) - want) <= bound + floor
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_three_sample_spline_is_the_parabola(data):
-    # with 3 samples not-a-knot is the parabola through them; scipy solves it
-    # densely, so only to within 1e-8 of each piece's largest coefficient on the
-    # graded grids (8.2e-10 at worst over 20000 draws)
     x = _graded_grid(data, 3)
     y = data.draw(hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)))
-    ours, theirs = PiecewiseCubic.not_a_knot(x, y).c, CubicSpline(x, y).c
-    assert np.all(np.abs(ours - theirs) <= 1e-8 * np.max(np.abs(theirs), axis=0))
+    assert_three_sample_spline_is_the_parabola(x, y)
     with pytest.raises(ValueError):
         PiecewiseCubic.not_a_knot(x[:2], y[:2])
+
+
+@pytest.mark.parametrize("y", [[5e-324] * 3, [0.0, 5e-324, 5e-324]])
+def test_three_sample_spline_is_the_parabola_on_subnormal_samples(y):
+    assert_three_sample_spline_is_the_parabola(np.array([0.0, 10.0, 20.0]), np.array(y))
 
 
 def test_piecewise_cubic_is_scipys_on_the_production_grids(tmp_path):

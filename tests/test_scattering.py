@@ -52,6 +52,23 @@ def test_lorentzian_gamma_stays_finite_at_huge_frequencies(omega):
     assert vm.lorentzian_gamma(1e200j, omega) == pytest.approx(3.0 * omega / 1e200, rel=1e-12)
 
 
+@pytest.mark.parametrize("omega", [1.0, 3.5])
+def test_lorentzian_axis_gamma_matches_mpmath(omega):
+    # the real-arithmetic closed form at s = y/Omega >= 1/4 and the series below,
+    # against -6 (-x + x^2/2 - (1 - x) log(1 - x))/x^3 at x = i s to 40 digits: log-spaced
+    # s from 1e-3 to 1e300 and either side of the switch (1.6e-14 at worst)
+    mp = pytest.importorskip("mpmath")
+    y = omega * np.concatenate([np.geomspace(1e-3, 1e300, 400),
+                                0.25 * (1.0 + np.array([-1e-6, -1e-15, 0.0, 1e-15, 1e-6, 0.1]))])
+    got = vm.lorentzian_mirror(omega)._axis_gamma(y)
+    assert np.all(np.isfinite(got))
+    with mp.workdps(40):
+        for yi, g in zip(y, got):
+            x = mp.mpc(0, mp.mpf(float(yi)) / omega)
+            exact = -6 * (-x + x**2 / 2 - (1 - x) * mp.log(1 - x)) / x**3
+            assert abs(mp.mpc(g) - exact) <= 5e-14 * abs(exact)
+
+
 def test_lorentzian_unitarity_exact(lorentzian):
     ws = np.geomspace(1e-2, 1e2, 1000)
     r = vm.reflectivity(lorentzian, ws)
