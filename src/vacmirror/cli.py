@@ -35,7 +35,7 @@ from .susceptibility import (
     reflection_cutoff,
 )
 from .errors import ConfigError, CutoffDivergenceError, FitError, VacMirrorError
-from .numerics import json_num, write_csv, write_json
+from .numerics import json_num, write_csv_files, write_json
 
 # [model] kind -> the mirror model built from that section
 _MODELS = {
@@ -215,14 +215,19 @@ def cmd_analyze(cfg, out, args):
     grid = build_grid(cfg)
     validation = scattering.validate_model(model, grid)
     result = compute_susceptibility(model, mech, grid)
-    result.to_csv(out / "gamma.csv")
-    chi = result.chi.values
-    write_csv(out / "chi.csv", "omega,chi_re,chi_im", [grid, chi.real, chi.imag])
+    g, chi = result.gamma.values, result.chi.values
     z = analysis._impedance(mech, grid, chi)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = 1.0 / z
-    write_csv(out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
-              [grid, z.real, z.imag, y.real, y.imag])
+    # one writer pass: omega is formatted once for the three files, chi once for two
+    chi_re, chi_im = chi.real, chi.imag
+    write_csv_files([
+        (out / "gamma.csv", "omega,gamma_re,gamma_im,chi_re,chi_im",
+         [grid, g.real, g.imag, chi_re, chi_im]),
+        (out / "chi.csv", "omega,chi_re,chi_im", [grid, chi_re, chi_im]),
+        (out / "impedance.csv", "omega,z_re,z_im,y_re,y_im",
+         [grid, z.real, z.imag, y.real, y.imag]),
+    ])
     gamma0 = gamma(model, 0.0)
     diag = result.cutoff_diagnostics
     doc = {

@@ -35,11 +35,14 @@ from .susceptibility import ResponseCurve, gamma, gamma_samples, susceptibility
 
 def _cauchy_sum(gamma_r, w):
     """int Gamma_R(w') 2w/(w'^2 - w^2) dw' from the grid's first node to infinity,
-    for a 1-d array of w: as 2w/(w'^2 - w^2) = 1/(w' - w) - 1/(w' + w), two
-    ``cubic_cauchy`` sums over the spline's cubic pieces, exact however narrow
-    the kernel, plus ``LogTail.cauchy``; at a real w, the boundary value from above."""
+    for a 1-d array of w: as 2w/(w'^2 - w^2) = 1/(w' - w) - 1/(w' + w), one
+    ``cubic_cauchy`` sum over the spline's cubic pieces at w and -w together,
+    exact however narrow the kernel, its two halves subtracted (each row of the
+    sum stands alone, so its bits are those of one call per half), plus
+    ``LogTail.cauchy``; at a real w, the boundary value from above."""
     x, c = gamma_r._real_spline.x, gamma_r._real_spline.c
-    return cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w) + gamma_r.tail.cauchy(w)
+    both = cubic_cauchy(x, c, np.concatenate([w, -w]))
+    return both[: w.size] - both[w.size :] + gamma_r.tail.cauchy(w)
 
 
 def kk_reconstruct(gamma_r, w):

@@ -543,13 +543,16 @@ def cubic_cauchy(x, c, w):
 def decay_slope(grid, values):
     """Log-log least-squares slope of the values, floored at 1e-300, over the top
     decade of the grid: -inf if they all vanish there, else FitError on fewer
-    than 4 samples there."""
+    than 4 samples there.  The slope is sum(X Y)/sum(X^2) in the centered logs X
+    and Y, the normal equations' closed form."""
     top = grid >= grid[-1] / 10.0
     if not np.any(values[top]):
         return -np.inf
     if top.sum() < 4:
         raise FitError("fewer than 4 samples in the slope-fit window")
-    return float(np.polyfit(np.log(grid[top]), np.log(np.clip(values[top], 1e-300, None)), 1)[0])
+    x, y = np.log(grid[top]), np.log(np.clip(values[top], 1e-300, None))
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
 
 
 def secant_root(f, z0):

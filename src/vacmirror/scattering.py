@@ -39,7 +39,8 @@ class MirrorModel:
     varies, which every default band is a constant times: Omega for a
     Lorentzian, for a table the power of ten nearest its first node above 0
     with |r|^2 <= 1/2, else 1), ``gamma_curve``, ``_cutoff`` and
-    ``_axis_gamma`` (Gamma on the real axis as the walk and the weights read it)."""
+    ``_axis_gamma`` (Gamma on the real axis as the walk and the weights read it:
+    ``_gamma`` itself, the Lorentzian's in real arithmetic, but for a table)."""
 
     omega_range = (0.0, np.inf)
     gamma_is_one = False
@@ -103,24 +104,6 @@ class LorentzianMirror(MirrorModel):
 
     def _gamma(self, w):
         return np.asarray(lorentzian_gamma(w, self.omega_scale))
-
-    def _axis_gamma(self, y):
-        """``lorentzian_gamma`` at real y >= 0 in real arithmetic: at s = y/Omega >= 1/4,
-        Gamma = 6 (b/s^3 - (1 - a)/s^2) + 6 i (1/(2 s) + a/s^3 - b/s^2) with b = arctan s
-        and a = log sqrt(1 + s^2), taken as log max(s, 1) + log1p(min(s, 1/s)^2)/2 so
-        that no s^2 overflows and no digit cancels; below, the closed form's series."""
-        y = np.asarray(y, dtype=float)
-        s = y / self.omega_scale
-        small = s < 0.25
-        s = np.maximum(s, 0.25)
-        a = np.log(np.maximum(s, 1.0)) + 0.5 * np.log1p(np.minimum(s, 1.0 / s) ** 2)
-        b = np.arctan(s)
-        out = np.empty(s.shape, dtype=complex)
-        out.real = 6.0 * ((b / s - (1.0 - a)) / s) / s
-        out.imag = 6.0 * (0.5 + (a / s - b) / s) / s
-        if small.any():
-            out[small] = lorentzian_gamma(y[small], self.omega_scale)
-        return out
 
     def _cutoff(self, top, full_output):
         """omega_C = 3 Omega, and its share above ``top`` exactly: in x = i w/Omega
@@ -292,15 +275,43 @@ def transmissivity(model, w):
     return out if out.ndim else complex(out)
 
 
+# 6/((n + 2)(n + 3)), n = 0..27: Gamma's series in x = i w/Omega, whose next term
+# is below 1e-19 at |x| = 1/4; the first is 1.0 exactly, so Gamma[0] = 1
+_LORENTZIAN_SERIES = 6.0 / ((np.arange(28) + 2.0) * (np.arange(28) + 3.0))
+
+
 def lorentzian_gamma(w, omega_scale=1.0):
     """Closed-form Gamma for the single-pole reflectivity model.
 
     Valid for real w and for complex w away from the logarithmic cut,
-    which lies on the negative imaginary axis below -i*omega_scale.  Near
-    w = 0 a series with terms 6 x^n / ((n+2)(n+3)), x = i w / Omega, is
-    used; it sums to 1 at w = 0.
+    which lies on the negative imaginary axis below -i*omega_scale.  In
+    x = i w/Omega it is -6 (-x + x^2/2 - (1 - x) log(1 - x))/x^3; below
+    |x| = 1/4, where that cancels, the series sum_n 6 x^n/((n+2)(n+3)) to
+    n = 27 by Horner, 1 at w = 0.  A real w is summed in real arithmetic,
+    the series as its even and odd parts in -s^2, s = w/Omega, and above
+    |s| = 1/4 Gamma = 6 (b/t^3 - (1 - a)/t^2) + 6 i (1/(2 t) + a/t^3 - b/t^2)
+    at t = |s|, b = arctan t and a = log sqrt(1 + t^2), taken as log max(t, 1)
+    + log1p(min(t, 1/t)^2)/2 so that no t^2 overflows, conjugated for w < 0.
     """
-    w = np.asarray(w, dtype=complex)
+    w = np.asarray(w)
+    if not np.iscomplexobj(w):
+        s = w / omega_scale
+        t = np.maximum(np.abs(s), 0.25)
+        a = np.log(np.maximum(t, 1.0)) + 0.5 * np.log1p(np.minimum(t, 1.0 / t) ** 2)
+        b = np.arctan(t)
+        out = np.empty(s.shape, dtype=complex)
+        out.real = 6.0 * ((b / t - (1.0 - a)) / t) / t
+        out.imag = np.copysign(6.0 * (0.5 + (a / t - b) / t) / t, s)
+        small = np.abs(s) < 0.25
+        if small.any():
+            s = s[small]
+            u = -s * s
+            even, odd = _LORENTZIAN_SERIES[-2], _LORENTZIAN_SERIES[-1]
+            for k in range(25, 0, -2):
+                even = even * u + _LORENTZIAN_SERIES[k - 1]
+                odd = odd * u + _LORENTZIAN_SERIES[k]
+            out.real[small], out.imag[small] = even, s * odd
+        return out if out.ndim else complex(out)
     x = 1j * w / omega_scale
     arg = 1.0 - x
     if np.any((np.abs(np.imag(arg)) < 1e-14) & (np.real(arg) < 1e-12)):
@@ -309,12 +320,10 @@ def lorentzian_gamma(w, omega_scale=1.0):
     small = np.abs(x) < 0.25
     if small.any():
         xs = x[small]
-        acc = np.zeros_like(xs)
-        term = np.ones_like(xs)
-        for n in range(40):
-            acc += term / ((n + 2) * (n + 3))
-            term = term * xs
-        out[small] = 6.0 * acc
+        acc = _LORENTZIAN_SERIES[-1]
+        for coefficient in _LORENTZIAN_SERIES[-2::-1]:
+            acc = acc * xs + coefficient
+        out[small] = acc
     if (~small).any():
         # -6 (-x + x^2/2 - (1 - x) log(1 - x)) / x^3, with no power of x
         # beyond its square, which could overflow

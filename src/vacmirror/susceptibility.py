@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CutoffDivergenceError, FrequencyRangeError
-from .numerics import LogTail, PiecewiseCubic, adaptive_gauss_legendre, decay_slope, write_csv
+from .numerics import LogTail, PiecewiseCubic, adaptive_gauss_legendre, decay_slope
 from .scattering import reflectivity, transmissivity
 
 
@@ -242,11 +242,6 @@ class SusceptibilityResult:
     @property
     def cutoff_divergent(self):
         return not np.isfinite(self.omega_c)
-
-    def to_csv(self, path):
-        g, x = self.gamma.values, self.chi.values
-        write_csv(path, "omega,gamma_re,gamma_im,chi_re,chi_im",
-                  [self.gamma.grid, g.real, g.imag, x.real, x.imag])
 
 
 def compute_susceptibility(model, mech, grid):

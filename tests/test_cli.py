@@ -92,6 +92,22 @@ def test_analyze_lorentzian(tmp_path):
     assert len(lines) == 61
 
 
+def test_analyze_gamma_csv_is_compute_susceptibility(tmp_path):
+    # gamma.csv: a header and one row of omega, Gamma and chi per grid point,
+    # each value printed as %.11e from compute_susceptibility's samples
+    cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n[mechanics]\ntau_omega = 1.0e-3\n"
+                              "[grid]\nomega_min = 0.1\nomega_max = 10.0\npoints = 25\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+    grid = np.geomspace(0.1, 10.0, 25)
+    result = vm.compute_susceptibility(vm.lorentzian_mirror(), vm.MirrorMechanics(tau=1e-3), grid)
+    g, chi = result.gamma.values, result.chi.values
+    lines = (out / "gamma.csv").read_text().splitlines()
+    assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im"
+    assert lines[1:] == [",".join("%.11e" % v for v in row)
+                         for row in zip(grid, g.real, g.imag, chi.real, chi.imag)]
+
+
 def test_analyze_deterministic_bytes(tmp_path):
     cfg = write_cfg(tmp_path, LORENTZIAN_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -796,7 +812,12 @@ def test_crosscheck_refuses_table_below_consistency_band(tmp_path, monkeypatch, 
 # its q, v and a by 4.7e-15 of their largest values over the run's 173 e-folds
 # (in the file, by one unit of the last printed digit, 1.0e-12 of the largest
 # value), E, delta_E and W_m by 2.1e-21 and the residual by 4.7e-12; t, F_a,
-# W_a (0) and the 11,513 rows to t_diverged = 0.23026 kept their bytes.
+# W_a (0) and the 11,513 rows to t_diverged = 0.23026 kept their bytes.  The memory
+# run's were recorded again when the Lorentzian's series below |w| = Omega/4 became
+# one 28-term Horner sum of its even and odd parts in real arithmetic: q, v and a
+# moved by 1.7e-14, 2.2e-14 and 1.9e-12 of their largest values, E and delta_E by
+# 2.6e-14, the residual by 4.8e-10 (max_ledger_residual 2.3461426961e-13 ->
+# 2.3461426957e-13); t, F_a, W_a and W_m kept their bytes.
 _GOLDEN = {
     ("analyze", LORENTZIAN_CFG): {
         "chi.csv": "b4e81be1f39b808bb3e090022fb6f18f9595699ad139b179f839dcbb73aba6bc",
@@ -804,8 +825,8 @@ _GOLDEN = {
         "impedance.csv": "813ace745b1b0a71d1fb0cdb45a256d9710a7e4c6c6ceb4e8f908232ef4b02ca",
     },
     ("simulate", SIM_MEMORY_CFG): {
-        "energy.csv": "a2cbe35907260be37c4aa1a260a1ae4165432e4cacc49970bc3d499fd4ed16ab",
-        "trajectory.csv": "959be45045897622cb2ff5ef574098c6433a734b654293f9f2b9154af2fc32a3",
+        "energy.csv": "fcc01840df0f44a5d8900713c94255c6ad249cca1144ded9081fb0228d2eb9d3",
+        "trajectory.csv": "4d301492191dbb59775d1b59dfacb9a6181b0fd7d7665059107d9fd8d499d8d6",
     },
     ("simulate", SIM_PERFECT_CFG): {  # a runaway: energies past 1e+100
         "energy.csv": "33c07aae18f076fe581d0b969e2889df04dfa7fc8de4be10b547e43cf6356e47",
@@ -840,12 +861,17 @@ def test_data_files_keep_their_bytes(tmp_path, command, body):
 # recorded again when the Kramers-Kronig check read the model's 351-point
 # Gamma curve (was a private 4001-point curve on [0, 400] with a 0.1 step):
 # the Kramers-Kronig defect of Gamma 1.8614e-8 (was 7.2580e-6); nothing else
-# moved.
+# moved.  Both were recorded again when decay_slope took the least-squares slope
+# from centered sums (was np.polyfit) and the Lorentzian's Gamma at real w became
+# real arithmetic: decay_slope and the transparency slope moved by 6.2e-16 and
+# 2.2e-16 relative, the crosscheck's Kramers-Kronig defect of Gamma by 6.0e-9
+# relative (1.86136015e-8 -> 1.86136016e-8, as Gamma_I moved by ulps); the CSV
+# files kept their bytes.
 _GOLDEN_JSON = {
     ("analyze", "summary.json"):
-        "edea33e7526e8e2ffd2e12a7d0c8b5d093ab192a5f46d1c3b8ecbd72f174738a",
+        "2395a9afd42c45062bfe6e3034f009dec75fe7a4bb45ce11020faf15bee5146f",
     ("crosscheck", "crosscheck.json"):
-        "dcbe132a054a1b92c6a7acaace44221116e7474f854c0eca2b9932537a720e06",
+        "4d5cdee1d34c05119bc25d85b35f3b41292118f0d8af40c717de8c4b777893be",
 }
 
 
@@ -893,17 +919,20 @@ def test_json_documents_keep_their_bytes(tmp_path, command, name):
 # 14 array rounds): the root 30.893865903963263 (was 30.893865903963285,
 # 7e-16 relative) with residual 0 (was 3.6e-15) at 0.4, and
 # 176.82423030908788 (was 176.82423030908797, 5e-16 relative) with residual
-# 2.8e-14 (was 0) at 0.35.
+# 2.8e-14 (was 0) at 0.35.  The two analyze documents were recorded again when
+# decay_slope took the least-squares slope from centered sums (was np.polyfit):
+# decay_slope moved by 2.5e-16 relative in both and the transparency slope by
+# 4.4e-16 with the tail; the stability documents kept their bytes.
 _GOLDEN_TABLE = {
     "stability-0.4": ("stability", "[mechanics]\ntau_omega = 0.4\n",
                       "b82a78ea688dedad3a3e218305dcf9b8f7a86e987c66e3299b9468176a123371"),
     "stability-0.35": ("stability", "[mechanics]\ntau_omega = 0.35\n",
                        "777a141fb0f721d43c856be94e1f06db02a9b7c62f7528a6aebfdb97ca271881"),
     "analyze-tail": ("analyze", "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e3\npoints = 60\n",
-                     "f74de98452ca4e036a127a1ab200fc37df381ef7d845cf77891ae942731a8f77"),
+                     "ca027933fc40acecea6f21306573cd4abc22441fa4519f9b1661e8d204a1a205"),
     "analyze-no-tail": ("analyze",
                         "[grid]\nomega_min = 1.0e-2\nomega_max = 1.0e2\npoints = 10\n",
-                        "176f8498d30eb73d02ea6eb52bc44048f52faf3e41700ee52979c498315a8e06"),
+                        "7a6b692784cd5b09ee914c48506bd804a991d241acf4bf872c1b2e84afbb8d28"),
 }
 
 

@@ -2,10 +2,12 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vacmirror as vm
-from vacmirror.dispersion import acceleration_weights
-from vacmirror.numerics import spectrum_to_kernel
+from vacmirror.dispersion import _cauchy_sum, acceleration_weights
+from vacmirror.numerics import cubic_cauchy, spectrum_to_kernel
 from vacmirror.errors import (
     ContinuationError,
     FrequencyRangeError,
@@ -102,6 +104,35 @@ def test_kk_reconstruct_is_the_continuations_limit_on_the_axis():
     np.testing.assert_allclose(rec.real, curve._real_spline(np.abs(w)), rtol=1e-15, atol=0.0)
     for eps in (1e-6, 1e-9, 1e-12):
         assert np.max(np.abs(vm.continue_upper_half(curve, w + 1j * eps) - rec)) < eps
+
+
+def _two_call_cauchy_sum(curve, w):
+    """The sum as two ``cubic_cauchy`` calls, at w and at -w: the one-call form's oracle."""
+    x, c = curve._real_spline.x, curve._real_spline.c
+    return cubic_cauchy(x, c, w) - cubic_cauchy(x, c, -w) + curve.tail.cauchy(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 600), g0=st.sampled_from([0.0, 1e-3, 0.5]), seed=st.integers(0, 2**32 - 1),
+       knots=st.lists(st.integers(1, 598), max_size=12),
+       fractions=st.lists(st.floats(1e-9, 1.0, exclude_max=True), max_size=12),
+       upper=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1e3)), max_size=12))
+@example(n=600, g0=0.0, seed=1, knots=list(range(1, 597, 50)), fractions=[0.3] * 12,
+         upper=[(1.0, 1e-9)] * 12)
+def test_cauchy_sum_in_one_call_is_its_two_calls(n, g0, seed, knots, fractions, upper):
+    # w and -w summed in one call, bitwise the two calls, as each row of the sum
+    # stands alone: real w on inner knots and inside pieces, complex w in Im w > 0,
+    # on curves of 4 to 600 nodes (at 600 a block of _PV_BLOCK values holds 13 rows,
+    # so 2 x 24 real w span four blocks)
+    rng = np.random.default_rng(seed)
+    x = g0 + np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 2.0, n - 1))])
+    curve = vm.ResponseCurve(x, rng.uniform(-10.0, 10.0, n))
+    real = np.array([x[k] for k in knots if k < n - 1]
+                    + [x[0] + u * (x[-1] - x[0]) for u in fractions])
+    real = real[(real > x[0]) & (real < x[-1])]
+    complex_w = np.array([complex(a, b) for a, b in upper], dtype=complex)
+    for w in (real, complex_w):
+        assert _cauchy_sum(curve, w).tobytes() == _two_call_cauchy_sum(curve, w).tobytes()
 
 
 def test_continue_upper_half_matches_closed_form(gamma_r_curve):

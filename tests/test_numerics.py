@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid
@@ -17,6 +17,7 @@ from scipy.interpolate import CubicSpline
 import vacmirror
 from vacmirror import numerics
 from vacmirror.dynamics import export_simulation_csv
+from vacmirror.errors import FitError
 from vacmirror.numerics import (
     _CSV_BLOCK,
     LogTail,
@@ -24,6 +25,7 @@ from vacmirror.numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
     cubic_cauchy,
+    decay_slope,
     fft_length,
     running_integral,
     secant_root,
@@ -756,6 +758,34 @@ def test_write_csv_holds_no_copy_of_the_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-6.0, 3.0), decades=st.floats(1.0, 6.0), n=st.integers(4, 400),
+       log=st.booleans(), p=st.floats(0.0, 4.0), noise=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_decay_slope_is_the_least_squares_fit(lo, decades, n, log, p, noise, seed):
+    # the closed-form slope against np.polyfit's on the top decade of a decay w^-p
+    # times log-normal noise: both solve the same least squares, so they part by
+    # rounding alone, within 8 eps sqrt(m) max|Y|/||X|| over m samples of centered
+    # logs X and logs Y (3 eps sqrt(m) max|Y|/||X|| at worst over 20,000 draws)
+    grid = (np.geomspace if log else np.linspace)(10.0**lo, 10.0 ** (lo + decades), n)
+    top = grid >= grid[-1] / 10.0
+    assume(top.sum() >= 4)
+    rng = np.random.default_rng(seed)
+    values = grid**-p * np.exp(noise * rng.standard_normal(n))
+    x, y = np.log(grid[top]), np.log(values[top])
+    bound = 8.0 * 2.0**-52 * np.sqrt(top.sum()) * np.max(np.abs(y)) / np.linalg.norm(x - x.mean())
+    assert abs(decay_slope(grid, values) - np.polyfit(x, y, 1)[0]) <= bound
+
+
+def test_decay_slope_of_vanishing_values_and_of_too_few_samples():
+    grid = np.geomspace(1.0, 100.0, 20)
+    values = grid**-2.0
+    values[grid >= 10.0] = 0.0
+    assert decay_slope(grid, values) == -np.inf
+    with pytest.raises(FitError):
+        decay_slope(grid[:3], grid[:3] ** -2.0)  # three samples, all in the top decade
 
 
 @pytest.mark.parametrize("root", [1e-100, 1e-20, 1.0, 1e20, 1e100])
