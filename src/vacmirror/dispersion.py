@@ -8,9 +8,10 @@ continues it into Im w > 0.  This module provides
   array of them (a table's Gamma there),
 * its boundary value on the real axis, the Kramers-Kronig reconstruction
   of Gamma_I from Gamma_R,
-* the regularized time kernel kappa(t), the inverse transform of chi[w] +
-  mu w^2 up to the lesser of pi/dt and the chi curve's top: the acceptance
-  criteria's FFT path into the memory integrator, not ``vacmirror simulate``'s,
+* the memory integrator's history weights: the trapezoidal convolution
+  quadrature of a symbol on the real axis (``cq_weights``), from a chi
+  curve (``build_time_kernel``) or from a model's Gamma (``vacmirror
+  simulate``),
 * a discretization cross-check of the linear-response identity
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
@@ -23,7 +24,7 @@ a Gamma curve's top, ``LogTail.axis`` expands that limit to y^-3.
 Transforms follow the package sign convention (see numerics module).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,106 +88,81 @@ def continue_upper_half(gamma_r, w):
     return out if out.ndim else complex(out)
 
 
+def cq_weights(symbol, mu, dt, n, floor=0):
+    """History weights h of a run of n steps: the trapezoidal convolution
+    quadrature (Lubich, Numer. Math. 52, 1988) of H(s), ``symbol(w)`` being conj H
+    at s = -i w, asked at the bins w_k = (2/dt) tan(pi k/L) 8192 at a time to keep
+    its temporaries small; H_0 = -mu and H_(L/2) = 0 (H(0) = -mu, H(inf) = 0).
+    Lags past the period L, the least even 2^a 3^b 5^c >= max(5 n/2, 4096, floor),
+    alias onto the run's."""
+    size = fft_length(max(5 * n // 2, 4096, floor))
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    spectrum[0] = -mu
+    for lo in range(1, size // 2, 8192):
+        w = (2.0 / dt) * np.tan(np.pi / size * np.arange(lo, min(lo + 8192, size // 2)))
+        spectrum[lo : lo + w.size] = symbol(w)
+    return np.fft.irfft(spectrum, size) / dt
+
+
 @dataclass(frozen=True)
 class TimeKernel:
-    """Regularized position-memory kernel kappa(t) on [0, T).
+    """History weights h of a memory run, with the induced mass mu they leave
+    out and their step dt: the convolution-quadrature weights of
+    H = -(chi[w] + mu w^2)/w^2, on a period of n_fft lags."""
 
-    kappa is the band-limited inverse transform of chi[w] + mu w^2.  That
-    spectrum, at the rfft bins of the full period, is kept for the memory
-    integrator's weights; ``values`` exposes the causal window.  Band
-    limitation smears the t = 0 core over a guard window of a few hundred
-    samples; ``causality_residual`` measures the anticausal content beyond
-    a guard of 1024 samples relative to the kernel peak.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
+    weights: np.ndarray
     mu_subtracted: float
     dt: float
-    omega_max: float
-    causality_residual: float
-    n_fft: int
-    _spectrum: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
-    def csv_header(self):
-        return (f"# mu_subtracted = {self.mu_subtracted:.11e}\n"
-                f"# dt = {self.dt:.11e}\n"
-                f"# T = {self.times[-1] + self.dt:.11e}\n"
-                f"# omega_max = {self.omega_max:.11e}\nt,kappa")
+    def n_fft(self):
+        """The weights' period."""
+        return self.weights.size
 
     def to_csv(self, path):
-        write_csv(path, self.csv_header, [self.times, self.values])
+        write_csv(path, f"# mu_subtracted = {self.mu_subtracted:.11e}\n# dt = {self.dt:.11e}\nt,h",
+                  [np.arange(self.n_fft) * self.dt, self.weights])
 
 
 def build_time_kernel(chi_curve, mu, window, dt):
-    """Inverse-transform chi[w] + mu w^2 into the time kernel kappa(t).
-
-    The transform band ends at omega_max, the lesser of pi/dt and the top
-    of ``chi_curve``.  The subtraction must leave a decaying remainder: if
-    |chi + mu w^2|/w^2 fails to fall across the top decade of the band, the
-    requested mass is inconsistent and RegularizationError is raised; a window
-    of fewer than two steps raises KernelWindowError.  The period
-    n_fft, the least even 2^a 3^b 5^c >= max(2 steps, 4096), covers twice the window.
+    """Convolution-quadrature weights (``cq_weights``) of H = -(chi[w] + mu w^2)/w^2
+    for a run of window/dt steps: H from ``chi_curve`` up to its top, and above it
+    the tail (A + B ln w + C/w)/w, w H fitted to the curve's top decade by complex
+    least squares.  If |H| does not fall across that decade, mu is inconsistent
+    and RegularizationError is raised; a window of fewer than two steps raises
+    KernelWindowError.  The period has no floor in time units, as a chi curve
+    carries no frequency scale: ``window`` sets the horizon.
     """
-    omega_max = min(np.pi / dt, chi_curve.grid[-1])
     steps = int(round(window / dt))
     if steps < 2:
         raise KernelWindowError("the kernel window spans fewer than two steps of dt")
-    n_fft = fft_length(max(2 * steps, 4096))
+    grid, top = chi_curve.grid, chi_curve.grid[-1]
+    decade = grid >= top / 10.0
+    wd = grid[decade]
+    hd = -(chi_curve.values[decade] + mu * wd**2) / wd**2
+    upper = wd >= top / 10.0**0.5
+    if upper.sum() >= 2 and (~upper).sum() >= 2 and \
+            np.median(np.abs(hd[upper])) > 0.5 * np.median(np.abs(hd[~upper])):
+        raise RegularizationError("chi + mu w^2 does not decay; mass subtraction inconsistent")
+    basis = np.stack([np.ones(wd.size), np.log(wd), 1.0 / wd], axis=1)
+    a, b, c = np.linalg.lstsq(basis, wd * hd, rcond=None)[0]
 
-    freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
-    in_band = freqs <= omega_max
-    spectrum = np.zeros(freqs.size, dtype=complex)
-    wb = freqs[in_band]
-    spectrum[in_band] = chi_curve(wb) + mu * wb**2
+    def symbol(w):
+        h = np.empty(w.size, dtype=complex)
+        inside = w <= top
+        wi, wo = w[inside], w[~inside]
+        h[inside] = -(chi_curve(wi) + mu * wi**2) / wi**2
+        h[~inside] = (a + b * np.log(wo) + c / wo) / wo
+        return np.conj(h)
 
-    # mass consistency: the regularized spectrum must decay relative to w^2
-    band = wb[wb > 0]
-    ratio = np.abs(spectrum[in_band][wb > 0]) / band**2
-    top = band >= band[-1] / 10.0**0.5
-    mid = (band >= band[-1] / 10.0) & ~top
-    if top.sum() >= 2 and mid.sum() >= 2:
-        if np.median(ratio[top]) > 0.5 * np.median(ratio[mid]):
-            raise RegularizationError(
-                "chi + mu w^2 does not decay; mass subtraction inconsistent"
-            )
-
-    full = spectrum_to_kernel(spectrum, n_fft, dt)
-    peak = float(np.max(np.abs(full)))
-    # |kappa(-j dt)| for j > 1024: the anticausal half beyond the guard
-    beyond_guard = np.abs(full[n_fft // 2 : n_fft - 1024])
-    guarded = float(beyond_guard.max() / peak) if peak > 0 else 0.0
-    times = np.arange(steps) * dt
-    return TimeKernel(
-        times=times,
-        values=full[:steps].copy(),
-        mu_subtracted=float(mu),
-        dt=float(dt),
-        omega_max=float(omega_max),
-        causality_residual=guarded,
-        n_fft=n_fft,
-        _spectrum=spectrum,
-    )
+    return TimeKernel(cq_weights(symbol, mu, dt, steps), float(mu), float(dt))
 
 
 def acceleration_weights(kernel):
-    """Equivalent acceleration-history weights of a position kernel.
-
-    Two integrations by parts turn the position convolution into
-    mu * a(t) plus a convolution of the acceleration history with
-    h(t), the inverse transform of -(chi + mu w^2)/w^2.  For a mirror
-    at rest in the far past both forms are identical; h is the one
-    with an integrable core, so the integrator uses it.  Its spectrum is
-    taken straight from the kernel's, so no forward transform adds
-    rounding to the division by w^2 at the lowest bins.
-    """
-    spectrum = kernel._spectrum
-    freqs = np.fft.rfftfreq(kernel.n_fft, d=kernel.dt) * 2.0 * np.pi
-    h_spec = np.empty_like(spectrum)
-    h_spec[0] = -kernel.mu_subtracted
-    h_spec[1:] = -spectrum[1:] / freqs[1:] ** 2
-    return spectrum_to_kernel(h_spec, kernel.n_fft, kernel.dt)
+    """A kernel's acceleration-history weights h, its ``weights``: two integrations
+    by parts turn the memory chi + mu w^2 of q into mu a plus h, of symbol
+    -(chi + mu w^2)/w^2, convolved with a (exact from rest in the far past)."""
+    return kernel.weights
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ Two integrators cover the two regimes:
   discretized by the A-stable implicit trapezoidal step.  The history term
   is evaluated through the equivalent acceleration-weight form of the same
   kernel (exact for a mirror at rest in the far past), which keeps the
-  discrete convolution bounded and bin-exact.  The scheme is linear and
+  discrete convolution bounded.  The scheme is linear and
   time-invariant, so all its steps form one lower-triangular Toeplitz
   system for the accelerations, solved blockwise in O(n log^2 n).  The
-  weights are a ``TimeKernel``'s (the acceptance criteria's FFT path) or, in
-  ``vacmirror simulate``, convolution quadrature of Gamma on the real axis.
+  weights are the trapezoidal convolution quadrature of the memory, formed
+  by ``dispersion.cq_weights`` from a chi curve (``build_time_kernel``) or,
+  in ``vacmirror simulate``, from Gamma on the real axis (``_cq_weights``).
 
 Both integrators end a run at the first state that overflows and report
 the divergence time.
@@ -36,7 +37,7 @@ from operator import mul
 
 import numpy as np
 
-from .dispersion import acceleration_weights
+from .dispersion import acceleration_weights, cq_weights
 from .errors import FitError
 from .numerics import fft_length, running_integral, write_csv_files
 
@@ -297,31 +298,23 @@ def _trapezoid_steps(c, fs, k, dt, q0):
 
 
 def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=None):
-    """Causal-mirror run (``_memory_run``) on a ``build_time_kernel`` kernel, the
-    acceptance criteria's FFT path: its step, mu and, unless ``history_weights``
-    are given, ``acceleration_weights`` to lag n_fft/2, short of its anticausal half."""
-    return _memory_run(mech, kernel.mu_subtracted, kernel.dt,
-                       acceleration_weights(kernel)[: kernel.n_fft // 2 + 1]
-                       if history_weights is None else history_weights, force, t_final, q0)
+    """Causal-mirror run (``_memory_run``) on a ``build_time_kernel`` kernel: its
+    step, mu and, unless ``history_weights`` are given, its weights."""
+    h = acceleration_weights(kernel) if history_weights is None else history_weights
+    return _memory_run(mech, kernel.mu_subtracted, kernel.dt, h, force, t_final, q0)
 
 
 def _cq_weights(model, mech, mu, dt, n):
-    """History weights h of a run of n steps: the trapezoidal convolution
-    quadrature (Lubich, Numer. Math. 52, 1988) of H(s) = m tau s Gamma{s} - mu.
-    Bin k of the unit circle is s = -i w_k, w_k = (2/dt) tan(pi k/L), so
-    H_k = -i m tau w_k Gamma[w_k] - mu, 8192 bins at a time to keep Gamma's
-    temporaries small, H_0 = -mu and H_(L/2) = 0 (m tau s Gamma{s} -> mu).
-    Lags past the period L alias onto the run's; L, the least even 2^a 3^b 5^c
-    >= max(5 n/2, 4096, 40/(omega_scale dt)), spans 40 of the model's time
-    scale and holds them to 1e-10 in W_m on a free mass's step drive."""
-    size = fft_length(max(5 * n // 2, 4096, int(np.ceil(40.0 / (model.omega_scale * dt)))))
-    spectrum = np.zeros(size // 2 + 1, dtype=complex)
-    spectrum[0] = -mu
-    for lo in range(1, size // 2, 8192):
-        w = (2.0 / dt) * np.tan(np.pi / size * np.arange(lo, min(lo + 8192, size // 2)))
+    """History weights (``cq_weights``) of a run of n steps on the model's
+    H(s) = m tau s Gamma{s} - mu, H_k = -i m tau w_k Gamma[w_k] - mu from Gamma on
+    the real axis; the period spans 40 time units 1/omega_scale or more, which holds
+    the aliased lags to 1e-10 in W_m on a free mass's step drive."""
+
+    def symbol(w):
         motional = (mech.m * mech.tau * w) * (w * np.conj(model._axis_gamma(w)))
-        spectrum[lo : lo + w.size] = 1j * motional / w - mu
-    return np.fft.irfft(spectrum, size) / dt
+        return 1j * motional / w - mu
+
+    return cq_weights(symbol, mu, dt, n, int(np.ceil(40.0 / (model.omega_scale * dt))))
 
 
 def _memory_run(mech, mu, dt, h, force, t_final, q0):

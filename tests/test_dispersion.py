@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.dispersion import _cauchy_sum, acceleration_weights
-from vacmirror.numerics import cubic_cauchy, spectrum_to_kernel
+from vacmirror.numerics import cubic_cauchy, fft_length
 from vacmirror.errors import (
     ContinuationError,
     FrequencyRangeError,
@@ -206,17 +206,18 @@ def _chi_curve(mech, omega_max, points=1600):
 
 
 def test_build_time_kernel_basics():
+    # the weights sum to H_0 = -mu (the static-mass sum rule) to rounding, and
+    # their period is the least even 2^a 3^b 5^c >= 5/2 of the window's steps,
+    # 4096 at least, with no floor in time units
     mech = vm.MirrorMechanics(tau=0.3, k=2.25)
     dt = 2e-3
     curve = _chi_curve(mech, np.pi / dt)
     mu = 0.9
     kernel = vm.build_time_kernel(curve, mu, window=30.0, dt=dt)
-    # zero-frequency sum rule: integral of kappa = chi_reg(0) = 0
-    full = spectrum_to_kernel(kernel._spectrum, kernel.n_fft, dt)
-    assert abs(np.sum(full) * dt) < 1e-9
-    assert kernel.causality_residual < 1e-3
-    assert kernel.times[0] == 0.0
-    assert len(kernel.times) == len(kernel.values) == int(round(30.0 / dt))
+    assert kernel.n_fft == kernel.weights.size == fft_length(5 * 15000 // 2) == 37500
+    assert acceleration_weights(kernel) is kernel.weights
+    assert np.sum(kernel.weights) * dt == pytest.approx(-mu, rel=1e-14)
+    assert vm.build_time_kernel(curve, mu, window=1.0, dt=dt).n_fft == 4096
     # a window of fewer than two steps, still a ValueError to library callers
     with pytest.raises(vm.KernelWindowError, match="two steps"):
         vm.build_time_kernel(curve, mu, window=1.4 * dt, dt=dt)
@@ -249,11 +250,13 @@ def test_time_kernel_csv_header(tmp_path):
     path = tmp_path / "kernel.csv"
     kernel.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# mu_subtracted =")
-    assert lines[1].startswith("# dt =")
-    assert lines[2].startswith("# T =")
-    assert lines[3].startswith("# omega_max =")
-    assert lines[4] == "t,kappa"
+    assert lines[0] == "# mu_subtracted = 9.00000000000e-01"
+    assert lines[1] == "# dt = 2.00000000000e-03"
+    assert lines[2] == "t,h"
+    assert len(lines) == 3 + kernel.n_fft
+    t, h = np.loadtxt(path, delimiter=",", skiprows=3).T
+    assert t[0] == 0.0 and t[-1] == pytest.approx((kernel.n_fft - 1) * dt, rel=1e-11)
+    assert np.max(np.abs(h - kernel.weights)) <= 1e-11 * np.max(np.abs(kernel.weights))
 
 
 def test_acceleration_weights_sum_rule():
@@ -263,30 +266,40 @@ def test_acceleration_weights_sum_rule():
     kernel = vm.build_time_kernel(_chi_curve(mech, np.pi / dt), mu, window=30.0, dt=dt)
     h = acceleration_weights(kernel)
     # integral of h = -mu (the static-mass sum rule)
-    assert np.sum(h) * dt == pytest.approx(-mu, rel=1e-9)
-    # transfer of the causal weights reproduces -chi_reg/w^2 in-band
+    assert np.sum(h) * dt == pytest.approx(-mu, rel=1e-14)
+    # the transfer of the weights at w1 is H at (2/dt) tan(w1 dt/2), where the
+    # trapezoidal quadrature maps w1: 5.7e-8 relative off the closed form (the
+    # band spectrum's transfer was held to 5e-3 at w1 itself)
     w1 = 1.5
-    j = np.arange(kernel.n_fft // 2)
-    transfer = dt * np.sum(h[: j.size] * np.exp(1j * w1 * j * dt))
-    chi1 = 1j * mech.m * mech.tau * w1**3 * vm.lorentzian_gamma(w1)
-    expect = -(chi1 + mu * w1**2) / w1**2
-    assert abs(transfer - expect) / abs(expect) < 5e-3
+    transfer = dt * np.sum(h * np.exp(1j * w1 * dt * np.arange(h.size)))
+    w = (2.0 / dt) * np.tan(0.5 * w1 * dt)
+    expect = -1j * mech.m * mech.tau * w * vm.lorentzian_gamma(w) - mu
+    assert abs(transfer - expect) / abs(expect) < 2e-7
 
 
 @pytest.mark.parametrize("tau, dt", [(0.3, 2e-3), (0.25, 1e-3), (1e-3, 1e-3)])
 def test_acceleration_weights_low_bins_are_the_band_spectrum(tau, dt):
-    # h is the inverse transform of -(chi + mu w^2)/w^2 at the rfft bins;
-    # a forward transform of h gives that back to rounding, also at the
-    # lowest bins where the division by w^2 magnifies any error
+    # h is the inverse transform of conj H, H = -(chi + mu w^2)/w^2, at the
+    # bins w_k = (2/dt) tan(pi k/L); a forward transform of h gives that back to
+    # rounding at the lowest bins, where the division by w^2 magnifies any
+    # error.  Against the closed form the curve's bins read 6.0e-11, its spline,
+    # and the bins above its top 1.2e-3, the fitted tail (A + B ln w + C/w)/w
+    # missing the ln(w)/w^2 term of the Lorentzian's H
     mech = vm.MirrorMechanics(tau=tau, k=0.5)
     mu = 3.0 * mech.m * tau
     curve = _chi_curve(mech, np.pi / dt)
     kernel = vm.build_time_kernel(curve, mu, window=30.0, dt=dt)
-    h = acceleration_weights(kernel)
-    spectrum = np.conj(np.fft.rfft(h)) * dt
-    w = np.fft.rfftfreq(kernel.n_fft, d=dt)[1:6] * 2.0 * np.pi
-    expect = -(curve(w) + mu * w**2) / w**2
-    assert np.max(np.abs(spectrum[1:6] - expect) / np.abs(expect)) < 1e-14
+    size = kernel.n_fft
+    spectrum = np.conj(np.fft.rfft(acceleration_weights(kernel)))[1 : size // 2] * dt
+    w = (2.0 / dt) * np.tan(np.pi / size * np.arange(1, size // 2))
+    low = w[:5]
+    expect = -(curve(low) + mu * low**2) / low**2
+    assert np.max(np.abs(spectrum[:5] - expect) / np.abs(expect)) < 1e-14
+    exact = -1j * mech.m * tau * w * vm.lorentzian_gamma(w) - mu
+    rel = np.abs(spectrum - exact) / np.abs(exact)
+    inside = w <= curve.grid[-1]
+    assert np.max(rel[inside]) < 2e-10
+    assert np.max(rel[~inside]) < 2e-3
 
 
 def test_consistency_check_lorentzian(lorentzian):

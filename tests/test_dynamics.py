@@ -9,6 +9,7 @@ import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights
 from vacmirror.dynamics import _BLOWUP, _LEAF, _cq_weights, _memory_run
 from vacmirror.errors import FitError
+from vacmirror.numerics import fft_length
 
 from conftest import make_tabulated_copy
 
@@ -282,11 +283,9 @@ def kicked_run(model, mech, dt, t_final):
     whole kernel: with mu_subtracted = 0 the solver's leading coefficient is
     m - w_0, which is negative, not zero, at mu > m, so the run goes on there."""
     n = int(round(t_final / dt))
-    kern = vm.TimeKernel(times=np.zeros(0), values=np.zeros(0), mu_subtracted=0.0, dt=dt,
-                         omega_max=np.pi / dt, causality_residual=0.0, n_fft=2 * (n + 1))
+    kern = vm.TimeKernel(cq_weights(model, mech, dt, n) / dt, 0.0, dt)
     pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-6, center=10 * dt, width=2 * dt)
-    return vm.simulate_with_memory(mech, kern, pulse, t_final,
-                                   history_weights=cq_weights(model, mech, dt, n) / dt)
+    return vm.simulate_with_memory(mech, kern, pulse, t_final)
 
 
 @pytest.mark.parametrize("tau,k", [(0.4, 0.0), (0.4, 4.0), (0.35, 0.0), (1.0, 0.0)])
@@ -354,30 +353,14 @@ _PERIOD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("mech,force", _PERIOD_CASES, ids=["pulse", "step"])
-def test_memory_run_past_a_power_of_two_matches_a_longer_period(mech, force):
-    # 33,000 steps: the period is 67,500 samples, not the 2^17 a power of two
-    # would take; eight times the window puts it at 540,000
-    t_final, dt = 33.0, 1e-3
-    runs = []
-    for window in (t_final, 8 * t_final):
-        kern = make_kernel(mech, window, dt)
-        traj = vm.simulate_with_memory(mech, kern, force, t_final)
-        runs.append((kern.n_fft, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
-    (n_fit, q, w_m), (n_long, q_long, w_m_long) = runs
-    assert (n_fit, n_long) == (67500, 540000)
-    assert np.max(np.abs(q - q_long)) < 1e-11 * np.max(np.abs(q_long))
-    assert abs(w_m - w_m_long) < 1e-10 * abs(w_m_long)
-
-
 @pytest.mark.parametrize("mech,force,n,longer,periods",
                          [case + (33_000, 8, (82944, 663552)) for case in _PERIOD_CASES]
                          + [_PERIOD_CASES[1] + (2_000, 64, (40000, 320000))],
                          ids=["pulse", "step", "short-step"])
 def test_cq_memory_run_matches_a_longer_period(mech, force, n, longer, periods):
-    # the convolution-quadrature twin of the test above: weights of period
-    # 82,944 (5/2 of 33,000 steps, rounded up to 2^a 3^b 5^c) against eight
-    # times that; the step's W_m reads 8.8e-11 off (1.4e-10 at 2 n).  At 2,000
+    # weights of period 82,944 (5/2 of 33,000 steps, rounded up to 2^a 3^b 5^c,
+    # not the 2^17 a power of two would take) against eight times that; the
+    # step's W_m reads 8.8e-11 off (1.4e-10 at 2 n).  At 2,000
     # steps the period's floor of 40 time units sets it at 40,000: q reads
     # 2.0e-13 of its largest value and W_m 2.2e-12 off a 64 times longer
     # period's run (6.4e-5 and 1.3e-3 at 5 n/2 = 5,000)
@@ -472,20 +455,93 @@ class _OnePoleMirror:
         return self.height / (1.0 - 1j * y)
 
 
-@pytest.mark.parametrize("dt", [0.1, 1e-2, 1e-3])
-def test_cq_weights_of_a_one_pole_kernel_are_its_closed_form(dt):
+_ONE_POLE_CASES = ([pytest.param(dt, "model", id=str(dt)) for dt in (0.1, 1e-2, 1e-3)]
+                   + [pytest.param(dt, "chi curve", id=f"{dt}-chi curve") for dt in (0.1, 1e-2, 1e-3)])
+
+
+@pytest.mark.parametrize("dt, source", _ONE_POLE_CASES)
+def test_cq_weights_of_a_one_pole_kernel_are_its_closed_form(dt, source):
     # with delta(z) = 2 (1 - z)/(1 + z), H(delta(z)/dt) = -mu c (1 + z)/(1 - r z),
     # c = dt/(2 + dt) and r = (2 - dt)/(2 + dt): the weights are -mu c at lag 0
-    # and -mu c (r^j + r^(j-1)) at lag j.  The worst lag of the period, lag 0,
-    # read 6.8e-16, 6.1e-15 and 6.0e-14 of the largest weight (at dt = 1e-3 the
-    # period is 40,000, three blocks of 8192 bins); the lags aliased from beyond
-    # it add r^L, below 1e-17.  H(-i w) at the period's middle bin, w = inf, is 0
+    # and -mu c (r^j + r^(j-1)) at lag j.  From the model, the worst lag of the
+    # period, lag 0, read 6.8e-16, 6.1e-15 and 6.0e-14 of the largest weight (at
+    # dt = 1e-3 the period is 40,000, three blocks of 8192 bins); the lags
+    # aliased from beyond it add r^L, below 1e-17.  H(-i w) at the period's
+    # middle bin, w = inf, is 0.  From the chi curve i mu w^3/(1 - i w) to pi/dt,
+    # over a window of 16 time units (the same periods), they read 6.7e-4,
+    # 6.0e-6 and 5.9e-8: the tail (A + B ln w + C/w)/w above the curve's top
+    # misses H's 1/w^3 term, (dt/pi)^2 of it there
     mech, mu = vm.MirrorMechanics(k=0.0, tau=0.3), 0.9
-    h = _cq_weights(_OnePoleMirror(mech, mu), mech, mu, dt, 100) * dt
+    if source == "model":
+        h, bound = _cq_weights(_OnePoleMirror(mech, mu), mech, mu, dt, 100) * dt, 1e-13
+    else:
+        grid = np.concatenate([[0.0], np.geomspace(1e-3, np.pi / dt, 1600)])
+        curve = vm.ResponseCurve(grid, 1j * mu * grid**3 / (1.0 - 1j * grid), label="chi")
+        h, bound = vm.build_time_kernel(curve, mu, window=16.0, dt=dt).weights * dt, 0.1 * dt**2
+    assert h.size == {0.1: 4096, 1e-2: 4096, 1e-3: 40000}[dt]
     c, r = dt / (2.0 + dt), (2.0 - dt) / (2.0 + dt)
     lags = np.arange(1, h.size)
     exact = -mu * c * np.concatenate([[1.0], r**lags + r ** (lags - 1)])
-    assert np.max(np.abs(h - exact)) <= 1e-13 * np.max(np.abs(exact))
+    assert np.max(np.abs(h - exact)) <= bound * np.max(np.abs(exact))
+
+
+def formula_cq_weights(model, mech, mu, dt, n):
+    """The model's weights as ``_cq_weights`` formed them before the chi curve
+    shared its routine, kept as the oracle of that routine's bits."""
+    size = fft_length(max(5 * n // 2, 4096, int(np.ceil(40.0 / (model.omega_scale * dt)))))
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    spectrum[0] = -mu
+    for lo in range(1, size // 2, 8192):
+        w = (2.0 / dt) * np.tan(np.pi / size * np.arange(lo, min(lo + 8192, size // 2)))
+        motional = (mech.m * mech.tau * w) * (w * np.conj(model._axis_gamma(w)))
+        spectrum[lo : lo + w.size] = 1j * motional / w - mu
+    return np.fft.irfft(spectrum, size) / dt
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega=st.floats(min_value=0.1, max_value=100.0),
+       tau_omega=st.floats(min_value=1e-3, max_value=0.33),
+       spring=st.floats(min_value=0.0, max_value=4.0),
+       dt_omega=st.floats(min_value=1e-3, max_value=0.1),
+       n=st.integers(min_value=2, max_value=30_000))
+def test_cq_weights_are_bitwise_the_models_own_formula(omega, tau_omega, spring, dt_omega, n):
+    # the chi curve's weights and the model's share one routine; the model's
+    # path keeps its bits through it, at any Omega, tau, k, dt and run length
+    model = vm.lorentzian_mirror(omega)
+    mech = vm.MirrorMechanics(k=spring * omega**2, tau=tau_omega / omega)
+    mu, dt = 3.0 * omega * mech.m * mech.tau, dt_omega / omega
+    h = _cq_weights(model, mech, mu, dt, n)
+    assert h.tobytes() == formula_cq_weights(model, mech, mu, dt, n).tobytes()
+
+
+_ONE_PATH_CASES = {
+    "criterion 9": (vm.MirrorMechanics(k=2.25, tau=0.3),
+                    vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=5.0, width=1.5),
+                    60.0, 2e-8, 1e-7),
+    "free-mass step": (vm.MirrorMechanics(k=0.0, tau=0.2),
+                       vm.ForceProfile(kind="step", amplitude=1e-3, center=1.0),
+                       33.0, 3e-8, 2e-4),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_PATH_CASES)
+def test_build_time_kernel_on_the_exact_chi_curve_is_the_models_cq_run(case):
+    # the Lorentzian's chi curve to pi/dt through build_time_kernel, against its
+    # model through _cq_weights, at the same period: criterion 9's run reads
+    # 9.2e-9 of max |q| and 3.5e-8 in W_m(end), the free mass's step drive 1.3e-8
+    # and 8.1e-5 (W_m(end) is -8.0e-8 there, 1.5e-4 of W_a(end)).  With H = 0
+    # above the curve's top, criterion 9's run reads 1.1e-4 in q; the band
+    # spectrum read 3.6e-4, and 3.2 with the wrong sign in the step's W_m
+    mech, force, t_final, q_bound, w_bound = _ONE_PATH_CASES[case]
+    dt, mu, n = 1e-3, 3.0 * mech.m * mech.tau, int(round(t_final / 1e-3))
+    kern = make_kernel(mech, t_final, dt)
+    h = _cq_weights(vm.lorentzian_mirror(), mech, mu, dt, n)
+    assert kern.n_fft == h.size
+    traj = vm.simulate_with_memory(mech, kern, force, t_final)
+    ref = _memory_run(mech, mu, dt, h, force, t_final, 0.0)
+    w_m, w_m_ref = (vm.energy_ledger(run, mech).w_radiated[-1] for run in (traj, ref))
+    assert np.max(np.abs(traj.q - ref.q)) < q_bound * np.max(np.abs(ref.q))
+    assert abs(w_m - w_m_ref) < w_bound * abs(w_m_ref)
 
 
 def test_memory_damped_pulse_energy_books():
@@ -530,7 +586,8 @@ def test_memory_steady_state_matches_admittance():
     coef, *_ = np.linalg.lstsq(basis, traj.v[mask], rcond=None)
     amp = float(np.hypot(*coef))
     expected = abs(vm.admittance(vm.lorentzian_mirror(), mech, w1)) * 1e-3
-    assert abs(amp - expected) / expected < 1e-2
+    # 5.8e-7 on the convolution-quadrature weights; the band spectrum read 1.15e-3
+    assert abs(amp - expected) / expected < 2e-6
 
 
 def test_fit_runaway_rejects_bounded_runs():
