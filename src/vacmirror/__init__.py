@@ -31,6 +31,7 @@ from .dispersion import (
     consistency_check,
     continue_upper_half,
     kk_reconstruct,
+    model_time_kernel,
 )
 from .dynamics import (
     EnergyLedger,

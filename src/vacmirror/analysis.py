@@ -48,6 +48,7 @@ from .numerics import json_num, secant_root, write_json
 from .susceptibility import (
     MirrorMechanics,
     ResponseCurve,
+    _axis_motional,
     curve_cutoff,
     gamma,
     gamma_samples,
@@ -128,8 +129,7 @@ def _walk_span(model, mech):
 
 def _axis_impedance(model, mech, y):
     """Z(i y) = -i k/y + i m y + m tau y^2 conj Gamma[y] at y > 0."""
-    motional = (mech.m * mech.tau * y) * (y * np.conj(model._axis_gamma(y)))
-    return -1j * mech.k / y + 1j * mech.m * y + motional
+    return -1j * mech.k / y + 1j * mech.m * y + _axis_motional(model, mech, y)
 
 
 def count_rhp_zeros(model, mech):

@@ -285,13 +285,11 @@ def cmd_simulate(cfg, out, args):
             raise ConfigError(f"simulation.{key} = {sim[key]:g} would be ignored in the {where}",
                               cfg.path)
 
-    fitted = weights = None
+    fitted = None
     if regime == "perfect":
         dt = sim["dt"] if mech.tau == 0 else min(sim["dt"], mech.tau / 50.0)
-        traj = dynamics.simulate_perfect_mirror(
-            mech, force, sim["t_final"], dt=dt,
-            q0=sim["q0"], v0=sim["v0"], a0=sim["a0"],
-        )
+        traj = dynamics.simulate_perfect_mirror(mech, force, sim["t_final"], dt=dt,
+                                                q0=sim["q0"], v0=sim["v0"], a0=sim["a0"])
         try:
             fit = dynamics.fit_runaway_rate(traj)
             fitted = {"rate": fit.rate, "ci95": fit.ci95, "efolds": fit.efolds}
@@ -303,8 +301,8 @@ def cmd_simulate(cfg, out, args):
             raise ConfigError(f"simulation.t_final = {sim['t_final']:g} at simulation.dt = "
                               f"{dt:g}: a memory run needs two steps", cfg.path)
         mu = _passive_induced_mass(cfg, model, mech, "memory integrator")
-        weights = dynamics._cq_weights(model, mech, mu, dt, steps)
-        traj = dynamics._memory_run(mech, mu, dt, weights, force, sim["t_final"], sim["q0"])
+        kernel = dispersion.model_time_kernel(model, mech, mu, sim["t_final"], dt)
+        traj = dynamics.simulate_with_memory(mech, kernel, force, sim["t_final"], q0=sim["q0"])
 
     ledger = dynamics.energy_ledger(traj, mech)
     dynamics.export_simulation_csv(out, traj, ledger)
@@ -325,7 +323,7 @@ def cmd_simulate(cfg, out, args):
         "meta": _meta(args),
     }
     if regime == "memory":
-        doc["kernel_n_fft"] = weights.size  # the weights' period
+        doc["kernel_n_fft"] = kernel.n_fft  # the weights' period
     write_json(out / "run.json", doc)
     return 0
 

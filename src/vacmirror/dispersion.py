@@ -8,10 +8,10 @@ continues it into Im w > 0.  This module provides
   array of them (a table's Gamma there),
 * its boundary value on the real axis, the Kramers-Kronig reconstruction
   of Gamma_I from Gamma_R,
-* the memory integrator's history weights: the trapezoidal convolution
-  quadrature of a symbol on the real axis (``cq_weights``), from a chi
-  curve (``build_time_kernel``) or from a model's Gamma (``vacmirror
-  simulate``),
+* the memory run's ``TimeKernel`` for ``dynamics.simulate_with_memory``:
+  the trapezoidal convolution quadrature (``cq_weights``) of a model's
+  Gamma (``model_time_kernel``, as ``vacmirror simulate`` runs) or of a chi
+  curve (``build_time_kernel``),
 * a discretization cross-check of the linear-response identity
   chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import (ContinuationError, FrequencyRangeError, KernelWindowError,
                      RegularizationError)
-from .numerics import cubic_cauchy, fft_length, spectrum_to_kernel, write_csv
-from .susceptibility import ResponseCurve, gamma, gamma_samples, susceptibility
+from .numerics import _log_fit, cubic_cauchy, fft_length, spectrum_to_kernel, write_csv
+from .susceptibility import (ResponseCurve, _axis_motional, gamma, gamma_samples,
+                             susceptibility)
 
 
 def _cauchy_sum(gamma_r, w):
@@ -88,13 +89,15 @@ def continue_upper_half(gamma_r, w):
     return out if out.ndim else complex(out)
 
 
-def cq_weights(symbol, mu, dt, n, floor=0):
-    """History weights h of a run of n steps: the trapezoidal convolution
-    quadrature (Lubich, Numer. Math. 52, 1988) of H(s), ``symbol(w)`` being conj H
-    at s = -i w, asked at the bins w_k = (2/dt) tan(pi k/L) 8192 at a time to keep
-    its temporaries small; H_0 = -mu and H_(L/2) = 0 (H(0) = -mu, H(inf) = 0).
-    Lags past the period L, the least even 2^a 3^b 5^c >= max(5 n/2, 4096, floor),
-    alias onto the run's."""
+def cq_weights(symbol, mu, window, dt, floor=0):
+    """History weights h of a run of n = window/dt steps, KernelWindowError below
+    two: the trapezoidal convolution quadrature (Lubich, Numer. Math. 52, 1988)
+    of H(s), ``symbol(w)`` being conj H at s = -i w, asked at the bins w_k =
+    (2/dt) tan(pi k/L) 8192 at a time; H_0 = -mu and H_(L/2) = 0.  Lags past the
+    period L, the least even 2^a 3^b 5^c >= max(5 n/2, 4096, floor), alias."""
+    n = int(round(window / dt))
+    if n < 2:
+        raise KernelWindowError("the kernel window spans fewer than two steps of dt")
     size = fft_length(max(5 * n // 2, 4096, floor))
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     spectrum[0] = -mu
@@ -107,8 +110,8 @@ def cq_weights(symbol, mu, dt, n, floor=0):
 @dataclass(frozen=True)
 class TimeKernel:
     """History weights h of a memory run, with the induced mass mu they leave
-    out and their step dt: the convolution-quadrature weights of
-    H = -(chi[w] + mu w^2)/w^2, on a period of n_fft lags."""
+    out and their step dt: the convolution-quadrature weights of the memory
+    less mu, H = -(chi[w] + mu w^2)/w^2, on a period of n_fft lags."""
 
     weights: np.ndarray
     mu_subtracted: float
@@ -124,18 +127,26 @@ class TimeKernel:
                   [np.arange(self.n_fft) * self.dt, self.weights])
 
 
+def model_time_kernel(model, mech, mu, window, dt):
+    """The model's kernel for a run of window/dt steps: the ``cq_weights`` of
+    H(s) = m tau s Gamma{s} - mu from Gamma as the model reads it on the real
+    axis, on a period of 40 time units 1/omega_scale or more, which holds the
+    aliased lags to 1e-10 in W_m on a free mass's step drive."""
+
+    def symbol(w):
+        return 1j * _axis_motional(model, mech, w) / w - mu
+
+    floor = int(np.ceil(40.0 / (model.omega_scale * dt)))
+    return TimeKernel(cq_weights(symbol, mu, window, dt, floor), float(mu), float(dt))
+
+
 def build_time_kernel(chi_curve, mu, window, dt):
-    """Convolution-quadrature weights (``cq_weights``) of H = -(chi[w] + mu w^2)/w^2
-    for a run of window/dt steps: H from ``chi_curve`` up to its top, and above it
-    the tail (A + B ln w + C/w)/w, w H fitted to the curve's top decade by complex
-    least squares.  If |H| does not fall across that decade, mu is inconsistent
-    and RegularizationError is raised; a window of fewer than two steps raises
-    KernelWindowError.  The period has no floor in time units, as a chi curve
-    carries no frequency scale: ``window`` sets the horizon.
-    """
-    steps = int(round(window / dt))
-    if steps < 2:
-        raise KernelWindowError("the kernel window spans fewer than two steps of dt")
+    """The ``cq_weights`` of H = -(chi[w] + mu w^2)/w^2 for a run of window/dt
+    steps: H from ``chi_curve`` up to its top, and above it the tail (A + B ln w
+    + C/w)/w, w H fitted to the curve's top decade by complex least squares.  If
+    |H| does not fall across that decade, mu is inconsistent and
+    RegularizationError is raised.  The period has no floor in time units, as a
+    chi curve carries no frequency scale: ``window`` sets the horizon."""
     grid, top = chi_curve.grid, chi_curve.grid[-1]
     decade = grid >= top / 10.0
     wd = grid[decade]
@@ -144,8 +155,7 @@ def build_time_kernel(chi_curve, mu, window, dt):
     if upper.sum() >= 2 and (~upper).sum() >= 2 and \
             np.median(np.abs(hd[upper])) > 0.5 * np.median(np.abs(hd[~upper])):
         raise RegularizationError("chi + mu w^2 does not decay; mass subtraction inconsistent")
-    basis = np.stack([np.ones(wd.size), np.log(wd), 1.0 / wd], axis=1)
-    a, b, c = np.linalg.lstsq(basis, wd * hd, rcond=None)[0]
+    a, b, c = _log_fit(wd, wd * hd)
 
     def symbol(w):
         h = np.empty(w.size, dtype=complex)
@@ -155,7 +165,7 @@ def build_time_kernel(chi_curve, mu, window, dt):
         h[~inside] = (a + b * np.log(wo) + c / wo) / wo
         return np.conj(h)
 
-    return TimeKernel(cq_weights(symbol, mu, dt, steps), float(mu), float(dt))
+    return TimeKernel(cq_weights(symbol, mu, window, dt), float(mu), float(dt))
 
 
 def acceleration_weights(kernel):

@@ -15,10 +15,9 @@ Two integrators cover the two regimes:
   kernel (exact for a mirror at rest in the far past), which keeps the
   discrete convolution bounded.  The scheme is linear and
   time-invariant, so all its steps form one lower-triangular Toeplitz
-  system for the accelerations, solved blockwise in O(n log^2 n).  The
-  weights are the trapezoidal convolution quadrature of the memory, formed
-  by ``dispersion.cq_weights`` from a chi curve (``build_time_kernel``) or,
-  in ``vacmirror simulate``, from Gamma on the real axis (``_cq_weights``).
+  system for the accelerations, solved blockwise in O(n log^2 n).  Every
+  memory run is model -> ``TimeKernel`` -> this integrator, the kernel from
+  ``dispersion.model_time_kernel`` (``vacmirror simulate``) or a chi curve.
 
 Both integrators end a run at the first state that overflows and report
 the divergence time.
@@ -37,7 +36,6 @@ from operator import mul
 
 import numpy as np
 
-from .dispersion import acceleration_weights, cq_weights
 from .errors import FitError
 from .numerics import fft_length, running_integral, write_csv_files
 
@@ -298,48 +296,26 @@ def _trapezoid_steps(c, fs, k, dt, q0):
 
 
 def simulate_with_memory(mech, kernel, force, t_final, q0=0.0, history_weights=None):
-    """Causal-mirror run (``_memory_run``) on a ``build_time_kernel`` kernel: its
-    step, mu and, unless ``history_weights`` are given, its weights."""
-    h = acceleration_weights(kernel) if history_weights is None else history_weights
-    return _memory_run(mech, kernel.mu_subtracted, kernel.dt, h, force, t_final, q0)
-
-
-def _cq_weights(model, mech, mu, dt, n):
-    """History weights (``cq_weights``) of a run of n steps on the model's
-    H(s) = m tau s Gamma{s} - mu, H_k = -i m tau w_k Gamma[w_k] - mu from Gamma on
-    the real axis; the period spans 40 time units 1/omega_scale or more, which holds
-    the aliased lags to 1e-10 in W_m on a free mass's step drive."""
-
-    def symbol(w):
-        motional = (mech.m * mech.tau * w) * (w * np.conj(model._axis_gamma(w)))
-        return 1j * motional / w - mu
-
-    return cq_weights(symbol, mu, dt, n, int(np.ceil(40.0 / (model.omega_scale * dt))))
-
-
-def _memory_run(mech, mu, dt, h, force, t_final, q0):
-    """A run of step dt, induced mass mu and history weights h reaching lag
-    n = t_final/dt, from rest at q0 (chi[0] = 0: the memory closes over the
-    accelerations alone); mu >= m, with no bounded effective mass, is refused.
-
-    All steps of the implicit trapezoid scheme are solved at once as one
-    lower-triangular Toeplitz system for the accelerations.  A state that
-    overflows (non-finite or above _BLOWUP) ends the run there, as in the
-    RK4 runs.  F_m = mu a + dt h * a convolves a with -dt h, the memory
-    column less its inertia, at the least even 2^a 3^b 5^c >= 2 n + 1.
-    """
-    if mu >= mech.m:
-        raise ValueError(f"mu = {mu:.6g} >= m = {mech.m:.6g}: memory integrator requires mu < m")
+    """Causal-mirror run on a ``TimeKernel``: its step dt, induced mass mu and,
+    unless ``history_weights`` are given, weights h, to lag n = t_final/dt from
+    rest at q0 (chi[0] = 0: the memory closes over a alone); mu >= m, with no
+    bounded effective mass, is refused.  All steps of the implicit trapezoid
+    scheme are one lower-triangular Toeplitz system in a; a state that overflows
+    (non-finite or above _BLOWUP) ends the run.  F_m = mu a + dt h * a convolves
+    a with -dt h, the memory column less its inertia, at the least even 2^a 3^b
+    5^c >= 2 n + 1."""
+    k, m, mu, dt = mech.k, mech.m, kernel.mu_subtracted, kernel.dt
+    h = kernel.weights if history_weights is None else history_weights
+    if mu >= m:
+        raise ValueError(f"mu = {mu:.6g} >= m = {m:.6g}: memory integrator requires mu < m")
     n = int(round(t_final / dt))
     if n >= len(h):
         raise ValueError("the weights' period is too short for the requested run length")
-    k, m = mech.k, mech.m
     ts = np.arange(n + 1) * dt
     fs = np.asarray(force(ts), dtype=float)
 
     # memory column: sum_l c_l a_{j-l} = (m - mu) a_j - dt sum_l h_l a_{j-l}
     c = -dt * h[: n + 1]
-    del h  # frees the weights unless the caller holds them
     c0 = c[0]
     c[0] += m - mu
     # a non-finite force ends the run where it appears; a leaf product

@@ -402,6 +402,12 @@ _TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 a
 _TAIL_TERMS = 1.0 / np.column_stack([_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0])
 
 
+def _log_fit(w, y):
+    """Least-squares coefficients of y (real or complex) on 1, ln w and 1/w."""
+    basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
+    return np.linalg.lstsq(basis, y, rcond=None)[0]
+
+
 @dataclass(frozen=True)
 class LogTail:
     """The decay (a + b ln w)/w^2 + c/w^3 closing a sampled curve's real part past its
@@ -419,8 +425,7 @@ class LogTail:
         w = grid[grid >= grid[-1] / 10.0]  # the top decade, the last w.size samples
         if w.size < 4:
             return cls(0.0, 0.0, 0.0, float(grid[-1]))
-        basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
-        fit = np.linalg.lstsq(basis, values[-w.size :] * w**2, rcond=None)[0]
+        fit = _log_fit(w, values[-w.size :] * w**2)
         return cls(*map(float, fit), float(grid[-1]))
 
     def integral(self):

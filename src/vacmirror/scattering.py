@@ -275,9 +275,9 @@ def transmissivity(model, w):
     return out if out.ndim else complex(out)
 
 
-# 6/((n + 2)(n + 3)), n = 0..27: Gamma's series in x = i w/Omega, whose next term
-# is below 1e-19 at |x| = 1/4; the first is 1.0 exactly, so Gamma[0] = 1
-_LORENTZIAN_SERIES = 6.0 / ((np.arange(28) + 2.0) * (np.arange(28) + 3.0))
+# 6/((n + 2)(n + 3)), n = 0..49: Gamma's series in x = i w/Omega, whose terms 28 and
+# 50 are below 1e-19 at |x| = 1/4 and 2e-18 at 1/2; the first is 1.0, so Gamma[0] = 1
+_LORENTZIAN_SERIES = 6.0 / ((np.arange(50) + 2.0) * (np.arange(50) + 3.0))
 
 
 def lorentzian_gamma(w, omega_scale=1.0):
@@ -285,11 +285,11 @@ def lorentzian_gamma(w, omega_scale=1.0):
 
     Valid for real w and for complex w away from the logarithmic cut,
     which lies on the negative imaginary axis below -i*omega_scale.  In
-    x = i w/Omega it is -6 (-x + x^2/2 - (1 - x) log(1 - x))/x^3; below
-    |x| = 1/4, where that cancels, the series sum_n 6 x^n/((n+2)(n+3)) to
-    n = 27 by Horner, 1 at w = 0.  A real w is summed in real arithmetic,
-    the series as its even and odd parts in -s^2, s = w/Omega, and above
-    |s| = 1/4 Gamma = 6 (b/t^3 - (1 - a)/t^2) + 6 i (1/(2 t) + a/t^3 - b/t^2)
+    x = i w/Omega it is -6 (-x + x^2/2 - (1 - x) log(1 - x))/x^3; below |x|
+    = 1/2, where that cancels, the series sum_n 6 x^n/((n+2)(n+3)) to n = 49
+    by Horner, 1 at w = 0.  A real w is summed in real arithmetic, below |s| =
+    1/4 the series to n = 27 as its even and odd parts in -s^2, s = w/Omega,
+    and above Gamma = 6 (b/t^3 - (1 - a)/t^2) + 6 i (1/(2 t) + a/t^3 - b/t^2)
     at t = |s|, b = arctan t and a = log sqrt(1 + t^2), taken as log max(t, 1)
     + log1p(min(t, 1/t)^2)/2 so that no t^2 overflows, conjugated for w < 0.
     """
@@ -306,7 +306,7 @@ def lorentzian_gamma(w, omega_scale=1.0):
         if small.any():
             s = s[small]
             u = -s * s
-            even, odd = _LORENTZIAN_SERIES[-2], _LORENTZIAN_SERIES[-1]
+            even, odd = _LORENTZIAN_SERIES[26], _LORENTZIAN_SERIES[27]
             for k in range(25, 0, -2):
                 even = even * u + _LORENTZIAN_SERIES[k - 1]
                 odd = odd * u + _LORENTZIAN_SERIES[k]
@@ -317,7 +317,7 @@ def lorentzian_gamma(w, omega_scale=1.0):
     if np.any((np.abs(np.imag(arg)) < 1e-14) & (np.real(arg) < 1e-12)):
         raise BranchCutError("1 - i w / Omega on the logarithm branch cut")
     out = np.empty_like(x)
-    small = np.abs(x) < 0.25
+    small = np.abs(x) < 0.5
     if small.any():
         xs = x[small]
         acc = _LORENTZIAN_SERIES[-1]

@@ -172,8 +172,18 @@ def gamma_samples(model, w):
 def susceptibility(model, mech, w):
     """Motional susceptibility chi[w] = i m tau w^3 Gamma[w] at real w, scalar or array."""
     w = np.asarray(w, dtype=float)
-    out = 1j * mech.m * mech.tau * w**3 * gamma_samples(model, w)
+    out = _chi(mech, w, gamma_samples(model, w))
     return out if out.ndim else complex(out)
+
+
+def _chi(mech, w, g):
+    """chi = i m tau w^3 Gamma from Gamma's samples g at w."""
+    return 1j * mech.m * mech.tau * w**3 * g
+
+
+def _axis_motional(model, mech, y):
+    """Z(i y)'s motional term m tau y^2 conj Gamma[y], Gamma as the model reads its axis."""
+    return (mech.m * mech.tau * y) * (y * np.conj(model._axis_gamma(y)))
 
 
 def induced_mass(mech, omega_c):
@@ -253,8 +263,7 @@ def compute_susceptibility(model, mech, grid):
     """
     grid = np.asarray(grid, dtype=float)
     vals = gamma_samples(model, grid)
-    # susceptibility's product, on the Gamma samples that gamma.csv reuses
-    chi_vals = 1j * mech.m * mech.tau * grid**3 * vals
+    chi_vals = _chi(mech, grid, vals)  # on the Gamma samples that gamma.csv reuses
     diag = None
     try:
         omega_c, diag = reflection_cutoff(model, full_output=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.cli import main, parse_config
+from vacmirror.dynamics import export_simulation_csv
 from vacmirror.errors import ConfigError
 from vacmirror.numerics import LogTail, PiecewiseCubic, fft_length
 
@@ -462,6 +463,30 @@ def test_table_memory_run_matches_the_lorentzians(tmp_path, table_1100_file):
     exact = _memory_trajectory(tmp_path, "exact", "kind = lorentzian\n", drive)
     assert np.max(np.abs(table[:, 1] - exact[:, 1])) < 2e-8 * np.max(np.abs(exact[:, 1]))
     assert abs(table[-1, 7] - exact[-1, 7]) < 5e-8 * abs(exact[-1, 7])
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "tabulated"])
+def test_memory_simulate_is_the_public_kernel_path(tmp_path, table_1100_file, kind):
+    # a memory simulate is the model's TimeKernel run by simulate_with_memory,
+    # byte for byte: the same trajectory.csv and energy.csv, and kernel_n_fft
+    # is the kernel's period
+    section = "kind = lorentzian\n" if kind == "lorentzian" else \
+        f"kind = tabulated\ntable = {table_1100_file}\n"
+    body = SIM_MEMORY_CFG.replace("kind = lorentzian\n", section) + "q0 = 1.0e-4\n"
+    out = tmp_path / "cli"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, body)), "--out", str(out)]) == 0
+    model = vm.lorentzian_mirror() if kind == "lorentzian" else vm.load_table(table_1100_file)
+    mech = vm.MirrorMechanics(k=2.25, tau=0.3)
+    kernel = vm.model_time_kernel(model, mech, vm.induced_mass(mech, vm.reflection_cutoff(model)),
+                                  30.0, 2e-3)
+    force = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=4.0, width=1.2)
+    traj = vm.simulate_with_memory(mech, kernel, force, 30.0, q0=1e-4)
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    export_simulation_csv(direct, traj, vm.energy_ledger(traj, mech))
+    for name in ("trajectory.csv", "energy.csv"):
+        assert (out / name).read_bytes() == (direct / name).read_bytes()
+    assert json.loads((out / "run.json").read_text())["kernel_n_fft"] == kernel.n_fft == 37500
 
 
 @pytest.mark.parametrize("w1", [1.2, 1.5, 1.875])

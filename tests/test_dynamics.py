@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vacmirror as vm
 from vacmirror.dispersion import acceleration_weights
-from vacmirror.dynamics import _BLOWUP, _LEAF, _cq_weights, _memory_run
+from vacmirror.dynamics import _BLOWUP, _LEAF
 from vacmirror.errors import FitError
 from vacmirror.numerics import fft_length
 
@@ -368,9 +368,9 @@ def test_cq_memory_run_matches_a_longer_period(mech, force, n, longer, periods):
     model, mu = vm.lorentzian_mirror(), 3.0 * mech.m * mech.tau
     runs = []
     for steps in (n, longer * n):
-        h = _cq_weights(model, mech, mu, dt, steps)
-        traj = _memory_run(mech, mu, dt, h, force, n * dt, 0.0)
-        runs.append((h.size, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
+        kern = vm.model_time_kernel(model, mech, mu, steps * dt, dt)
+        traj = vm.simulate_with_memory(mech, kern, force, n * dt)
+        runs.append((kern.n_fft, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
     (n_fit, q, w_m), (n_long, q_long, w_m_long) = runs
     assert (n_fit, n_long) == periods
     assert np.max(np.abs(q - q_long)) < 1e-11 * np.max(np.abs(q_long))
@@ -393,9 +393,9 @@ def test_cq_memory_run_on_a_table_between_powers_of_ten():
     mu = 3.0 * 4.0 * mech.m * mech.tau
     runs = []
     for model, steps in ((table, n), (table, 64 * n), (lorentzian, n)):
-        h = _cq_weights(model, mech, mu, dt, steps)
-        traj = _memory_run(mech, mu, dt, h, force, n * dt, 0.0)
-        runs.append((h.size, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
+        kern = vm.model_time_kernel(model, mech, mu, steps * dt, dt)
+        traj = vm.simulate_with_memory(mech, kern, force, n * dt)
+        runs.append((kern.n_fft, traj.q, vm.energy_ledger(traj, mech).w_radiated[-1]))
     (n_fit, q, w_m), (_, q_long, w_m_long), (n_lorentzian, q_exact, w_m_exact) = runs
     assert table.omega_scale == 10.0 and (n_fit, n_lorentzian) == (5000, 10000)
     assert np.max(np.abs(q - q_long)) < 3e-8 * np.max(np.abs(q_long))
@@ -414,9 +414,8 @@ def test_cq_memory_run_is_second_order_from_rest():
     pulse = vm.ForceProfile(kind="gaussian", amplitude=1e-3, center=10.0, width=1.5)
 
     def q(dt):
-        n = int(round(t_final / dt))
-        return _memory_run(mech, mu, dt, _cq_weights(model, mech, mu, dt, n),
-                           pulse, t_final, 0.0).q
+        return vm.simulate_with_memory(mech, vm.model_time_kernel(model, mech, mu, t_final, dt),
+                                       pulse, t_final).q
 
     ref = q(0.02 / 16)
     e1, e2 = (np.max(np.abs(q(dt) - ref[:: int(round(16 * dt / 0.02))])) for dt in (0.02, 0.01))
@@ -435,7 +434,7 @@ def test_cq_weights_match_the_off_circle_quadrature(kind):
     model = vm.lorentzian_mirror() if kind == "lorentzian" else \
         make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
     mech, dt, n = vm.MirrorMechanics(k=2.25, tau=0.3), 1e-2, 2000
-    h = _cq_weights(model, mech, 0.9, dt, n)[: n + 1] * dt
+    h = vm.model_time_kernel(model, mech, 0.9, n * dt, dt).weights[: n + 1] * dt
     ref = cq_weights(model, mech, dt, n)
     ref[0] -= 0.9
     bound = 2e-8 if kind == "lorentzian" else 5e-7
@@ -473,7 +472,8 @@ def test_cq_weights_of_a_one_pole_kernel_are_its_closed_form(dt, source):
     # misses H's 1/w^3 term, (dt/pi)^2 of it there
     mech, mu = vm.MirrorMechanics(k=0.0, tau=0.3), 0.9
     if source == "model":
-        h, bound = _cq_weights(_OnePoleMirror(mech, mu), mech, mu, dt, 100) * dt, 1e-13
+        kern = vm.model_time_kernel(_OnePoleMirror(mech, mu), mech, mu, 100 * dt, dt)
+        h, bound = kern.weights * dt, 1e-13
     else:
         grid = np.concatenate([[0.0], np.geomspace(1e-3, np.pi / dt, 1600)])
         curve = vm.ResponseCurve(grid, 1j * mu * grid**3 / (1.0 - 1j * grid), label="chi")
@@ -486,8 +486,8 @@ def test_cq_weights_of_a_one_pole_kernel_are_its_closed_form(dt, source):
 
 
 def formula_cq_weights(model, mech, mu, dt, n):
-    """The model's weights as ``_cq_weights`` formed them before the chi curve
-    shared its routine, kept as the oracle of that routine's bits."""
+    """The model's weights as ``model_time_kernel`` formed them before the chi
+    curve shared its routine, kept as the oracle of that routine's bits."""
     size = fft_length(max(5 * n // 2, 4096, int(np.ceil(40.0 / (model.omega_scale * dt)))))
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
     spectrum[0] = -mu
@@ -510,7 +510,7 @@ def test_cq_weights_are_bitwise_the_models_own_formula(omega, tau_omega, spring,
     model = vm.lorentzian_mirror(omega)
     mech = vm.MirrorMechanics(k=spring * omega**2, tau=tau_omega / omega)
     mu, dt = 3.0 * omega * mech.m * mech.tau, dt_omega / omega
-    h = _cq_weights(model, mech, mu, dt, n)
+    h = vm.model_time_kernel(model, mech, mu, n * dt, dt).weights
     assert h.tobytes() == formula_cq_weights(model, mech, mu, dt, n).tobytes()
 
 
@@ -527,18 +527,18 @@ _ONE_PATH_CASES = {
 @pytest.mark.parametrize("case", _ONE_PATH_CASES)
 def test_build_time_kernel_on_the_exact_chi_curve_is_the_models_cq_run(case):
     # the Lorentzian's chi curve to pi/dt through build_time_kernel, against its
-    # model through _cq_weights, at the same period: criterion 9's run reads
+    # model through model_time_kernel, at the same period: criterion 9's run reads
     # 9.2e-9 of max |q| and 3.5e-8 in W_m(end), the free mass's step drive 1.3e-8
     # and 8.1e-5 (W_m(end) is -8.0e-8 there, 1.5e-4 of W_a(end)).  With H = 0
     # above the curve's top, criterion 9's run reads 1.1e-4 in q; the band
     # spectrum read 3.6e-4, and 3.2 with the wrong sign in the step's W_m
     mech, force, t_final, q_bound, w_bound = _ONE_PATH_CASES[case]
-    dt, mu, n = 1e-3, 3.0 * mech.m * mech.tau, int(round(t_final / 1e-3))
+    dt, mu = 1e-3, 3.0 * mech.m * mech.tau
     kern = make_kernel(mech, t_final, dt)
-    h = _cq_weights(vm.lorentzian_mirror(), mech, mu, dt, n)
-    assert kern.n_fft == h.size
+    model_kern = vm.model_time_kernel(vm.lorentzian_mirror(), mech, mu, t_final, dt)
+    assert kern.n_fft == model_kern.n_fft
     traj = vm.simulate_with_memory(mech, kern, force, t_final)
-    ref = _memory_run(mech, mu, dt, h, force, t_final, 0.0)
+    ref = vm.simulate_with_memory(mech, model_kern, force, t_final)
     w_m, w_m_ref = (vm.energy_ledger(run, mech).w_radiated[-1] for run in (traj, ref))
     assert np.max(np.abs(traj.q - ref.q)) < q_bound * np.max(np.abs(ref.q))
     assert abs(w_m - w_m_ref) < w_bound * abs(w_m_ref)
