@@ -73,10 +73,8 @@ from .scattering import (
 )
 from .susceptibility import (
     ResponseCurve,
-    SusceptibilityResult,
     alpha,
     beta,
-    compute_susceptibility,
     gamma,
     gamma_samples,
     induced_mass,

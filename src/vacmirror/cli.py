@@ -7,10 +7,11 @@ Four commands drive the pipeline on a strict key-value config file:
     vacmirror simulate   --config run.cfg --out outdir
     vacmirror crosscheck --config run.cfg --out outdir
 
-Exit codes: 0 success (including scientifically expected divergence),
-2 config error, 3 numerical failure.  Outputs are deterministic: no
-timestamps inside data files (metadata carries one only under
---timestamps).
+Exit codes: 0 success, 2 config error, 3 numerical failure or a failed
+crosscheck.  A perfect mirror's divergent cutoff is expected and exits 0;
+any other crosscheck that cannot run, as on a Gamma curve whose cutoff
+diverges, has failed.  Outputs are deterministic: no timestamps inside
+data files (metadata carries one only under --timestamps).
 
 Config format: INI-like sections of ``key = value`` lines, ``#``
 comments.  Unknown sections or keys are errors; silent defaults for
@@ -28,7 +29,7 @@ import numpy as np
 from . import analysis, dispersion, dynamics, scattering
 from .susceptibility import (
     MirrorMechanics,
-    compute_susceptibility,
+    _chi,
     gamma,
     gamma_samples,
     induced_mass,
@@ -214,8 +215,8 @@ def cmd_analyze(cfg, out, args):
     mech = build_mechanics(cfg)
     grid = build_grid(cfg)
     validation = scattering.validate_model(model, grid)
-    result = compute_susceptibility(model, mech, grid)
-    g, chi = result.gamma.values, result.chi.values
+    g = gamma_samples(model, grid)
+    chi = _chi(mech, grid, g)
     z = analysis._impedance(mech, grid, chi)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = 1.0 / z
@@ -229,15 +230,20 @@ def cmd_analyze(cfg, out, args):
          [grid, z.real, z.imag, y.real, y.imag]),
     ])
     gamma0 = gamma(model, 0.0)
-    diag = result.cutoff_diagnostics
+    # a mirror with no transparency (perfect) has no cutoff: null, not an error
+    try:
+        omega_c, diag = reflection_cutoff(model, full_output=True)
+        mu_over_m = induced_mass(mech, omega_c) / mech.m
+    except CutoffDivergenceError:
+        omega_c = mu_over_m = diag = None
     doc = {
         "model": model.kind,
         "tau_omega": mech.tau,
         "k_over_m": mech.k / mech.m,
-        "omega_C": json_num(result.omega_c),
-        "mu_over_m": json_num(result.mu / mech.m),
+        "omega_C": json_num(omega_c),
+        "mu_over_m": json_num(mu_over_m),
         "gamma0": {"re": gamma0.real, "im": gamma0.imag},
-        "cutoff_divergent": bool(result.cutoff_divergent),
+        "cutoff_divergent": diag is None,
         "tail_fraction": None if diag is None else json_num(diag.tail_fraction),
         "decay_slope": None if diag is None else json_num(diag.decay_slope),
         "validation": {
@@ -292,7 +298,8 @@ def cmd_simulate(cfg, out, args):
                                                 q0=sim["q0"], v0=sim["v0"], a0=sim["a0"])
         try:
             fit = dynamics.fit_runaway_rate(traj)
-            fitted = {"rate": fit.rate, "ci95": fit.ci95, "efolds": fit.efolds}
+            fitted = {"rate": fit.rate, "ci95": fit.ci95, "efolds": fit.efolds,
+                      "window": fit.window}
         except FitError:
             fitted = None
     else:
@@ -370,29 +377,29 @@ def cmd_crosscheck(cfg, out, args):
     doc["kk"] = {"defect": kk_defect, "threshold": a["kk_threshold"],
                  "passed": bool(kk_defect < a["kk_threshold"])}
 
-    # spectral representation vs direct Laplace impedance
-    doc["spectral_rep"] = {"status": "divergent", "defect": None}
+    # spectral representation vs direct Laplace impedance.  A check that cannot
+    # run has not passed: with no finite cutoff there is no mu, and a Gamma curve
+    # may show no integrable decay although the cutoff, and so mu, is finite
+    doc["spectral_rep"] = {"status": "divergent", "defect": None,
+                           "threshold": a["spectral_threshold"], "passed": False}
     if mu is not None:
         ps = scale * np.geomspace(1e-2, 1e2, a["spectral_points"])
-        direct = analysis.laplace_impedance(model, mech, ps)
         try:
             spectral = analysis.spectral_impedance(model, mech, ps, mu=mu)
         except CutoffDivergenceError:
-            # the Gamma curve shows no integrable decay although the cutoff, and
-            # so mu, is finite: a check that cannot run has not passed
-            doc["spectral_rep"].update(threshold=a["spectral_threshold"], passed=False)
+            pass
         else:
+            direct = analysis.laplace_impedance(model, mech, ps)
             rel = float(np.max(np.abs(spectral - direct) / np.abs(direct)))
             doc["spectral_rep"] = {"defect": rel, "threshold": a["spectral_threshold"],
                                    "passed": bool(rel < a["spectral_threshold"])}
 
-    report = dispersion.consistency_check(model, mech)
-    doc["consistency"] = {"defect": report.defect,
-                          "threshold": a["consistency_threshold"],
-                          "passed": bool(report.defect < a["consistency_threshold"])}
+    defect = dispersion.consistency_check(model, mech)
+    doc["consistency"] = {"defect": defect, "threshold": a["consistency_threshold"],
+                          "passed": bool(defect < a["consistency_threshold"])}
     write_json(out / "crosscheck.json", doc)
     failed = [f"{name} {'divergent' if 'status' in doc[name] else 'at or above threshold'}"
-              for name in _CROSSCHECKS if doc[name].get("passed") is False]
+              for name in _CROSSCHECKS if not doc[name]["passed"]]
     if failed:
         print(f"crosscheck failed: {', '.join(failed)}", file=sys.stderr)
         return 3

@@ -175,14 +175,6 @@ def acceleration_weights(kernel):
     return kernel.weights
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    defect: float
-    n_fft: int
-    dt: float
-    omega_band: float
-
-
 _CONSISTENCY_N_FFT, _CONSISTENCY_DT = 2048, 0.1  # dt in units of 1/omega_scale
 
 
@@ -197,16 +189,16 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=None):
     The left side antisymmetrizes the inverse transform of the full chi;
     the right side spectrally differentiates a Gamma_R curve sampled
     independently on a half-shifted grid and resampled.  The normalized
-    maximum discrepancy measures the joint Gamma evaluation,
-    interpolation and transform consistency; it decreases under grid
-    refinement.  ``dt`` defaults to 0.1/``model.omega_scale``, a band of 31.4 omega_scale.
+    maximum discrepancy, returned as a float, measures the joint Gamma
+    evaluation, interpolation and transform consistency; it decreases under
+    grid refinement.  ``dt`` defaults to 0.1/``model.omega_scale``, a band of 31.4 omega_scale.
     """
     if dt is None:
         dt = _CONSISTENCY_DT / model.omega_scale
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     mt = mech.m * mech.tau
     if mt == 0.0:
-        return ConsistencyReport(defect=0.0, n_fft=n_fft, dt=dt, omega_band=freqs[-1])
+        return 0.0
 
     chi_t = spectrum_to_kernel(susceptibility(model, mech, freqs), n_fft, dt)
     j = np.arange(1, n_fft // 2)
@@ -222,5 +214,4 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=None):
     rhs = rhs_t[j]
 
     scale = float(np.max(np.abs(rhs)))
-    defect = float(np.max(np.abs(lhs - rhs)) / (scale or 1.0))  # absolute when rhs == 0
-    return ConsistencyReport(defect=defect, n_fft=n_fft, dt=dt, omega_band=freqs[-1])
+    return float(np.max(np.abs(lhs - rhs)) / (scale or 1.0))  # absolute when rhs == 0

@@ -237,43 +237,3 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
     if full_output:
         return omega_c, CutoffDiagnostics(omega_c, tail_fraction, slope)
     return omega_c
-
-
-@dataclass(frozen=True)
-class SusceptibilityResult:
-    """Gamma and chi sampled on a frequency grid, with cutoff summary."""
-
-    gamma: ResponseCurve
-    chi: ResponseCurve
-    omega_c: float
-    mu: float
-    cutoff_diagnostics: CutoffDiagnostics = None
-
-    @property
-    def cutoff_divergent(self):
-        return not np.isfinite(self.omega_c)
-
-
-def compute_susceptibility(model, mech, grid):
-    """Sweep Gamma and chi over a grid and compute the cutoff summary.
-
-    The cutoff integral is attempted and, for models without transparency
-    (perfect mirror), the divergence is recorded as omega_c = inf rather
-    than raised, so pipelines can still report the curve.
-    """
-    grid = np.asarray(grid, dtype=float)
-    vals = gamma_samples(model, grid)
-    chi_vals = _chi(mech, grid, vals)  # on the Gamma samples that gamma.csv reuses
-    diag = None
-    try:
-        omega_c, diag = reflection_cutoff(model, full_output=True)
-        mu = induced_mass(mech, omega_c)
-    except CutoffDivergenceError:
-        omega_c, mu = np.inf, np.inf
-    return SusceptibilityResult(
-        gamma=ResponseCurve(grid, vals, label="gamma"),
-        chi=ResponseCurve(grid, chi_vals, label="chi"),
-        omega_c=omega_c,
-        mu=mu,
-        cutoff_diagnostics=diag,
-    )

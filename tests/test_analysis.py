@@ -22,7 +22,7 @@ from vacmirror.errors import (
     RootConvergenceError,
 )
 
-from conftest import make_tabulated_copy
+from conftest import make_blaschke_table, make_tabulated_copy
 
 GAMMA_AT_OMEGA = 0.7918305220645259 + 0.3670525612951462j
 
@@ -323,15 +323,6 @@ def test_table_walk_above_its_curve_matches_the_lorentzian(lorentzian, table_110
     assert np.max(np.abs(z - exact) / np.abs(exact)) < 2e-6
 
 
-def _blaschke_table(top):
-    """The all-pass B(w) = prod (w - conj p)/(w - p) over the poles p = -0.7i,
-    +-2 - 1.1i, as r = (B - 1)/2 and s = (B + 1)/2 (|r|^2 + |s|^2 = 1, r(0) = -1),
-    on the 1100-top table's kind of grid: a linear head to 2, a log tail to top."""
-    grid = np.unique(np.concatenate([np.arange(0.0, 2.0, 1e-2), np.geomspace(2.0, top, 2200)]))
-    b = np.prod([(grid - np.conj(p)) / (grid - p) for p in (-0.7j, 2 - 1.1j, -2 - 1.1j)], axis=0)
-    return vm.tabulated_mirror(grid, (b - 1.0) / 2.0, (b + 1.0) / 2.0)
-
-
 @pytest.mark.parametrize("kind,bound", [("1100", 2e-7), ("200", 1e-5), ("blaschke", 2e-7)])
 def test_gamma_above_the_curve_is_the_continuations_boundary_value(table_1100, kind, bound):
     # the tail's axis value against the Cauchy continuation of the same curve
@@ -340,7 +331,7 @@ def test_gamma_above_the_curve_is_the_continuations_boundary_value(table_1100, k
     # 3.2e-4 and 5.4e-5 without the y^-3 term)
     model = {"1100": table_1100, "200": make_tabulated_copy(omega_max=200.0, step=1e-2,
                                                             log_points=2200),
-             "blaschke": _blaschke_table(1100.0)}[kind]
+             "blaschke": make_blaschke_table((-0.7j, 2 - 1.1j, -2 - 1.1j))}[kind]
     curve = model.gamma_curve
     y = np.geomspace(curve.grid[-1] * (1.0 + 1e-12), 1e4 * curve.grid[-1], 400)
     exact = vm.continue_upper_half(curve, y * (1.0 + 1e-13j))

@@ -14,7 +14,7 @@ from vacmirror.dynamics import export_simulation_csv
 from vacmirror.errors import ConfigError
 from vacmirror.numerics import LogTail, PiecewiseCubic, fft_length
 
-from conftest import make_tabulated_copy
+from conftest import make_blaschke_table, make_tabulated_copy
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -93,16 +93,16 @@ def test_analyze_lorentzian(tmp_path):
     assert len(lines) == 61
 
 
-def test_analyze_gamma_csv_is_compute_susceptibility(tmp_path):
+def test_analyze_gamma_csv_is_gamma_samples_and_chi(tmp_path):
     # gamma.csv: a header and one row of omega, Gamma and chi per grid point,
-    # each value printed as %.11e from compute_susceptibility's samples
+    # each value printed as %.11e from the model's Gamma samples and the chi on them
     cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n[mechanics]\ntau_omega = 1.0e-3\n"
                               "[grid]\nomega_min = 0.1\nomega_max = 10.0\npoints = 25\n")
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
     grid = np.geomspace(0.1, 10.0, 25)
-    result = vm.compute_susceptibility(vm.lorentzian_mirror(), vm.MirrorMechanics(tau=1e-3), grid)
-    g, chi = result.gamma.values, result.chi.values
+    g = vm.gamma_samples(vm.lorentzian_mirror(), grid)
+    chi = vm.susceptibility(vm.lorentzian_mirror(), vm.MirrorMechanics(tau=1e-3), grid)
     lines = (out / "gamma.csv").read_text().splitlines()
     assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im"
     assert lines[1:] == [",".join("%.11e" % v for v in row)
@@ -138,6 +138,7 @@ def test_analyze_perfect_flags_divergence(tmp_path):
     doc = json.loads((out / "summary.json").read_text())
     assert doc["cutoff_divergent"]
     assert doc["omega_C"] is None
+    assert doc["mu_over_m"] is None
 
 
 def test_cli_exit_code_on_config_error(tmp_path, capsys):
@@ -339,6 +340,21 @@ def test_simulate_perfect_runaway(tmp_path):
     assert "kernel_causality_residual" not in doc and "kernel_n_fft" not in doc
     assert (out / "trajectory.csv").exists()
     assert (out / "energy.csv").exists()
+
+
+def test_simulate_reports_the_runaway_fit_window(tmp_path):
+    # a perfect mirror driven by a step at t = 1 runs away at 1/tau; the rate is
+    # fitted on the later half of the samples where |F_m| > 0, from t = 5.5 to
+    # the run's end, well past the step
+    cfg = write_cfg(tmp_path, "[model]\nkind = perfect\n[mechanics]\ntau_omega = 0.2\n"
+                              "k_over_m = 0\n[simulation]\nregime = perfect\nforce = step\n"
+                              "amplitude = 1.0e-3\ncenter = 1.0\nt_final = 10\ndt = 1.0e-3\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    fit = json.loads((out / "run.json").read_text())["fitted_runaway"]
+    assert fit["rate"] == pytest.approx(5.0, rel=1e-9)
+    t0, t1 = fit["window"]
+    assert t0 == pytest.approx(5.5, abs=1e-9) and t1 == 10.0
 
 
 SIM_MEMORY_CFG = """
@@ -582,6 +598,24 @@ def test_crosscheck_fails_when_its_spectral_check_cannot_run(tmp_path, monkeypat
         assert "spectral_rep divergent" in capsys.readouterr().err
     else:
         assert spectral["passed"] and spectral["defect"] < 1e-4
+
+
+def test_crosscheck_fails_on_a_table_whose_cutoff_diverges(tmp_path, capsys):
+    # the lossless 5-pole Blaschke mirror, omega_C = 3 sum |Im p| = 20.73: its
+    # Gamma curve stops at 1e3 omega_scale = 100, where Gamma_R decays like
+    # w^-1.13, so the cutoff diverges and mu has no value.  The spectral check
+    # cannot run, and a check that cannot run has not passed: exit 3
+    poles = (-1.17j, 0.604 - 1.908j, -0.604 - 1.908j, 1.073 - 0.962j, -1.073 - 0.962j)
+    vm.save_table(tmp_path / "table.txt", *make_blaschke_table(poles).table)
+    cfg = write_cfg(tmp_path, "[model]\nkind = tabulated\ntable = table.txt\n"
+                              "[mechanics]\ntau_omega = 0.003\n")
+    out = tmp_path / "out"
+    assert main(["crosscheck", "--config", str(cfg), "--out", str(out)]) == 3
+    doc = json.loads((out / "crosscheck.json").read_text())
+    assert doc["spectral_rep"] == {"status": "divergent", "defect": None, "threshold": 1e-4,
+                                   "passed": False}
+    assert doc["kk"]["passed"] and doc["consistency"]["passed"]
+    assert "spectral_rep divergent" in capsys.readouterr().err
 
 
 # the Lorentzian at Omega = 1 tabulated to 1100, and at Omega = 4 to 200

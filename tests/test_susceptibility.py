@@ -432,31 +432,22 @@ def test_response_curve_tail_is_the_fit_or_zero(points, fitted):
         assert np.isfinite(rec) and rec.real == pytest.approx(curve._real_spline(1.0), rel=1e-15)
 
 
-def test_compute_susceptibility(lorentzian):
-    # analyze writes these samples as gamma.csv, whose rows test_cli checks
-    mech = vm.MirrorMechanics(tau=1e-3)
-    grid = np.geomspace(0.1, 10.0, 25)
-    result = vm.compute_susceptibility(lorentzian, mech, grid)
-    assert result.omega_c == pytest.approx(3.0, rel=1e-2)
-    assert result.mu == pytest.approx(3e-3, rel=1e-2)
-    assert not result.cutoff_divergent
+def test_lorentzian_cutoff_and_induced_mass(lorentzian):
+    # the omega_C and mu/m that analyze writes to summary.json
+    omega_c, diag = vm.reflection_cutoff(lorentzian, full_output=True)
+    assert omega_c == pytest.approx(3.0, rel=1e-2)
+    assert vm.induced_mass(vm.MirrorMechanics(tau=1e-3), omega_c) == pytest.approx(3e-3, rel=1e-2)
+    assert np.isfinite(diag.tail_fraction) and np.isfinite(diag.decay_slope)
 
 
 def test_tabulated_gamma_on_the_benchmark_table():
     # the benchmark's Lorentzian table to omega = 1100, on the analyze grid
     table = make_tabulated_copy(omega_max=1100.0, step=2e-3, log_points=2200)
     grid = np.geomspace(1e-2, 1e2, 100)
-    result = vm.compute_susceptibility(table, vm.MirrorMechanics(tau=1e-3), grid)
     exact = vm.lorentzian_gamma(grid)
-    assert np.max(np.abs(result.gamma.values - exact) / np.abs(exact)) < 1e-6  # criterion 1
-    assert result.omega_c == pytest.approx(3.0, rel=1e-2)
-
-
-def test_compute_susceptibility_perfect_records_divergence(perfect):
-    mech = vm.MirrorMechanics(tau=1e-3)
-    result = vm.compute_susceptibility(perfect, mech, np.geomspace(0.1, 10, 8))
-    assert result.cutoff_divergent
-    assert np.isinf(result.mu)
+    rel = np.abs(vm.gamma_samples(table, grid) - exact) / np.abs(exact)
+    assert np.max(rel) < 1e-6  # criterion 1
+    assert vm.reflection_cutoff(table) == pytest.approx(3.0, rel=1e-2)
 
 
 @settings(max_examples=60, deadline=None)
