@@ -11,7 +11,6 @@ induced mass is mu/m = 3 Omega tau.
 """
 
 from .analysis import (
-    MirrorMechanics,
     StabilityReport,
     admittance,
     count_rhp_zeros,
@@ -72,6 +71,7 @@ from .scattering import (
     validate_model,
 )
 from .susceptibility import (
+    MirrorMechanics,
     ResponseCurve,
     alpha,
     beta,

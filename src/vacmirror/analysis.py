@@ -46,7 +46,6 @@ from .errors import (
 from .dispersion import continue_upper_half
 from .numerics import json_num, secant_root, write_json
 from .susceptibility import (
-    MirrorMechanics,
     ResponseCurve,
     _axis_motional,
     curve_cutoff,
@@ -78,9 +77,7 @@ def admittance(model, mech, w):
     z = impedance(model, mech, w)
     floor = 1e-10 * mech.m * max(abs(w), 1e-30)
     if abs(z) <= floor:
-        raise AdmittanceSingularityError(
-            f"|Z| = {abs(z):.3e} below {floor:.3e} at w = {w}", omega=w, z_value=z
-        )
+        raise AdmittanceSingularityError(f"|Z| = {abs(z):.3e} below {floor:.3e} at w = {w}")
     return 1.0 / z
 
 
@@ -293,12 +290,15 @@ class StabilityReport:
         return write_json(path, doc)
 
 
-def _real_axis_seeds(model, mech, p_max, p_min=1e-6, n=400):
+_SEED_POINTS = 400
+
+
+def _real_axis_seeds(model, mech, p_max, p_min=1e-6):
     """Real zeros of Z on the positive real axis in [p_min, p_max], ascending:
-    an exact zero of the 400-point log scan once, and the zero of the chord
-    across each strict sign change between scan points, where the secant of
-    ``refine_root`` starts."""
-    ps = np.geomspace(p_min, p_max, n)
+    an exact zero of the _SEED_POINTS-point log scan once, and the zero of the
+    chord across each strict sign change between scan points, where the secant
+    of ``refine_root`` starts."""
+    ps = np.geomspace(p_min, p_max, _SEED_POINTS)
     z = np.real(laplace_impedance(model, mech, ps))
     sign = np.sign(z)
     i = np.nonzero(sign[:-1] * sign[1:] < 0)[0]

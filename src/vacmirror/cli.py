@@ -8,9 +8,11 @@ Four commands drive the pipeline on a strict key-value config file:
     vacmirror crosscheck --config run.cfg --out outdir
 
 Exit codes: 0 success, 2 config error, 3 numerical failure or a failed
-crosscheck.  A perfect mirror's divergent cutoff is expected and exits 0;
-any other crosscheck that cannot run, as on a Gamma curve whose cutoff
-diverges, has failed.  Outputs are deterministic: no timestamps inside
+crosscheck.  A perfect mirror's divergent cutoff is expected and exits 0
+with a null omega_C.  Any other mirror whose Gamma_R shows no integrable
+decay up to its Gamma curve's top exits 3 from analyze and stability,
+which then write no file, and a crosscheck that cannot run for that
+reason has failed.  Outputs are deterministic: no timestamps inside
 data files (metadata carries one only under --timestamps).
 
 Config format: INI-like sections of ``key = value`` lines, ``#``
@@ -214,6 +216,13 @@ def cmd_analyze(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
     grid = build_grid(cfg)
+    # a mirror with no transparency (perfect) has no cutoff: null, not an error;
+    # any other's divergent cutoff raises here, before a file is written
+    if model.gamma_is_one:
+        omega_c = mu_over_m = diag = None
+    else:
+        omega_c, diag = reflection_cutoff(model, full_output=True)
+        mu_over_m = induced_mass(mech, omega_c) / mech.m
     validation = scattering.validate_model(model, grid)
     g = gamma_samples(model, grid)
     chi = _chi(mech, grid, g)
@@ -230,12 +239,6 @@ def cmd_analyze(cfg, out, args):
          [grid, z.real, z.imag, y.real, y.imag]),
     ])
     gamma0 = gamma(model, 0.0)
-    # a mirror with no transparency (perfect) has no cutoff: null, not an error
-    try:
-        omega_c, diag = reflection_cutoff(model, full_output=True)
-        mu_over_m = induced_mass(mech, omega_c) / mech.m
-    except CutoffDivergenceError:
-        omega_c = mu_over_m = diag = None
     doc = {
         "model": model.kind,
         "tau_omega": mech.tau,
@@ -264,6 +267,8 @@ def cmd_stability(cfg, out, args):
     model = build_model(cfg)
     mech = build_mechanics(cfg)
     report = analysis.stability_report(model, mech)
+    if np.isinf(report.omega_c) and not model.gamma_is_one:
+        reflection_cutoff(model)  # raises the divergence the report holds as omega_C = inf
     report.to_json(out / "stability.json")
     return 0
 

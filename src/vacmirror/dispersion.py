@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ContinuationError, FrequencyRangeError, KernelWindowError,
                      RegularizationError)
-from .numerics import _log_fit, cubic_cauchy, fft_length, spectrum_to_kernel, write_csv
+from .numerics import _log_fit, cubic_cauchy, fft_length, spectrum_to_kernel, write_csv_files
 from .susceptibility import (ResponseCurve, _axis_motional, gamma, gamma_samples,
                              susceptibility)
 
@@ -123,8 +123,8 @@ class TimeKernel:
         return self.weights.size
 
     def to_csv(self, path):
-        write_csv(path, f"# mu_subtracted = {self.mu_subtracted:.11e}\n# dt = {self.dt:.11e}\nt,h",
-                  [np.arange(self.n_fft) * self.dt, self.weights])
+        header = f"# mu_subtracted = {self.mu_subtracted:.11e}\n# dt = {self.dt:.11e}\nt,h"
+        write_csv_files([(path, header, [np.arange(self.n_fft) * self.dt, self.weights])])
 
 
 def model_time_kernel(model, mech, mu, window, dt):
@@ -179,11 +179,11 @@ _CONSISTENCY_N_FFT, _CONSISTENCY_DT = 2048, 0.1  # dt in units of 1/omega_scale
 
 
 def consistency_band(model):
-    """Top frequency of consistency_check's default grid on ``model``: pi/dt plus half a bin."""
+    """Top frequency of consistency_check's grid on ``model``: pi/dt plus half a bin."""
     return np.pi * model.omega_scale / _CONSISTENCY_DT * (1.0 + 1.0 / _CONSISTENCY_N_FFT)
 
 
-def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=None):
+def consistency_check(model, mech):
     """Discrete check of chi(t) - chi(-t) = 2 m tau Gamma_R'''(t).
 
     The left side antisymmetrizes the inverse transform of the full chi;
@@ -191,10 +191,10 @@ def consistency_check(model, mech, n_fft=_CONSISTENCY_N_FFT, dt=None):
     independently on a half-shifted grid and resampled.  The normalized
     maximum discrepancy, returned as a float, measures the joint Gamma
     evaluation, interpolation and transform consistency; it decreases under
-    grid refinement.  ``dt`` defaults to 0.1/``model.omega_scale``, a band of 31.4 omega_scale.
+    grid refinement.  The grid has _CONSISTENCY_N_FFT points at dt =
+    0.1/``model.omega_scale``, a band of 31.4 omega_scale.
     """
-    if dt is None:
-        dt = _CONSISTENCY_DT / model.omega_scale
+    n_fft, dt = _CONSISTENCY_N_FFT, _CONSISTENCY_DT / model.omega_scale
     freqs = np.fft.rfftfreq(n_fft, d=dt) * 2.0 * np.pi
     mt = mech.m * mech.tau
     if mt == 0.0:

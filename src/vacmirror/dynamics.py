@@ -350,12 +350,10 @@ class EnergyLedger:
     reconstruction -int F_m v dt.
     """
 
-    times: np.ndarray
     w_applied: np.ndarray
     energy: np.ndarray
     delta_energy: np.ndarray
     w_radiated: np.ndarray
-    w_radiated_check: np.ndarray
     residual: np.ndarray
 
     @property
@@ -375,15 +373,12 @@ def energy_ledger(traj, mech):
     # E >= +0 as k >= 0 and m > 0, and x - 0.0 is x bitwise: from rest dE is E
     delta_e = energy if energy[0] == 0 else energy - energy[0]
     w_m = w_a - delta_e
-    w_m_check = -running_integral(traj.f_motional * v, ts)
     return EnergyLedger(
-        times=ts,
         w_applied=w_a,
         energy=energy,
         delta_energy=delta_e,
         w_radiated=w_m,
-        w_radiated_check=w_m_check,
-        residual=w_m - w_m_check,
+        residual=w_m + running_integral(traj.f_motional * v, ts),
     )
 
 
@@ -437,6 +432,6 @@ def export_simulation_csv(out, traj, ledger):
         traj.times, traj.q, traj.v, traj.a, traj.f_applied,
         ledger.w_applied, ledger.energy, ledger.w_radiated,
     ]), (out / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
-        ledger.times, ledger.w_applied, ledger.energy,
+        traj.times, ledger.w_applied, ledger.energy,
         ledger.delta_energy, ledger.w_radiated, ledger.residual,
     ])])

@@ -49,11 +49,6 @@ class ImpedancePoleError(VacMirrorError):
 class AdmittanceSingularityError(VacMirrorError):
     """Impedance modulus below threshold; admittance is near-singular."""
 
-    def __init__(self, message, omega=None, z_value=None):
-        super().__init__(message)
-        self.omega = omega
-        self.z_value = z_value
-
 
 class ContourError(VacMirrorError):
     """Argument-principle winding unusable: not an integer (the marginal case
@@ -69,12 +64,10 @@ class FitError(VacMirrorError):
 
 
 class ConfigError(VacMirrorError):
-    """Invalid run configuration; carries a file/line anchor when known."""
+    """Invalid run configuration; its message leads with a file/line anchor when known."""
 
     def __init__(self, message, path=None, line=None):
         anchor = ""
         if path is not None:
             anchor = f"{path}:{line}: " if line is not None else f"{path}: "
         super().__init__(anchor + message)
-        self.path = path
-        self.line = line

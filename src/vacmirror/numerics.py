@@ -256,11 +256,6 @@ def write_csv_files(files):
                 fh.write(text.translate(None, b"\0"))
 
 
-def write_csv(path, header, columns):
-    """write_csv_files for one file."""
-    write_csv_files([(path, header, columns)])
-
-
 def json_num(x):
     """x as a JSON number: null where it is None or not finite."""
     return None if x is None or not np.isfinite(x) else float(x)

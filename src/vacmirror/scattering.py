@@ -209,8 +209,8 @@ class TabulatedMirror(MirrorModel):
         x <-> w - x, so the integral over u in [0, 1/2] is doubled."""
         if w == 0.0:
             return complex(self._r(0.0)) ** 2
-        t = self.table[0]
-        tu = t[(t > 0.0) & (t < w)] / w
+        t = self.table[0]  # t[0] = 0, as _gamma checks: the nodes in (0, w) are t[1:k]
+        tu = t[1 : np.searchsorted(t, w)] / w
         cuts = np.unique(np.concatenate([[0.0, 0.5], tu[tu < 0.5], 1.0 - tu[tu > 0.5]]))
         mid = 0.5 * (cuts[1:] + cuts[:-1])
         rad = 0.5 * (cuts[1:] - cuts[:-1])
@@ -227,7 +227,7 @@ class TabulatedMirror(MirrorModel):
         t = self.table[0]
         i = np.clip(np.searchsorted(t, inside, side="right") - 1, 0, t.size - 2)
         c = np.take(self._cubics, i, axis=2)
-        dx = x - t[i]
+        dx = (x - t[i]).astype(complex)  # promoted once for the three Horner products
         out = c[0][:, None] * dx + c[1][:, None]  # Horner, in place
         out *= dx
         out += c[2][:, None]

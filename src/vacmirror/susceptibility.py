@@ -195,7 +195,6 @@ def induced_mass(mech, omega_c):
 
 @dataclass(frozen=True)
 class CutoffDiagnostics:
-    omega_c: float
     tail_fraction: float
     decay_slope: float
 
@@ -203,10 +202,10 @@ class CutoffDiagnostics:
 def curve_cutoff(curve):
     """omega_C = (2/pi) ``real_integral`` of a Gamma curve and Gamma_R's top-decade slope;
     a slope above -1.2, no integrable decay (Gamma_R == 1), raises CutoffDivergenceError."""
-    slope = decay_slope(curve.grid, curve.values.real)
+    slope, top = decay_slope(curve.grid, curve.values.real), curve.grid[-1]
     if slope > -1.2:
-        raise CutoffDivergenceError(f"Gamma_R decays like w^{slope:.2f} on the top decade; "
-                                    "cutoff integral does not converge")
+        raise CutoffDivergenceError(f"Gamma_R decays like w^{slope:.2f} on the top decade "
+                                    f"[{top / 10.0:g}, {top:g}]; cutoff integral does not converge")
     return (2.0 / np.pi) * curve.real_integral, slope
 
 
@@ -235,5 +234,5 @@ def reflection_cutoff(model, omega_max=None, full_output=False):
         exact = omega_c, tail / total if tail else 0.0, slope
     omega_c, tail_fraction, slope = exact
     if full_output:
-        return omega_c, CutoffDiagnostics(omega_c, tail_fraction, slope)
+        return omega_c, CutoffDiagnostics(tail_fraction, slope)
     return omega_c

@@ -618,6 +618,22 @@ def test_crosscheck_fails_on_a_table_whose_cutoff_diverges(tmp_path, capsys):
     assert "spectral_rep divergent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "stability"])
+def test_a_table_whose_cutoff_diverges_writes_no_file(tmp_path, capsys, command):
+    # the same 5-pole Blaschke mirror: Gamma_R shows no integrable decay on the
+    # curve's top decade [10, 100], and a null omega_C would hide that the
+    # mirror has one, so the run fails before it writes anything
+    poles = (-1.17j, 0.604 - 1.908j, -0.604 - 1.908j, 1.073 - 0.962j, -1.073 - 0.962j)
+    vm.save_table(tmp_path / "table.txt", *make_blaschke_table(poles).table)
+    cfg = write_cfg(tmp_path, "[model]\nkind = tabulated\ntable = table.txt\n"
+                              "[mechanics]\ntau_omega = 0.003\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "[10, 100]" in err
+    assert list(out.iterdir()) == []
+
+
 # the Lorentzian at Omega = 1 tabulated to 1100, and at Omega = 4 to 200
 _SCALED_TABLES = {1.0: make_tabulated_copy(omega_max=1100.0, step=0.05, log_points=200),
                   4.0: make_tabulated_copy(omega_max=50.0, step=0.05, log_points=200)}

@@ -302,13 +302,17 @@ def test_acceleration_weights_low_bins_are_the_band_spectrum(tau, dt):
     assert np.max(rel[~inside]) < 2e-3
 
 
-def test_consistency_check_lorentzian(lorentzian):
+def test_consistency_check_lorentzian(lorentzian, monkeypatch):
+    # the grid refined from 1024 to 2048 points at dt = 0.1
     mech = vm.MirrorMechanics(tau=1e-3)
-    defect = vm.consistency_check(lorentzian, mech, n_fft=1024, dt=0.1)
+    monkeypatch.setattr(vm.dispersion, "_CONSISTENCY_N_FFT", 1024)
+    defect = vm.consistency_check(lorentzian, mech)
     assert defect < 1e-2
-    assert vm.consistency_check(lorentzian, mech, n_fft=2048, dt=0.1) <= defect
+    monkeypatch.setattr(vm.dispersion, "_CONSISTENCY_N_FFT", 2048)
+    assert vm.consistency_check(lorentzian, mech) <= defect
 
 
-def test_consistency_check_decoupled_is_zero(lorentzian):
+def test_consistency_check_decoupled_is_zero(lorentzian, monkeypatch):
     mech = vm.MirrorMechanics(tau=0.0)
-    assert vm.consistency_check(lorentzian, mech, n_fft=256, dt=0.1) == 0.0
+    monkeypatch.setattr(vm.dispersion, "_CONSISTENCY_N_FFT", 256)
+    assert vm.consistency_check(lorentzian, mech) == 0.0

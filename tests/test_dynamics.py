@@ -636,12 +636,12 @@ def test_simulation_export_keeps_the_bytes_of_each_file(tmp_path, monkeypatch, c
     # each file alone, from its own columns
     alone = tmp_path / "alone"
     alone.mkdir()
-    vm.numerics.write_csv(alone / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
+    vm.numerics.write_csv_files([(alone / "trajectory.csv", "t,q,v,a,F_a,W_a,E,W_m", [
         traj.times, traj.q, traj.v, traj.a, traj.f_applied,
-        ledger.w_applied, ledger.energy, ledger.w_radiated])
-    vm.numerics.write_csv(alone / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
+        ledger.w_applied, ledger.energy, ledger.w_radiated])])
+    vm.numerics.write_csv_files([(alone / "energy.csv", "t,W_a,E,delta_E,W_m,residual", [
         traj.times, ledger.w_applied, ledger.energy,
-        ledger.energy - ledger.energy[0], ledger.w_radiated, ledger.residual])
+        ledger.energy - ledger.energy[0], ledger.w_radiated, ledger.residual])])
     formatted = []
     block = vm.numerics._format_block
     monkeypatch.setattr(vm.numerics, "_format_block",

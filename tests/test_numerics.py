@@ -29,7 +29,6 @@ from vacmirror.numerics import (
     fft_length,
     running_integral,
     secant_root,
-    write_csv,
     write_csv_files,
 )
 
@@ -45,7 +44,7 @@ _EDGE_ROW = np.array([[-0.0, 5e-324, -2.2e-308, np.inf, -np.inf, np.nan, 1e300, 
 
 
 def row_formatted_csv(header, columns):
-    """The row-by-row writer that write_csv replaced, kept as its oracle."""
+    """The row-by-row writer that write_csv_files replaced, kept as its oracle."""
     text = header + "\n"
     for row in zip(*columns):
         text += ",".join(f"{x:.11e}" for x in row) + "\n"
@@ -60,7 +59,7 @@ def test_write_csv_matches_row_formatter(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(table.shape[1]))
     columns = list(table.T)
-    write_csv(path, header, columns)
+    write_csv_files([(path, header, columns)])
     assert path.read_bytes() == row_formatted_csv(header, columns)
 
 
@@ -78,7 +77,7 @@ def test_write_csv_matches_row_formatter_across_blocks(tmp_path, cols, rows):
     table[-1] = np.resize(_EDGE_ROW, cols)
     path = tmp_path / "table.csv"
     header = ",".join(f"c{j}" for j in range(cols))
-    write_csv(path, header, list(table.T))
+    write_csv_files([(path, header, list(table.T))])
     assert path.read_bytes() == row_formatted_csv(header, list(table.T))
 
 
@@ -158,7 +157,7 @@ def test_write_csv_matches_row_formatter_on_hard_values(tmp_path_factory, values
     table = np.resize(np.array(values, dtype=np.float64), (rows, cols))
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     header = ",".join(f"c{j}" for j in range(cols))
-    write_csv(path, header, list(table.T))
+    write_csv_files([(path, header, list(table.T))])
     assert path.read_bytes() == row_formatted_csv(header, list(table.T))
 
 
@@ -186,7 +185,7 @@ def test_write_csv_leaves_few_values_of_a_trajectory_to_the_fallback(tmp_path, m
 
 def test_write_csv_multiline_header(tmp_path):
     path = tmp_path / "kernel.csv"
-    write_csv(path, "# dt = 1\nt,kappa", [np.array([0.0, 1.0]), np.array([2.0, -0.0])])
+    write_csv_files([(path, "# dt = 1\nt,kappa", [np.array([0.0, 1.0]), np.array([2.0, -0.0])])])
     assert path.read_text() == (
         "# dt = 1\nt,kappa\n"
         "0.00000000000e+00,2.00000000000e+00\n"
@@ -734,7 +733,7 @@ def test_write_csv_files_never_alias_distinct_arrays(tmp_path):
 
 def test_write_csv_files_refuse_columns_of_unequal_length(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", "a,b", [np.zeros(3), np.zeros(4)])
+        write_csv_files([(tmp_path / "t.csv", "a,b", [np.zeros(3), np.zeros(4)])])
     with pytest.raises(ValueError):
         write_csv_files([(tmp_path / "u.csv", "a", [np.zeros(3)]),
                          (tmp_path / "v.csv", "a,b", [np.zeros(2), np.zeros(3)[1:2]])])
@@ -750,10 +749,11 @@ def test_write_csv_holds_no_copy_of_the_table(tmp_path):
     # the table takes 6.4 MB, and a copy of it as much again; one block's
     # arrays peak near 1.2 MB
     table = np.random.default_rng(3).standard_normal((100_000, 8))
-    write_csv(tmp_path / "warm.csv", "c", [table[:10, 0]])  # the lookup tables
+    header = ",".join(f"c{j}" for j in range(8))
+    write_csv_files([(tmp_path / "warm.csv", "c", [table[:10, 0]])])  # the lookup tables
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "table.csv", ",".join(f"c{j}" for j in range(8)), list(table.T))
+        write_csv_files([(tmp_path / "table.csv", header, list(table.T))])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
