@@ -9,7 +9,9 @@ on it (the principal value plus the residue, which the dispersion checks
 read), the (a + b ln w)/w^2 + c/w^3 tail that closes a sampled curve
 (``LogTail``: its fit, its integral and Cauchy sum in closed form, and a
 Gamma curve's value on the real axis above its top), a complex secant root
-finder and the FFT length rule; only NumPy is imported.  The CSV writer
+finder and the FFT length rule; only NumPy is imported, and no command
+loads numpy.polynomial: the Gauss-Legendre rules it reads are literals and
+the tail's series a local Horner loop.  The CSV writer
 prints every value as %.11e with NumPy, byte for byte what Python's
 formatting prints: 12 digits from one rounded product with a tabulated
 power of ten, which rounds like the exact product unless it lies next to a
@@ -31,14 +33,33 @@ import numpy as np
 from .errors import AccuracyError, FitError, RootConvergenceError
 
 
+# the rules production reads, (nodes, weights), as numpy's leggauss gives them to the bit
+_GAUSS_LEGENDRE = {
+    3: ((-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557)),
+    5: ((-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664),
+        (0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663,
+         0.23692688505618928)),
+    8: ((-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+         0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362),
+        (0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+         0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706)),
+}
+
+
 @cache
 def gauss_legendre(n):
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
 
-    Built on first use, so that importing the package imports no
-    numpy.polynomial and runs no eigensolver.
+    The 3-, 5- and 8-point rules (the second moment, a table's exact Gamma
+    rule and the Cauchy sums) are literals, numpy's leggauss to the bit, so
+    that no command imports numpy.polynomial or runs an eigensolver; any
+    other n (the oracle's 15 and 30) is built by leggauss on first use.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    if n in _GAUSS_LEGENDRE:
+        nodes, weights = map(np.array, _GAUSS_LEGENDRE[n])
+    else:
+        nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -397,6 +418,17 @@ _TAIL_SERIES = 2.0 * np.arange(30) + 3.0  # 2k + 3: the terms fall below 4^-29 a
 _TAIL_TERMS = 1.0 / np.column_stack([_TAIL_SERIES, _TAIL_SERIES**2, _TAIL_SERIES + 1.0])
 
 
+def _polyval(x, c):
+    """sum_k c[k] x^k for an array x, c's trailing axes columns (each summed against
+    all of x): np.polynomial.polynomial.polyval's Horner in its order of arithmetic,
+    c[-1] + 0 x and then c[k] + acc x, so bitwise its values."""
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    acc = c[-1] + x * 0
+    for coefficient in c[-2::-1]:
+        acc = coefficient + acc * x
+    return acc
+
+
 def _log_fit(w, y):
     """Least-squares coefficients of y (real or complex) on 1, ln w and 1/w."""
     basis = np.column_stack([np.ones(w.size), np.log(w), 1.0 / w])
@@ -439,7 +471,7 @@ class LogTail:
         a, b, c, top = self.a, self.b, self.c, self.top
         z = np.atleast_1d(np.asarray(w) / top).astype(complex)
         near, s = np.abs(z) <= 0.5, np.empty((3,) + z.shape, dtype=complex)
-        s[:, near] = np.polynomial.polynomial.polyval(z[near] ** 2, _TAIL_TERMS)
+        s[:, near] = _polyval(z[near] ** 2, _TAIL_TERMS)
         far = z[~near]
         if far.size:  # 1 -+ z as (top -+ w)/top: exact to rounding however near w is to top
             wf = np.atleast_1d(np.asarray(w)).astype(complex)[~near]
@@ -463,10 +495,10 @@ class LogTail:
 
 
 # B_2k/(2k + 1)! for k = 0..12, k = 0 aside: the odd terms of Li_2's Bernoulli series
-_DILOG_SERIES = (0.0, 0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
-                 -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
-                 8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
-                 -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21)
+_DILOG_SERIES = np.array([0.0, 0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+                          -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+                          8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+                          -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21])
 
 
 def _dilog(z, zc):
@@ -483,7 +515,7 @@ def _dilog(z, zc):
         ref = z.real > 0.5
         add_ref = np.where(ref, np.pi**2 / 6.0 - np.log(z) * np.log(zc), 0.0)
         u = -np.log(1.0 - np.where(ref, zc, z))
-    li = u * (1.0 - 0.25 * u + np.polynomial.polynomial.polyval(u * u, _DILOG_SERIES))
+    li = u * (1.0 - 0.25 * u + _polyval(u * u, _DILOG_SERIES))
     li = add_ref + np.where(ref, -li, li)
     return add_inv + np.where(inv, -li, li)
 

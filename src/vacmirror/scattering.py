@@ -121,6 +121,11 @@ class LorentzianMirror(MirrorModel):
                 decay_slope(probe, lorentzian_gamma(probe, self.omega_scale).real))
 
 
+# pieces of a table's exact Gamma rule evaluated at once: the temporaries of a block
+# stay bounded however many pieces a frequency has, as cubic_cauchy's blocks do
+_RULE_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class TabulatedMirror(MirrorModel):
     table: tuple  # (w, r, s) arrays
@@ -211,14 +216,19 @@ class TabulatedMirror(MirrorModel):
             return complex(self._r(0.0)) ** 2
         t = self.table[0]  # t[0] = 0, as _gamma checks: the nodes in (0, w) are t[1:k]
         tu = t[1 : np.searchsorted(t, w)] / w
-        cuts = np.unique(np.concatenate([[0.0, 0.5], tu[tu < 0.5], 1.0 - tu[tu > 0.5]]))
+        cuts = np.sort(np.concatenate([[0.0, 0.5], tu[tu < 0.5], 1.0 - tu[tu > 0.5]]))
+        cuts = cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]  # np.unique's, no numpy.ma
         mid = 0.5 * (cuts[1:] + cuts[:-1])
         rad = 0.5 * (cuts[1:] - cuts[:-1])
         nodes, weights = gauss_legendre(5)
-        u = mid + rad * nodes[:, None]
-        r_x, s_x = self._pieces(w * mid, w * u)
-        r_y, s_y = self._pieces(w * (1.0 - mid), w * (1.0 - u))
-        f = u * (1.0 - u) * (1.0 + r_y * r_x - s_y * s_x)
+        f = np.empty((5, mid.size), dtype=complex)
+        for j in range(0, mid.size, _RULE_BLOCK):  # the integrand a block of pieces at a time
+            piece = slice(j, j + _RULE_BLOCK)
+            m = mid[piece]
+            u = m + rad[piece] * nodes[:, None]
+            r_x, s_x = self._pieces(w * m, w * u)
+            r_y, s_y = self._pieces(w * (1.0 - m), w * (1.0 - u))
+            f[:, piece] = u * (1.0 - u) * (1.0 + r_y * r_x - s_y * s_x)
         return complex(6.0 * (weights @ f @ rad))
 
     def _pieces(self, inside, x):

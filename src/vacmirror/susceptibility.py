@@ -200,9 +200,15 @@ class CutoffDiagnostics:
 
 
 def curve_cutoff(curve):
-    """omega_C = (2/pi) ``real_integral`` of a Gamma curve and Gamma_R's top-decade slope;
-    a slope above -1.2, no integrable decay (Gamma_R == 1), raises CutoffDivergenceError."""
-    slope, top = decay_slope(curve.grid, curve.values.real), curve.grid[-1]
+    """omega_C = (2/pi) ``real_integral`` of a Gamma curve and Gamma_R's top-decade slope.
+    CutoffDivergenceError where Gamma_R has no integrable decay on that decade: a slope
+    above -1.2 (Gamma_R == 1 has 0), or values <= 0 but not all 0, whose log has no slope."""
+    top, real = curve.grid[-1], curve.values.real[curve.grid >= curve.grid[-1] / 10.0]
+    if np.any(real) and real.min() <= 0.0:
+        raise CutoffDivergenceError(f"Gamma_R is not positive on the top decade [{top / 10.0:g}, "
+                                    f"{top:g}] (it reaches {real.min():.3g}), so it has no decay "
+                                    "to fit; no cutoff is taken")
+    slope = decay_slope(curve.grid, curve.values.real)
     if slope > -1.2:
         raise CutoffDivergenceError(f"Gamma_R decays like w^{slope:.2f} on the top decade "
                                     f"[{top / 10.0:g}, {top:g}]; cutoff integral does not converge")

@@ -18,6 +18,7 @@ from vacmirror.errors import (
     AdmittanceSingularityError,
     ContinuationError,
     ContourError,
+    CutoffDivergenceError,
     ImpedancePoleError,
     RootConvergenceError,
 )
@@ -280,6 +281,16 @@ def test_gain_mirror_without_a_zero_is_not_passive():
     assert scaled.min() == pytest.approx(-1.13e-3, rel=1e-2)
     assert 1.0 < y[np.argmin(scaled)] < 10.0
     assert vm.passivity_check(GainMirror(), mech).passive
+
+
+def test_gain_mirror_cutoff_says_its_gamma_r_is_negative():
+    # Gamma_R = -6 (ln w - 1)/w^2 < 0 on the whole top decade: its log has no
+    # slope, where the values clipped to 1e-300 read "decays like w^0.00"
+    with pytest.raises(CutoffDivergenceError) as err:
+        vm.reflection_cutoff(GainMirror())
+    message = str(err.value)
+    assert "not positive on the top decade [100, 1000]" in message
+    assert "decays like" not in message
 
 
 _TAU_OMEGA = st.floats(-3.0, 0.0).map(lambda e: 10.0**e)

@@ -95,18 +95,22 @@ def test_analyze_lorentzian(tmp_path):
 
 def test_analyze_gamma_csv_is_gamma_samples_and_chi(tmp_path):
     # gamma.csv: a header and one row of omega, Gamma and chi per grid point,
-    # each value printed as %.11e from the model's Gamma samples and the chi on them
-    cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n[mechanics]\ntau_omega = 1.0e-3\n"
-                              "[grid]\nomega_min = 0.1\nomega_max = 10.0\npoints = 25\n")
-    out = tmp_path / "out"
-    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
-    grid = np.geomspace(0.1, 10.0, 25)
-    g = vm.gamma_samples(vm.lorentzian_mirror(), grid)
-    chi = vm.susceptibility(vm.lorentzian_mirror(), vm.MirrorMechanics(tau=1e-3), grid)
-    lines = (out / "gamma.csv").read_text().splitlines()
-    assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im"
-    assert lines[1:] == [",".join("%.11e" % v for v in row)
-                         for row in zip(grid, g.real, g.imag, chi.real, chi.imag)]
+    # each value printed as %.11e from the model's Gamma samples and the chi on them,
+    # on the default log grid and on a linear one
+    for spacing, grid in (("log", np.geomspace(0.1, 10.0, 25)),
+                          ("linear", np.linspace(0.1, 10.0, 25))):
+        cfg = write_cfg(tmp_path, "[model]\nkind = lorentzian\n[mechanics]\ntau_omega = 1.0e-3\n"
+                                  "[grid]\nomega_min = 0.1\nomega_max = 10.0\npoints = 25\n"
+                                  + ("" if spacing == "log" else "spacing = linear\n"))
+        out = tmp_path / spacing
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        g = vm.gamma_samples(vm.lorentzian_mirror(), grid)
+        chi = vm.susceptibility(vm.lorentzian_mirror(), vm.MirrorMechanics(tau=1e-3), grid)
+        lines = (out / "gamma.csv").read_text().splitlines()
+        assert lines[0] == "omega,gamma_re,gamma_im,chi_re,chi_im"
+        assert lines[1:] == [",".join("%.11e" % v for v in row)
+                             for row in zip(grid, g.real, g.imag, chi.real, chi.imag)]
+        assert json.loads((out / "summary.json").read_text())["grid"]["spacing"] == spacing
 
 
 def test_analyze_deterministic_bytes(tmp_path):
@@ -355,6 +359,28 @@ def test_simulate_reports_the_runaway_fit_window(tmp_path):
     assert fit["rate"] == pytest.approx(5.0, rel=1e-9)
     t0, t1 = fit["window"]
     assert t0 == pytest.approx(5.5, abs=1e-9) and t1 == 10.0
+
+
+def test_simulate_without_a_runaway_to_fit_writes_a_null_fit(tmp_path, monkeypatch):
+    # an undriven perfect mirror at rest: |F_m| is 0 throughout, so the rate fit
+    # raises FitError, and the run still exits 0 with fitted_runaway null
+    raised, fit = [], vm.dynamics.fit_runaway_rate
+
+    def spied(traj):
+        try:
+            return fit(traj)
+        except vm.FitError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(vm.dynamics, "fit_runaway_rate", spied)
+    cfg = write_cfg(tmp_path, "[model]\nkind = perfect\n[mechanics]\ntau_omega = 0.5\n"
+                              "[simulation]\nforce = none\nt_final = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "run.json").read_text())
+    assert len(raised) == 1 and "fitted_runaway" in doc and doc["fitted_runaway"] is None
+    assert doc["regime"] == "perfect" and not doc["diverged"]
 
 
 SIM_MEMORY_CFG = """

@@ -601,8 +601,9 @@ def test_import_and_memory_simulate_load_no_numpy_polynomial_or_ma(tmp_path):
     assert _loaded_after(run, tmp_path, packages) == "[]"
 
 
-@pytest.mark.parametrize("n", [5, 8, 15, 30])
+@pytest.mark.parametrize("n", [3, 5, 8, 15, 30])
 def test_gauss_legendre_is_numpys_rule_built_once_and_read_only(n):
+    # 3, 5 and 8 are the literals production reads, 15 and 30 the oracle's leggauss
     nodes, weights = numerics.gauss_legendre(n)
     want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
     assert nodes.tobytes() == want_nodes.tobytes() and weights.tobytes() == want_weights.tobytes()
@@ -611,6 +612,22 @@ def test_gauss_legendre_is_numpys_rule_built_once_and_read_only(n):
         nodes[0] = 0.0
     with pytest.raises(ValueError):
         weights[0] = 0.0
+
+
+_POLY_POINTS = hnp.arrays(np.complex128, st.integers(1, 40),
+                         elements=st.complex_numbers(max_magnitude=4.0, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_POLY_POINTS)
+@example(x=np.array([0.25 + 0.0j, -0.0 - 0.5j, 0.0j]))
+def test_horner_is_polyval_to_the_bit(x):
+    # both call shapes: the tail's three columns of 30 terms at z^2, and the
+    # dilogarithm's one column of 13 terms at u^2
+    for c in (numerics._TAIL_TERMS, numerics._DILOG_SERIES):
+        want = np.polynomial.polynomial.polyval(x, c)
+        got = numerics._polyval(x, c)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cubic_cauchy_on_hand_built_pieces_loads_no_scipy(tmp_path):
@@ -654,14 +671,16 @@ def table_run(tmp_path_factory):
     ("crosscheck", "lorentzian"), ("analyze", "tabulated"), ("stability", "tabulated")])
 def test_commands_load_no_scipy(tmp_path, table_run, command, kind):
     # the runtime is NumPy alone: each command in a fresh process, a table's
-    # stability through its Cauchy continuation (tau Omega = 0.4 has a runaway root)
+    # stability through its Cauchy continuation (tau Omega = 0.4 has a runaway root);
+    # and none imports numpy.polynomial (no eigensolver for a Gauss-Legendre rule,
+    # no polyval) or numpy.ma (np.unique asks numpy.ma whether its input is masked)
     cfg = table_run
     if kind == "lorentzian":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(_LORENTZIAN_RUN)
     run = ("from vacmirror.cli import main\n"
            f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', 'out']) == 0")
-    assert _loaded_after(run, tmp_path) == "[]"
+    assert _loaded_after(run, tmp_path, ("scipy", "numpy.polynomial", "numpy.ma")) == "[]"
 
 
 # each file: the table columns it holds

@@ -15,6 +15,7 @@ from vacmirror.numerics import (
     QuadratureSettings,
     adaptive_gauss_legendre,
 )
+from vacmirror.susceptibility import curve_cutoff
 
 from conftest import make_tabulated_copy
 
@@ -448,6 +449,19 @@ def test_tabulated_gamma_on_the_benchmark_table():
     rel = np.abs(vm.gamma_samples(table, grid) - exact) / np.abs(exact)
     assert np.max(rel) < 1e-6  # criterion 1
     assert vm.reflection_cutoff(table) == pytest.approx(3.0, rel=1e-2)
+
+
+def test_reflection_cutoff_to_another_top_resamples_and_keeps_the_curve():
+    # the 1100-top table's kept curve ends at 1e3; a cutoff to 1100 is the
+    # curve_cutoff of a curve sampled to 1100, and leaves the kept one as it was
+    table = make_tabulated_copy(omega_max=1100.0, step=1e-2, log_points=2200)
+    kept = table.gamma_curve
+    omega_c, diag = vm.reflection_cutoff(table, omega_max=1100.0, full_output=True)
+    curve = vm.sample_gamma_real(table, 1100.0)
+    assert (omega_c, diag.decay_slope) == curve_cutoff(curve)
+    assert diag.tail_fraction == curve.tail.integral() / curve.real_integral
+    assert table.gamma_curve is kept and kept.grid[-1] == 1e3
+    assert omega_c == pytest.approx(3.0, rel=1e-6) and omega_c != vm.reflection_cutoff(table)
 
 
 @settings(max_examples=60, deadline=None)
